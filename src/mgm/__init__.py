@@ -56,10 +56,12 @@ from .metrics import EvaluationReport, accuracy, ari, avg_purity, evaluate, nmi,
 from .pipeline import (
     CellSubspaceSet,
     DistanceMatrix,
+    MultiscaleEmbedding,
     RunReport,
     aggregate_features,
     build_subspaces,
     distance_matrix,
+    embed_multiscale,
     run_mgm,
 )
 from .scales import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import ClusteringMethod, cluster_distances
 from .config import PRESETS, load_config
-from .data import load_labels, load_matrix
+from .data import load_labels, load_matrix, preprocess
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
     export_scatter,
@@ -27,9 +27,7 @@ from .experiment import (
     save_distance_matrix,
 )
 from .metrics import evaluate
-from .mdr import build_stack, pca_reduce
-from .pipeline import run_mgm
-from .data import preprocess
+from .pipeline import embed_multiscale, run_mgm
 from .scales import describe_density, sample_scales
 
 __all__ = ["main", "build_parser"]
@@ -48,7 +46,6 @@ def _add_config_options(parser: argparse.ArgumentParser, scale_flags: bool = Fal
     seed_group = group.add_mutually_exclusive_group()
     seed_group.add_argument("--seed", type=int, help="single seed")
     seed_group.add_argument("--seeds", help="comma-separated seeds")
-    group.add_argument("--threads", type=int, help="worker threads for the distance matrix")
     group.add_argument("--top-features", type=int, help="keep this many highest-variance features")
     if scale_flags:
         group.add_argument("--scale-min", type=int, help="smallest scale")
@@ -80,8 +77,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
         overrides["seeds"] = str(args.seed)
     if getattr(args, "seeds", None):
         overrides["seeds"] = args.seeds
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = str(args.threads)
     if getattr(args, "top_features", None) is not None:
         overrides["preprocess.top_features"] = str(args.top_features)
     if getattr(args, "scale_min", None) is not None:
@@ -112,6 +107,15 @@ def _load_data(args: argparse.Namespace):
     )
 
 
+def _load_preprocessed(args: argparse.Namespace, cfg):
+    return preprocess(
+        _load_data(args),
+        normalize=cfg.normalize,
+        log_transform=cfg.log_transform,
+        top_features=cfg.top_features,
+    )
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -138,18 +142,7 @@ def _cmd_sample_scales(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    matrix = _load_data(args)
-    pre = preprocess(
-        matrix,
-        normalize=cfg.normalize,
-        log_transform=cfg.log_transform,
-        top_features=cfg.top_features,
-    )
-    values = pre.values
-    if cfg.pca_dim is not None:
-        values = pca_reduce(values, cfg.pca_dim)
-    scale_set = sample_scales(cfg.scales)
-    stack = build_stack(values, scale_set, cfg.embedding, seed=cfg.seeds[0])
+    stack = embed_multiscale(_load_preprocessed(args, cfg).values, cfg).stack
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for scale, emb in zip(stack.scales, stack.embeddings):
@@ -161,7 +154,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         "embedding_dim": stack.embedding_dim,
         "sample_count": stack.sample_count,
         "method": cfg.embedding.method.value,
-        "seed": stack.seed,
+        "seed": cfg.seeds[0],
     }
     (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n")
     return 0
@@ -169,14 +162,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_mgm(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    matrix = _load_data(args)
-    pre = preprocess(
-        matrix,
-        normalize=cfg.normalize,
-        log_transform=cfg.log_transform,
-        top_features=cfg.top_features,
-    )
-    _, dmat, report = run_mgm(pre, cfg, seed=cfg.seeds[0])
+    _, dmat, report, _ = run_mgm(_load_preprocessed(args, cfg), cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
@@ -221,7 +207,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         out_dir=args.out_dir,
         save_distance=args.save_distance_matrix,
         with_baselines=not args.no_baselines,
-        parallel_seeds=args.parallel_seeds,
     )
     payload = {
         "checksum": result.checksum,
@@ -290,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist each seed's distance matrix",
     )
     p.add_argument("--no-baselines", action="store_true", help="skip baseline runs")
-    p.add_argument(
-        "--parallel-seeds", action="store_true", help="run seeds in worker threads"
-    )
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("scatter", help="2-d MDS view of a distance matrix as CSV")

@@ -41,7 +41,6 @@ class PipelineConfig:
     log_transform: bool = True
     top_features: int | None = None
     normalize_columns: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -50,8 +49,6 @@ class PipelineConfig:
             raise ConfigError("seeds must be nonempty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if self.pca_dim is not None and self.pca_dim < 1:
             raise ConfigError(f"pca.dim must be positive, got {self.pca_dim}")
         if self.mds_dim is not None and self.mds_dim < 1:
@@ -80,7 +77,6 @@ _DEFAULTS: dict[str, str] = {
     "preprocess.log1p": "true",
     "preprocess.top_features": "none",
     "subspace.normalize_columns": "false",
-    "threads": "1",
 }
 
 # Each preset only lists where it departs from the defaults above.
@@ -211,7 +207,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
             log_transform=_parse_bool(merged, "preprocess.log1p"),
             top_features=_parse_optional_int(merged, "preprocess.top_features"),
             normalize_columns=_parse_bool(merged, "subspace.normalize_columns"),
-            threads=_parse_int(merged, "threads"),
         )
     except ValueError as err:
         raise ConfigError(str(err))
@@ -241,7 +236,6 @@ def config_to_mapping(cfg: PipelineConfig) -> dict[str, str]:
         "preprocess.log1p": "true" if cfg.log_transform else "false",
         "preprocess.top_features": opt(cfg.top_features),
         "subspace.normalize_columns": "true" if cfg.normalize_columns else "false",
-        "threads": str(cfg.threads),
     }
 
 

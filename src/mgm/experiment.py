@@ -1,19 +1,19 @@
 """Multi-seed experiment driver with baselines and file outputs.
 
-One experiment preprocesses a matrix once, then for every seed runs the full
-pipeline, clusters, and (when ground truth is available) evaluates. Two
-baselines on the same preprocessed data put the numbers in context: k-means
-on a single PCA embedding, and k-means on the average of the per-scale
-embeddings. Per-seed results are written as they finish, so a crash in a
-later seed preserves earlier output.
+One experiment preprocesses a matrix and runs the pipeline once: the
+embeddings and subspaces do not depend on the seed. Every seed then builds
+the distance matrix from those subspaces, clusters it and (when ground
+truth is available) evaluates. Two baselines reuse the run's PCA-reduced
+matrix and embeddings to put the numbers in context: k-means on a single
+PCA embedding, and k-means on the average of the per-scale embeddings. Per-seed results are
+written as they finish, so a crash in a later seed preserves earlier output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +22,9 @@ from .clustering import classical_mds, cluster_distances, kmeans_euclidean
 from .config import PipelineConfig, config_to_mapping
 from .data import DataError, ExpressionMatrix, preprocess
 from .grassmann import GrassmannMetric
-from .mdr import MdrMethod, build_stack, pca_reduce
+from .mdr import pca_reduce
 from .metrics import EvaluationReport, evaluate
-from .pipeline import DistanceMatrix, RunReport, run_mgm
-from .scales import ScaleSamplingSpec, sample_scales
+from .pipeline import DistanceMatrix, RunReport, distance_matrix, run_mgm
 
 __all__ = [
     "SeedOutcome",
@@ -107,11 +106,16 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
         values = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
         raise DataError(f"cannot read distance matrix {path}: {err}")
-    meta = None
+    meta, metric = None, GrassmannMetric.CHORDAL
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-    metric = GrassmannMetric.parse(meta["metric"]) if meta else GrassmannMetric.CHORDAL
+        try:
+            meta = json.loads(meta_path.read_text())
+            if not isinstance(meta, dict) or not isinstance(meta.get("metric"), str):
+                raise ValueError("expected a JSON object with a string 'metric'")
+            metric = GrassmannMetric.parse(meta["metric"])
+        except (OSError, ValueError) as err:
+            raise DataError(f"bad sidecar {meta_path}: {err}")
     try:
         dmat = DistanceMatrix(values=values, metric=metric)
     except ValueError as err:
@@ -181,14 +185,13 @@ def run_experiment(
     out_dir: str | Path | None = None,
     save_distance: bool = False,
     with_baselines: bool = True,
-    parallel_seeds: bool = False,
 ) -> ExperimentResult:
-    """Run the pipeline for every configured seed, plus baselines.
+    """Run the pipeline once, then build distances, cluster and score for
+    every configured seed, plus baselines.
 
     Evaluation requires matrix.labels; without them only predicted labels are
-    produced. Seeds run sequentially unless parallel_seeds is set; outputs
-    are position-addressed per seed either way, so the flag never changes
-    results.
+    produced. Each seed's run report and distance-matrix sidecar carry that
+    seed.
     """
     pre = preprocess(
         matrix,
@@ -205,9 +208,15 @@ def run_experiment(
         lines = [f"{k} = {v}" for k, v in config_to_mapping(cfg).items()]
         (out_path / "config.txt").write_text("\n".join(lines) + "\n")
     truth = pre.labels
+    cells, dmat, report, embedding = run_mgm(pre, cfg)
 
-    def run_one_seed(seed: int) -> SeedOutcome:
-        cells, dmat, report = run_mgm(pre, cfg, seed=seed)
+    outcomes = []
+    for i, seed in enumerate(cfg.seeds):
+        if i > 0:
+            # The matrix does not depend on the seed, but the pipeline
+            # workload of perfbench/ counts one build per seed
+            # (test_traced_child_reports_every_layer); ROADMAP item 2.
+            dmat = distance_matrix(cells, cfg.metric)
         result = cluster_distances(
             dmat, cfg.clustering_method, cfg.k, seed=seed, mds_dim=cfg.mds_dim
         )
@@ -217,23 +226,22 @@ def run_experiment(
             labels=result.labels,
             method=cfg.clustering_method.value,
             evaluation=evaluation,
-            report=report,
+            report=replace(report, seed=seed),
         )
         _persist_outcome(out_path, "mgm", outcome, cfg.k, dmat, save_distance)
-        return outcome
-
-    if parallel_seeds and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=len(cfg.seeds)) as pool:
-            outcomes = tuple(pool.map(run_one_seed, cfg.seeds))
-    else:
-        outcomes = tuple(run_one_seed(seed) for seed in cfg.seeds)
+        outcomes.append(outcome)
+    outcomes = tuple(outcomes)
 
     baselines: dict[str, tuple[SeedOutcome, ...]] = {}
     if with_baselines:
-        baselines["baseline_pca"] = _pca_baseline(pre, cfg, out_path)
-        baselines["baseline_avg_embedding"] = _avg_embedding_baseline(
-            pre, cfg, out_path
-        )
+        reduced = embedding.reduced
+        dim = min(cfg.embedding.embedding_dim, *reduced.shape)
+        points = {
+            "baseline_pca": pca_reduce(reduced, dim),
+            "baseline_avg_embedding": np.mean(np.stack(embedding.stack.embeddings), axis=0),
+        }
+        for group, values in points.items():
+            baselines[group] = _evaluate_baseline(values, pre, cfg, out_path, group)
 
     result = ExperimentResult(
         outcomes=outcomes, baselines=baselines, checksum=checksum, out_dir=out_path
@@ -244,7 +252,7 @@ def run_experiment(
             "seeds": list(cfg.seeds),
             "k": cfg.k,
             "metric": cfg.metric.value,
-            "scales": list(outcomes[0].report.scales) if outcomes[0].report else None,
+            "scales": list(report.scales),
             "mgm": {
                 "method": cfg.clustering_method.value,
                 "mean": result.mean_metrics(),
@@ -290,37 +298,3 @@ def _evaluate_baseline(
         _persist_outcome(out_path, group, outcome, cfg.k)
         outcomes.append(outcome)
     return tuple(outcomes)
-
-
-def _baseline_input(pre: ExpressionMatrix, cfg: PipelineConfig) -> np.ndarray:
-    values = pre.values
-    if cfg.pca_dim is not None:
-        values = pca_reduce(values, cfg.pca_dim)
-    return values
-
-
-def _pca_baseline(
-    pre: ExpressionMatrix, cfg: PipelineConfig, out_path: Path | None
-) -> tuple[SeedOutcome, ...]:
-    values = _baseline_input(pre, cfg)
-    dim = min(cfg.embedding.embedding_dim, *values.shape)
-    points = pca_reduce(values, dim)
-    return _evaluate_baseline(points, pre, cfg, out_path, "baseline_pca")
-
-
-def _avg_embedding_baseline(
-    pre: ExpressionMatrix, cfg: PipelineConfig, out_path: Path | None
-) -> tuple[SeedOutcome, ...]:
-    values = _baseline_input(pre, cfg)
-    m = values.shape[0]
-    spec = cfg.scales
-    if cfg.embedding.method is MdrMethod.LAPLACIAN_EIGENMAPS and spec.max_scale > m - 1:
-        spec = ScaleSamplingSpec(
-            min_scale=spec.min_scale,
-            max_scale=m - 1,
-            count=spec.count,
-            power=spec.power,
-        )
-    stack = build_stack(values, sample_scales(spec), cfg.embedding, seed=cfg.seeds[0])
-    points = np.mean(np.stack(stack.embeddings), axis=0)
-    return _evaluate_baseline(points, pre, cfg, out_path, "baseline_avg_embedding")

@@ -78,7 +78,6 @@ class EmbeddingStack:
 
     scales: ScaleSet
     embeddings: tuple[np.ndarray, ...]
-    seed: int
 
     def __post_init__(self) -> None:
         if len(self.embeddings) != len(self.scales):
@@ -203,9 +202,7 @@ def _load_external_embedding(
     return values
 
 
-def mdr_embed(
-    x: np.ndarray, scale: int, spec: MdrBackendSpec, seed: int = 0
-) -> np.ndarray:
+def mdr_embed(x: np.ndarray, scale: int, spec: MdrBackendSpec) -> np.ndarray:
     """Embed x at one scale with the configured backend. The PCA baseline
     ignores the scale; the external backend reads a precomputed file."""
     x = np.asarray(x, dtype=float)
@@ -221,15 +218,13 @@ def mdr_embed(
     raise ValueError(f"unhandled method {spec.method!r}")
 
 
-def build_stack(
-    x: np.ndarray, scales: ScaleSet, spec: MdrBackendSpec, seed: int = 0
-) -> EmbeddingStack:
+def build_stack(x: np.ndarray, scales: ScaleSet, spec: MdrBackendSpec) -> EmbeddingStack:
     """Run the backend once per scale; backend errors are re-raised with the
     offending scale in the message."""
     embeddings = []
     for scale in scales:
         try:
-            embeddings.append(mdr_embed(x, scale, spec, seed))
+            embeddings.append(mdr_embed(x, scale, spec))
         except MgmError as err:
             raise type(err)(f"scale {scale}: {err}") from err
-    return EmbeddingStack(scales=scales, embeddings=tuple(embeddings), seed=seed)
+    return EmbeddingStack(scales=scales, embeddings=tuple(embeddings))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -25,7 +24,7 @@ from .grassmann import (
     distance,
     orthonormalize,
 )
-from .mdr import EmbeddingStack, MdrMethod, build_stack
+from .mdr import EmbeddingStack, MdrMethod, build_stack, pca_reduce
 from .scales import ScaleSamplingSpec, sample_scales
 
 if TYPE_CHECKING:
@@ -35,10 +34,12 @@ if TYPE_CHECKING:
 __all__ = [
     "CellSubspaceSet",
     "DistanceMatrix",
+    "MultiscaleEmbedding",
     "RunReport",
     "aggregate_features",
     "build_subspaces",
     "distance_matrix",
+    "embed_multiscale",
     "run_mgm",
 ]
 
@@ -142,33 +143,17 @@ def build_subspaces(
     return CellSubspaceSet(points=tuple(points), nominal_rank=p, embedding_dim=n)
 
 
-def distance_matrix(
-    cells: CellSubspaceSet, metric: GrassmannMetric, workers: int = 1
-) -> DistanceMatrix:
-    """All pairwise subspace distances.
-
-    Rows of the strict upper triangle are computed independently (optionally
-    across threads) and written into preallocated positions, so the result is
-    identical for any worker count.
-    """
+def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> DistanceMatrix:
+    """All pairwise subspace distances, computed on the strict upper triangle
+    and mirrored."""
     m = len(cells)
     out = np.zeros((m, m))
-
-    def fill_row(i: int) -> None:
+    for i in range(m - 1):
         for j in range(i + 1, m):
             try:
                 out[i, j] = distance(cells.points[i], cells.points[j], metric)
             except MartinDivergentError as err:
                 raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
-
-    if workers <= 1:
-        for i in range(m - 1):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill_row, i) for i in range(m - 1)]
-            for fut in futures:
-                fut.result()
     out = out + out.T
     return DistanceMatrix(values=out, metric=metric)
 
@@ -216,25 +201,26 @@ def _stage(name: str, timings: dict[str, float]):
         timings[name] = time.perf_counter() - start
 
 
-def run_mgm(
-    x: "ExpressionMatrix | np.ndarray", cfg: "PipelineConfig", seed: int | None = None
-) -> tuple[CellSubspaceSet, DistanceMatrix, RunReport]:
-    """Run the four pipeline stages on an already-preprocessed matrix.
+@dataclass(frozen=True)
+class MultiscaleEmbedding:
+    """The matrix the embedding backend saw (PCA-reduced when pca.dim is
+    set) and its per-scale embeddings."""
 
-    Stages: sample scales, optional PCA, per-scale embedding, subspace
-    construction, pairwise distances. The first failing stage aborts with the
-    stage name prepended to the error. For neighborhood-based backends the
-    scale range is clamped to at most M - 1 neighbors.
+    reduced: np.ndarray
+    stack: EmbeddingStack
+
+
+def embed_multiscale(
+    values: np.ndarray, cfg: "PipelineConfig", timings: dict[str, float] | None = None
+) -> MultiscaleEmbedding:
+    """Sample scales, apply the optional PCA, and embed at every scale.
+
+    For neighborhood-based backends the scale range is clamped to at most
+    M - 1 neighbors. Stages are timed into `timings` when it is given, and
+    a failing stage's name is prepended to its error.
     """
-    from .mdr import pca_reduce
-
-    values = np.asarray(getattr(x, "values", x), dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
+    timings = {} if timings is None else timings
     m = values.shape[0]
-    if seed is None:
-        seed = cfg.seeds[0]
-    timings: dict[str, float] = {}
 
     with _stage("scales", timings):
         spec = cfg.scales
@@ -260,26 +246,45 @@ def run_mgm(
             reduced = pca_reduce(values, cfg.pca_dim)
 
     with _stage("embed", timings):
-        stack = build_stack(reduced, scale_set, cfg.embedding, seed=seed)
+        stack = build_stack(reduced, scale_set, cfg.embedding)
+    return MultiscaleEmbedding(reduced=reduced, stack=stack)
+
+
+def run_mgm(
+    x: "ExpressionMatrix | np.ndarray", cfg: "PipelineConfig"
+) -> tuple[CellSubspaceSet, DistanceMatrix, RunReport, MultiscaleEmbedding]:
+    """Run the pipeline stages on an already-preprocessed matrix.
+
+    Stages: sample scales, optional PCA, per-scale embedding (see
+    embed_multiscale), subspace construction, pairwise distances. None of
+    them depends on a seed; the report carries the first configured seed.
+    The first failing stage aborts with the stage name prepended to the
+    error.
+    """
+    values = np.asarray(getattr(x, "values", x), dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
+    timings: dict[str, float] = {}
+    embedding = embed_multiscale(values, cfg, timings)
+    stack = embedding.stack
 
     with _stage("subspaces", timings):
         cells = build_subspaces(stack, normalize_columns=cfg.normalize_columns)
 
     with _stage("distances", timings):
-        dmat = distance_matrix(cells, cfg.metric, workers=cfg.threads)
+        dmat = distance_matrix(cells, cfg.metric)
 
     report = RunReport(
-        sample_count=m,
+        sample_count=values.shape[0],
         feature_count=values.shape[1],
         pca_dim=cfg.pca_dim,
         embedding_dim=stack.embedding_dim,
-        scales=tuple(scale_set.scales),
-        scale_count=len(scale_set),
+        scales=tuple(stack.scales.scales),
+        scale_count=len(stack.scales),
         nominal_rank=cells.nominal_rank,
         rank_reduced_cells=cells.rank_reduced_count,
         metric=cfg.metric.value,
-        seed=seed,
+        seed=cfg.seeds[0],
         stage_seconds=timings,
     )
-    return cells, dmat, report
-
+    return cells, dmat, report, embedding

@@ -113,6 +113,17 @@ class TestEmbed:
             emb = np.loadtxt(out_dir / f"embedding_scale_{scale}.csv", delimiter=",")
             assert emb.shape == (36, 10)
 
+    def test_max_scale_clamped_like_mgm(self, workspace):
+        tmp_path, data, _, config, _ = workspace
+        common = ["--config", str(config), "--scale-max", "50", "--data", str(data)]
+        assert main(["embed", *common, "--out-dir", str(tmp_path / "emb")]) == 0
+        assert main(["mgm", *common, "--out-dir", str(tmp_path / "dist")]) == 0
+        stack = json.loads((tmp_path / "emb" / "stack.json").read_text())
+        report = json.loads((tmp_path / "dist" / "run_report.json").read_text())
+        assert stack["scales"][-1] == 35
+        assert stack["scales"] == report["scales"]
+        assert stack["seed"] == report["seed"] == 1
+
 
 class TestMgmCommand:
     def test_distance_matrix_outputs(self, workspace):
@@ -199,6 +210,22 @@ class TestClusterCommand:
         code = main(["cluster", "--distances", str(dpath), "--k", "2"])
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "scatter"])
+@pytest.mark.parametrize(
+    "sidecar", ["{not json", "[1]", "{}", '{"metric": 2}', '{"metric": "bogus"}']
+)
+def test_bad_sidecar_exits_3(tmp_path, capsys, command, sidecar):
+    points = np.random.default_rng(0).standard_normal((6, 2))
+    values = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+    dpath = tmp_path / "d.csv"
+    np.savetxt(dpath, values, delimiter=",", fmt="%.17g")
+    (tmp_path / "d.csv.meta.json").write_text(sidecar)
+    extra = ["--k", "2"] if command == "cluster" else ["--out", str(tmp_path / "s.csv")]
+    code = main([command, "--distances", str(dpath), *extra])
+    assert code == 3
+    assert "data error" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

@@ -49,7 +49,6 @@ class TestFromMapping:
         assert cfg.seeds == (0,)
         assert cfg.normalize is True
         assert cfg.log_transform is True
-        assert cfg.threads == 1
 
     def test_value_parsing(self):
         cfg = config_from_mapping(
@@ -81,10 +80,10 @@ class TestFromMapping:
             {"scales.min": "1"},
             {"scales.power": "-1"},
             {"preprocess.normalize": "maybe"},
-            {"threads": "0"},
             {"seeds": ""},
             {"seeds": "-3"},
             {"nope": "1"},
+            {"threads": "2"},
         ],
     )
     def test_invalid_values_rejected(self, mapping):
@@ -193,5 +192,3 @@ class TestLoadConfig:
             PipelineConfig(scales=cfg.scales, embedding=cfg.embedding, k=0)
         with pytest.raises(ConfigError):
             PipelineConfig(scales=cfg.scales, embedding=cfg.embedding, seeds=())
-        with pytest.raises(ConfigError):
-            PipelineConfig(scales=cfg.scales, embedding=cfg.embedding, threads=0)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import mgm.experiment
+import mgm.pipeline
 from mgm.config import config_from_mapping, load_config
 from mgm.data import ExpressionMatrix
 from mgm.errors import DataError
@@ -100,13 +102,24 @@ class TestRunExperiment:
         result = run_experiment(blob_matrix(), fast_config(), with_baselines=False)
         assert result.baselines == {}
 
-    def test_parallel_seeds_match_sequential(self):
-        seq = run_experiment(blob_matrix(), fast_config(), with_baselines=False)
-        par = run_experiment(
-            blob_matrix(), fast_config(), with_baselines=False, parallel_seeds=True
-        )
-        for a, b in zip(seq.outcomes, par.outcomes):
-            assert np.array_equal(a.labels, b.labels)
+    def test_seed_independent_work_runs_once(self, monkeypatch):
+        calls = {"run_mgm": 0, "build_stack": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(mgm.experiment, "run_mgm")
+        counted(mgm.pipeline, "build_stack")
+        result = run_experiment(blob_matrix(), fast_config())
+        assert [o.seed for o in result.outcomes] == [1, 2]
+        assert set(result.baselines) == {"baseline_pca", "baseline_avg_embedding"}
+        assert calls == {"run_mgm": 1, "build_stack": 1}
 
 
 class TestExperimentOutputs:
@@ -123,6 +136,23 @@ class TestExperimentOutputs:
         assert (out / "mgm" / "seed_1" / "run_report.json").is_file()
         assert (out / "mgm" / "seed_1" / "distance_matrix.csv").is_file()
         assert (out / "mgm" / "seed_1" / "distance_matrix.csv.meta.json").is_file()
+
+    def test_seeds_share_one_distance_matrix(self, tmp_path):
+        out = tmp_path / "shared"
+        run_experiment(
+            blob_matrix(), fast_config(), out_dir=out, save_distance=True,
+            with_baselines=False,
+        )
+        one, two = out / "mgm" / "seed_1", out / "mgm" / "seed_2"
+        csv = "distance_matrix.csv"
+        assert (one / csv).read_bytes() == (two / csv).read_bytes()
+        # one pipeline run: the reports and sidecars differ only in the seed,
+        # down to the stage timings
+        for name in ("run_report.json", csv + ".meta.json"):
+            first = json.loads((one / name).read_text())
+            second = json.loads((two / name).read_text())
+            assert (first["seed"], second["seed"]) == (1, 2)
+            assert first == {**second, "seed": 1}
 
     def test_config_file_roundtrips(self, tmp_path):
         out = tmp_path / "run2"
@@ -173,7 +203,7 @@ class TestDistanceMatrixFiles:
     def make_distance(self):
         matrix = blob_matrix(m=20)
         cfg = fast_config(seeds="1")
-        _, dmat, report = run_mgm(matrix, cfg)
+        _, dmat, report, _ = run_mgm(matrix, cfg)
         return dmat, report
 
     def test_roundtrip_is_bit_exact(self, tmp_path):

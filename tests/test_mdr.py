@@ -208,7 +208,7 @@ class TestBuildStack:
         x, _ = two_blob_data(m=30)
         scales = ScaleSet(scales=(3, 5, 8))
         spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=4)
-        stack = build_stack(x, scales, spec, seed=1)
+        stack = build_stack(x, scales, spec)
         assert len(stack) == 3
         assert stack.sample_count == 30
         assert stack.embedding_dim == 4
@@ -219,7 +219,7 @@ class TestBuildStack:
         x, _ = two_blob_data(m=25)
         scales = ScaleSet(scales=(3, 9))
         spec = MdrBackendSpec(MdrMethod.PCA_BASELINE, embedding_dim=3)
-        stack = build_stack(x, scales, spec, seed=0)
+        stack = build_stack(x, scales, spec)
         assert np.array_equal(stack.embeddings[0], stack.embeddings[1])
 
     def test_error_names_offending_scale(self):
@@ -227,7 +227,7 @@ class TestBuildStack:
         scales = ScaleSet(scales=(3, 9, 12))
         spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=3)
         with pytest.raises(ScaleOutOfRangeError, match="scale 12"):
-            build_stack(x, scales, spec, seed=0)
+            build_stack(x, scales, spec)
 
     def test_stack_validates_matching_shapes(self):
         scales = ScaleSet(scales=(2, 3))
@@ -235,13 +235,12 @@ class TestBuildStack:
             EmbeddingStack(
                 scales=scales,
                 embeddings=(np.zeros((4, 2)), np.zeros((5, 2))),
-                seed=0,
             )
 
     def test_stack_embeddings_are_immutable(self):
         scales = ScaleSet(scales=(2, 3))
         stack = EmbeddingStack(
-            scales=scales, embeddings=(np.ones((4, 2)), np.ones((4, 2))), seed=0
+            scales=scales, embeddings=(np.ones((4, 2)), np.ones((4, 2)))
         )
         with pytest.raises(ValueError):
             stack.embeddings[0][0, 0] = 5.0
@@ -250,7 +249,7 @@ class TestBuildStack:
         x, _ = make_blobs(m=45, d=10, sep=7.0, seed=2)
         scales = ScaleSet(scales=(4, 8, 14))
         spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
-        a = build_stack(x, scales, spec, seed=3)
-        b = build_stack(x, scales, spec, seed=3)
+        a = build_stack(x, scales, spec)
+        b = build_stack(x, scales, spec)
         for ea, eb in zip(a.embeddings, b.embeddings):
             assert np.array_equal(ea, eb)

@@ -27,14 +27,14 @@ def random_stack(m=12, n=8, p=4, seed=0):
     rng = np.random.default_rng(seed)
     scales = ScaleSet(scales=tuple(range(2, 2 + p)))
     embeddings = tuple(rng.standard_normal((m, n)) for _ in range(p))
-    return EmbeddingStack(scales=scales, embeddings=embeddings, seed=seed)
+    return EmbeddingStack(scales=scales, embeddings=embeddings)
 
 
-def blob_stack(m=60, seed=1):
+def blob_stack(m=60):
     x, labels = make_blobs(m=m, d=20, sep=6.0, seed=7)
     scales = ScaleSet(scales=(5, 9, 14, 20))
     spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=10)
-    return build_stack(x, scales, spec, seed=seed), labels
+    return build_stack(x, scales, spec), labels
 
 
 class TestAggregateFeatures:
@@ -69,7 +69,7 @@ class TestBuildSubspaces:
         rng = np.random.default_rng(3)
         emb = rng.standard_normal((7, 6))
         scales = ScaleSet(scales=(2, 4, 8))
-        stack = EmbeddingStack(scales=scales, embeddings=(emb, emb, emb), seed=0)
+        stack = EmbeddingStack(scales=scales, embeddings=(emb, emb, emb))
         cells = build_subspaces(stack)
         assert cells.rank_reduced_count == 7
         for sub in cells.points:
@@ -80,7 +80,7 @@ class TestBuildSubspaces:
         e1 = rng.standard_normal((5, 6))
         e2 = rng.standard_normal((5, 6))
         scales = ScaleSet(scales=(2, 3, 4))
-        stack = EmbeddingStack(scales=scales, embeddings=(e1, e2, e1 + e2), seed=0)
+        stack = EmbeddingStack(scales=scales, embeddings=(e1, e2, e1 + e2))
         cells = build_subspaces(stack)
         for sub in cells.points:
             assert sub.rank == 2
@@ -94,7 +94,6 @@ class TestBuildSubspaces:
                 stack.embeddings[1],
                 stack.embeddings[2] * 1e-3,
             ),
-            seed=0,
         )
         a = build_subspaces(stack, normalize_columns=True)
         b = build_subspaces(scaled, normalize_columns=True)
@@ -107,7 +106,7 @@ class TestBuildSubspaces:
         emb = np.ones((4, 5))
         emb[2] = 0.0
         scales = ScaleSet(scales=(2, 3))
-        stack = EmbeddingStack(scales=scales, embeddings=(emb, emb * 2.0), seed=0)
+        stack = EmbeddingStack(scales=scales, embeddings=(emb, emb * 2.0))
         with pytest.raises(AllColumnsZeroError, match="sample 2"):
             build_subspaces(stack)
 
@@ -135,14 +134,6 @@ class TestDistanceMatrix:
                     assert dmat.values[i, j] == want
                     assert dmat.values[j, i] == want
 
-    def test_worker_count_is_invisible(self):
-        stack = random_stack(m=20, n=9, p=4, seed=8)
-        cells = build_subspaces(stack)
-        base = distance_matrix(cells, GrassmannMetric.CHORDAL, workers=1)
-        for workers in (2, 3, 8):
-            par = distance_matrix(cells, GrassmannMetric.CHORDAL, workers=workers)
-            assert np.array_equal(base.values, par.values)
-
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
         e = np.eye(6)
@@ -150,7 +141,6 @@ class TestDistanceMatrix:
         stack = EmbeddingStack(
             scales=scales,
             embeddings=(np.array([e[0], e[2]]), np.array([e[1], e[3]])),
-            seed=0,
         )
         cells = build_subspaces(stack)
         with pytest.raises(MartinDivergentError, match=r"pair \(0, 1\)"):
@@ -182,7 +172,6 @@ class TestStackInvariances:
                 stack.embeddings[3],
                 stack.embeddings[1],
             ),
-            seed=stack.seed,
         )
         other = distance_matrix(build_subspaces(shuffled), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values - other.values)) < 1e-9
@@ -196,7 +185,6 @@ class TestStackInvariances:
                 emb * factor
                 for emb, factor in zip(stack.embeddings, (3.7, 0.02, 1.0, 40.0))
             ),
-            seed=stack.seed,
         )
         other = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values - other.values)) < 1e-9
@@ -207,7 +195,6 @@ class TestStackInvariances:
         permuted = EmbeddingStack(
             scales=stack.scales,
             embeddings=tuple(emb[perm] for emb in stack.embeddings),
-            seed=stack.seed,
         )
         base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
         other = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL)
@@ -229,7 +216,7 @@ class TestRunMgm:
     def test_shapes_and_report(self):
         x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
         cfg = self.make_config(pca_dim=10)
-        cells, dmat, report = run_mgm(x, cfg)
+        cells, dmat, report, _ = run_mgm(x, cfg)
         assert isinstance(cells, CellSubspaceSet)
         assert len(cells) == 40
         assert cells.embedding_dim == 8
@@ -255,7 +242,7 @@ class TestRunMgm:
     def test_max_scale_clamped_to_sample_count(self):
         x, _ = make_blobs(m=20, d=10, sep=6.0, seed=4)
         cfg = self.make_config(scales=ScaleSamplingSpec(3, 50, 5, 1.0))
-        _, _, report = run_mgm(x, cfg)
+        _, _, report, _ = run_mgm(x, cfg)
         assert report.scales[-1] == 19
 
     def test_min_scale_too_large_fails_in_scales_stage(self):
@@ -280,12 +267,6 @@ class TestRunMgm:
     def test_deterministic_for_fixed_seed(self):
         x, _ = make_blobs(m=30, d=12, sep=6.0, seed=5)
         cfg = self.make_config()
-        _, d1, _ = run_mgm(x, cfg, seed=2)
-        _, d2, _ = run_mgm(x, cfg, seed=2)
+        _, d1, _, _ = run_mgm(x, cfg)
+        _, d2, _, _ = run_mgm(x, cfg)
         assert np.array_equal(d1.values, d2.values)
-
-    def test_thread_count_does_not_change_distances(self):
-        x, _ = make_blobs(m=30, d=12, sep=6.0, seed=6)
-        _, d1, _ = run_mgm(x, self.make_config(threads=1))
-        _, d4, _ = run_mgm(x, self.make_config(threads=4))
-        assert np.array_equal(d1.values, d4.values)
