@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DataError, DimTooLargeError, MgmError, ScaleOutOfRangeError
 from .scales import ScaleSet
@@ -29,6 +30,11 @@ __all__ = [
 
 # Added to every off-diagonal affinity so the kNN graph is never disconnected.
 _BACKGROUND_AFFINITY = 1e-8
+
+# Solve for only the bottom dim + 1 eigenpairs when they are at most
+# 1/_SUBSET_SOLVER_RATIO of the spectrum; above that the full dense solver
+# is faster.
+_SUBSET_SOLVER_RATIO = 8
 
 
 class MdrMethod(enum.Enum):
@@ -145,13 +151,33 @@ def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def laplacian_eigenmaps(x: np.ndarray, n_neighbors: int, dim: int) -> np.ndarray:
+def _neighbor_graph(x: np.ndarray, max_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise squared distances of the rows of x and, per row, the stable
+    distance order of its nearest max_neighbors + 1 rows (itself first).
+
+    Neither depends on the scale, so one graph serves every scale up to
+    max_neighbors.
+    """
+    d2 = _pairwise_sq_dists(x)
+    order = np.argsort(d2, axis=1, kind="stable")[:, : max_neighbors + 1]
+    return d2, order.copy()  # the copy lets the full M x M order be freed
+
+
+def laplacian_eigenmaps(
+    x: np.ndarray,
+    n_neighbors: int,
+    dim: int,
+    graph: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Spectral embedding of the kNN graph of the rows of x.
 
     Edges are symmetrized by union and weighted with a self-tuning Gaussian
     kernel whose per-point bandwidth is the distance to the ceil(k/2)-th
     neighbor. Rows of the result are the bottom nontrivial eigenvectors of
     the symmetric normalized Laplacian, rescaled by degree^(-1/2).
+
+    `graph` is the `_neighbor_graph` of x for at least n_neighbors
+    neighbors; it is computed here when not given.
     """
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
@@ -161,22 +187,28 @@ def laplacian_eigenmaps(x: np.ndarray, n_neighbors: int, dim: int) -> np.ndarray
         )
     if dim + 1 > m:
         raise DimTooLargeError(f"embedding dim {dim} needs at least {dim + 1} samples")
-    d2 = _pairwise_sq_dists(x)
-    order = np.argsort(d2, axis=1, kind="stable")
+    d2, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
     neighbors = order[:, 1 : n_neighbors + 1]
     bandwidth_rank = -(-n_neighbors // 2)
     sigma = np.sqrt(d2[np.arange(m), order[:, bandwidth_rank]])
-    sigma = np.maximum(sigma, np.finfo(float).tiny)
+    # A point with ceil(k/2) exact duplicates has sigma = 0. Clamping the
+    # product keeps duplicate pairs at weight exp(0) = 1; a zero-bandwidth
+    # pair at positive distance overflows to weight exp(-inf) = 0.
+    bandwidth = np.maximum(np.outer(sigma, sigma), np.finfo(float).tiny)
     mask = np.zeros((m, m), dtype=bool)
     mask[np.arange(m)[:, None], neighbors] = True
     mask |= mask.T
-    weights = np.exp(-d2 / np.outer(sigma, sigma))
+    with np.errstate(over="ignore"):
+        weights = np.exp(-d2 / bandwidth)
     affinity = np.where(mask, weights, 0.0) + _BACKGROUND_AFFINITY
     np.fill_diagonal(affinity, 0.0)
     degree = affinity.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degree)
     lap = np.eye(m) - affinity * np.outer(inv_sqrt, inv_sqrt)
-    _, vecs = np.linalg.eigh(lap)
+    if (dim + 1) * _SUBSET_SOLVER_RATIO <= m:
+        _, vecs = scipy.linalg.eigh(lap, subset_by_index=[0, dim])
+    else:
+        _, vecs = np.linalg.eigh(lap)
     emb = vecs[:, 1 : dim + 1] * inv_sqrt[:, None]
     return _fix_column_signs(emb)
 
@@ -220,11 +252,20 @@ def mdr_embed(x: np.ndarray, scale: int, spec: MdrBackendSpec) -> np.ndarray:
 
 def build_stack(x: np.ndarray, scales: ScaleSet, spec: MdrBackendSpec) -> EmbeddingStack:
     """Run the backend once per scale; backend errors are re-raised with the
-    offending scale in the message."""
+    offending scale in the message. Laplacian eigenmaps share one neighbor
+    graph, built for the largest scale, across all scales."""
+    x = np.asarray(x, dtype=float)
+    graph = None
+    if spec.method is MdrMethod.LAPLACIAN_EIGENMAPS:
+        graph = _neighbor_graph(x, max(scales))
     embeddings = []
     for scale in scales:
         try:
-            embeddings.append(mdr_embed(x, scale, spec))
+            if graph is None:
+                emb = mdr_embed(x, scale, spec)
+            else:
+                emb = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
         except MgmError as err:
             raise type(err)(f"scale {scale}: {err}") from err
+        embeddings.append(emb)
     return EmbeddingStack(scales=scales, embeddings=tuple(embeddings))

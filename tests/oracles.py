@@ -145,3 +145,34 @@ def pca_by_covariance(x: np.ndarray, dim: int) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:dim]
     return centered @ eigvecs[:, order]
+
+
+def laplacian_eigenmaps_dense(x: np.ndarray, n_neighbors: int, dim: int) -> np.ndarray:
+    """Laplacian eigenmaps from scratch at one scale: its own pairwise
+    distances and neighbor sort, and the full dense eigendecomposition of
+    the normalized Laplacian, of which the bottom nontrivial dim are kept.
+    Same kernel, background affinity and sign convention as the package."""
+    x = np.asarray(x, dtype=float)
+    m = x.shape[0]
+    gram = x @ x.T
+    sq = np.diag(gram)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.fill_diagonal(d2, 0.0)
+    d2 = np.maximum(d2, 0.0)
+    order = np.argsort(d2, axis=1, kind="stable")
+    sigma = np.sqrt(d2[np.arange(m), order[:, -(-n_neighbors // 2)]])
+    mask = np.zeros((m, m), dtype=bool)
+    mask[np.arange(m)[:, None], order[:, 1 : n_neighbors + 1]] = True
+    mask |= mask.T
+    with np.errstate(over="ignore"):
+        weights = np.exp(-d2 / np.maximum(np.outer(sigma, sigma), np.finfo(float).tiny))
+    affinity = np.where(mask, weights, 0.0) + 1e-8
+    np.fill_diagonal(affinity, 0.0)
+    inv_sqrt = 1.0 / np.sqrt(affinity.sum(axis=1))
+    lap = np.eye(m) - affinity * np.outer(inv_sqrt, inv_sqrt)
+    _, vecs = np.linalg.eigh(lap)
+    emb = vecs[:, 1 : dim + 1] * inv_sqrt[:, None]
+    idx = np.argmax(np.abs(emb), axis=0)
+    signs = np.sign(emb[idx, np.arange(dim)])
+    signs[signs == 0] = 1.0
+    return emb * signs

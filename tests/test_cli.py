@@ -125,6 +125,27 @@ class TestEmbed:
         assert stack["seed"] == report["seed"] == 1
 
 
+@pytest.mark.parametrize("command", ["embed", "mgm"])
+def test_duplicate_cells_embed(tmp_path, command):
+    # 13 identical cells: at small scales their bandwidths are 0
+    counts = np.random.default_rng(0).poisson(3.0, size=(40, 60))
+    counts[1:13] = counts[0]
+    data = tmp_path / "counts.csv"
+    np.savetxt(data, counts, delimiter=",", fmt="%d")
+    out_dir = tmp_path / "out"
+    argv = [command, "--preset", "setup2-tiny", "--data", str(data), "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    if command == "embed":
+        scales = json.loads((out_dir / "stack.json").read_text())["scales"]
+        for scale in scales:
+            emb = np.loadtxt(out_dir / f"embedding_scale_{scale}.csv", delimiter=",")
+            assert emb.shape == (40, 15)
+            assert np.all(np.isfinite(emb))
+    else:
+        dmat, _ = load_distance_matrix(out_dir / "distance_matrix.csv")
+        assert np.all(np.isfinite(dmat.values))
+
+
 class TestMgmCommand:
     def test_distance_matrix_outputs(self, workspace):
         tmp_path, data, _, config, _ = workspace

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mgm import mdr
 from mgm.errors import DataError, DimTooLargeError, ScaleOutOfRangeError
+from mgm.grassmann import GrassmannMetric
 from mgm.mdr import (
     EmbeddingStack,
     MdrBackendSpec,
@@ -11,10 +13,26 @@ from mgm.mdr import (
     mdr_embed,
     pca_reduce,
 )
+from mgm.pipeline import build_subspaces, distance_matrix
 from mgm.scales import ScaleSet
 
 from conftest import make_blobs
-from oracles import pca_by_covariance
+from oracles import laplacian_eigenmaps_dense, pca_by_covariance
+
+
+def noisy_curve(m=200, seed=7):
+    """Points along a jittered 1-d curve in R^6. Its kNN graph is a thick
+    path, so the bottom Laplacian eigenvalues are distinct and separated."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, m) + 0.001 * rng.standard_normal(m)
+    x = np.column_stack([t, 0.3 * np.sin(3 * t), 0.2 * np.cos(5 * t)])
+    x += 0.002 * rng.standard_normal(x.shape)
+    return np.column_stack([x, 0.001 * rng.standard_normal((m, 3))])
+
+
+def projector(emb):
+    q, _ = np.linalg.qr(emb)
+    return q @ q.T
 
 
 def two_blob_data(m=40, d=6, sep=8.0, seed=0):
@@ -253,3 +271,88 @@ class TestBuildStack:
         b = build_stack(x, scales, spec)
         for ea, eb in zip(a.embeddings, b.embeddings):
             assert np.array_equal(ea, eb)
+
+    def test_neighbor_graph_built_once(self, monkeypatch):
+        counts = {"dists": 0, "graphs": 0, "embeds": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(mdr, "_pairwise_sq_dists", counted("dists", mdr._pairwise_sq_dists))
+        monkeypatch.setattr(mdr, "_neighbor_graph", counted("graphs", mdr._neighbor_graph))
+        monkeypatch.setattr(
+            mdr, "laplacian_eigenmaps", counted("embeds", mdr.laplacian_eigenmaps)
+        )
+        x, _ = two_blob_data(m=30)
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=4)
+        build_stack(x, ScaleSet(scales=(3, 5, 8)), spec)
+        assert counts == {"dists": 1, "graphs": 1, "embeds": 3}
+
+
+class TestDenseOracleParity:
+    """The shared neighbor graph and the bottom-eigenpair solver against a
+    from-scratch dense full-spectrum embedding per scale."""
+
+    SCALES = ScaleSet(scales=(6, 10, 15))
+
+    def test_subset_solver_spans_match_dense(self):
+        # (dim + 1) * 8 = 48 <= M = 200: the subset solver runs
+        x = noisy_curve()
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
+        stack = build_stack(x, self.SCALES, spec)
+        for scale, emb in zip(self.SCALES, stack.embeddings):
+            want = laplacian_eigenmaps_dense(x, scale, 5)
+            assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
+            assert np.array_equal(laplacian_eigenmaps(x, scale, 5), emb)
+
+    @pytest.mark.parametrize("metric", [GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC])
+    def test_subset_solver_distances_match_dense(self, metric):
+        x = noisy_curve()
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
+        shared = build_stack(x, self.SCALES, spec).embeddings
+        dense = [laplacian_eigenmaps_dense(x, s, 5) for s in self.SCALES]
+
+        def distances(embeddings):
+            # every 4th sample keeps the per-pair distance loop short
+            stack = EmbeddingStack(self.SCALES, tuple(e[::4] for e in embeddings))
+            return distance_matrix(build_subspaces(stack), metric).values
+
+        assert np.max(np.abs(distances(shared) - distances(dense))) < 1e-10
+
+    @pytest.mark.parametrize("m, dim", [(40, 5), (47, 5), (30, 15)])
+    def test_full_solver_equals_dense(self, m, dim):
+        # (dim + 1) * 8 > M: the full dense solver runs, bit for bit
+        x, _ = make_blobs(m=m, d=8, sep=6.0, seed=m)
+        scales = ScaleSet(scales=(3, 7, m - 1))
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=dim)
+        stack = build_stack(x, scales, spec)
+        for scale, emb in zip(scales, stack.embeddings):
+            want = laplacian_eigenmaps_dense(x, scale, dim)
+            assert np.array_equal(emb, want)
+            assert np.array_equal(laplacian_eigenmaps(x, scale, dim), want)
+
+    @pytest.mark.parametrize("m, subset", [(47, False), (48, True), (200, True)])
+    def test_solver_cutoff(self, monkeypatch, m, subset):
+        calls = []
+        real = mdr.scipy.linalg.eigh
+
+        def spy(a, **kwargs):
+            calls.append(kwargs)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(mdr.scipy.linalg, "eigh", spy)
+        laplacian_eigenmaps(noisy_curve(m), 6, 5)
+        assert calls == ([{"subset_by_index": [0, 5]}] if subset else [])
+
+    def test_duplicate_samples_have_finite_embedding(self):
+        # 12 copies of one point: its bandwidth is 0 at every scale up to 24
+        x = noisy_curve(m=40)
+        x[1:13] = x[0]
+        for scale in (5, 10, 24):
+            emb = laplacian_eigenmaps(x, scale, 5)
+            assert np.all(np.isfinite(emb))
+            assert np.array_equal(emb, laplacian_eigenmaps_dense(x, scale, 5))
