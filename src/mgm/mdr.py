@@ -14,8 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from .errors import DataError, DimTooLargeError, MgmError, ScaleOutOfRangeError
+from .errors import (
+    DataError,
+    DimTooLargeError,
+    MgmError,
+    NumericalError,
+    ScaleOutOfRangeError,
+)
 from .scales import ScaleSet
 
 __all__ = [
@@ -35,6 +43,12 @@ _BACKGROUND_AFFINITY = 1e-8
 # 1/_SUBSET_SOLVER_RATIO of the spectrum; above that the full dense solver
 # is faster.
 _SUBSET_SOLVER_RATIO = 8
+
+# From this many samples on, a subset-sized solve runs Lanczos (ARPACK) on the
+# sparse kNN graph instead of dense LAPACK. On PCA-50 count data at 1 BLAS
+# thread Lanczos took over from ~450 samples at dim 5, ~550 at dim 20 and
+# ~700 at dim 50.
+_SPARSE_SOLVER_MIN_SAMPLES = 600
 
 
 class MdrMethod(enum.Enum):
@@ -95,7 +109,7 @@ class EmbeddingStack:
             if emb.ndim != 2 or emb.shape != shape:
                 raise ValueError(f"embedding for scale {scale} has shape {emb.shape}")
             if not np.all(np.isfinite(emb)):
-                raise ValueError(f"embedding for scale {scale} has non-finite values")
+                raise NumericalError(f"embedding for scale {scale} has non-finite values")
         frozen = []
         for emb in self.embeddings:
             emb = np.asarray(emb, dtype=float).copy()
@@ -163,6 +177,70 @@ def _neighbor_graph(x: np.ndarray, max_neighbors: int) -> tuple[np.ndarray, np.n
     return d2, order.copy()  # the copy lets the full M x M order be freed
 
 
+def _knn_edges(
+    d2: np.ndarray, order: np.ndarray, n_neighbors: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union-symmetrized kNN graph with self-tuning Gaussian weights, as
+    (rows, cols, weights) sorted by row then column, without self-loops and
+    without the background term.
+
+    The bandwidth of a point is its distance to its ceil(k/2)-th neighbor.
+    """
+    m = order.shape[0]
+    heads = np.repeat(np.arange(m), n_neighbors)
+    tails = order[:, 1 : n_neighbors + 1].ravel()
+    # Under ties a duplicate's twin can sort first, which puts the point
+    # itself among its own neighbors.
+    keep = heads != tails
+    heads, tails = heads[keep], tails[keep]
+    edges = np.unique(np.concatenate([heads * m + tails, tails * m + heads]))
+    rows, cols = np.divmod(edges, m)
+    sigma = np.sqrt(d2[np.arange(m), order[:, -(-n_neighbors // 2)]])
+    # A point with ceil(k/2) exact duplicates has sigma = 0. Clamping the
+    # product keeps duplicate pairs at weight exp(0) = 1; a zero-bandwidth
+    # pair at positive distance overflows to weight exp(-inf) = 0.
+    bandwidth = np.maximum(sigma[rows] * sigma[cols], np.finfo(float).tiny)
+    with np.errstate(over="ignore"):
+        weights = np.exp(-d2[rows, cols] / bandwidth)
+    return rows, cols, weights
+
+
+def _lanczos_bottom_eigenvectors(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, m: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom dim + 1 eigenvectors of the normalized Laplacian of the
+    `_knn_edges` graph plus background, and degree^(-1/2).
+
+    They are the top eigenvectors of N = D^(-1/2) W D^(-1/2), which ARPACK
+    finds from products with the sparse affinity; the background b(11' - I)
+    enters each product as a rank-one term and a diagonal shift. The top one
+    is known, D^(1/2) 1, and is projected out of N so Lanczos looks for the
+    other dim; a small gap below it (a nearly disconnected graph) then does
+    not limit their accuracy. Raises ArpackNoConvergence when Lanczos does
+    not converge.
+    """
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    affinity = scipy.sparse.csr_array((weights, cols, indptr), shape=(m, m))
+    b = _BACKGROUND_AFFINITY
+    degree = affinity.sum(axis=1) + b * (m - 1)
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    shift = b * inv_sqrt * inv_sqrt
+    trivial = np.sqrt(degree)
+    trivial /= np.linalg.norm(trivial)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        v = v.ravel()
+        v = v - trivial * (trivial @ v)
+        y = inv_sqrt * (affinity @ (inv_sqrt * v) + b * (inv_sqrt @ v)) - shift * v
+        return y - trivial * (trivial @ y)
+
+    operator = scipy.sparse.linalg.LinearOperator((m, m), matvec=matvec, dtype=float)
+    # A fixed pseudo-random start keeps the result deterministic.
+    v0 = np.random.default_rng(0).standard_normal(m)
+    _, vecs = scipy.sparse.linalg.eigsh(operator, k=dim, which="LA", tol=0, v0=v0)
+    return np.column_stack([trivial, vecs[:, ::-1]]), inv_sqrt
+
+
 def laplacian_eigenmaps(
     x: np.ndarray,
     n_neighbors: int,
@@ -176,6 +254,12 @@ def laplacian_eigenmaps(
     neighbor. Rows of the result are the bottom nontrivial eigenvectors of
     the symmetric normalized Laplacian, rescaled by degree^(-1/2).
 
+    The solver depends on the size alone: the full dense eigendecomposition
+    when dim + 1 is more than 1/_SUBSET_SOLVER_RATIO of M, otherwise only
+    the bottom dim + 1 eigenpairs, by Lanczos on the sparse graph from
+    _SPARSE_SOLVER_MIN_SAMPLES samples on (falling back to dense LAPACK if
+    Lanczos does not converge) and by dense LAPACK below that.
+
     `graph` is the `_neighbor_graph` of x for at least n_neighbors
     neighbors; it is computed here when not given.
     """
@@ -188,27 +272,25 @@ def laplacian_eigenmaps(
     if dim + 1 > m:
         raise DimTooLargeError(f"embedding dim {dim} needs at least {dim + 1} samples")
     d2, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
-    neighbors = order[:, 1 : n_neighbors + 1]
-    bandwidth_rank = -(-n_neighbors // 2)
-    sigma = np.sqrt(d2[np.arange(m), order[:, bandwidth_rank]])
-    # A point with ceil(k/2) exact duplicates has sigma = 0. Clamping the
-    # product keeps duplicate pairs at weight exp(0) = 1; a zero-bandwidth
-    # pair at positive distance overflows to weight exp(-inf) = 0.
-    bandwidth = np.maximum(np.outer(sigma, sigma), np.finfo(float).tiny)
-    mask = np.zeros((m, m), dtype=bool)
-    mask[np.arange(m)[:, None], neighbors] = True
-    mask |= mask.T
-    with np.errstate(over="ignore"):
-        weights = np.exp(-d2 / bandwidth)
-    affinity = np.where(mask, weights, 0.0) + _BACKGROUND_AFFINITY
-    np.fill_diagonal(affinity, 0.0)
-    degree = affinity.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    lap = np.eye(m) - affinity * np.outer(inv_sqrt, inv_sqrt)
-    if (dim + 1) * _SUBSET_SOLVER_RATIO <= m:
-        _, vecs = scipy.linalg.eigh(lap, subset_by_index=[0, dim])
-    else:
-        _, vecs = np.linalg.eigh(lap)
+    rows, cols, weights = _knn_edges(d2, order, n_neighbors)
+    subset = (dim + 1) * _SUBSET_SOLVER_RATIO <= m
+    vecs = None
+    if subset and m >= _SPARSE_SOLVER_MIN_SAMPLES:
+        try:
+            vecs, inv_sqrt = _lanczos_bottom_eigenvectors(rows, cols, weights, m, dim)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            pass
+    if vecs is None:
+        dense = np.zeros((m, m))
+        dense[rows, cols] = weights
+        dense += _BACKGROUND_AFFINITY
+        np.fill_diagonal(dense, 0.0)
+        inv_sqrt = 1.0 / np.sqrt(dense.sum(axis=1))
+        lap = np.eye(m) - dense * np.outer(inv_sqrt, inv_sqrt)
+        if subset:
+            _, vecs = scipy.linalg.eigh(lap, subset_by_index=[0, dim])
+        else:
+            _, vecs = np.linalg.eigh(lap)
     emb = vecs[:, 1 : dim + 1] * inv_sqrt[:, None]
     return _fix_column_signs(emb)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mgm import mdr
 from mgm.cli import main
 from mgm.experiment import load_distance_matrix
 
@@ -123,6 +124,20 @@ class TestEmbed:
         assert stack["scales"][-1] == 35
         assert stack["scales"] == report["scales"]
         assert stack["seed"] == report["seed"] == 1
+
+    def test_non_finite_embedding_exits_4(self, workspace, monkeypatch, capsys):
+        real = mdr.laplacian_eigenmaps
+
+        def with_nan(*args, **kwargs):
+            emb = real(*args, **kwargs)
+            emb[0, 0] = np.nan
+            return emb
+
+        monkeypatch.setattr(mdr, "laplacian_eigenmaps", with_nan)
+        tmp_path, data, _, config, _ = workspace
+        argv = ["embed", "--config", str(config), "--data", str(data)]
+        assert main([*argv, "--out-dir", str(tmp_path / "emb")]) == 4
+        assert "numerical error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["embed", "mgm"])

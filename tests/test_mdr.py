@@ -356,3 +356,88 @@ class TestDenseOracleParity:
             emb = laplacian_eigenmaps(x, scale, 5)
             assert np.all(np.isfinite(emb))
             assert np.array_equal(emb, laplacian_eigenmaps_dense(x, scale, 5))
+
+
+class TestLanczosTier:
+    """From _SPARSE_SOLVER_MIN_SAMPLES samples on, subset-sized solves run
+    Lanczos on the sparse graph; checked against the from-scratch dense
+    full-spectrum embedding."""
+
+    SCALES = ScaleSet(scales=(6, 10, 15))
+
+    def distances(self, embeddings, metric):
+        # every 12th sample keeps the per-pair distance loop short
+        stack = EmbeddingStack(self.SCALES, tuple(e[::12] for e in embeddings))
+        return distance_matrix(build_subspaces(stack), metric).values
+
+    @pytest.mark.parametrize("data, dim", [("curve", 5), ("curve", 20), ("blobs", 5)])
+    def test_spans_match_dense(self, data, dim):
+        m = 600
+        assert m >= mdr._SPARSE_SOLVER_MIN_SAMPLES and (dim + 1) * 8 <= m
+        # sep=60 leaves the three blobs' kNN graphs disconnected
+        x = noisy_curve(m=m) if data == "curve" else make_blobs(m=m, sep=60.0)[0]
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=dim)
+        stack = build_stack(x, self.SCALES, spec)
+        for scale, emb in zip(self.SCALES, stack.embeddings):
+            want = laplacian_eigenmaps_dense(x, scale, dim)
+            assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
+            assert np.array_equal(laplacian_eigenmaps(x, scale, dim), emb)
+
+    @pytest.mark.parametrize("dim, tol", [(5, 1e-9), (20, 1e-10)])
+    def test_distances_match_dense(self, dim, tol):
+        # Distances see each eigenvector, not only the span, so they are as
+        # well determined as the eigengaps allow. At dim 5 the dense oracle
+        # itself moves by up to 1.2e-10 when the samples are permuted.
+        # (Blobs are not checked: their two bottom nontrivial eigenvalues
+        # nearly coincide, so no solver pins those two vectors.)
+        x = noisy_curve(m=600)
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=dim)
+        stack = build_stack(x, self.SCALES, spec)
+        dense = [laplacian_eigenmaps_dense(x, s, dim) for s in self.SCALES]
+        for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
+            got = self.distances(stack.embeddings, metric)
+            want = self.distances(dense, metric)
+            assert np.max(np.abs(got - want)) < tol
+
+    @pytest.mark.parametrize("scale, tol", [(5, 1e-9), (10, 1e-10), (24, 1e-10)])
+    def test_duplicate_samples_match_dense(self, scale, tol):
+        # 12 copies of one point, nearly cut off from the rest of the graph;
+        # at scale 5 the dense oracle's own eigengap limits the agreement
+        x = noisy_curve(m=600)
+        x[1:13] = x[0]
+        emb = laplacian_eigenmaps(x, scale, 5)
+        assert np.all(np.isfinite(emb))
+        want = laplacian_eigenmaps_dense(x, scale, 5)
+        assert np.max(np.abs(projector(emb) - projector(want))) < tol
+
+    @pytest.mark.parametrize("offset, lanczos", [(-1, False), (0, True)])
+    def test_eigsh_once_per_scale_from_floor(self, monkeypatch, offset, lanczos):
+        calls = []
+        real = mdr.scipy.sparse.linalg.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mdr.scipy.sparse.linalg, "eigsh", spy)
+        x = noisy_curve(m=mdr._SPARSE_SOLVER_MIN_SAMPLES + offset)
+        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
+        build_stack(x, self.SCALES, spec)
+        assert calls == ([5] * len(self.SCALES) if lanczos else [])
+
+    def test_deterministic(self):
+        x = noisy_curve(m=600)
+        assert np.array_equal(laplacian_eigenmaps(x, 10, 5), laplacian_eigenmaps(x, 10, 5))
+
+    def test_no_convergence_falls_back_to_dense_subset(self, monkeypatch):
+        floor = mdr._SPARSE_SOLVER_MIN_SAMPLES
+        x = noisy_curve(m=floor)
+        monkeypatch.setattr(mdr, "_SPARSE_SOLVER_MIN_SAMPLES", floor + 1)
+        subset = laplacian_eigenmaps(x, 10, 5)
+        monkeypatch.setattr(mdr, "_SPARSE_SOLVER_MIN_SAMPLES", floor)
+
+        def fail(*args, **kwargs):
+            raise mdr.scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(mdr.scipy.sparse.linalg, "eigsh", fail)
+        assert np.array_equal(laplacian_eigenmaps(x, 10, 5), subset)
