@@ -8,6 +8,7 @@ stored features-by-samples loads identically with orientation flipped.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,15 +73,22 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _read_rows(path: Path, delimiter: str) -> list[list[str]]:
+def _parse_row(tokens: list[str], row_no: int, first_col: int, path: Path) -> np.ndarray:
+    """Cast one row's tokens to floats exactly as float() does, naming the
+    1-based (row, column) of the first token it rejects."""
     try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
-    except OSError as err:
-        raise DataError(f"cannot read {path}: {err}")
-    if not rows:
-        raise DataError(f"{path} is empty")
-    return rows
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        pass
+    values = []
+    for j, token in enumerate(tokens):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric value {token!r} at ({row_no}, {j + first_col})"
+            )
+    return np.array(values)
 
 
 def load_matrix(
@@ -94,7 +102,9 @@ def load_matrix(
     fmt is "csv" or "tsv". orientation is "samples-as-rows" or
     "samples-as-columns"; the latter transposes after loading, swapping the
     roles of the detected ids. Parse failures report the 1-based (row,
-    column) position in the file.
+    column) position in the file, counting non-blank rows. Rows are cast as
+    they are read, so only one row of tokens is held as strings at a time.
+    A ragged row anywhere is reported before a non-numeric value.
     """
     path = Path(path)
     if fmt not in ("csv", "tsv"):
@@ -104,43 +114,52 @@ def load_matrix(
             f"unknown orientation {orientation!r}; expected "
             "'samples-as-rows' or 'samples-as-columns'"
         )
-    rows = _read_rows(path, "," if fmt == "csv" else "\t")
-
-    has_header = any(not _is_number(tok) for tok in rows[0][1:]) or (
-        len(rows[0]) == 1 and not _is_number(rows[0][0])
-    )
-    body = rows[1:] if has_header else rows
-    if not body:
-        raise DataError(f"{path} has a header but no data rows")
-    has_id_col = not _is_number(body[0][0])
-
-    width = len(body[0])
-    for offset, row in enumerate(body):
-        if len(row) != width:
-            row_no = offset + (2 if has_header else 1)
-            raise RaggedRowsError(
-                f"{path}: row {row_no} has {len(row)} cells, expected {width}"
+    try:
+        # utf-8-sig drops a byte-order mark, which would otherwise be read
+        # as part of the first cell.
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle, delimiter="," if fmt == "csv" else "\t")
+            rows = (row for row in reader if row)
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path} is empty")
+            has_header = any(not _is_number(tok) for tok in first[1:]) or (
+                len(first) == 1 and not _is_number(first[0])
             )
+            header = first if has_header else None
+            if has_header:
+                first = next(rows, None)
+                if first is None:
+                    raise DataError(f"{path} has a header but no data rows")
+            has_id_col = not _is_number(first[0])
+            width = len(first)
+            start = 1 if has_id_col else 0
 
-    start = 1 if has_id_col else 0
-    values = np.empty((len(body), width - start))
-    row_ids = []
-    for i, row in enumerate(body):
-        if has_id_col:
-            row_ids.append(row[0])
-        for j, token in enumerate(row[start:]):
-            try:
-                values[i, j] = float(token)
-            except ValueError:
-                row_no = i + (2 if has_header else 1)
-                col_no = j + start + 1
-                raise ParseError(
-                    f"{path}: non-numeric value {token!r} at ({row_no}, {col_no})"
-                )
+            row_ids, values = [], []
+            parse_error = None
+            for row_no, row in enumerate(
+                itertools.chain([first], rows), start=2 if has_header else 1
+            ):
+                if len(row) != width:
+                    raise RaggedRowsError(
+                        f"{path}: row {row_no} has {len(row)} cells, expected {width}"
+                    )
+                if parse_error is None:
+                    try:
+                        values.append(_parse_row(row[start:], row_no, start + 1, path))
+                    except ParseError as err:
+                        # Kept until every row's length has been checked.
+                        parse_error = err
+                if has_id_col:
+                    row_ids.append(row[0])
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read {path}: {err}")
+    if parse_error is not None:
+        raise parse_error
+    values = np.vstack(values)  # rebinding frees the per-row arrays
 
     col_ids = None
-    if has_header:
-        header = rows[0]
+    if header is not None:
         # A header may or may not carry a corner cell above the id column.
         if len(header) == width:
             col_ids = header[start:] if has_id_col else header
@@ -172,8 +191,8 @@ def load_labels(path: str | Path, expected: int | None = None) -> tuple[str, ...
     """Read one label per line, skipping blank lines."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as err:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {path}: {err}")
     labels = tuple(line.strip() for line in text.splitlines() if line.strip())
     if not labels:

@@ -50,6 +50,12 @@ _SUBSET_SOLVER_RATIO = 8
 # ~700 at dim 50.
 _SPARSE_SOLVER_MIN_SAMPLES = 600
 
+# The neighbor graph computes squared distances this many rows at a time.
+# At M=3000, k=50 on 50 columns, 128 to 1024 rows all took ~0.2 s while the
+# peak memory grew with the block. Up to 256 samples there is one block, whose
+# Gram matrix is the plain x @ x.T.
+_NEIGHBOR_BLOCK_ROWS = 256
+
 
 class MdrMethod(enum.Enum):
     LAPLACIAN_EIGENMAPS = "laplacian"
@@ -140,8 +146,10 @@ def _fix_column_signs(a: np.ndarray) -> np.ndarray:
 def pca_reduce(x: np.ndarray, dim: int) -> np.ndarray:
     """Project column-centered data onto its top right singular vectors.
 
-    Deterministic up to sign, which is fixed so the largest-magnitude entry
-    of each loading vector is positive.
+    When dim + 1 is at most 1/_SUBSET_SOLVER_RATIO of min(M, N) they are the
+    top dim eigenvectors of the N x N Gram matrix of the centered data;
+    otherwise they come from its thin SVD. Deterministic up to sign, which is
+    fixed so the largest-magnitude entry of each loading vector is positive.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -152,56 +160,123 @@ def pca_reduce(x: np.ndarray, dim: int) -> np.ndarray:
             f"pca dim {dim} is outside [1, min(M, N)] = [1, {min(m, n)}]"
         )
     centered = x - x.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    components = _fix_column_signs(vt[:dim].T)
-    return centered @ components
+    if (dim + 1) * _SUBSET_SOLVER_RATIO <= min(m, n):
+        # The top right singular vectors are the top eigenvectors of the
+        # N x N Gram matrix; only those dim are computed.
+        _, vecs = scipy.linalg.eigh(centered.T @ centered, subset_by_index=[n - dim, n - 1])
+        components = vecs[:, ::-1]
+    else:
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        components = vt[:dim].T
+    return centered @ _fix_column_signs(components)
 
 
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    gram = points @ points.T
-    sq = np.diag(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+def _row_blocks(start: int, stop: int) -> list[slice]:
+    return [
+        slice(a, min(a + _NEIGHBOR_BLOCK_ROWS, stop))
+        for a in range(start, stop, _NEIGHBOR_BLOCK_ROWS)
+    ]
+
+
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms as the diagonal of points @ points.T, taken one
+    diagonal block of _NEIGHBOR_BLOCK_ROWS rows at a time."""
+    blocks = _row_blocks(0, points.shape[0])
+    return np.concatenate([np.diag(points[b] @ points[b].T) for b in blocks])
+
+
+def _pairwise_sq_dists(
+    points: np.ndarray, rows: slice = slice(None), sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances from points[rows] to every row of points, as
+    |a|^2 + |b|^2 - 2 a.b from the Gram matrix.
+
+    The Gram rows are computed _NEIGHBOR_BLOCK_ROWS at a time from the start
+    of rows, so a call for one such block rounds exactly as the same rows of
+    a call for every row. sq is `_squared_norms(points)`, computed here when
+    not given.
+    """
+    start, stop, _ = rows.indices(points.shape[0])
+    if sq is None:
+        sq = _squared_norms(points)
+    gram = np.empty((stop - start, points.shape[0]))
+    for b in _row_blocks(start, stop):
+        np.matmul(points[b], points.T, out=gram[b.start - start : b.stop - start])
+    d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
+    block = np.arange(stop - start)
+    d2[block, block + start] = 0.0
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _neighbor_graph(x: np.ndarray, max_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise squared distances of the rows of x and, per row, the stable
-    distance order of its nearest max_neighbors + 1 rows (itself first).
+    """Per row of x, the stable distance order of its nearest max_neighbors + 1
+    rows (itself first, unless an exact duplicate has a lower index) and
+    their squared distances, both M x min(max_neighbors + 1, M).
 
-    Neither depends on the scale, so one graph serves every scale up to
-    max_neighbors.
+    The order is that of a stable argsort of each row of the pairwise
+    squared distances: ties go to the lower index. The distances are
+    computed _NEIGHBOR_BLOCK_ROWS rows at a time, so memory stays O(M * k)
+    plus one block. Neither output depends on the scale, so one graph
+    serves every scale up to max_neighbors.
     """
-    d2 = _pairwise_sq_dists(x)
-    order = np.argsort(d2, axis=1, kind="stable")[:, : max_neighbors + 1]
-    return d2, order.copy()  # the copy lets the full M x M order be freed
+    m = x.shape[0]
+    width = min(max_neighbors + 1, m)
+    sq = _squared_norms(x)
+    order = np.empty((m, width), dtype=np.intp)
+    dists = np.empty((m, width))
+    for b in _row_blocks(0, m):
+        d2 = _pairwise_sq_dists(x, b, sq)
+        # Every entry at most the width-th smallest is a candidate; more than
+        # width of them means ties at the cut, which the stable sort by row,
+        # then distance, settles by index.
+        cut = np.partition(d2, width - 1, axis=1)[:, [width - 1]]
+        cand_rows, cand_cols = np.nonzero(d2 <= cut)
+        cand_d2 = d2[cand_rows, cand_cols]
+        by_dist = np.lexsort((cand_d2, cand_rows))
+        starts = np.searchsorted(cand_rows, np.arange(d2.shape[0]))
+        nearest = by_dist[starts[:, None] + np.arange(width)]
+        order[b] = cand_cols[nearest]
+        dists[b] = cand_d2[nearest]
+    return dists, order
 
 
 def _knn_edges(
-    d2: np.ndarray, order: np.ndarray, n_neighbors: int
+    dists: np.ndarray, order: np.ndarray, n_neighbors: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Union-symmetrized kNN graph with self-tuning Gaussian weights, as
     (rows, cols, weights) sorted by row then column, without self-loops and
     without the background term.
 
-    The bandwidth of a point is its distance to its ceil(k/2)-th neighbor.
+    `dists` and `order` are a `_neighbor_graph`; each edge weight reads its
+    squared distance from there. The bandwidth of a point is its distance to
+    its ceil(k/2)-th neighbor.
     """
     m = order.shape[0]
     heads = np.repeat(np.arange(m), n_neighbors)
     tails = order[:, 1 : n_neighbors + 1].ravel()
+    d2 = dists[:, 1 : n_neighbors + 1].ravel()
     # Under ties a duplicate's twin can sort first, which puts the point
     # itself among its own neighbors.
     keep = heads != tails
-    heads, tails = heads[keep], tails[keep]
-    edges = np.unique(np.concatenate([heads * m + tails, tails * m + heads]))
-    rows, cols = np.divmod(edges, m)
-    sigma = np.sqrt(d2[np.arange(m), order[:, -(-n_neighbors // 2)]])
+    heads, tails, d2 = heads[keep], tails[keep], d2[keep]
+    # One squared distance per unordered pair keeps the weights symmetric;
+    # row blocks of the Gram matrix need not round symmetrically.
+    pairs, first = np.unique(
+        np.minimum(heads, tails) * m + np.maximum(heads, tails), return_index=True
+    )
+    low, high = np.divmod(pairs, m)
+    d2 = np.concatenate([d2[first], d2[first]])
+    edges = np.concatenate([low * m + high, high * m + low])
+    by_row = np.argsort(edges)
+    rows, cols = np.divmod(edges[by_row], m)
+    d2 = d2[by_row]
+    sigma = np.sqrt(dists[:, -(-n_neighbors // 2)])
     # A point with ceil(k/2) exact duplicates has sigma = 0. Clamping the
     # product keeps duplicate pairs at weight exp(0) = 1; a zero-bandwidth
     # pair at positive distance overflows to weight exp(-inf) = 0.
     bandwidth = np.maximum(sigma[rows] * sigma[cols], np.finfo(float).tiny)
     with np.errstate(over="ignore"):
-        weights = np.exp(-d2[rows, cols] / bandwidth)
+        weights = np.exp(-d2 / bandwidth)
     return rows, cols, weights
 
 
@@ -271,8 +346,8 @@ def laplacian_eigenmaps(
         )
     if dim + 1 > m:
         raise DimTooLargeError(f"embedding dim {dim} needs at least {dim + 1} samples")
-    d2, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
-    rows, cols, weights = _knn_edges(d2, order, n_neighbors)
+    dists, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
+    rows, cols, weights = _knn_edges(dists, order, n_neighbors)
     subset = (dim + 1) * _SUBSET_SOLVER_RATIO <= m
     vecs = None
     if subset and m >= _SPARSE_SOLVER_MIN_SAMPLES:

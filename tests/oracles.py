@@ -147,6 +147,19 @@ def pca_by_covariance(x: np.ndarray, dim: int) -> np.ndarray:
     return centered @ eigvecs[:, order]
 
 
+def pca_by_svd(x: np.ndarray, dim: int) -> np.ndarray:
+    """PCA scores from the thin SVD of the centered data, the sign of each
+    loading vector fixed so its largest-magnitude entry is positive."""
+    x = np.asarray(x, dtype=float)
+    centered = x - x.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    components = vt[:dim].T
+    idx = np.argmax(np.abs(components), axis=0)
+    signs = np.sign(components[idx, np.arange(dim)])
+    signs[signs == 0] = 1.0
+    return centered @ (components * signs)
+
+
 def laplacian_eigenmaps_dense(x: np.ndarray, n_neighbors: int, dim: int) -> np.ndarray:
     """Laplacian eigenmaps from scratch at one scale: its own pairwise
     distances and neighbor sort, and the full dense eigendecomposition of

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,91 @@ class TestLoadMatrix:
             load_matrix(path)
 
 
+class TestStreamingLoader:
+    @pytest.mark.parametrize("header", [False, True])
+    def test_utf8_bom_is_not_part_of_the_first_cell(self, tmp_path, header):
+        text = ("g1,g2,g3\n" if header else "") + "1,2,3\n4,5,6\n7,8,9\n"
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        x = load_matrix(path)
+        assert np.array_equal(x.values, np.arange(1.0, 10.0).reshape(3, 3))
+        assert x.sample_ids is None
+        assert x.feature_ids == (("g1", "g2", "g3") if header else None)
+
+    def test_values_match_float_per_token(self, tmp_path):
+        rng = np.random.default_rng(0)
+        numbers = rng.standard_normal((30, 8)) * 10.0 ** rng.integers(-9, 10, size=(30, 8))
+        formats = ["%.17g", "%+.6e", "%.3f", "%.4E", "%g", "%+.2f"]
+        tokens = [
+            [formats[(i + j) % len(formats)] % v for j, v in enumerate(row)]
+            for i, row in enumerate(numbers)
+        ]
+        tokens[0][:4] = ["-0", "+7", "1e3", "-2.5E-3"]
+        tokens[1][:3] = [" 4.5 ", "\t-1\t", ".5"]
+        cells = [row.copy() for row in tokens]
+        cells[0][4] = '"' + tokens[0][4] + '"'
+        tokens[2][0] = " 3.25 "
+        cells[2][0] = '" 3.25 "'
+        lines = ["id," + ",".join(f"g{j}" for j in range(8))]
+        for i, row in enumerate(cells):
+            lines.append(f"c{i}," + ",".join(row))
+            if i % 7 == 3:
+                lines.append("")
+        path = tmp_path / "m.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        x = load_matrix(path)
+        want = np.array([[float(tok) for tok in row] for row in tokens])
+        assert np.array_equal(x.values, want)
+        assert x.sample_ids == tuple(f"c{i}" for i in range(30))
+
+    def test_bad_token_in_last_cell(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"id,g1,g2\r\nc1,1,2\r\n\r\nc2,3,4e")
+        with pytest.raises(ParseError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: non-numeric value '4e' at (3, 3)"
+
+    def test_ragged_last_row(self, tmp_path):
+        path = write(tmp_path / "m.csv", "1,2,3\n4,5,6\n7,8\n")
+        with pytest.raises(RaggedRowsError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: row 3 has 2 cells, expected 3"
+
+    def test_ragged_row_reported_before_earlier_bad_token(self, tmp_path):
+        path = write(tmp_path / "m.csv", "1,2,3\n4,x,6\n7,8\n")
+        with pytest.raises(RaggedRowsError, match="row 3"):
+            load_matrix(path)
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("id,g\u00e8ne\nc1,1\n".encode("latin-1"))
+        with pytest.raises(DataError, match="cannot read"):
+            load_matrix(path)
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes("caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="cannot read"):
+            load_labels(labels)
+
+    def test_peak_memory_below_three_arrays(self, tmp_path):
+        path = tmp_path / "m.csv"
+        values = np.random.default_rng(0).uniform(0.0, 100.0, size=(2000, 300))
+        np.savetxt(path, values, fmt="%.6f", delimiter=",")
+        tracemalloc.start()
+        try:
+            x = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.values.shape == (2000, 300)
+        assert peak < 3 * x.values.nbytes
+
+
 class TestLoadLabels:
+    def test_utf8_bom_is_not_part_of_the_first_label(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\nb\n")
+        assert load_labels(path) == ("a", "b")
+
     def test_expected_count_enforced(self, tmp_path):
         path = write(tmp_path / "labels.txt", "a\nb\n")
         with pytest.raises(LabelLengthMismatchError):

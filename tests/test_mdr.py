@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from mgm.pipeline import build_subspaces, distance_matrix
 from mgm.scales import ScaleSet
 
 from conftest import make_blobs
-from oracles import laplacian_eigenmaps_dense, pca_by_covariance
+from oracles import laplacian_eigenmaps_dense, pca_by_covariance, pca_by_svd
 
 
 def noisy_curve(m=200, seed=7):
@@ -28,6 +30,28 @@ def noisy_curve(m=200, seed=7):
     x = np.column_stack([t, 0.3 * np.sin(3 * t), 0.2 * np.cos(5 * t)])
     x += 0.002 * rng.standard_normal(x.shape)
     return np.column_stack([x, 0.001 * rng.standard_normal((m, 3))])
+
+
+def assert_same_up_to_column_sign(got, want, tol):
+    for j in range(want.shape[1]):
+        delta = min(
+            np.max(np.abs(got[:, j] - want[:, j])),
+            np.max(np.abs(got[:, j] + want[:, j])),
+        )
+        assert delta < tol
+
+
+def spy_on_eigh(monkeypatch):
+    """Record the keyword arguments of every scipy.linalg.eigh call in mdr."""
+    calls = []
+    real = mdr.scipy.linalg.eigh
+
+    def spy(a, **kwargs):
+        calls.append(kwargs)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(mdr.scipy.linalg, "eigh", spy)
+    return calls
 
 
 def projector(emb):
@@ -87,6 +111,48 @@ class TestPcaReduce:
         a = pca_reduce(x, 4)
         b = pca_reduce(x, 4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "m, n, dim",
+        [
+            (m, n, dim)
+            for m in (400, 1000)
+            for n in (200, 500)
+            for dim in (5, 20, 50)
+            if (dim + 1) * mdr._SUBSET_SOLVER_RATIO <= min(m, n)
+        ],
+    )
+    def test_gram_tier_matches_svd_oracle(self, monkeypatch, m, n, dim):
+        rng = np.random.default_rng(m + n + dim)
+        x = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0, size=n)
+        calls = spy_on_eigh(monkeypatch)
+        got = pca_reduce(x, dim)
+        assert calls == [{"subset_by_index": [n - dim, n - 1]}]
+        assert_same_up_to_column_sign(got, pca_by_svd(x, dim), 1e-9)
+
+    def test_gram_tier_with_replicate_rows(self):
+        # log counts with a fifth of the cells repeated exactly
+        rng = np.random.default_rng(3)
+        x = np.log1p(rng.poisson(np.exp(rng.normal(0.0, 1.0, 300)), size=(600, 300)))
+        x[::5] = x[1::5]
+        assert_same_up_to_column_sign(pca_reduce(x, 20), pca_by_svd(x, 20), 1e-9)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_tier_cutoff(self, monkeypatch, offset, transpose):
+        # min(M, N) one below, at and one above (dim + 1) * ratio
+        dim = 5
+        short = (dim + 1) * mdr._SUBSET_SOLVER_RATIO + offset
+        shape = (short, 70) if transpose else (70, short)
+        x = np.random.default_rng(short).standard_normal(shape)
+        calls = spy_on_eigh(monkeypatch)
+        got = pca_reduce(x, dim)
+        if offset < 0:
+            assert calls == []
+            assert np.array_equal(got, pca_by_svd(x, dim))
+        else:
+            assert len(calls) == 1
+            assert_same_up_to_column_sign(got, pca_by_svd(x, dim), 1e-9)
 
     @pytest.mark.parametrize("dim", [0, -1, 8])
     def test_dim_out_of_range(self, rng, dim):
@@ -159,6 +225,69 @@ class TestLaplacianEigenmaps:
         x = np.random.default_rng(0).standard_normal((6, 4))
         with pytest.raises(DimTooLargeError):
             laplacian_eigenmaps(x, n_neighbors=3, dim=6)
+
+
+class TestNeighborGraph:
+    """The blockwise neighbor graph against a stable argsort of the full
+    pairwise squared distances."""
+
+    @staticmethod
+    def assert_matches_full_sort(x, k):
+        d2 = mdr._pairwise_sq_dists(x)
+        want = np.argsort(d2, axis=1, kind="stable")[:, : k + 1]
+        dists, order = mdr._neighbor_graph(x, k)
+        assert np.array_equal(order, want)
+        assert np.array_equal(dists, np.take_along_axis(d2, want, axis=1))
+
+    @pytest.mark.parametrize(
+        "m, k",
+        [
+            (2 * mdr._NEIGHBOR_BLOCK_ROWS + 37, 15),  # last block partial
+            (mdr._NEIGHBOR_BLOCK_ROWS // 2, 15),  # one block
+            (30, 29),  # k + 1 == M
+            (mdr._NEIGHBOR_BLOCK_ROWS + 9, mdr._NEIGHBOR_BLOCK_ROWS + 8),
+        ],
+    )
+    def test_random_points(self, m, k):
+        x = np.random.default_rng(m).standard_normal((m, 7))
+        self.assert_matches_full_sort(x, k)
+
+    @pytest.mark.parametrize("k", [3, 6, 10, 21])
+    def test_ties_across_the_cut_and_block_boundary(self, k):
+        # A 21 x 21 integer lattice: the 4 points at distance 1 and the 4 at
+        # sqrt(2) tie, so the k-th neighbor falls inside a tied shell. Rows
+        # on either side of the first block boundary are lattice neighbors,
+        # and exact duplicates sit on both sides of it.
+        b = mdr._NEIGHBOR_BLOCK_ROWS
+        grid = np.arange(21.0)
+        x = np.column_stack([np.repeat(grid, 21), np.tile(grid, 21)])
+        assert x.shape[0] > b
+        x[[b, b + 1, 7]] = x[b - 1]
+        x[b - 2] = x[b + 2]
+        self.assert_matches_full_sort(x, k)
+
+    def test_edge_weights_are_symmetric_and_sorted(self):
+        # Row blocks of the Gram matrix need not round symmetrically, so each
+        # unordered pair must take a single squared distance.
+        m, k = 2 * mdr._NEIGHBOR_BLOCK_ROWS + 37, 15
+        x = np.random.default_rng(m).standard_normal((m, 7))
+        rows, cols, weights = mdr._knn_edges(*mdr._neighbor_graph(x, k), k)
+        assert np.all(np.diff(rows * m + cols) > 0)
+        dense = np.zeros((m, m))
+        dense[rows, cols] = weights
+        assert np.array_equal(dense, dense.T)
+
+    def test_memory_stays_below_one_square_array(self):
+        m, k = 3000, 50
+        x = np.random.default_rng(0).standard_normal((m, 50))
+        tracemalloc.start()
+        try:
+            dists, order = mdr._neighbor_graph(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order.shape == dists.shape == (m, k + 1)
+        assert peak < m * m * 8
 
 
 class TestBackendSpec:
