@@ -39,9 +39,20 @@ __all__ = [
 # Added to every off-diagonal affinity so the kNN graph is never disconnected.
 _BACKGROUND_AFFINITY = 1e-8
 
-# Solve for only the bottom dim + 1 eigenpairs when they are at most
-# 1/_SUBSET_SOLVER_RATIO of the spectrum; above that the full dense solver
-# is faster.
+# Laplacian eigenmaps solve for only the bottom dim + 1 eigenpairs when they
+# are at most 1/_SUBSET_SOLVER_RATIO of the spectrum; above that the full
+# dense solver is faster.
+#
+# The same ratio sets the PCA cutoff: pca_reduce takes the top dim
+# eigenvectors of the smaller Gram matrix when (dim + 1) * ratio <= min(M, N)
+# and the thin SVD otherwise. There it is not a speed switch. On log counts
+# at 1 BLAS thread the Gram route was faster on every shape tried (M x N from
+# 120 x 500 to 1000 x 500, both ways round): 3.2-6.1x at dim + 1 = 1/16 of
+# min(M, N), 1.1-1.9x at 1/2, 1.7-2.6x at dim = min(M, N). The SVD is kept
+# for requests that reach far into the spectrum because the Gram squares the
+# condition number: its scores were within 2e-11 of the SVD's up to 1/2, but
+# up to 3e-8 off at dim = M < N, where the last singular value of the
+# centered data is zero. Small inputs also keep their SVD output exactly.
 _SUBSET_SOLVER_RATIO = 8
 
 # From this many samples on, a subset-sized solve runs Lanczos (ARPACK) on the
@@ -135,40 +146,53 @@ class EmbeddingStack:
         return len(self.embeddings)
 
 
-def _fix_column_signs(a: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
+def _column_signs(a: np.ndarray) -> np.ndarray:
+    """The sign of each column's largest-magnitude entry, 1 for a zero column."""
     idx = np.argmax(np.abs(a), axis=0)
     signs = np.sign(a[idx, np.arange(a.shape[1])])
     signs[signs == 0] = 1.0
-    return a * signs
+    return signs
+
+
+def _fix_column_signs(a: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry is positive."""
+    return a * _column_signs(a)
 
 
 def pca_reduce(x: np.ndarray, dim: int) -> np.ndarray:
     """Project column-centered data onto its top right singular vectors.
 
-    When dim + 1 is at most 1/_SUBSET_SOLVER_RATIO of min(M, N) they are the
-    top dim eigenvectors of the N x N Gram matrix of the centered data;
-    otherwise they come from its thin SVD. Deterministic up to sign, which is
-    fixed so the largest-magnitude entry of each loading vector is positive.
+    When dim + 1 is at most 1/_SUBSET_SOLVER_RATIO of min(M, N) only the top
+    dim eigenpairs of the smaller of the two Gram matrices of the centered
+    data are computed; otherwise they come from its thin SVD. Deterministic
+    up to sign, which is fixed so the largest-magnitude entry of each loading
+    vector is positive.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     m, n = x.shape
-    if not 1 <= dim <= min(m, n):
+    short = min(m, n)
+    if not 1 <= dim <= short:
         raise DimTooLargeError(
-            f"pca dim {dim} is outside [1, min(M, N)] = [1, {min(m, n)}]"
+            f"pca dim {dim} is outside [1, min(M, N)] = [1, {short}]"
         )
     centered = x - x.mean(axis=0)
-    if (dim + 1) * _SUBSET_SOLVER_RATIO <= min(m, n):
-        # The top right singular vectors are the top eigenvectors of the
-        # N x N Gram matrix; only those dim are computed.
-        _, vecs = scipy.linalg.eigh(centered.T @ centered, subset_by_index=[n - dim, n - 1])
-        components = vecs[:, ::-1]
-    else:
+    if (dim + 1) * _SUBSET_SOLVER_RATIO > short:
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        components = vt[:dim].T
-    return centered @ _fix_column_signs(components)
+        return centered @ _fix_column_signs(vt[:dim].T)
+    top = [short - dim, short - 1]
+    if n <= m:
+        # The loadings are the top eigenvectors of the N x N Gram matrix.
+        _, vecs = scipy.linalg.eigh(centered.T @ centered, subset_by_index=top)
+        return centered @ _fix_column_signs(vecs[:, ::-1])
+    # The top eigenpairs (u, s^2) of the M x M Gram matrix give the scores
+    # u * s; the loadings centered.T @ u / s take their signs from
+    # centered.T @ u.
+    vals, vecs = scipy.linalg.eigh(centered @ centered.T, subset_by_index=top)
+    u = vecs[:, ::-1]
+    singular = np.sqrt(np.maximum(vals[::-1], 0.0))
+    return u * (singular * _column_signs(centered.T @ u))
 
 
 def _row_blocks(start: int, stop: int) -> list[slice]:
@@ -185,26 +209,12 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diag(points[b] @ points[b].T) for b in blocks])
 
 
-def _pairwise_sq_dists(
-    points: np.ndarray, rows: slice = slice(None), sq: np.ndarray | None = None
-) -> np.ndarray:
+def _pairwise_sq_dists(points: np.ndarray, rows: slice, sq: np.ndarray) -> np.ndarray:
     """Squared distances from points[rows] to every row of points, as
-    |a|^2 + |b|^2 - 2 a.b from the Gram matrix.
-
-    The Gram rows are computed _NEIGHBOR_BLOCK_ROWS at a time from the start
-    of rows, so a call for one such block rounds exactly as the same rows of
-    a call for every row. sq is `_squared_norms(points)`, computed here when
-    not given.
-    """
-    start, stop, _ = rows.indices(points.shape[0])
-    if sq is None:
-        sq = _squared_norms(points)
-    gram = np.empty((stop - start, points.shape[0]))
-    for b in _row_blocks(start, stop):
-        np.matmul(points[b], points.T, out=gram[b.start - start : b.stop - start])
-    d2 = sq[start:stop, None] + sq[None, :] - 2.0 * gram
-    block = np.arange(stop - start)
-    d2[block, block + start] = 0.0
+    |a|^2 + |b|^2 - 2 a.b, where sq is `_squared_norms(points)`."""
+    d2 = sq[rows, None] + sq[None, :] - 2.0 * (points[rows] @ points.T)
+    block = np.arange(d2.shape[0])
+    d2[block, block + rows.start] = 0.0
     return np.maximum(d2, 0.0, out=d2)
 
 

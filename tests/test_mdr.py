@@ -54,6 +54,14 @@ def spy_on_eigh(monkeypatch):
     return calls
 
 
+def block_sq_dists(x):
+    """Every row of the pairwise squared distances, computed in the neighbor
+    graph's row blocks so each row rounds as it does there."""
+    sq = mdr._squared_norms(x)
+    blocks = mdr._row_blocks(0, x.shape[0])
+    return np.vstack([mdr._pairwise_sq_dists(x, b, sq) for b in blocks])
+
+
 def projector(emb):
     q, _ = np.linalg.qr(emb)
     return q @ q.T
@@ -127,8 +135,39 @@ class TestPcaReduce:
         x = rng.standard_normal((m, n)) * rng.uniform(0.5, 3.0, size=n)
         calls = spy_on_eigh(monkeypatch)
         got = pca_reduce(x, dim)
-        assert calls == [{"subset_by_index": [n - dim, n - 1]}]
+        short = min(m, n)
+        assert calls == [{"subset_by_index": [short - dim, short - 1]}]
         assert_same_up_to_column_sign(got, pca_by_svd(x, dim), 1e-9)
+
+    @pytest.mark.parametrize("dim", [5, 17])
+    def test_wide_data_uses_the_sample_gram(self, monkeypatch, dim):
+        # With far more genes than cells the Gram matrix is cells x cells.
+        m, n = 150, 3000
+        rng = np.random.default_rng(dim)
+        x = np.log1p(rng.poisson(np.exp(rng.normal(0.0, 1.0, n)), size=(m, n)))
+        shapes = []
+        real = mdr.scipy.linalg.eigh
+
+        def spy(a, **kwargs):
+            shapes.append((a.shape, kwargs))
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(mdr.scipy.linalg, "eigh", spy)
+        got = pca_reduce(x, dim)
+        assert shapes == [((m, m), {"subset_by_index": [m - dim, m - 1]})]
+        # the loading signs are fixed too
+        assert np.max(np.abs(got - pca_by_svd(x, dim))) < 1e-9
+
+    def test_wide_data_below_dim_rank(self):
+        # rank 3 < dim: the last dim - 3 scores come from null directions
+        # of the Gram and must stay near zero, not blow up dividing by s
+        m, n, dim = 100, 2000, 10
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+        got = pca_reduce(x, dim)
+        want = pca_by_svd(x, dim)
+        assert np.max(np.abs(got[:, :3] - want[:, :3])) < 1e-9
+        assert np.max(np.abs(got[:, 3:])) < 1e-6 * np.max(np.abs(want))
 
     def test_gram_tier_with_replicate_rows(self):
         # log counts with a fifth of the cells repeated exactly
@@ -181,9 +220,9 @@ class TestLaplacianEigenmaps:
         # columns y_i satisfy y_i' D y_j = delta_ij for the graph degree D
         x, _ = two_blob_data(m=30, seed=3)
         emb = laplacian_eigenmaps(x, n_neighbors=6, dim=4)
-        from mgm.mdr import _BACKGROUND_AFFINITY, _pairwise_sq_dists
+        from mgm.mdr import _BACKGROUND_AFFINITY
 
-        d2 = _pairwise_sq_dists(x)
+        d2 = block_sq_dists(x)
         order = np.argsort(d2, axis=1, kind="stable")
         neighbors = order[:, 1:7]
         sigma = np.sqrt(d2[np.arange(30), order[:, 3]])
@@ -233,7 +272,7 @@ class TestNeighborGraph:
 
     @staticmethod
     def assert_matches_full_sort(x, k):
-        d2 = mdr._pairwise_sq_dists(x)
+        d2 = block_sq_dists(x)
         want = np.argsort(d2, axis=1, kind="stable")[:, : k + 1]
         dists, order = mdr._neighbor_graph(x, k)
         assert np.array_equal(order, want)
@@ -251,6 +290,9 @@ class TestNeighborGraph:
     def test_random_points(self, m, k):
         x = np.random.default_rng(m).standard_normal((m, 7))
         self.assert_matches_full_sort(x, k)
+        dists, order = mdr._neighbor_graph(x, k)
+        assert np.array_equal(order[:, 0], np.arange(m))
+        assert np.all(dists[:, 0] == 0.0)
 
     @pytest.mark.parametrize("k", [3, 6, 10, 21])
     def test_ties_across_the_cut_and_block_boundary(self, k):
