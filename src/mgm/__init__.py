@@ -34,14 +34,11 @@ from .experiment import (
 from .grassmann import (
     GrassmannMetric,
     PrincipalAngles,
-    Projector,
     Subspace,
     distance,
     distance_from_angles,
-    geodesic_interpolate,
     orthonormalize,
     principal_angles,
-    to_projector,
 )
 from .mdr import (
     EmbeddingStack,

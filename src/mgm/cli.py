@@ -2,8 +2,8 @@
 
 Subcommands cover each pipeline stage (sample-scales, embed, mgm, cluster,
 evaluate, scatter) plus an end-to-end driver (pipeline). Exit codes: 0 on
-success, 2 for configuration problems, 3 for input-data problems, 4 for
-numerical failures.
+success, 2 for configuration problems (an output path that cannot be
+written among them), 3 for input-data problems, 4 for numerical failures.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -116,12 +117,25 @@ def _load_preprocessed(args: argparse.Namespace, cfg):
     )
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing under path as a config error."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _write_text(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _cmd_sample_scales(args: argparse.Namespace) -> int:
@@ -144,19 +158,20 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     stack = embed_multiscale(_load_preprocessed(args, cfg).values, cfg).stack
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for scale, emb in zip(stack.scales, stack.embeddings):
-        np.savetxt(
-            out_dir / f"embedding_scale_{scale}.csv", emb, delimiter=",", fmt="%.17g"
-        )
-    meta = {
-        "scales": list(stack.scales.scales),
-        "embedding_dim": stack.embedding_dim,
-        "sample_count": stack.sample_count,
-        "method": cfg.embedding.method.value,
-        "seed": cfg.seeds[0],
-    }
-    (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for scale, emb in zip(stack.scales, stack.embeddings):
+            np.savetxt(
+                out_dir / f"embedding_scale_{scale}.csv", emb, delimiter=",", fmt="%.17g"
+            )
+        meta = {
+            "scales": list(stack.scales.scales),
+            "embedding_dim": stack.embedding_dim,
+            "sample_count": stack.sample_count,
+            "method": cfg.embedding.method.value,
+            "seed": cfg.seeds[0],
+        }
+        (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n")
     return 0
 
 
@@ -164,11 +179,12 @@ def _cmd_mgm(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _, dmat, report, _ = run_mgm(_load_preprocessed(args, cfg), cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
-    (out_dir / "run_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n"
-    )
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
+        (out_dir / "run_report.json").write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n"
+        )
     return 0
 
 
@@ -181,11 +197,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     except ValueError as err:
         raise ConfigError(str(err))
-    text = "\n".join(str(int(v)) for v in result.labels) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(str(int(v)) for v in result.labels) + "\n", args.out)
     return 0
 
 
@@ -201,13 +213,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     matrix = _load_data(args)
-    result = run_experiment(
-        matrix,
-        cfg,
-        out_dir=args.out_dir,
-        save_distance=args.save_distance_matrix,
-        with_baselines=not args.no_baselines,
-    )
+    # Every file run_experiment reads maps its OSError to a DataError, so an
+    # OSError here comes from the output directory.
+    with _writing(args.out_dir):
+        result = run_experiment(
+            matrix,
+            cfg,
+            out_dir=args.out_dir,
+            save_distance=args.save_distance_matrix,
+            with_baselines=not args.no_baselines,
+        )
     payload = {
         "checksum": result.checksum,
         "mgm_mean": result.mean_metrics(),
@@ -221,7 +236,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_scatter(args: argparse.Namespace) -> int:
     dmat, _ = load_distance_matrix(args.distances)
     labels = load_labels(args.labels, expected=dmat.size) if args.labels else None
-    export_scatter(dmat, labels, args.out)
+    with _writing(args.out):
+        export_scatter(dmat, labels, args.out)
     return 0
 
 

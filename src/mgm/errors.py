@@ -61,16 +61,8 @@ class AmbientDimMismatchError(NumericalError):
     """Two subspaces live in ambient spaces of different dimension."""
 
 
-class RankMismatchError(NumericalError):
-    """An operation requires two subspaces of equal rank."""
-
-
 class MartinDivergentError(NumericalError):
     """The Martin metric diverges when any principal angle reaches pi/2."""
-
-
-class NonUniqueGeodesicError(NumericalError):
-    """No unique geodesic exists between subspaces with a right principal angle."""
 
 
 class DegenerateAffinityError(NumericalError):

@@ -388,6 +388,8 @@ def _load_external_embedding(
         raise DataError(f"no embedding file for scale {scale}: {path}")
     try:
         values = np.loadtxt(path, delimiter=None if path.suffix == ".txt" else ",")
+    except OSError as err:
+        raise DataError(f"cannot read embedding file for scale {scale}: {err}")
     except ValueError as err:
         raise DataError(f"embedding file for scale {scale} is not numeric: {err}")
     values = np.atleast_2d(np.asarray(values, dtype=float))

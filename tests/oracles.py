@@ -65,6 +65,28 @@ def principal_angles_deflation(
     return np.sort(np.arccos(np.clip(cosines, 0.0, 1.0)))
 
 
+def principal_angles_sine(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """Principal angles, ascending, by the per-pair path the package used
+    before its cancellation guard: arccos of the singular values of
+    Qx^T Qy, with every angle whose cosine exceeds sqrt(1/2) recomputed from
+    the singular values of Qy - Qx (Qx^T Qy), the sines. Two SVDs for almost
+    every pair, accurate down to machine precision."""
+    # The wider basis goes first; equal widths are ordered by raw bytes so
+    # the result is bit-identical under argument swap.
+    if qx.shape[1] < qy.shape[1] or (
+        qx.shape[1] == qy.shape[1] and qx.tobytes() > qy.tobytes()
+    ):
+        qx, qy = qy, qx
+    m = qx.T @ qy
+    cosines = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
+    theta = np.arccos(cosines)
+    small = cosines**2 >= 0.5
+    if np.any(small):
+        sines = np.linalg.svd(qy - qx @ m, compute_uv=False)[::-1]
+        theta[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
+    return np.sort(theta)
+
+
 def accuracy_by_enumeration(pred, truth) -> float:
     """Best accuracy over every injective mapping of predicted clusters onto
     true clusters, by brute force."""

@@ -264,6 +264,36 @@ def test_bad_sidecar_exits_3(tmp_path, capsys, command, sidecar):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["sample-scales", "embed", "mgm", "cluster", "evaluate", "pipeline", "scatter"],
+)
+def test_unwritable_output_exits_2(workspace, capsys, command):
+    # --out under a directory that does not exist, --out-dir on a regular file
+    tmp_path, data, labels, config, _ = workspace
+    points = np.random.default_rng(0).standard_normal((6, 2))
+    dpath = tmp_path / "d.csv"
+    np.savetxt(dpath, np.linalg.norm(points[:, None] - points[None, :], axis=2), delimiter=",")
+    out = str(tmp_path / "missing" / "out.txt")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    inputs = ["--config", str(config), "--data", str(data), "--labels", str(labels)]
+    argv = {
+        "sample-scales": ["--out", out],
+        "embed": [*inputs, "--out-dir", str(taken)],
+        "mgm": [*inputs, "--out-dir", str(taken)],
+        "cluster": ["--distances", str(dpath), "--k", "2", "--out", out],
+        "evaluate": ["--pred", str(labels), "--truth", str(labels), "--out", out],
+        "pipeline": [*inputs, "--out-dir", str(taken)],
+        "scatter": ["--distances", str(dpath), "--out", out],
+    }[command]
+    code = main([command, *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot write" in err
+    assert (out if "--out" in argv else str(taken)) in err
+
+
 class TestEvaluateCommand:
     def test_perfect_prediction(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
@@ -356,6 +386,17 @@ class TestPipelineCommand:
         )
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_unwritable_seed_directory_exits_2(self, workspace, capsys):
+        # the output directory is fine, but a file blocks a per-seed one
+        tmp_path, data, labels, config, _ = workspace
+        out_dir = tmp_path / "exp"
+        out_dir.mkdir()
+        (out_dir / "mgm").write_text("")
+        argv = ["--config", str(config), "--data", str(data), "--labels", str(labels)]
+        code = main(["pipeline", *argv, "--out-dir", str(out_dir)])
+        assert code == 2
+        assert f"cannot write {out_dir}" in capsys.readouterr().err
 
     def test_bad_config_file_exits_2(self, workspace, capsys):
         tmp_path, data, labels, _, _ = workspace

@@ -7,26 +7,32 @@ from mgm.errors import (
     AllColumnsZeroError,
     AmbientDimMismatchError,
     MartinDivergentError,
-    NonUniqueGeodesicError,
-    RankMismatchError,
 )
 from mgm.grassmann import (
+    _CHORDAL_SQ_GUARD,
+    _COSINE_GUARD,
     GrassmannMetric,
     PrincipalAngles,
-    Projector,
     Subspace,
     distance,
     distance_from_angles,
-    geodesic_interpolate,
     orthonormalize,
     principal_angles,
-    to_projector,
 )
+from mgm.pipeline import CellSubspaceSet, distance_matrix
 
 from conftest import random_subspace
-from oracles import gram_schmidt_basis, principal_angles_deflation
+from oracles import (
+    gram_schmidt_basis,
+    principal_angles_deflation,
+    principal_angles_sine,
+)
 
 ALL_METRICS = list(GrassmannMetric)
+
+
+def projector(s: Subspace) -> np.ndarray:
+    return s.basis @ s.basis.T
 
 
 class TestSubspaceTypes:
@@ -51,22 +57,11 @@ class TestSubspaceTypes:
     def test_projector_roundtrip(self, rng):
         for _ in range(20):
             s = random_subspace(rng, 7, 3)
-            p = to_projector(s)
-            assert p.rank == 3
-            assert p.ambient_dim == 7
-            back = orthonormalize(p.matrix)
+            p = projector(s)
+            back = orthonormalize(p)
             assert back.rank == 3
             # same span: projectors agree
-            assert np.linalg.norm(to_projector(back).matrix - p.matrix) < 1e-10
-
-    def test_projector_rejects_non_idempotent(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            Projector(np.diag([0.5, 0.5]))
-
-    def test_projector_rejects_asymmetric(self):
-        bad = np.array([[1.0, 0.1], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            Projector(bad)
+            assert np.linalg.norm(projector(back) - p) < 1e-10
 
     def test_principal_angles_type_validation(self):
         with pytest.raises(ValueError):
@@ -111,7 +106,7 @@ class TestOrthonormalize:
         assert sub.rank == 2
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = 1.0
-        assert np.linalg.norm(to_projector(sub).matrix - expected) < 1e-12
+        assert np.linalg.norm(projector(sub) - expected) < 1e-12
 
     def test_all_zero_columns_raise(self):
         with pytest.raises(AllColumnsZeroError):
@@ -119,8 +114,8 @@ class TestOrthonormalize:
 
     def test_scaling_does_not_change_span(self, rng):
         a = rng.standard_normal((6, 3))
-        p1 = to_projector(orthonormalize(a)).matrix
-        p2 = to_projector(orthonormalize(a * np.array([1e-3, 1.0, 1e3]))).matrix
+        p1 = projector(orthonormalize(a))
+        p2 = projector(orthonormalize(a * np.array([1e-3, 1.0, 1e3])))
         assert np.linalg.norm(p1 - p2) < 1e-9
 
 
@@ -312,45 +307,137 @@ class TestMetricAxioms:
                 assert distance(x, y, metric) == distance_from_angles(theta, metric)
 
 
-class TestGeodesicInterpolation:
-    def test_endpoints_recover_spans(self, rng):
-        for _ in range(15):
-            x = random_subspace(rng, 8, 3)
-            y = random_subspace(rng, 8, 3)
-            g0 = geodesic_interpolate(x, y, 0.0)
-            g1 = geodesic_interpolate(x, y, 1.0)
-            assert np.linalg.norm(to_projector(g0).matrix - to_projector(x).matrix) < 1e-8
-            assert np.linalg.norm(to_projector(g1).matrix - to_projector(y).matrix) < 1e-8
 
-    def test_arc_length_is_proportional(self, rng):
-        for _ in range(15):
-            x = random_subspace(rng, 9, 3)
-            y = random_subspace(rng, 9, 3)
-            full = distance(x, y, GrassmannMetric.GEODESIC)
-            for t in (0.25, 0.5, 0.75):
-                g = geodesic_interpolate(x, y, t)
-                partial = distance(x, g, GrassmannMetric.GEODESIC)
-                assert abs(partial - t * full) < 1e-7
+def pair_with_angles(rng, n, rx, ry, angles):
+    """Subspaces of R^n of ranks rx and ry whose principal angles are the
+    given min(rx, ry) values, turned by one random rotation of R^n and with
+    each basis mixed by its own random orthogonal factor."""
+    k = len(angles)
+    assert k == min(rx, ry) and n >= rx + ry
+    ex = np.eye(n)[:, :rx]
+    ey = np.zeros((n, ry))
+    for i, theta in enumerate(angles):
+        ey[i, i] = math.cos(theta)
+        ey[rx + i, i] = math.sin(theta)
+    for j in range(k, ry):
+        ey[rx + j, j] = 1.0
+    turn = np.linalg.qr(rng.standard_normal((n, n)))[0]
 
-    def test_rank_preserved(self, rng):
-        x = random_subspace(rng, 10, 4)
-        y = random_subspace(rng, 10, 4)
-        assert geodesic_interpolate(x, y, 0.5).rank == 4
+    def mixed(e):
+        return Subspace(turn @ e @ np.linalg.qr(rng.standard_normal(e.shape[1:] * 2))[0])
 
-    def test_rank_mismatch_raises(self, rng):
-        x = random_subspace(rng, 6, 2)
-        y = random_subspace(rng, 6, 3)
-        with pytest.raises(RankMismatchError):
-            geodesic_interpolate(x, y, 0.5)
+    return mixed(ex), mixed(ey)
 
-    def test_t_out_of_range_raises(self, rng):
-        x = random_subspace(rng, 6, 2)
-        y = random_subspace(rng, 6, 2)
-        with pytest.raises(ValueError):
-            geodesic_interpolate(x, y, 1.5)
 
-    def test_right_angle_has_no_unique_geodesic(self):
-        x = Subspace(np.eye(4)[:, :1])
-        y = Subspace(np.eye(4)[:, 1:2])
-        with pytest.raises(NonUniqueGeodesicError):
-            geodesic_interpolate(x, y, 0.5)
+def assert_matches_sine_oracle(x, y):
+    want_angles = principal_angles_sine(x.basis, y.basis)
+    for metric in ALL_METRICS:
+        try:
+            want = distance_from_angles(want_angles, metric)
+        except MartinDivergentError:
+            with pytest.raises(MartinDivergentError):
+                distance(x, y, metric)
+            continue
+        got = distance(x, y, metric)
+        assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (metric, got, want)
+
+
+def svd_calls(x, y):
+    """How many times principal_angles(x, y) calls np.linalg.svd."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", spy)
+        principal_angles(x, y)
+    return len(calls)
+
+
+class TestCancellationGuard:
+    def test_random_pairs_with_mixed_ranks(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 16))
+            rx = int(rng.integers(1, n + 1))
+            ry = int(rng.integers(1, n + 1))
+            assert_matches_sine_oracle(
+                random_subspace(rng, n, rx), random_subspace(rng, n, ry)
+            )
+
+    def test_prescribed_angles_with_mixed_ranks(self, rng):
+        for rx, ry in ((3, 3), (2, 5), (5, 2), (1, 4), (6, 6)):
+            k = min(rx, ry)
+            angles = np.sort(rng.uniform(0.05, 1.5, k))
+            assert_matches_sine_oracle(*pair_with_angles(rng, 14, rx, ry, angles))
+
+    def test_identical_and_replicate_subspaces(self, rng):
+        for r in (1, 3, 8):
+            x = random_subspace(rng, 12, r)
+            assert_matches_sine_oracle(x, x)
+            # the same span held in another basis, as for replicate cells
+            turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
+            assert_matches_sine_oracle(x, Subspace(x.basis @ turn))
+            assert_matches_sine_oracle(x, orthonormalize(x.basis + 1e-14))
+
+    @pytest.mark.parametrize("tiny", [1e-10, 1e-6])
+    def test_one_tiny_angle_among_large_ones(self, rng, tiny):
+        for rx, ry in ((3, 3), (3, 5)):
+            x, y = pair_with_angles(rng, 10, rx, ry, [tiny, 0.6, 1.2])
+            assert_matches_sine_oracle(x, y)
+            assert principal_angles(x, y).angles[0] == pytest.approx(tiny, rel=1e-5)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_either_side_of_the_chordal_guard(self, rng, side):
+        # three equal angles with sum(sin^2) just below or above the guard
+        sq = _CHORDAL_SQ_GUARD * (1.0 + side * 1e-3)
+        theta = math.asin(math.sqrt(sq / 3.0))
+        x, y = pair_with_angles(rng, 9, 3, 4, [theta] * 3)
+        assert_matches_sine_oracle(x, y)
+        assert svd_calls(x, y) == (2 if side < 0 else 1)
+
+    def test_rank_23_pairs_below_the_chordal_guard(self, rng):
+        # Off the sine path a distance errs by about r * eps / d_chordal; at
+        # the setup1 rank of 23 that breaks the tolerance near d^2 = 3e-6,
+        # which is why the guard sits at 1e-4 and not lower.
+        for sq in (3e-6, 1e-5):
+            for _ in range(20):
+                angles = np.sort(rng.uniform(0.2, 1.0, 23))
+                angles *= math.sqrt(sq / np.sum(np.sin(angles) ** 2))
+                assert_matches_sine_oracle(*pair_with_angles(rng, 50, 23, 23, angles))
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_either_side_of_the_cosine_guard(self, rng, side):
+        # the largest cosine just below or above 1 - 1e-8, the others small
+        theta = math.acos(1.0 - _COSINE_GUARD * (1.0 - side * 1e-3))
+        x, y = pair_with_angles(rng, 8, 3, 3, [theta, 0.7, 1.3])
+        assert_matches_sine_oracle(x, y)
+        assert svd_calls(x, y) == (2 if side > 0 else 1)
+
+    def test_near_right_angles(self, rng):
+        x, y = pair_with_angles(rng, 8, 2, 3, [0.4, math.pi / 2 - 1e-12])
+        assert_matches_sine_oracle(x, y)
+        z = random_subspace(rng, 8, 2)
+        cells = CellSubspaceSet(points=(z, x, y), nominal_rank=3, embedding_dim=8)
+        with pytest.raises(MartinDivergentError, match=r"pair \(1, 2\)"):
+            distance_matrix(cells, GrassmannMetric.MARTIN)
+
+    def test_bit_identical_under_swap(self, rng):
+        pairs = [(random_subspace(rng, 9, 3), random_subspace(rng, 9, 3))]
+        pairs.append(pair_with_angles(rng, 9, 3, 3, [1e-9, 0.2, 0.9]))
+        pairs.append(pair_with_angles(rng, 9, 2, 4, [0.3, 1.0]))
+        x = random_subspace(rng, 9, 4)
+        pairs.append((x, Subspace(x.basis[:, ::-1])))
+        for x, y in pairs:
+            assert np.array_equal(
+                principal_angles(x, y).angles, principal_angles(y, x).angles
+            )
+
+    def test_one_svd_per_pair_unless_guarded(self, rng):
+        x, y = pair_with_angles(rng, 10, 4, 4, [0.2, 0.5, 0.9, 1.4])
+        assert svd_calls(x, y) == 1
+        assert svd_calls(x, x) == 2
+        x, y = pair_with_angles(rng, 10, 4, 4, [1e-7, 0.5, 0.9, 1.4])
+        assert svd_calls(x, y) == 2

@@ -380,6 +380,16 @@ class TestExternalBackend:
         with pytest.raises(DataError, match="scale 7"):
             mdr_embed(np.zeros((8, 2)), scale=7, spec=spec)
 
+    def test_unreadable_file_raises(self, tmp_path):
+        (tmp_path / "emb_7.csv").mkdir()
+        spec = MdrBackendSpec(
+            MdrMethod.EXTERNAL,
+            embedding_dim=3,
+            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+        )
+        with pytest.raises(DataError, match="cannot read embedding file for scale 7"):
+            mdr_embed(np.zeros((8, 2)), scale=7, spec=spec)
+
     def test_wrong_shape_raises(self, tmp_path, rng):
         path = tmp_path / "emb_5.csv"
         np.savetxt(path, rng.standard_normal((8, 2)), delimiter=",")

@@ -8,7 +8,7 @@ from mgm.errors import (
     DataError,
     MartinDivergentError,
 )
-from mgm.grassmann import GrassmannMetric, distance, to_projector
+from mgm.grassmann import GrassmannMetric, distance
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, MdrMethod, build_stack
 from mgm.pipeline import (
     CellSubspaceSet,
@@ -98,8 +98,8 @@ class TestBuildSubspaces:
         a = build_subspaces(stack, normalize_columns=True)
         b = build_subspaces(scaled, normalize_columns=True)
         for sa, sb in zip(a.points, b.points):
-            pa = to_projector(sa).matrix
-            pb = to_projector(sb).matrix
+            pa = sa.basis @ sa.basis.T
+            pb = sb.basis @ sb.basis.T
             assert np.linalg.norm(pa - pb) < 1e-9
 
     def test_zero_sample_raises_with_index(self):
