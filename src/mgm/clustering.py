@@ -110,11 +110,17 @@ def _lloyd(
     for _ in range(_KMEANS_MAX_ITER):
         d2 = _sq_dists_to(points, centers)
         labels = d2.argmin(axis=1)
-        for c in range(k):
-            if not np.any(labels == c):
-                # Relocate an empty cluster to the worst-served point.
-                costs = d2[np.arange(m), labels]
-                labels[int(np.argmax(costs))] = c
+        counts = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            # Refill an empty cluster with the worst-served point of a
+            # cluster that keeps a member after the move. One exists while
+            # a cluster is empty, since k <= m.
+            costs = d2[np.arange(m), labels]
+            costs[counts[labels] < 2] = -np.inf
+            i = int(np.argmax(costs))
+            counts[labels[i]] -= 1
+            labels[i] = c
+            counts[c] = 1
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
         inertia = float(_sq_dists_to(points, centers)[np.arange(m), labels].sum())

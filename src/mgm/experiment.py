@@ -215,7 +215,7 @@ def run_experiment(
         if i > 0:
             # The matrix does not depend on the seed, but the pipeline
             # workload of perfbench/ counts one build per seed
-            # (test_traced_child_reports_every_layer); ROADMAP item 2.
+            # (test_traced_child_reports_every_layer); ROADMAP item 1.
             dmat = distance_matrix(cells, cfg.metric)
         result = cluster_distances(
             dmat, cfg.clustering_method, cfg.k, seed=seed, mds_dim=cfg.mds_dim

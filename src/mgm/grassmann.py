@@ -144,6 +144,21 @@ def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Subspa
     return Subspace(u[:, :rank])
 
 
+def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The two bases, the wider first; equal widths are ordered by raw bytes
+    so every result built on them is bit-identical under argument swap."""
+    if x.ambient_dim != y.ambient_dim:
+        raise AmbientDimMismatchError(
+            f"ambient dims differ: {x.ambient_dim} vs {y.ambient_dim}"
+        )
+    qx, qy = x.basis, y.basis
+    if qx.shape[1] < qy.shape[1] or (
+        qx.shape[1] == qy.shape[1] and qx.tobytes() > qy.tobytes()
+    ):
+        qx, qy = qy, qx
+    return qx, qy
+
+
 def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
     """Principal angles between x and y, ascending; min(rank_x, rank_y) values.
 
@@ -157,17 +172,7 @@ def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
     values of Qy - Qx (Qx^T Qy), which equal the sines and stay accurate
     down to machine precision.
     """
-    if x.ambient_dim != y.ambient_dim:
-        raise AmbientDimMismatchError(
-            f"ambient dims differ: {x.ambient_dim} vs {y.ambient_dim}"
-        )
-    qx, qy = x.basis, y.basis
-    # The wider basis goes first; equal widths are ordered by raw bytes so
-    # the result is bit-identical under argument swap.
-    if qx.shape[1] < qy.shape[1] or (
-        qx.shape[1] == qy.shape[1] and qx.tobytes() > qy.tobytes()
-    ):
-        qx, qy = qy, qx
+    qx, qy = _ordered_bases(x, y)
     m = qx.T @ qy
     # Singular values are nonnegative and descending, so the angles ascend.
     cosines = np.minimum(np.linalg.svd(m, compute_uv=False), 1.0)
@@ -211,5 +216,17 @@ def distance_from_angles(
 
 
 def distance(x: Subspace, y: Subspace, metric: GrassmannMetric) -> float:
-    """Distance between two subspaces under the chosen metric."""
+    """Distance between two subspaces under the chosen metric.
+
+    Chordal needs no angles: with Qx the wider basis, the residual
+    Qy - Qx (Qx^T Qy) has squared Frobenius norm sum(sin^2 theta), so its
+    norm is the distance (the projection distance of Hamm & Lee 2008). No
+    SVD runs, and nothing is subtracted from min(rx, ry), so tiny and
+    near-right distances keep full precision without the cancellation
+    guard.
+    """
+    if metric is GrassmannMetric.CHORDAL:
+        qx, qy = _ordered_bases(x, y)
+        r = (qy - qx @ (qx.T @ qy)).ravel()
+        return math.sqrt(r @ r)
     return distance_from_angles(principal_angles(x, y), metric)

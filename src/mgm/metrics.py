@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatchError
 
@@ -64,6 +63,9 @@ def _contingency(pred, truth) -> np.ndarray:
 def accuracy(pred, truth) -> float:
     """Fraction of samples correct under the best one-to-one relabeling,
     found by solving the assignment problem on the contingency table."""
+    # Imported here: scipy.optimize costs ~0.25 s, and only scoring needs it.
+    from scipy.optimize import linear_sum_assignment
+
     table = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / table.sum())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mgm
 from mgm import mdr
 from mgm.cli import main
 from mgm.experiment import load_distance_matrix
@@ -447,3 +452,14 @@ class TestPresetFlag:
         with pytest.raises(SystemExit) as exc:
             main(["sample-scales", "--preset", "setup9"])
         assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # Only scoring needs scipy.optimize, so every command that does not
+    # score is spared its import.
+    env = dict(os.environ, PYTHONPATH=str(Path(mgm.__file__).parents[1]))
+    code = "import sys, mgm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,19 @@ class TestKmeans:
         labels, inertia = kmeans(x, 2, seed=0)
         assert inertia < 1e-18
         assert same_partition(labels, [0, 0, 0, 0, 1, 1, 1, 1])
+
+    def test_empty_cluster_refill_keeps_every_centre_finite(self):
+        # Two distinct points and k = 4: empty clusters are refilled from
+        # clusters that keep a member, so no centre is the mean of nothing.
+        x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, inertia = kmeans(x, 4, seed=0)
+            again = kmeans(x, 4, seed=0)
+        assert np.isfinite(inertia)
+        assert inertia < 1e-18
+        assert labels.min() >= 0 and labels.max() < 4
+        assert np.array_equal(labels, again[0]) and inertia == again[1]
 
     def test_euclidean_wrapper(self, rng):
         x, truth = make_blobs(m=30, d=4, sep=9.0, seed=1)

@@ -304,7 +304,13 @@ class TestMetricAxioms:
             y = random_subspace(rng, 7, 3)
             theta = principal_angles(x, y)
             for metric in ALL_METRICS:
-                assert distance(x, y, metric) == distance_from_angles(theta, metric)
+                got = distance(x, y, metric)
+                want = distance_from_angles(theta, metric)
+                if metric is GrassmannMetric.CHORDAL:
+                    # chordal takes the residual route, not the angles
+                    assert abs(got - want) <= 1e-12 + 1e-9 * want
+                else:
+                    assert got == want
 
 
 
@@ -342,8 +348,9 @@ def assert_matches_sine_oracle(x, y):
         assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (metric, got, want)
 
 
-def svd_calls(x, y):
-    """How many times principal_angles(x, y) calls np.linalg.svd."""
+def svd_calls(x, y, metric=None):
+    """How many times principal_angles(x, y) calls np.linalg.svd, or
+    distance(x, y, metric) when a metric is given."""
     calls = []
     svd = np.linalg.svd
 
@@ -353,7 +360,10 @@ def svd_calls(x, y):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.linalg, "svd", spy)
-        principal_angles(x, y)
+        if metric is None:
+            principal_angles(x, y)
+        else:
+            distance(x, y, metric)
     return len(calls)
 
 
@@ -434,6 +444,9 @@ class TestCancellationGuard:
             assert np.array_equal(
                 principal_angles(x, y).angles, principal_angles(y, x).angles
             )
+            assert distance(x, y, GrassmannMetric.CHORDAL) == distance(
+                y, x, GrassmannMetric.CHORDAL
+            )
 
     def test_one_svd_per_pair_unless_guarded(self, rng):
         x, y = pair_with_angles(rng, 10, 4, 4, [0.2, 0.5, 0.9, 1.4])
@@ -441,3 +454,54 @@ class TestCancellationGuard:
         assert svd_calls(x, x) == 2
         x, y = pair_with_angles(rng, 10, 4, 4, [1e-7, 0.5, 0.9, 1.4])
         assert svd_calls(x, y) == 2
+
+
+def pair_with_chordal_sq(rng, n, r, sq):
+    """Rank-r subspaces of R^n whose squared chordal distance is sq, spread
+    unevenly over r angles."""
+    sines = rng.uniform(0.2, 1.0, r)
+    sines *= math.sqrt(sq / (sines @ sines))
+    return pair_with_angles(rng, n, r, r, np.sort(np.arcsin(sines)))
+
+
+class TestChordalResidual:
+    def test_no_svd(self, rng):
+        for x, y in (
+            pair_with_angles(rng, 10, 4, 4, [0.2, 0.5, 0.9, 1.4]),
+            pair_with_angles(rng, 10, 2, 5, [1e-9, 0.7]),
+        ):
+            assert svd_calls(x, y, GrassmannMetric.CHORDAL) == 0
+            assert svd_calls(x, x, GrassmannMetric.CHORDAL) == 0
+
+    @pytest.mark.parametrize(
+        "sq", [1e-28, 3e-6, _CHORDAL_SQ_GUARD * 0.999, _CHORDAL_SQ_GUARD * 1.001, 1.0]
+    )
+    def test_rank_23_pairs_match_the_sine_oracle(self, rng, sq):
+        # the setup1 shape, from replicate-cell distances up to large ones
+        for _ in range(10):
+            x, y = pair_with_chordal_sq(rng, 100, 23, sq)
+            want = distance_from_angles(
+                principal_angles_sine(x.basis, y.basis), GrassmannMetric.CHORDAL
+            )
+            got = distance(x, y, GrassmannMetric.CHORDAL)
+            assert abs(got - want) <= 1e-12 + 1e-9 * want, (got, want)
+            assert got == pytest.approx(math.sqrt(sq), rel=1e-6, abs=1e-12)
+
+    def test_distance_matrix_on_replicate_cells(self, rng):
+        base = [random_subspace(rng, 12, 3) for _ in range(3)]
+        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        points = base + [
+            Subspace(base[0].basis @ turn),
+            orthonormalize(base[1].basis + 1e-14),
+        ]
+        cells = CellSubspaceSet(points=tuple(points), nominal_rank=3, embedding_dim=12)
+        got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
+        for i, j in zip(*np.triu_indices(len(points), 1)):
+            want = distance_from_angles(
+                principal_angles_sine(points[i].basis, points[j].basis),
+                GrassmannMetric.CHORDAL,
+            )
+            assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (i, j)
+        assert got[0, 3] < 1e-13 and got[1, 4] < 1e-13
