@@ -3,7 +3,7 @@
 A point on Gr(n, r) is an r-dimensional linear subspace of R^n, stored as an
 orthonormal basis matrix. This module provides orthonormalization with
 numerical rank detection, principal angles between subspaces, and five
-principal-angle distance metrics.
+principal-angle distance metrics, per pair or for a batch of pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "PrincipalAngles",
     "orthonormalize",
     "principal_angles",
+    "block_distances",
     "distance",
     "distance_from_angles",
 ]
@@ -99,28 +100,35 @@ class Subspace:
 
 @dataclass(frozen=True)
 class PrincipalAngles:
-    """Principal angles between two subspaces, ascending, in [0, pi/2]."""
+    """Principal angles between two subspaces, ascending, in [0, pi/2].
+
+    A 2-d array holds a batch of pairs, one per row; the checks and the
+    metrics act along the last axis.
+    """
 
     angles: np.ndarray
 
     def __post_init__(self) -> None:
         angles = np.asarray(self.angles, dtype=float)
-        if angles.ndim != 1 or angles.size < 1:
-            raise ValueError("angles must be a nonempty 1-d array")
+        if angles.ndim not in (1, 2) or angles.size < 1:
+            raise ValueError("angles must be a nonempty 1-d or 2-d array")
         if angles.min() < -1e-12 or angles.max() > _HALF_PI + 1e-12:
             raise ValueError("principal angles must lie in [0, pi/2]")
-        if angles.size > 1 and (angles[1:] - angles[:-1]).min() < -1e-12:
+        if (
+            angles.shape[-1] > 1
+            and (angles[..., 1:] - angles[..., :-1]).min() < -1e-12
+        ):
             raise ValueError("principal angles must be sorted ascending")
         angles = np.minimum(np.maximum(angles, 0.0), _HALF_PI)
         angles.setflags(write=False)
         object.__setattr__(self, "angles", angles)
 
     def __len__(self) -> int:
-        return self.angles.size
+        return self.angles.shape[-1]
 
     @property
     def count(self) -> int:
-        return self.angles.size
+        return self.angles.shape[-1]
 
 
 def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Subspace:
@@ -159,6 +167,22 @@ def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return qx, qy
 
 
+def _needs_sines(cosines: np.ndarray, count: int | np.ndarray) -> np.ndarray:
+    """The cancellation guard, along the last axis: true where the largest
+    cosine exceeds 1 - _COSINE_GUARD or the squared chordal distance
+    count - sum(cos^2) falls below _CHORDAL_SQ_GUARD. A row holds `count`
+    cosines, descending, then zeros."""
+    return (cosines[..., 0] > 1.0 - _COSINE_GUARD) | (
+        count - np.sum(cosines**2, axis=-1) < _CHORDAL_SQ_GUARD
+    )
+
+
+def _martin_diverges(theta: np.ndarray) -> np.ndarray:
+    """True, along the last axis, where an angle is within _RIGHT_ANGLE_GUARD
+    of pi/2."""
+    return theta.max(axis=-1) >= _HALF_PI - _RIGHT_ANGLE_GUARD
+
+
 def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
     """Principal angles between x and y, ascending; min(rank_x, rank_y) values.
 
@@ -177,10 +201,7 @@ def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
     # Singular values are nonnegative and descending, so the angles ascend.
     cosines = np.minimum(np.linalg.svd(m, compute_uv=False), 1.0)
     theta = np.arccos(cosines)
-    if (
-        cosines[0] > 1.0 - _COSINE_GUARD
-        or cosines.size - cosines @ cosines < _CHORDAL_SQ_GUARD
-    ):
+    if _needs_sines(cosines, cosines.size):
         small = cosines**2 >= 0.5
         sines = np.linalg.svd(qy - qx @ m, compute_uv=False)[::-1]
         theta[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
@@ -190,29 +211,57 @@ def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
 
 def distance_from_angles(
     angles: PrincipalAngles | np.ndarray, metric: GrassmannMetric
-) -> float:
-    """Evaluate one of the five metrics on a vector of principal angles."""
-    if isinstance(angles, PrincipalAngles):
-        theta = angles.angles
-    else:
-        theta = PrincipalAngles(np.asarray(angles, dtype=float)).angles
+) -> float | np.ndarray:
+    """Evaluate one of the five metrics on principal angles: a float for a
+    vector of angles, one value per row for a batch."""
+    if not isinstance(angles, PrincipalAngles):
+        angles = PrincipalAngles(angles)
+    theta = angles.angles
     if metric is GrassmannMetric.GEODESIC:
-        return math.sqrt(theta @ theta)
+        return np.sqrt(np.sum(theta**2, axis=-1))
     if metric is GrassmannMetric.CHORDAL:
-        sines = np.sin(theta)
-        return math.sqrt(sines @ sines)
+        return np.sqrt(np.sum(np.sin(theta) ** 2, axis=-1))
     if metric is GrassmannMetric.FUBINI_STUDY:
-        product = float(np.clip(np.prod(np.cos(theta)), 0.0, 1.0))
-        return float(np.arccos(product))
+        return np.arccos(np.clip(np.prod(np.cos(theta), axis=-1), 0.0, 1.0))
     if metric is GrassmannMetric.MARTIN:
-        if theta.max() >= _HALF_PI - _RIGHT_ANGLE_GUARD:
+        if _martin_diverges(theta).any():
             raise MartinDivergentError(
                 "a principal angle is within 1e-9 of pi/2; the Martin metric diverges"
             )
-        return float(np.sqrt(-2.0 * np.sum(np.log(np.cos(theta)))))
+        return np.sqrt(-2.0 * np.sum(np.log(np.cos(theta)), axis=-1))
     if metric is GrassmannMetric.PROCRUSTES:
-        return float(2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2)))
+        return 2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2, axis=-1))
     raise ValueError(f"unhandled metric {metric!r}")
+
+
+def block_distances(
+    cross: np.ndarray, counts: np.ndarray, metric: GrassmannMetric
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances of a batch of pairs from their cross Gram blocks, one
+    batched SVD for all of them.
+
+    cross[p] is Qi^T Qj of pair p, zero-padded to a common r x r. Padding
+    only adds zero singular values, which sort last, so the first
+    counts[p] = min(ri, rj) are the pair's cosines. Returns the distances and
+    a mask of the pairs that fail the cancellation guard of principal_angles
+    or whose Martin distance diverges. Their distances read 0 and must be
+    recomputed with `distance`, which takes the sine path or raises.
+    """
+    r = cross.shape[-1]
+    real = np.arange(r) < counts[:, None]
+    singular = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)
+    redo = _needs_sines(np.where(real, singular, 0.0), counts)
+    # Each row is rotated so its padding comes first, as angles of 0: the
+    # row still ascends, and a zero angle adds nothing to any metric.
+    first = (np.arange(r) + counts[:, None]) % r
+    theta = np.arccos(np.take_along_axis(np.where(real, singular, 1.0), first, axis=-1))
+    if metric is GrassmannMetric.MARTIN:
+        redo |= _martin_diverges(theta)
+    values = np.zeros(counts.size)
+    if not redo.all():
+        keep = ~redo
+        values[keep] = distance_from_angles(PrincipalAngles(theta[keep]), metric)
+    return values, redo
 
 
 def distance(x: Subspace, y: Subspace, metric: GrassmannMetric) -> float:

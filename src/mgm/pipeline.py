@@ -16,11 +16,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AllColumnsZeroError, ConfigError, MartinDivergentError, MgmError
+from .errors import (
+    AllColumnsZeroError,
+    ConfigError,
+    DataError,
+    MartinDivergentError,
+    MgmError,
+)
 from .grassmann import (
     DEFAULT_RANK_TOL,
     GrassmannMetric,
     Subspace,
+    block_distances,
     distance,
     orthonormalize,
 )
@@ -42,6 +49,14 @@ __all__ = [
     "embed_multiscale",
     "run_mgm",
 ]
+
+# Subspaces per tile of the batched angle kernel in distance_matrix. A tile
+# pair's cross Gram holds (8 r)^2 floats, 270 KB at the setup1 rank of 23,
+# and its SVD runs on up to 64 blocks at once. On the M = 200 setup1
+# benchmark input (1 BLAS thread) a run's peak RSS stayed at ~75 MB, as with
+# one SVD per pair; 16-subspace tiles raised it by 2.5 MB for no clear
+# speed-up, and one padded stack of all M bases would grow with M.
+_TILE_SUBSPACES = 8
 
 
 @dataclass(frozen=True)
@@ -76,10 +91,16 @@ class CellSubspaceSet:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative pairwise distances with a zero diagonal."""
+    """Symmetric nonnegative pairwise distances with a zero diagonal.
+
+    guarded_pairs counts the pairs distance_matrix recomputed one by one
+    after the batched kernel could not be trusted on them (0 for chordal,
+    which has no batch, and for a matrix read from a file).
+    """
 
     values: np.ndarray
     metric: GrassmannMetric
+    guarded_pairs: int = 0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -143,19 +164,87 @@ def build_subspaces(
     return CellSubspaceSet(points=tuple(points), nominal_rank=p, embedding_dim=n)
 
 
+def _pair_distance(
+    points: tuple[Subspace, ...], i: int, j: int, metric: GrassmannMetric
+) -> float:
+    try:
+        return distance(points[i], points[j], metric)
+    except MartinDivergentError as err:
+        raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
+
+
+def _padded_tile(points: tuple[Subspace, ...], start: int, width: int) -> np.ndarray:
+    """The bases of up to _TILE_SUBSPACES points from `start`, side by side,
+    each padded with zero columns to `width`."""
+    tile = points[start : start + _TILE_SUBSPACES]
+    out = np.zeros((tile[0].ambient_dim, len(tile) * width))
+    for t, sub in enumerate(tile):
+        out[:, t * width : t * width + sub.rank] = sub.basis
+    return out
+
+
+def _angle_distances(
+    cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
+) -> int:
+    """Fill the strict upper triangle of `out` tile pair by tile pair and
+    return how many pairs were recomputed one by one.
+
+    One GEMM of two padded tiles gives every cross block Qi^T Qj of the tile
+    pair; grassmann.block_distances turns them into distances with one
+    batched SVD. The pairs it flags are recomputed with grassmann.distance
+    after each row of tiles, in lexicographic order, so a Martin divergence
+    names the first offending pair as a pair-by-pair loop would.
+    """
+    points, r, m = cells.points, cells.nominal_rank, len(cells)
+    ranks = np.array([sub.rank for sub in points])
+    redone = 0
+    for lo in range(0, m, _TILE_SUBSPACES):
+        left = _padded_tile(points, lo, r)
+        a = left.shape[1] // r
+        redo: list[tuple[int, int]] = []
+        for hi in range(lo, m, _TILE_SUBSPACES):
+            right = left if hi == lo else _padded_tile(points, hi, r)
+            b = right.shape[1] // r
+            cross = (left.T @ right).reshape(a, r, b, r).swapaxes(1, 2)
+            if hi == lo:
+                ti, tj = np.triu_indices(a, 1)
+            else:
+                ti, tj = np.indices((a, b)).reshape(2, -1)
+            if ti.size == 0:
+                continue
+            i, j = lo + ti, hi + tj
+            values, flagged = block_distances(
+                cross[ti, tj], np.minimum(ranks[i], ranks[j]), metric
+            )
+            out[i, j] = values
+            redo.extend(zip(i[flagged].tolist(), j[flagged].tolist()))
+        for i, j in sorted(redo):
+            out[i, j] = _pair_distance(points, i, j, metric)
+        redone += len(redo)
+    return redone
+
+
 def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> DistanceMatrix:
     """All pairwise subspace distances, computed on the strict upper triangle
-    and mirrored."""
+    and mirrored.
+
+    Chordal takes one residual per pair (grassmann.distance), which needs no
+    SVD. The four angle metrics run as tiled, batched SVDs of the cross
+    blocks Qi^T Qj (_angle_distances); only the pairs that fail the
+    cancellation guard, or whose Martin distance diverges, go through
+    grassmann.distance, and the matrix counts them as guarded_pairs.
+    """
     m = len(cells)
     out = np.zeros((m, m))
-    for i in range(m - 1):
-        for j in range(i + 1, m):
-            try:
-                out[i, j] = distance(cells.points[i], cells.points[j], metric)
-            except MartinDivergentError as err:
-                raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
+    guarded = 0
+    if metric is GrassmannMetric.CHORDAL:
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                out[i, j] = _pair_distance(cells.points, i, j, metric)
+    else:
+        guarded = _angle_distances(cells, metric, out)
     out = out + out.T
-    return DistanceMatrix(values=out, metric=metric)
+    return DistanceMatrix(values=out, metric=metric, guarded_pairs=guarded)
 
 
 @dataclass(frozen=True)
@@ -170,6 +259,7 @@ class RunReport:
     scale_count: int
     nominal_rank: int
     rank_reduced_cells: int
+    guarded_pairs: int
     metric: str
     seed: int
     stage_seconds: dict[str, float]
@@ -184,6 +274,7 @@ class RunReport:
             "scale_count": self.scale_count,
             "nominal_rank": self.nominal_rank,
             "rank_reduced_cells": self.rank_reduced_cells,
+            "guarded_pairs": self.guarded_pairs,
             "metric": self.metric,
             "seed": self.seed,
             "stage_seconds": dict(self.stage_seconds),
@@ -221,6 +312,16 @@ def embed_multiscale(
     """
     timings = {} if timings is None else timings
     m = values.shape[0]
+    if m > 1:
+        # Column extremes rather than values - values[0], so no second M x N
+        # array is held. Proportional count rows land here after
+        # normalization, equal to within rounding.
+        high, low = values.max(axis=0), values.min(axis=0)
+        if np.max(high - low) <= 1e-12 * np.max(np.maximum(high, -low)):
+            raise DataError(
+                f"all {m} samples are identical after preprocessing; "
+                "there is no structure to embed"
+            )
 
     with _stage("scales", timings):
         spec = cfg.scales
@@ -283,6 +384,7 @@ def run_mgm(
         scale_count=len(stack.scales),
         nominal_rank=cells.nominal_rank,
         rank_reduced_cells=cells.rank_reduced_count,
+        guarded_pairs=dmat.guarded_pairs,
         metric=cfg.metric.value,
         seed=cfg.seeds[0],
         stage_seconds=timings,

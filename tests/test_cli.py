@@ -166,6 +166,26 @@ def test_duplicate_cells_embed(tmp_path, command):
         assert np.all(np.isfinite(dmat.values))
 
 
+@pytest.mark.parametrize("command", ["embed", "mgm", "pipeline"])
+@pytest.mark.parametrize("rows", ["constant", "proportional"])
+def test_identical_samples_exit_3(tmp_path, capsys, command, rows):
+    # Proportional count rows become equal under median-total normalization,
+    # up to rounding.
+    counts = np.ones((30, 40), dtype=np.int64)
+    if rows == "proportional":
+        profile = np.random.default_rng(0).integers(1, 9, size=40)
+        counts = np.arange(1, 31)[:, None] * profile
+    data = tmp_path / "counts.csv"
+    np.savetxt(data, counts, delimiter=",", fmt="%d")
+    argv = [command, "--preset", "setup2-tiny", "--data", str(data),
+            "--out-dir", str(tmp_path / "out")]
+    if command == "pipeline":
+        argv += ["--k", "2"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "data error: all 30 samples are identical after preprocessing" in err
+
+
 class TestMgmCommand:
     def test_distance_matrix_outputs(self, workspace):
         tmp_path, data, _, config, _ = workspace
@@ -185,6 +205,7 @@ class TestMgmCommand:
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["scales"] == [3, 5, 6, 8]
         assert report["sample_count"] == 36
+        assert report["guarded_pairs"] == 0  # chordal has no guard
         assert set(report["stage_seconds"]) == {
             "scales", "pca", "embed", "subspaces", "distances",
         }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from mgm.grassmann import (
     orthonormalize,
     principal_angles,
 )
-from mgm.pipeline import CellSubspaceSet, distance_matrix
+from mgm import pipeline
+from mgm.mdr import EmbeddingStack
+from mgm.pipeline import CellSubspaceSet, _angle_distances, build_subspaces, distance_matrix
+from mgm.scales import ScaleSet
 
 from conftest import random_subspace
 from oracles import (
@@ -72,6 +76,12 @@ class TestSubspaceTypes:
             PrincipalAngles(np.array([2.0]))
         ok = PrincipalAngles(np.array([0.1, 0.2, 0.2]))
         assert len(ok) == 3
+        # a batch is checked row by row
+        with pytest.raises(ValueError, match="ascending"):
+            PrincipalAngles(np.array([[0.1, 0.2], [0.5, 0.2]]))
+        with pytest.raises(ValueError):
+            PrincipalAngles(np.full((2, 2, 2), 0.1))
+        assert len(PrincipalAngles(np.array([[0.0, 0.2], [0.1, 0.3]]))) == 2
 
 
 class TestOrthonormalize:
@@ -247,6 +257,16 @@ class TestMetricValues:
         theta = np.zeros(3)
         for metric in ALL_METRICS:
             assert distance_from_angles(theta, metric) == 0.0
+
+    def test_batch_rows_match_vectors_and_ignore_leading_zeros(self, rng):
+        rows = [np.sort(rng.uniform(0.0, 1.5, 3)) for _ in range(5)]
+        batch = np.array([np.concatenate([np.zeros(2), row]) for row in rows])
+        for metric in ALL_METRICS:
+            got = distance_from_angles(batch, metric)
+            assert got.shape == (5,)
+            for value, row in zip(got, rows):
+                want = distance_from_angles(row, metric)
+                assert abs(value - want) <= 1e-15 * max(1.0, want)
 
     def test_parse_accepts_spellings(self):
         assert GrassmannMetric.parse("Chordal") is GrassmannMetric.CHORDAL
@@ -505,3 +525,132 @@ class TestChordalResidual:
             )
             assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (i, j)
         assert got[0, 3] < 1e-13 and got[1, 4] < 1e-13
+
+
+ANGLE_METRICS = [m for m in GrassmannMetric if m is not GrassmannMetric.CHORDAL]
+
+
+def per_pair_spy(monkeypatch, points):
+    """Record the (i, j) of every pair distance_matrix hands to
+    grassmann.distance."""
+    index = {id(p): k for k, p in enumerate(points)}
+    calls = []
+    real = pipeline.distance
+
+    def spy(x, y, metric):
+        calls.append((index[id(x)], index[id(y)]))
+        return real(x, y, metric)
+
+    monkeypatch.setattr(pipeline, "distance", spy)
+    return calls
+
+
+def assert_matrix_matches(points, metric, got):
+    """Every pair agrees with grassmann.distance and with the sine oracle."""
+    for i, j in zip(*np.triu_indices(len(points), 1)):
+        x, y = points[i], points[j]
+        for want in (
+            distance(x, y, metric),
+            distance_from_angles(principal_angles_sine(x.basis, y.basis), metric),
+        ):
+            assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (metric, i, j)
+    assert np.array_equal(got, got.T)
+    assert np.all(np.diag(got) == 0.0)
+
+
+def cells_of(points):
+    n = points[0].ambient_dim
+    rank = max(p.rank for p in points)
+    return CellSubspaceSet(points=tuple(points), nominal_rank=rank, embedding_dim=n)
+
+
+class TestBatchedAngleKernel:
+    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    def test_rank_reduced_and_replicate_cells(self, rng, metric, monkeypatch):
+        # 21 samples, not a multiple of the tile. Samples 2, 9 and 17 repeat
+        # a scale (rank 3), 5 and 13 repeat one row at every scale (rank 1);
+        # 20 repeats 3, and 19 holds 4's features in another basis.
+        emb = [rng.standard_normal((21, 12)) for _ in range(4)]
+        for i in (2, 9, 17):
+            emb[1][i] = emb[0][i]
+        for i in (5, 13):
+            for e in emb[1:]:
+                e[i] = emb[0][i]
+        for e in emb:
+            e[20] = e[3]
+        emb[0][19] = emb[0][4] + emb[1][4]
+        for e in emb[1:]:
+            e[19] = e[4]
+        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4, 5)), embeddings=tuple(emb))
+        cells = build_subspaces(stack)
+        assert [p.rank for p in cells.points].count(3) == 3
+        assert [p.rank for p in cells.points].count(1) == 2
+        calls = per_pair_spy(monkeypatch, cells.points)
+        dmat = distance_matrix(cells, metric)
+        assert_matrix_matches(cells.points, metric, dmat.values)
+        assert calls == [(3, 20), (4, 19)]
+        assert dmat.guarded_pairs == 2
+
+    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    def test_either_side_of_both_guards(self, rng, metric, monkeypatch):
+        chordal = [
+            math.asin(math.sqrt(_CHORDAL_SQ_GUARD * (1.0 + side * 1e-3) / 3.0))
+            for side in (-1, 1)
+        ]
+        cosine = [math.acos(1.0 - _COSINE_GUARD * (1.0 - side * 1e-3)) for side in (-1, 1)]
+        points = [random_subspace(rng, 12, 3 + k % 2) for k in range(19)]
+        placed = {
+            (0, 9): pair_with_angles(rng, 12, 3, 4, [chordal[0]] * 3),  # below
+            (1, 10): pair_with_angles(rng, 12, 3, 4, [chordal[1]] * 3),
+            (2, 17): pair_with_angles(rng, 12, 3, 3, [cosine[1], 0.7, 1.3]),  # above
+            (3, 11): pair_with_angles(rng, 12, 3, 3, [cosine[0], 0.7, 1.3]),
+        }
+        for (i, j), (x, y) in placed.items():
+            points[i], points[j] = x, y
+        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        points[18] = Subspace(points[4].basis @ turn)  # a replicate cell
+        points[12] = Subspace(points[5].basis.copy())  # an exact duplicate
+        calls = per_pair_spy(monkeypatch, points)
+        dmat = distance_matrix(cells_of(points), metric)
+        assert_matrix_matches(points, metric, dmat.values)
+        assert calls == [(0, 9), (2, 17), (4, 18), (5, 12)]
+        assert dmat.guarded_pairs == 4
+
+    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    @pytest.mark.parametrize("m", [1, 2, 8, 9])
+    def test_small_and_ragged_sizes(self, rng, metric, m):
+        points = [random_subspace(rng, 7, 1 + k % 3) for k in range(m)]
+        dmat = distance_matrix(cells_of(points), metric)
+        assert dmat.values.shape == (m, m)
+        assert_matrix_matches(points, metric, dmat.values)
+        assert dmat.guarded_pairs == 0
+
+    def test_near_right_angles(self, rng):
+        points = [random_subspace(rng, 10, 2) for _ in range(20)]
+        # (3, 4) shares a tile, (2, 17) does not; (2, 17) comes first
+        for i, j in ((3, 4), (2, 17)):
+            points[i], points[j] = pair_with_angles(rng, 10, 2, 2, [0.4, math.pi / 2 - 1e-12])
+        cells = cells_of(points)
+        for metric in ANGLE_METRICS:
+            if metric is GrassmannMetric.MARTIN:
+                with pytest.raises(MartinDivergentError, match=r"pair \(2, 17\)"):
+                    distance_matrix(cells, metric)
+            else:
+                dmat = distance_matrix(cells, metric)
+                assert_matrix_matches(points, metric, dmat.values)
+
+    def test_working_set_does_not_grow_with_the_sample_count(self, rng):
+        def peak(m):
+            cells = cells_of([random_subspace(rng, 40, 6) for _ in range(m)])
+            out = np.zeros((m, m))
+            tracemalloc.start()
+            try:
+                _angle_distances(cells, GrassmannMetric.GEODESIC, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(24), peak(96)
+        # a tile pair's cross Gram, (8 x 6)^2 floats, and a few of its size
+        assert small < 20 * 48**2 * 8
+        assert large < small + 4096

@@ -10,6 +10,7 @@ from mgm.errors import (
 )
 from mgm.grassmann import GrassmannMetric, distance
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, MdrMethod, build_stack
+from mgm import pipeline
 from mgm.pipeline import (
     CellSubspaceSet,
     DistanceMatrix,
@@ -131,8 +132,12 @@ class TestDistanceMatrix:
                 assert dmat.values[i, i] == 0.0
                 for j in range(i + 1, 9):
                     want = distance(cells.points[i], cells.points[j], metric)
-                    assert dmat.values[i, j] == want
-                    assert dmat.values[j, i] == want
+                    if metric is GrassmannMetric.CHORDAL:
+                        assert dmat.values[i, j] == want
+                    else:
+                        # a batched SVD, not one per pair: equal up to rounding
+                        assert abs(dmat.values[i, j] - want) <= 1e-12 + 1e-9 * want
+                    assert dmat.values[j, i] == dmat.values[i, j]
 
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
@@ -238,6 +243,26 @@ class TestRunMgm:
         }
         payload = report.to_dict()
         assert payload["scales"] == [3, 6, 9, 12]
+
+    def test_report_counts_guarded_pairs(self, monkeypatch):
+        # two replicate cells among blob samples: their pair fails the guard
+        x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
+        x[[17, 33]] = x[[4, 9]]
+        calls = []
+        real = pipeline.distance
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "distance", spy)
+        _, dmat, report, _ = run_mgm(x, self.make_config(metric=GrassmannMetric.GEODESIC))
+        assert report.guarded_pairs == dmat.guarded_pairs == len(calls) >= 2
+        assert report.to_dict()["guarded_pairs"] == len(calls)
+        calls.clear()
+        _, _, report, _ = run_mgm(x, self.make_config())
+        assert len(calls) == 40 * 39 // 2
+        assert report.guarded_pairs == 0
 
     def test_max_scale_clamped_to_sample_count(self):
         x, _ = make_blobs(m=20, d=10, sep=6.0, seed=4)
