@@ -46,7 +46,6 @@ from .mdr import (
     MdrMethod,
     build_stack,
     laplacian_eigenmaps,
-    mdr_embed,
     pca_reduce,
 )
 from .metrics import EvaluationReport, accuracy, ari, avg_purity, evaluate, nmi, purity

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateAffinityError, DegenerateEmbeddingError
+from .mdr import _fix_column_signs, _normalized_laplacian
 from .pipeline import DistanceMatrix
 
 __all__ = [
@@ -193,9 +194,7 @@ def spectral_cluster(d: DistanceMatrix, k: int, seed: int = 0) -> ClusteringResu
             "median pairwise distance is zero; the affinity scale is undefined"
         )
     affinity = np.exp(-(d.values**2) / (2.0 * sigma**2))
-    degree = affinity.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    lap = np.eye(m) - affinity * np.outer(inv_sqrt, inv_sqrt)
+    lap, _ = _normalized_laplacian(affinity)
     _, vecs = np.linalg.eigh(lap)
     emb = vecs[:, :k].copy()
     norms = np.linalg.norm(emb, axis=1)
@@ -215,7 +214,6 @@ def classical_mds(d_values: np.ndarray, dim: int) -> np.ndarray:
     The result may have fewer than dim columns; signs are fixed per column.
     """
     d = np.asarray(d_values, dtype=float)
-    m = d.shape[0]
     b = -0.5 * (d**2)
     b = b - b.mean(axis=0)[None, :]
     b = b - b.mean(axis=1)[:, None]
@@ -223,13 +221,7 @@ def classical_mds(d_values: np.ndarray, dim: int) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(b)
     order = np.argsort(eigvals)[::-1]
     keep = [i for i in order[:dim] if eigvals[i] > 0.0]
-    coords = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    if coords.shape[1] == 0:
-        return np.empty((m, 0))
-    idx = np.argmax(np.abs(coords), axis=0)
-    signs = np.sign(coords[idx, np.arange(coords.shape[1])])
-    signs[signs == 0] = 1.0
-    return coords * signs
+    return _fix_column_signs(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
 
 
 def kmeans_on_distances(

@@ -126,10 +126,6 @@ class PrincipalAngles:
     def __len__(self) -> int:
         return self.angles.shape[-1]
 
-    @property
-    def count(self) -> int:
-        return self.angles.shape[-1]
-
 
 def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Return the span of the given columns as a Subspace.

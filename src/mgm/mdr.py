@@ -1,9 +1,9 @@
 """Embedding backends that turn a samples-by-features matrix into one
 low-dimensional embedding per neighborhood scale.
 
-Three backends are provided: Laplacian eigenmaps (the scale sets the kNN
-graph size), a PCA baseline that ignores the scale entirely, and an external
-loader that reads one precomputed embedding file per scale.
+Two backends are provided: Laplacian eigenmaps (the scale sets the kNN
+graph size) and an external loader that reads one precomputed embedding file
+per scale.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "EmbeddingStack",
     "pca_reduce",
     "laplacian_eigenmaps",
-    "mdr_embed",
     "build_stack",
 ]
 
@@ -70,7 +69,6 @@ _NEIGHBOR_BLOCK_ROWS = 256
 
 class MdrMethod(enum.Enum):
     LAPLACIAN_EIGENMAPS = "laplacian"
-    PCA_BASELINE = "pca"
     EXTERNAL = "external"
 
     @classmethod
@@ -79,8 +77,6 @@ class MdrMethod(enum.Enum):
         aliases = {
             "laplacian": cls.LAPLACIAN_EIGENMAPS,
             "laplacianeigenmaps": cls.LAPLACIAN_EIGENMAPS,
-            "pca": cls.PCA_BASELINE,
-            "pcabaseline": cls.PCA_BASELINE,
             "external": cls.EXTERNAL,
         }
         if key not in aliases:
@@ -290,6 +286,13 @@ def _knn_edges(
     return rows, cols, weights
 
 
+def _normalized_laplacian(affinity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I - D^(-1/2) W D^(-1/2) of a dense affinity W with row sums D, and
+    D^(-1/2)."""
+    inv_sqrt = 1.0 / np.sqrt(affinity.sum(axis=1))
+    return np.eye(affinity.shape[0]) - affinity * np.outer(inv_sqrt, inv_sqrt), inv_sqrt
+
+
 def _lanczos_bottom_eigenvectors(
     rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, m: int, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +373,7 @@ def laplacian_eigenmaps(
         dense[rows, cols] = weights
         dense += _BACKGROUND_AFFINITY
         np.fill_diagonal(dense, 0.0)
-        inv_sqrt = 1.0 / np.sqrt(dense.sum(axis=1))
-        lap = np.eye(m) - dense * np.outer(inv_sqrt, inv_sqrt)
+        lap, inv_sqrt = _normalized_laplacian(dense)
         if subset:
             _, vecs = scipy.linalg.eigh(lap, subset_by_index=[0, dim])
         else:
@@ -403,35 +405,20 @@ def _load_external_embedding(
     return values
 
 
-def mdr_embed(x: np.ndarray, scale: int, spec: MdrBackendSpec) -> np.ndarray:
-    """Embed x at one scale with the configured backend. The PCA baseline
-    ignores the scale; the external backend reads a precomputed file."""
-    x = np.asarray(x, dtype=float)
-    if spec.method is MdrMethod.LAPLACIAN_EIGENMAPS:
-        return laplacian_eigenmaps(x, scale, spec.embedding_dim)
-    if spec.method is MdrMethod.PCA_BASELINE:
-        return pca_reduce(x, spec.embedding_dim)
-    if spec.method is MdrMethod.EXTERNAL:
-        assert spec.external_pattern is not None
-        return _load_external_embedding(
-            spec.external_pattern, scale, x.shape[0], spec.embedding_dim
-        )
-    raise ValueError(f"unhandled method {spec.method!r}")
-
-
 def build_stack(x: np.ndarray, scales: ScaleSet, spec: MdrBackendSpec) -> EmbeddingStack:
-    """Run the backend once per scale; backend errors are re-raised with the
-    offending scale in the message. Laplacian eigenmaps share one neighbor
-    graph, built for the largest scale, across all scales."""
+    """Embed x once per scale: Laplacian eigenmaps on one neighbor graph built
+    for the largest scale, or one external file per scale. Backend errors are
+    re-raised with the offending scale in the message."""
     x = np.asarray(x, dtype=float)
-    graph = None
-    if spec.method is MdrMethod.LAPLACIAN_EIGENMAPS:
-        graph = _neighbor_graph(x, max(scales))
+    external = spec.method is MdrMethod.EXTERNAL
+    graph = None if external else _neighbor_graph(x, max(scales))
     embeddings = []
     for scale in scales:
         try:
-            if graph is None:
-                emb = mdr_embed(x, scale, spec)
+            if external:
+                emb = _load_external_embedding(
+                    spec.external_pattern, scale, x.shape[0], spec.embedding_dim
+                )
             else:
                 emb = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
         except MgmError as err:

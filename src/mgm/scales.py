@@ -74,10 +74,6 @@ class ScaleSet:
                     "deduplication can only shrink the sample count"
                 )
 
-    @property
-    def count(self) -> int:
-        return len(self.scales)
-
     def __len__(self) -> int:
         return len(self.scales)
 

@@ -77,6 +77,8 @@ class TestFromMapping:
             {"clustering.k": "0"},
             {"metric": "hamming"},
             {"embedding.method": "tsne"},
+            {"embedding.method": "pca"},
+            {"clustering.method": "kmeans"},
             {"scales.min": "1"},
             {"scales.power": "-1"},
             {"preprocess.normalize": "maybe"},

@@ -272,6 +272,12 @@ class TestExportScatter:
         assert coords.shape == (6, 2)
         assert np.max(np.abs(coords[:, 1])) < 1e-6
 
+    def test_no_positive_eigenvalue_pads_both_axes(self, tmp_path):
+        path = tmp_path / "scatter.csv"
+        coords = export_scatter(self.euclidean(np.zeros((4, 2))), None, path)
+        assert np.array_equal(coords, np.zeros((4, 2)))
+        assert path.read_text().splitlines()[1:] == ["0,0,"] * 4
+
     def test_too_few_samples(self, tmp_path):
         points = np.zeros((2, 2))
         points[1] = 1.0

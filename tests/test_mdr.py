@@ -12,7 +12,6 @@ from mgm.mdr import (
     MdrMethod,
     build_stack,
     laplacian_eigenmaps,
-    mdr_embed,
     pca_reduce,
 )
 from mgm.pipeline import build_subspaces, distance_matrix
@@ -336,14 +335,13 @@ class TestBackendSpec:
     def test_parse_method_aliases(self):
         assert MdrMethod.parse("laplacian") is MdrMethod.LAPLACIAN_EIGENMAPS
         assert MdrMethod.parse("Laplacian-Eigenmaps") is MdrMethod.LAPLACIAN_EIGENMAPS
-        assert MdrMethod.parse("PCA") is MdrMethod.PCA_BASELINE
         assert MdrMethod.parse("external") is MdrMethod.EXTERNAL
         with pytest.raises(ValueError):
             MdrMethod.parse("umap")
 
     def test_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            MdrBackendSpec(MdrMethod.PCA_BASELINE, embedding_dim=1)
+            MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=1)
 
     def test_external_needs_scale_placeholder(self):
         with pytest.raises(ValueError):
@@ -368,8 +366,8 @@ class TestExternalBackend:
             embedding_dim=3,
             external_pattern=str(tmp_path / "emb_{scale}.csv"),
         )
-        got = mdr_embed(np.zeros((8, 2)), scale=5, spec=spec)
-        assert np.allclose(got, want, atol=1e-15)
+        stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
+        assert np.allclose(stack.embeddings[0], want, atol=1e-15)
 
     def test_missing_file_raises(self, tmp_path):
         spec = MdrBackendSpec(
@@ -378,7 +376,7 @@ class TestExternalBackend:
             external_pattern=str(tmp_path / "emb_{scale}.csv"),
         )
         with pytest.raises(DataError, match="scale 7"):
-            mdr_embed(np.zeros((8, 2)), scale=7, spec=spec)
+            build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
 
     def test_unreadable_file_raises(self, tmp_path):
         (tmp_path / "emb_7.csv").mkdir()
@@ -388,7 +386,7 @@ class TestExternalBackend:
             external_pattern=str(tmp_path / "emb_{scale}.csv"),
         )
         with pytest.raises(DataError, match="cannot read embedding file for scale 7"):
-            mdr_embed(np.zeros((8, 2)), scale=7, spec=spec)
+            build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
 
     def test_wrong_shape_raises(self, tmp_path, rng):
         path = tmp_path / "emb_5.csv"
@@ -399,7 +397,7 @@ class TestExternalBackend:
             external_pattern=str(tmp_path / "emb_{scale}.csv"),
         )
         with pytest.raises(DataError, match="shape"):
-            mdr_embed(np.zeros((8, 2)), scale=5, spec=spec)
+            build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
 
 
 class TestBuildStack:
@@ -413,13 +411,6 @@ class TestBuildStack:
         assert stack.embedding_dim == 4
         for scale, emb in zip(scales, stack.embeddings):
             assert np.array_equal(emb, laplacian_eigenmaps(x, scale, 4))
-
-    def test_pca_backend_ignores_scale(self):
-        x, _ = two_blob_data(m=25)
-        scales = ScaleSet(scales=(3, 9))
-        spec = MdrBackendSpec(MdrMethod.PCA_BASELINE, embedding_dim=3)
-        stack = build_stack(x, scales, spec)
-        assert np.array_equal(stack.embeddings[0], stack.embeddings[1])
 
     def test_error_names_offending_scale(self):
         x, _ = two_blob_data(m=10)
