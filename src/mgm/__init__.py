@@ -8,12 +8,10 @@ clusters on the resulting distance matrix.
 
 from .clustering import (
     ClusteringMethod,
-    ClusteringResult,
     classical_mds,
     cluster_distances,
     kmeans,
     kmeans_euclidean,
-    kmeans_on_distances,
     spectral_cluster,
 )
 from .config import PRESETS, PipelineConfig, load_config

@@ -189,15 +189,15 @@ def _cmd_mgm(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     dmat, _ = load_distance_matrix(args.distances)
     try:
         method = ClusteringMethod.parse(args.method)
-        result = cluster_distances(
-            dmat, method, args.k, seed=args.seed or 0, mds_dim=args.mds_dim
-        )
+        (labels,) = cluster_distances(dmat, method, args.k, (args.seed,), args.mds_dim)
     except ValueError as err:
         raise ConfigError(str(err))
-    _write_text("\n".join(str(int(v)) for v in result.labels) + "\n", args.out)
+    _write_text("\n".join(str(int(v)) for v in labels) + "\n", args.out)
     return 0
 
 

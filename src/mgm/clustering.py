@@ -2,14 +2,15 @@
 
 Two routes are provided: spectral clustering on a Gaussian affinity built
 from the distances, and k-means on a classical multidimensional-scaling
-embedding of the distances. The k-means core is shared and fully
-deterministic given a seed.
+embedding of the distances. Each route embeds the matrix once, without a
+seed; the shared k-means core then runs per seed and is fully deterministic
+given one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,11 +20,9 @@ from .pipeline import DistanceMatrix
 
 __all__ = [
     "ClusteringMethod",
-    "ClusteringResult",
     "kmeans",
     "kmeans_euclidean",
     "spectral_cluster",
-    "kmeans_on_distances",
     "cluster_distances",
     "classical_mds",
 ]
@@ -36,7 +35,6 @@ _KMEANS_REL_TOL = 1e-6
 class ClusteringMethod(enum.Enum):
     SPECTRAL = "spectral"
     KMEANS_MDS = "kmeans-mds"
-    KMEANS_EUCLIDEAN = "kmeans"
 
     @classmethod
     def parse(cls, name: str) -> "ClusteringMethod":
@@ -48,31 +46,6 @@ class ClusteringMethod(enum.Enum):
             f"unknown clustering method {name!r}; expected one of "
             + ", ".join(m.value for m in cls)
         )
-
-
-@dataclass(frozen=True)
-class ClusteringResult:
-    """Integer labels in [0, k) for every sample, plus how they were made."""
-
-    labels: np.ndarray
-    k: int
-    method: ClusteringMethod
-    seed: int
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=int)
-        if labels.ndim != 1 or labels.size < 1:
-            raise ValueError("labels must be a nonempty 1-d array")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if labels.min() < 0 or labels.max() >= self.k:
-            raise ValueError(f"labels must lie in [0, {self.k})")
-        labels = labels.copy()
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return self.labels.size
 
 
 def _sq_dists_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -163,30 +136,20 @@ def kmeans(
     return best_labels, best_inertia
 
 
-def kmeans_euclidean(
-    points: np.ndarray, k: int, seed: int = 0
-) -> ClusteringResult:
-    """k-means directly on coordinates; the baseline route."""
-    labels, _ = kmeans(points, k, seed)
-    return ClusteringResult(
-        labels=labels, k=k, method=ClusteringMethod.KMEANS_EUCLIDEAN, seed=seed
-    )
+def kmeans_euclidean(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """k-means labels directly on coordinates; the baseline route."""
+    return kmeans(points, k, seed)[0]
 
 
-def spectral_cluster(d: DistanceMatrix, k: int, seed: int = 0) -> ClusteringResult:
-    """Normalized spectral clustering of a distance matrix.
+def spectral_cluster(d: DistanceMatrix, k: int) -> np.ndarray:
+    """Spectral embedding of a distance matrix for k clusters.
 
     The affinity is exp(-d^2 / (2 sigma^2)) with sigma the median
-    off-diagonal distance. Rows of the bottom-k eigenvectors of the
-    symmetric normalized Laplacian are unit-normalized and fed to k-means.
+    off-diagonal distance. Returns the rows of the bottom-k eigenvectors of
+    the symmetric normalized Laplacian, unit-normalized (Ng, Jordan & Weiss
+    2001); k-means on them gives the clusters.
     """
     m = d.size
-    if not 1 <= k <= m:
-        raise ConfigError(f"k must lie in [1, {m}], got {k}")
-    if k == 1:
-        return ClusteringResult(
-            labels=np.zeros(m, dtype=int), k=1, method=ClusteringMethod.SPECTRAL, seed=seed
-        )
     off_diag = d.values[~np.eye(m, dtype=bool)]
     sigma = float(np.median(off_diag))
     if sigma <= 0.0:
@@ -200,10 +163,7 @@ def spectral_cluster(d: DistanceMatrix, k: int, seed: int = 0) -> ClusteringResu
     norms = np.linalg.norm(emb, axis=1)
     nonzero = norms > 0
     emb[nonzero] /= norms[nonzero, None]
-    labels, _ = kmeans(emb, k, seed)
-    return ClusteringResult(
-        labels=labels, k=k, method=ClusteringMethod.SPECTRAL, seed=seed
-    )
+    return emb
 
 
 def classical_mds(d_values: np.ndarray, dim: int) -> np.ndarray:
@@ -224,49 +184,36 @@ def classical_mds(d_values: np.ndarray, dim: int) -> np.ndarray:
     return _fix_column_signs(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
 
 
-def kmeans_on_distances(
-    d: DistanceMatrix, k: int, seed: int = 0, embed_dim: int | None = None
-) -> ClusteringResult:
-    """k-means on a classical-MDS embedding of the distance matrix.
+def cluster_distances(
+    d: DistanceMatrix,
+    method: ClusteringMethod,
+    k: int,
+    seeds: Sequence[int],
+    mds_dim: int | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Labels in [0, k) for every seed, from one embedding of the matrix.
 
-    embed_dim defaults to k. A matrix whose centered squared distances have
-    no positive eigenvalue cannot be embedded and is rejected.
+    The embedding does not depend on the seed, so it is computed once: the
+    spectral embedding, or classical MDS coordinates in mds_dim dimensions
+    (default k, at most M - 1). Only k-means runs per seed. A matrix whose
+    centered squared distances have no positive eigenvalue cannot be
+    embedded by MDS and is rejected.
     """
     m = d.size
     if not 1 <= k <= m:
         raise ConfigError(f"k must lie in [1, {m}], got {k}")
     if k == 1:
-        return ClusteringResult(
-            labels=np.zeros(m, dtype=int), k=1, method=ClusteringMethod.KMEANS_MDS, seed=seed
-        )
-    if embed_dim is None:
-        embed_dim = min(k, m - 1)
-    if not 1 <= embed_dim <= m - 1:
-        raise ConfigError(f"embed_dim must lie in [1, {m - 1}], got {embed_dim}")
-    coords = classical_mds(d.values, embed_dim)
-    if coords.shape[1] == 0:
-        raise DegenerateEmbeddingError(
-            "no positive eigenvalue in the centered squared distances; "
-            "the matrix admits no Euclidean embedding"
-        )
-    labels, _ = kmeans(coords, k, seed)
-    return ClusteringResult(
-        labels=labels, k=k, method=ClusteringMethod.KMEANS_MDS, seed=seed
-    )
-
-
-def cluster_distances(
-    d: DistanceMatrix,
-    method: ClusteringMethod,
-    k: int,
-    seed: int = 0,
-    mds_dim: int | None = None,
-) -> ClusteringResult:
-    """Dispatch to the clustering route that consumes a distance matrix."""
+        return tuple(np.zeros(m, dtype=int) for _ in seeds)
     if method is ClusteringMethod.SPECTRAL:
-        return spectral_cluster(d, k, seed)
-    if method is ClusteringMethod.KMEANS_MDS:
-        return kmeans_on_distances(d, k, seed, embed_dim=mds_dim)
-    raise ConfigError(
-        f"method {method.value!r} needs coordinates; choose 'spectral' or 'kmeans-mds'"
-    )
+        points = spectral_cluster(d, k)
+    else:
+        dim = min(k, m - 1) if mds_dim is None else mds_dim
+        if not 1 <= dim <= m - 1:
+            raise ConfigError(f"mds_dim must lie in [1, {m - 1}], got {dim}")
+        points = classical_mds(d.values, dim)
+        if points.shape[1] == 0:
+            raise DegenerateEmbeddingError(
+                "no positive eigenvalue in the centered squared distances; "
+                "the matrix admits no Euclidean embedding"
+            )
+    return tuple(kmeans(points, k, seed)[0] for seed in seeds)

@@ -45,8 +45,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
-        if self.clustering_method is ClusteringMethod.KMEANS_EUCLIDEAN:
-            raise ConfigError("clustering.method must be spectral or kmeans-mds, got kmeans")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if any(s < 0 for s in self.seeds):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,6 +186,17 @@ def load_matrix(
     return ExpressionMatrix(
         values=values, sample_ids=sample_ids, feature_ids=feature_ids, labels=labels
     )
+
+
+def _loadtxt(path: Path, delimiter: str | None) -> np.ndarray:
+    """np.loadtxt as a 2-d array; a file with no data is a DataError, not
+    numpy's warning and an empty array. OSError and ValueError propagate."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, delimiter=delimiter, ndmin=2)
+    if values.size == 0:
+        raise DataError(f"{path} is empty")
+    return values
 
 
 def load_labels(path: str | Path, expected: int | None = None) -> tuple[str, ...]:

@@ -1,12 +1,14 @@
 """Multi-seed experiment driver with baselines and file outputs.
 
 One experiment preprocesses a matrix and runs the pipeline once: the
-embeddings and subspaces do not depend on the seed. Every seed then builds
-the distance matrix from those subspaces, clusters it and (when ground
-truth is available) evaluates. Two baselines reuse the run's PCA-reduced
-matrix and embeddings to put the numbers in context: k-means on a single
-PCA embedding, and k-means on the average of the per-scale embeddings. Per-seed results are
-written as they finish, so a crash in a later seed preserves earlier output.
+embeddings, subspaces, distance matrix and its cluster embedding (spectral
+or classical MDS) do not depend on the seed. Only k-means runs once per
+seed on that embedding; each seed is then scored (when ground truth is
+available) and written. Two baselines reuse the run's PCA-reduced matrix
+and embeddings to put the numbers in context: k-means on a single PCA
+embedding, and k-means on the average of the per-scale embeddings. Per-seed
+results are written as they are scored, so a crash in a later seed
+preserves earlier output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .clustering import classical_mds, cluster_distances, kmeans_euclidean
 from .config import PipelineConfig, config_to_mapping
-from .data import DataError, ExpressionMatrix, preprocess
+from .data import DataError, ExpressionMatrix, _loadtxt, preprocess
 from .grassmann import GrassmannMetric
 from .mdr import pca_reduce
 from .metrics import EvaluationReport, evaluate
@@ -68,6 +70,15 @@ def _mean_metrics(outcomes) -> dict[str, float] | None:
     return {k: float(np.mean([e.to_dict()[k] for e in evals])) for k in keys}
 
 
+def _scores(outcomes, k: int) -> dict:
+    return {
+        "mean": _mean_metrics(outcomes),
+        "per_seed": [
+            metrics_payload(o.evaluation, o.method, o.seed, k) for o in outcomes
+        ],
+    }
+
+
 def metrics_payload(
     evaluation: EvaluationReport | None, method: str, seed: int, k: int
 ) -> dict:
@@ -103,7 +114,7 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
     and supplies the metric (chordal assumed without one)."""
     path = Path(path)
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2)
+        values = _loadtxt(path, ",")
     except (OSError, ValueError) as err:
         raise DataError(f"cannot read distance matrix {path}: {err}")
     meta, metric = None, GrassmannMetric.CHORDAL
@@ -186,8 +197,8 @@ def run_experiment(
     save_distance: bool = False,
     with_baselines: bool = True,
 ) -> ExperimentResult:
-    """Run the pipeline once, then build distances, cluster and score for
-    every configured seed, plus baselines.
+    """Run the pipeline and embed its distance matrix once, then run
+    k-means and score for every configured seed, plus baselines.
 
     Evaluation requires matrix.labels; without them only predicted labels are
     produced. Each seed's run report and distance-matrix sidecar carry that
@@ -210,20 +221,20 @@ def run_experiment(
     truth = pre.labels
     cells, dmat, report, embedding = run_mgm(pre, cfg)
 
+    seed_labels = cluster_distances(
+        dmat, cfg.clustering_method, cfg.k, cfg.seeds, mds_dim=cfg.mds_dim
+    )
     outcomes = []
-    for i, seed in enumerate(cfg.seeds):
+    for i, (seed, labels) in enumerate(zip(cfg.seeds, seed_labels)):
         if i > 0:
             # The matrix does not depend on the seed, but the pipeline
             # workload of perfbench/ counts one build per seed
             # (test_traced_child_reports_every_layer); ROADMAP item 1.
             dmat = distance_matrix(cells, cfg.metric)
-        result = cluster_distances(
-            dmat, cfg.clustering_method, cfg.k, seed=seed, mds_dim=cfg.mds_dim
-        )
-        evaluation = evaluate(result.labels, truth) if truth is not None else None
+        evaluation = evaluate(labels, truth) if truth is not None else None
         outcome = SeedOutcome(
             seed=seed,
-            labels=result.labels,
+            labels=labels,
             method=cfg.clustering_method.value,
             evaluation=evaluation,
             report=replace(report, seed=seed),
@@ -253,24 +264,8 @@ def run_experiment(
             "k": cfg.k,
             "metric": cfg.metric.value,
             "scales": list(report.scales),
-            "mgm": {
-                "method": cfg.clustering_method.value,
-                "mean": result.mean_metrics(),
-                "per_seed": [
-                    metrics_payload(o.evaluation, o.method, o.seed, cfg.k)
-                    for o in outcomes
-                ],
-            },
-            "baselines": {
-                name: {
-                    "mean": _mean_metrics(runs),
-                    "per_seed": [
-                        metrics_payload(o.evaluation, o.method, o.seed, cfg.k)
-                        for o in runs
-                    ],
-                }
-                for name, runs in baselines.items()
-            },
+            "mgm": {"method": cfg.clustering_method.value, **_scores(outcomes, cfg.k)},
+            "baselines": {name: _scores(runs, cfg.k) for name, runs in baselines.items()},
         }
         _write_json(out_path / "summary.json", summary)
     return result
@@ -285,13 +280,11 @@ def _evaluate_baseline(
 ) -> tuple[SeedOutcome, ...]:
     outcomes = []
     for seed in cfg.seeds:
-        result = kmeans_euclidean(points, cfg.k, seed=seed)
-        evaluation = (
-            evaluate(result.labels, pre.labels) if pre.labels is not None else None
-        )
+        labels = kmeans_euclidean(points, cfg.k, seed=seed)
+        evaluation = evaluate(labels, pre.labels) if pre.labels is not None else None
         outcome = SeedOutcome(
             seed=seed,
-            labels=result.labels,
+            labels=labels,
             method=f"{group}+kmeans",
             evaluation=evaluation,
         )

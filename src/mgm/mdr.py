@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .data import _loadtxt
 from .errors import (
     DataError,
     DimTooLargeError,
@@ -389,12 +390,11 @@ def _load_external_embedding(
     if not path.exists():
         raise DataError(f"no embedding file for scale {scale}: {path}")
     try:
-        values = np.loadtxt(path, delimiter=None if path.suffix == ".txt" else ",")
+        values = _loadtxt(path, None if path.suffix == ".txt" else ",")
     except OSError as err:
         raise DataError(f"cannot read embedding file for scale {scale}: {err}")
     except ValueError as err:
         raise DataError(f"embedding file for scale {scale} is not numeric: {err}")
-    values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape != (sample_count, dim):
         raise DataError(
             f"embedding file for scale {scale} has shape {values.shape}, "

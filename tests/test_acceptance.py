@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mgm.clustering import kmeans_euclidean, spectral_cluster
+from mgm.clustering import ClusteringMethod, cluster_distances, kmeans_euclidean
 from mgm.config import config_from_mapping, load_config
 from mgm.data import ExpressionMatrix, load_labels, load_matrix
 from mgm.experiment import run_experiment
@@ -228,10 +228,11 @@ def test_degradation_beats_single_scales():
     dmat = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
     seeds = (1, 3, 5, 7, 9)
     mgm_scores = [
-        ari(spectral_cluster(dmat, 3, seed=s).labels, truth) for s in seeds
+        ari(labels, truth)
+        for labels in cluster_distances(dmat, ClusteringMethod.SPECTRAL, 3, seeds)
     ]
     single_scores = [
-        ari(kmeans_euclidean(emb, 3, seed=s).labels, truth)
+        ari(kmeans_euclidean(emb, 3, seed=s), truth)
         for emb in corrupted.embeddings
         for s in seeds
     ]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,22 @@ class TestClusterCommand:
         code = main(["cluster", "--distances", str(dpath), "--k", "2"])
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, workspace, capsys):
+        dpath = self.make_distances(workspace)
+        code = main(["cluster", "--distances", str(dpath), "--k", "3", "--seed", "-3"])
+        assert code == 2
+        assert "config error: seed must be nonnegative" in capsys.readouterr().err
+
+    def test_empty_file_exits_3_without_warning(self, tmp_path, capsys):
+        dpath = tmp_path / "empty.csv"
+        dpath.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["cluster", "--distances", str(dpath), "--k", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "is empty" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["cluster", "scatter"])

@@ -5,12 +5,10 @@ import pytest
 
 from mgm.clustering import (
     ClusteringMethod,
-    ClusteringResult,
     classical_mds,
     cluster_distances,
     kmeans,
     kmeans_euclidean,
-    kmeans_on_distances,
     spectral_cluster,
 )
 from mgm.errors import ConfigError, DegenerateAffinityError, DegenerateEmbeddingError
@@ -107,13 +105,22 @@ class TestKmeans:
 
     def test_euclidean_wrapper(self, rng):
         x, truth = make_blobs(m=30, d=4, sep=9.0, seed=1)
-        result = kmeans_euclidean(x, 3, seed=2)
-        assert isinstance(result, ClusteringResult)
-        assert result.method is ClusteringMethod.KMEANS_EUCLIDEAN
-        assert result.k == 3
-        assert result.seed == 2
-        assert len(result) == 30
-        assert same_partition(result.labels, truth)
+        labels = kmeans_euclidean(x, 3, seed=2)
+        assert np.array_equal(labels, kmeans(x, 3, seed=2)[0])
+        assert len(labels) == 30
+        assert same_partition(labels, truth)
+
+
+def spectral(d: DistanceMatrix, k: int, seed: int) -> np.ndarray:
+    (labels,) = cluster_distances(d, ClusteringMethod.SPECTRAL, k, (seed,))
+    return labels
+
+
+def kmeans_mds(
+    d: DistanceMatrix, k: int, seed: int, mds_dim: int | None = None
+) -> np.ndarray:
+    (labels,) = cluster_distances(d, ClusteringMethod.KMEANS_MDS, k, (seed,), mds_dim)
+    return labels
 
 
 class TestSpectralCluster:
@@ -125,30 +132,38 @@ class TestSpectralCluster:
             [centers[i] + rng.standard_normal((s, 3)) for i, s in enumerate(sizes)]
         )
         truth = np.repeat([0, 1, 2], sizes)
-        result = spectral_cluster(euclidean_distance_matrix(x), 3, seed=0)
-        assert same_partition(result.labels, truth)
+        labels = spectral(euclidean_distance_matrix(x), 3, seed=0)
+        assert same_partition(labels, truth)
 
     def test_blobs_recovered(self):
         x, truth = make_blobs(m=45, d=6, sep=9.0, seed=3)
-        result = spectral_cluster(euclidean_distance_matrix(x), 3, seed=0)
-        assert same_partition(result.labels, truth)
+        labels = spectral(euclidean_distance_matrix(x), 3, seed=0)
+        assert same_partition(labels, truth)
+
+    def test_embedding_rows_are_unit_and_seed_free(self):
+        x, _ = make_blobs(m=30, d=4, sep=6.0, seed=4)
+        d = euclidean_distance_matrix(x)
+        emb = spectral_cluster(d, 3)
+        assert emb.shape == (30, 3)
+        assert np.allclose(np.linalg.norm(emb, axis=1), 1.0)
+        assert np.array_equal(emb, spectral_cluster(d, 3))
 
     def test_k_equals_one(self):
         x, _ = make_blobs(m=10, d=3, sep=5.0, seed=0)
-        result = spectral_cluster(euclidean_distance_matrix(x), 1, seed=0)
-        assert np.all(result.labels == 0)
+        labels = spectral(euclidean_distance_matrix(x), 1, seed=0)
+        assert np.all(labels == 0)
 
     def test_all_identical_points_rejected(self):
         d = DistanceMatrix(values=np.zeros((6, 6)), metric=GrassmannMetric.CHORDAL)
         with pytest.raises(DegenerateAffinityError):
-            spectral_cluster(d, 2, seed=0)
+            spectral_cluster(d, 2)
+        with pytest.raises(DegenerateAffinityError):
+            spectral(d, 2, seed=0)
 
     def test_deterministic(self):
         x, _ = make_blobs(m=30, d=4, sep=6.0, seed=4)
         d = euclidean_distance_matrix(x)
-        a = spectral_cluster(d, 3, seed=1)
-        b = spectral_cluster(d, 3, seed=1)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(spectral(d, 3, seed=1), spectral(d, 3, seed=1))
 
 
 class TestClassicalMds:
@@ -189,66 +204,61 @@ class TestKmeansOnDistances:
     def test_blobs_recovered(self):
         x, truth = make_blobs(m=36, d=8, sep=9.0, seed=6)
         d = euclidean_distance_matrix(x)
-        result = kmeans_on_distances(d, 3, seed=0)
-        assert result.method is ClusteringMethod.KMEANS_MDS
-        assert same_partition(result.labels, truth)
+        assert same_partition(kmeans_mds(d, 3, seed=0), truth)
 
     def test_zero_matrix_has_no_embedding(self):
         d = DistanceMatrix(values=np.zeros((5, 5)), metric=GrassmannMetric.CHORDAL)
         with pytest.raises(DegenerateEmbeddingError):
-            kmeans_on_distances(d, 2, seed=0)
+            kmeans_mds(d, 2, seed=0)
 
     def test_embed_dim_validation(self):
         x, _ = make_blobs(m=12, d=3, sep=5.0, seed=0)
         d = euclidean_distance_matrix(x)
         with pytest.raises(ConfigError):
-            kmeans_on_distances(d, 2, seed=0, embed_dim=12)
+            kmeans_mds(d, 2, seed=0, mds_dim=12)
         with pytest.raises(ConfigError):
-            kmeans_on_distances(d, 2, seed=0, embed_dim=0)
+            kmeans_mds(d, 2, seed=0, mds_dim=0)
 
     def test_k_equals_one(self):
         x, _ = make_blobs(m=8, d=3, sep=5.0, seed=0)
-        result = kmeans_on_distances(euclidean_distance_matrix(x), 1, seed=0)
-        assert np.all(result.labels == 0)
+        labels = kmeans_mds(euclidean_distance_matrix(x), 1, seed=0)
+        assert np.all(labels == 0)
 
 
 class TestDispatch:
     def test_routes_by_method(self):
         x, _ = make_blobs(m=24, d=4, sep=8.0, seed=2)
         d = euclidean_distance_matrix(x)
-        spec = cluster_distances(d, ClusteringMethod.SPECTRAL, 3, seed=0)
-        mds = cluster_distances(d, ClusteringMethod.KMEANS_MDS, 3, seed=0)
-        assert spec.method is ClusteringMethod.SPECTRAL
-        assert mds.method is ClusteringMethod.KMEANS_MDS
-        assert same_partition(spec.labels, mds.labels)
+        assert same_partition(spectral(d, 3, seed=0), kmeans_mds(d, 3, seed=0))
+
+    def test_one_labelling_per_seed_from_one_embedding(self):
+        x, _ = make_blobs(m=24, d=4, sep=3.0, seed=2)
+        d = euclidean_distance_matrix(x)
+        seeds = (4, 0, 4, 9)
+        points = {
+            ClusteringMethod.SPECTRAL: spectral_cluster(d, 3),
+            ClusteringMethod.KMEANS_MDS: classical_mds(d.values, 3),
+        }
+        for method, emb in points.items():
+            labels = cluster_distances(d, method, 3, seeds)
+            assert len(labels) == len(seeds)
+            for seed, got in zip(seeds, labels):
+                assert np.array_equal(got, kmeans(emb, 3, seed)[0])
+
+    def test_k_out_of_range(self):
+        x, _ = make_blobs(m=6, d=3, sep=5.0, seed=0)
+        d = euclidean_distance_matrix(x)
+        for method in ClusteringMethod:
+            for k in (0, 7):
+                with pytest.raises(ConfigError):
+                    cluster_distances(d, method, k, (0,))
 
     def test_plain_kmeans_rejected(self):
-        x, _ = make_blobs(m=10, d=3, sep=5.0, seed=0)
-        d = euclidean_distance_matrix(x)
-        with pytest.raises(ConfigError):
-            cluster_distances(d, ClusteringMethod.KMEANS_EUCLIDEAN, 2, seed=0)
+        with pytest.raises(ValueError, match="unknown clustering method 'kmeans'"):
+            ClusteringMethod.parse("kmeans")
 
     def test_parse(self):
         assert ClusteringMethod.parse("Spectral") is ClusteringMethod.SPECTRAL
         assert ClusteringMethod.parse("kmeans_mds") is ClusteringMethod.KMEANS_MDS
-        assert ClusteringMethod.parse("kmeans") is ClusteringMethod.KMEANS_EUCLIDEAN
         with pytest.raises(ValueError):
             ClusteringMethod.parse("dbscan")
-
-
-class TestClusteringResult:
-    def test_label_range_checked(self):
-        with pytest.raises(ValueError):
-            ClusteringResult(
-                labels=np.array([0, 1, 2]),
-                k=2,
-                method=ClusteringMethod.SPECTRAL,
-                seed=0,
-            )
-
-    def test_labels_read_only(self):
-        result = ClusteringResult(
-            labels=np.array([0, 1, 0]), k=2, method=ClusteringMethod.SPECTRAL, seed=0
-        )
-        with pytest.raises(ValueError):
-            result.labels[0] = 1

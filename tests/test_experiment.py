@@ -1,11 +1,14 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import mgm.clustering
 import mgm.experiment
 import mgm.pipeline
+from mgm.clustering import kmeans
 from mgm.config import config_from_mapping, load_config
 from mgm.data import ExpressionMatrix
 from mgm.errors import DataError
@@ -55,6 +58,28 @@ class TestRunExperiment:
         for outcome in result.outcomes:
             assert outcome.report is not None
             assert outcome.report.scales == (3, 5, 6, 8)
+
+    @pytest.mark.parametrize(
+        "method, embed", [("spectral", "spectral_cluster"), ("kmeans-mds", "classical_mds")]
+    )
+    def test_cluster_embedding_computed_once(self, monkeypatch, method, embed):
+        calls = {"spectral_cluster": [], "classical_mds": []}
+        for name, record in calls.items():
+            real = getattr(mgm.clustering, name)
+
+            def counted(*args, real=real, record=record, **kwargs):
+                record.append(real(*args, **kwargs))
+                return record[-1]
+
+            monkeypatch.setattr(mgm.clustering, name, counted)
+        cfg = fast_config(**{"clustering.method": method, "seeds": "1,2,3,4,5"})
+        result = run_experiment(blob_matrix(), cfg, with_baselines=False)
+        assert {name: len(r) for name, r in calls.items()} == {
+            name: int(name == embed) for name in calls
+        }
+        (points,) = calls[embed]
+        for outcome in result.outcomes:
+            assert np.array_equal(outcome.labels, kmeans(points, 3, outcome.seed)[0])
 
     def test_deterministic(self):
         a = run_experiment(blob_matrix(), fast_config())
@@ -231,6 +256,14 @@ class TestDistanceMatrixFiles:
         np.savetxt(path, np.array([[0.0, 1.0], [2.0, 0.0]]), delimiter=",")
         with pytest.raises(DataError, match="not a valid distance matrix"):
             load_distance_matrix(path)
+
+    def test_load_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="empty.csv is empty"):
+                load_distance_matrix(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):

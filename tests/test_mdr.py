@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,18 @@ class TestExternalBackend:
         )
         with pytest.raises(DataError, match="cannot read embedding file for scale 7"):
             build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
+
+    def test_empty_file_raises_without_warning(self, tmp_path):
+        (tmp_path / "emb_5.csv").write_text("")
+        spec = MdrBackendSpec(
+            MdrMethod.EXTERNAL,
+            embedding_dim=3,
+            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="emb_5.csv is empty"):
+                build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
 
     def test_wrong_shape_raises(self, tmp_path, rng):
         path = tmp_path / "emb_5.csv"
