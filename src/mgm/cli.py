@@ -34,7 +34,7 @@ from .scales import describe_density, sample_scales
 __all__ = ["main", "build_parser"]
 
 
-def _add_config_options(parser: argparse.ArgumentParser, scale_flags: bool = False):
+def _add_config_options(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="FILE", help="config file of key = value lines")
     group.add_argument(
@@ -48,11 +48,10 @@ def _add_config_options(parser: argparse.ArgumentParser, scale_flags: bool = Fal
     seed_group.add_argument("--seed", type=int, help="single seed")
     seed_group.add_argument("--seeds", help="comma-separated seeds")
     group.add_argument("--top-features", type=int, help="keep this many highest-variance features")
-    if scale_flags:
-        group.add_argument("--scale-min", type=int, help="smallest scale")
-        group.add_argument("--scale-max", type=int, help="largest scale")
-        group.add_argument("--scale-count", type=int, help="samples along the curve")
-        group.add_argument("--scale-power", type=float, help="curve exponent")
+    group.add_argument("--scale-min", type=int, help="smallest scale")
+    group.add_argument("--scale-max", type=int, help="largest scale")
+    group.add_argument("--scale-count", type=int, help="samples along the curve")
+    group.add_argument("--scale-power", type=float, help="curve exponent")
 
 
 def _add_data_options(parser: argparse.ArgumentParser, labels_required: bool = False):
@@ -68,27 +67,23 @@ def _add_data_options(parser: argparse.ArgumentParser, labels_required: bool = F
     )
 
 
+# argparse attribute -> config key, for the flags of _add_config_options.
+_FLAG_KEYS = {
+    "metric": "metric",
+    "k": "clustering.k",
+    "seed": "seeds",
+    "seeds": "seeds",
+    "top_features": "preprocess.top_features",
+    "scale_min": "scales.min",
+    "scale_max": "scales.max",
+    "scale_count": "scales.count",
+    "scale_power": "scales.power",
+}
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    if getattr(args, "metric", None):
-        overrides["metric"] = args.metric
-    if getattr(args, "k", None) is not None:
-        overrides["clustering.k"] = str(args.k)
-    if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = str(args.seed)
-    if getattr(args, "seeds", None):
-        overrides["seeds"] = args.seeds
-    if getattr(args, "top_features", None) is not None:
-        overrides["preprocess.top_features"] = str(args.top_features)
-    if getattr(args, "scale_min", None) is not None:
-        overrides["scales.min"] = str(args.scale_min)
-    if getattr(args, "scale_max", None) is not None:
-        overrides["scales.max"] = str(args.scale_max)
-    if getattr(args, "scale_count", None) is not None:
-        overrides["scales.count"] = str(args.scale_count)
-    if getattr(args, "scale_power", None) is not None:
-        overrides["scales.power"] = str(args.scale_power)
-    return overrides
+    given = vars(args)
+    return {key: str(given[a]) for a, key in _FLAG_KEYS.items() if given[a] is not None}
 
 
 def _resolve_config(args: argparse.Namespace):
@@ -250,18 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample-scales", help="sample neighborhood scales along the power curve")
-    _add_config_options(p, scale_flags=True)
+    _add_config_options(p)
     p.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_sample_scales)
 
     p = sub.add_parser("embed", help="write one embedding file per scale")
-    _add_config_options(p, scale_flags=True)
+    _add_config_options(p)
     _add_data_options(p)
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("mgm", help="compute the pairwise subspace distance matrix")
-    _add_config_options(p, scale_flags=True)
+    _add_config_options(p)
     _add_data_options(p)
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=_cmd_mgm)
@@ -282,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run every stage for every seed, with baselines")
-    _add_config_options(p, scale_flags=True)
+    _add_config_options(p)
     _add_data_options(p)
     p.add_argument("--out-dir", help="output directory")
     p.add_argument(

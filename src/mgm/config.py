@@ -29,8 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    scales: ScaleSamplingSpec
-    embedding: MdrBackendSpec
+    scales: ScaleSamplingSpec = ScaleSamplingSpec(5, 50, 20, 1.6)
+    embedding: MdrBackendSpec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, 20)
     pca_dim: int | None = None
     metric: GrassmannMetric = GrassmannMetric.CHORDAL
     clustering_method: ClusteringMethod = ClusteringMethod.SPECTRAL
@@ -40,7 +40,6 @@ class PipelineConfig:
     normalize: bool = True
     log_transform: bool = True
     top_features: int | None = None
-    normalize_columns: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -59,27 +58,8 @@ class PipelineConfig:
             )
 
 
-_DEFAULTS: dict[str, str] = {
-    "scales.min": "5",
-    "scales.max": "50",
-    "scales.count": "20",
-    "scales.power": "1.6",
-    "embedding.method": "laplacian",
-    "embedding.dim": "20",
-    "embedding.external_pattern": "none",
-    "pca.dim": "none",
-    "metric": "chordal",
-    "clustering.method": "spectral",
-    "clustering.k": "2",
-    "clustering.mds_dim": "none",
-    "seeds": "0",
-    "preprocess.normalize": "true",
-    "preprocess.log1p": "true",
-    "preprocess.top_features": "none",
-    "subspace.normalize_columns": "false",
-}
-
-# Each preset only lists where it departs from the defaults above.
+# Each preset spells out one of the paper's setups in full, so a setting the
+# defaults already share is still written down.
 PRESETS: dict[str, dict[str, str]] = {
     "setup1": {
         "pca.dim": "200",
@@ -192,8 +172,12 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
             embedding_dim=_parse_int(merged, "embedding.dim"),
             external_pattern=None if pattern.lower() in ("none", "") else pattern,
         )
-        seeds_raw = [s.strip() for s in merged["seeds"].split(",") if s.strip()]
-        seeds = tuple(int(s) for s in seeds_raw)
+        try:
+            seeds = tuple(int(s) for s in merged["seeds"].split(",") if s.strip())
+        except ValueError:
+            raise ConfigError(
+                f"seeds must be comma-separated integers, got {merged['seeds']!r}"
+            )
         return PipelineConfig(
             scales=scales,
             embedding=embedding,
@@ -206,7 +190,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
             normalize=_parse_bool(merged, "preprocess.normalize"),
             log_transform=_parse_bool(merged, "preprocess.log1p"),
             top_features=_parse_optional_int(merged, "preprocess.top_features"),
-            normalize_columns=_parse_bool(merged, "subspace.normalize_columns"),
         )
     except ValueError as err:
         raise ConfigError(str(err))
@@ -235,8 +218,10 @@ def config_to_mapping(cfg: PipelineConfig) -> dict[str, str]:
         "preprocess.normalize": "true" if cfg.normalize else "false",
         "preprocess.log1p": "true" if cfg.log_transform else "false",
         "preprocess.top_features": opt(cfg.top_features),
-        "subspace.normalize_columns": "true" if cfg.normalize_columns else "false",
     }
+
+
+_DEFAULTS = config_to_mapping(PipelineConfig())
 
 
 def load_config(

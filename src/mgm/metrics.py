@@ -7,7 +7,7 @@ matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,13 +33,7 @@ class EvaluationReport:
     avg_purity: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "acc": self.acc,
-            "nmi": self.nmi,
-            "ari": self.ari,
-            "purity": self.purity,
-            "avg_purity": self.avg_purity,
-        }
+        return asdict(self)
 
 
 def _contingency(pred, truth) -> np.ndarray:

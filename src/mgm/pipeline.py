@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     MgmError,
 )
 from .grassmann import (
-    DEFAULT_RANK_TOL,
     GrassmannMetric,
     Subspace,
     block_distances,
@@ -131,16 +130,12 @@ def aggregate_features(stack: EmbeddingStack, index: int) -> np.ndarray:
     return np.column_stack([emb[index] for emb in stack.embeddings])
 
 
-def build_subspaces(
-    stack: EmbeddingStack,
-    normalize_columns: bool = False,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> CellSubspaceSet:
+def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
     """Orthonormalize every sample's feature matrix into a subspace.
 
-    Columns may optionally be scaled to unit norm first so each scale
-    contributes equally. Samples whose features are rank deficient get a
-    smaller subspace; the set reports how many were reduced.
+    Only the span is kept, so scaling a column by a positive factor moves no
+    distance. Samples whose features are rank deficient get a smaller
+    subspace; the set reports how many were reduced.
     """
     n, p = stack.embedding_dim, len(stack)
     if n < p:
@@ -151,14 +146,8 @@ def build_subspaces(
         )
     points = []
     for i in range(stack.sample_count):
-        features = aggregate_features(stack, i)
-        if normalize_columns:
-            norms = np.linalg.norm(features, axis=0)
-            nonzero = norms > np.finfo(float).tiny
-            features = features.copy()
-            features[:, nonzero] /= norms[nonzero]
         try:
-            points.append(orthonormalize(features, tol=rank_tol))
+            points.append(orthonormalize(aggregate_features(stack, i)))
         except AllColumnsZeroError as err:
             raise AllColumnsZeroError(f"sample {i}: {err}") from err
     return CellSubspaceSet(points=tuple(points), nominal_rank=p, embedding_dim=n)
@@ -265,20 +254,7 @@ class RunReport:
     stage_seconds: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "feature_count": self.feature_count,
-            "pca_dim": self.pca_dim,
-            "embedding_dim": self.embedding_dim,
-            "scales": list(self.scales),
-            "scale_count": self.scale_count,
-            "nominal_rank": self.nominal_rank,
-            "rank_reduced_cells": self.rank_reduced_cells,
-            "guarded_pairs": self.guarded_pairs,
-            "metric": self.metric,
-            "seed": self.seed,
-            "stage_seconds": dict(self.stage_seconds),
-        }
+        return {**asdict(self), "scales": list(self.scales)}
 
 
 @contextmanager
@@ -327,9 +303,10 @@ def embed_multiscale(
         spec = cfg.scales
         if cfg.embedding.method is MdrMethod.LAPLACIAN_EIGENMAPS:
             cap = m - 1
-            if spec.min_scale > cap:
+            # The clamped range [min, M - 1] must hold two scales.
+            if spec.min_scale >= cap:
                 raise ConfigError(
-                    f"min scale {spec.min_scale} needs at least {spec.min_scale + 1} "
+                    f"min scale {spec.min_scale} needs at least {spec.min_scale + 2} "
                     f"samples, got {m}"
                 )
             if spec.max_scale > cap:
@@ -370,7 +347,7 @@ def run_mgm(
     stack = embedding.stack
 
     with _stage("subspaces", timings):
-        cells = build_subspaces(stack, normalize_columns=cfg.normalize_columns)
+        cells = build_subspaces(stack)
 
     with _stage("distances", timings):
         dmat = distance_matrix(cells, cfg.metric)

@@ -7,6 +7,7 @@ one concentrate samples near the small end, where embeddings change fastest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,10 @@ class ScaleSamplingSpec:
             )
         if self.count < 2:
             raise InvalidScaleSpecError(f"count must be at least 2, got {self.count}")
-        if not self.power > 0:
-            raise InvalidScaleSpecError(f"power must be positive, got {self.power}")
+        if not 0 < self.power < math.inf:
+            raise InvalidScaleSpecError(
+                f"power must be positive and finite, got {self.power}"
+            )
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,19 @@ class TestSampleScales:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--scale-power", "inf"], "power must be positive and finite, got inf"),
+            (["--seeds", "1,x"], "seeds must be comma-separated integers, got '1,x'"),
+            (["--seeds", ""], "seeds must be nonempty"),
+            (["--metric", ""], "unknown"),
+        ],
+    )
+    def test_bad_flag_values_exit_2(self, capsys, flags, message):
+        assert main(["sample-scales", *flags]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEmbed:
     def test_writes_one_file_per_scale(self, workspace):
@@ -130,6 +143,18 @@ class TestEmbed:
         assert stack["scales"][-1] == 35
         assert stack["scales"] == report["scales"]
         assert stack["seed"] == report["seed"] == 1
+
+    def test_too_few_samples_for_two_scales_exits_2(self, workspace, capsys):
+        # scales.min = 3 leaves [3, M - 1]: one scale at M = 4, two at M = 5
+        tmp_path, data, _, config, _ = workspace
+        config.write_text(config.read_text().replace("dim = 10", "dim = 3"))
+        rows = data.read_text().splitlines()
+        for m, code in ((4, 2), (5, 0)):
+            small = tmp_path / f"m{m}.csv"
+            small.write_text("\n".join(rows[: m + 1]) + "\n")
+            argv = ["embed", "--config", str(config), "--data", str(small)]
+            assert main([*argv, "--out-dir", str(tmp_path / f"emb{m}")]) == code
+        assert "min scale 3 needs at least 5 samples, got 4" in capsys.readouterr().err
 
     def test_non_finite_embedding_exits_4(self, workspace, monkeypatch, capsys):
         real = mdr.laplacian_eigenmaps

@@ -50,6 +50,9 @@ class TestFromMapping:
         assert cfg.normalize is True
         assert cfg.log_transform is True
 
+    def test_defaults_are_pipeline_config_defaults(self):
+        assert config_from_mapping({}) == PipelineConfig()
+
     def test_value_parsing(self):
         cfg = config_from_mapping(
             {
@@ -58,7 +61,6 @@ class TestFromMapping:
                 "seeds": "4, 8, 15",
                 "pca.dim": "30",
                 "preprocess.normalize": "no",
-                "subspace.normalize_columns": "1",
                 "scales.power": "2.5",
             }
         )
@@ -67,7 +69,6 @@ class TestFromMapping:
         assert cfg.seeds == (4, 8, 15)
         assert cfg.pca_dim == 30
         assert cfg.normalize is False
-        assert cfg.normalize_columns is True
         assert cfg.scales.power == 2.5
 
     @pytest.mark.parametrize(
@@ -86,6 +87,7 @@ class TestFromMapping:
             {"seeds": "-3"},
             {"nope": "1"},
             {"threads": "2"},
+            {"subspace.normalize_columns": "false"},
         ],
     )
     def test_invalid_values_rejected(self, mapping):

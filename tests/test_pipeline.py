@@ -86,7 +86,7 @@ class TestBuildSubspaces:
         for sub in cells.points:
             assert sub.rank == 2
 
-    def test_column_norms_do_not_matter_when_normalizing(self):
+    def test_column_norms_do_not_move_the_span(self):
         stack = random_stack(m=8, n=7, p=3, seed=5)
         scaled = EmbeddingStack(
             scales=stack.scales,
@@ -96,8 +96,8 @@ class TestBuildSubspaces:
                 stack.embeddings[2] * 1e-3,
             ),
         )
-        a = build_subspaces(stack, normalize_columns=True)
-        b = build_subspaces(scaled, normalize_columns=True)
+        a = build_subspaces(stack)
+        b = build_subspaces(scaled)
         for sa, sb in zip(a.points, b.points):
             pa = sa.basis @ sa.basis.T
             pb = sb.basis @ sb.basis.T

@@ -25,6 +25,8 @@ class TestSpecValidation:
             dict(min_scale=2, max_scale=10, count=1, power=1.0),
             dict(min_scale=2, max_scale=10, count=5, power=0.0),
             dict(min_scale=2, max_scale=10, count=5, power=-2.0),
+            dict(min_scale=2, max_scale=10, count=5, power=float("nan")),
+            dict(min_scale=2, max_scale=10, count=5, power=float("inf")),
         ],
     )
     def test_invalid_specs_raise(self, kwargs):
