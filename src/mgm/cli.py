@@ -21,6 +21,7 @@ from .config import PRESETS, load_config
 from .data import load_labels, load_matrix, preprocess
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
+    _write_json,
     export_scatter,
     load_distance_matrix,
     metrics_payload,
@@ -54,10 +55,10 @@ def _add_config_options(parser: argparse.ArgumentParser):
     group.add_argument("--scale-power", type=float, help="curve exponent")
 
 
-def _add_data_options(parser: argparse.ArgumentParser, labels_required: bool = False):
+def _add_data_options(parser: argparse.ArgumentParser):
     group = parser.add_argument_group("input data")
     group.add_argument("--data", metavar="FILE", required=True, help="sample-by-feature matrix")
-    group.add_argument("--labels", metavar="FILE", required=labels_required, help="ground-truth labels, one per line")
+    group.add_argument("--labels", metavar="FILE", help="ground-truth labels, one per line")
     group.add_argument("--format", choices=["csv", "tsv"], default="csv", help="matrix file format")
     group.add_argument(
         "--orientation",
@@ -166,7 +167,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             "method": cfg.embedding.method.value,
             "seed": cfg.seeds[0],
         }
-        (out_dir / "stack.json").write_text(json.dumps(meta, indent=2) + "\n")
+        _write_json(out_dir / "stack.json", meta)
     return 0
 
 
@@ -177,9 +178,7 @@ def _cmd_mgm(args: argparse.Namespace) -> int:
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
-        (out_dir / "run_report.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
+        _write_json(out_dir / "run_report.json", report.to_dict())
     return 0
 
 
@@ -189,6 +188,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     dmat, _ = load_distance_matrix(args.distances)
     try:
         method = ClusteringMethod.parse(args.method)
+        if args.mds_dim is not None and method is not ClusteringMethod.KMEANS_MDS:
+            raise ConfigError(f"--mds-dim applies only to --method kmeans-mds, not {args.method}")
         (labels,) = cluster_distances(dmat, method, args.k, (args.seed,), args.mds_dim)
     except ValueError as err:
         raise ConfigError(str(err))
@@ -224,7 +225,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         "baselines_mean": result.baseline_mean_metrics(),
         "out_dir": str(result.out_dir) if result.out_dir else None,
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(payload, None)
     return 0
 
 

@@ -107,10 +107,8 @@ def _lloyd(
     return labels, inertia
 
 
-def kmeans(
-    points: np.ndarray, k: int, seed: int, restarts: int = _KMEANS_RESTARTS
-) -> tuple[np.ndarray, float]:
-    """k-means with k-means++ starts; the best of `restarts` runs wins.
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
+    """k-means with k-means++ starts; the best of _KMEANS_RESTARTS runs wins.
 
     Each restart r draws from an independent generator seeded by (seed, r),
     and ties on inertia keep the earliest restart, so results depend only on
@@ -127,7 +125,7 @@ def kmeans(
         inertia = float(np.sum((points - center) ** 2))
         return np.zeros(m, dtype=int), inertia
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(_KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         labels, inertia = _lloyd(points, k, rng)
         if inertia < best_inertia:

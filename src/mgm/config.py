@@ -52,6 +52,8 @@ class PipelineConfig:
             raise ConfigError(f"pca.dim must be positive, got {self.pca_dim}")
         if self.mds_dim is not None and self.mds_dim < 1:
             raise ConfigError(f"clustering.mds_dim must be positive, got {self.mds_dim}")
+        if self.mds_dim is not None and self.clustering_method is not ClusteringMethod.KMEANS_MDS:
+            raise ConfigError("clustering.mds_dim applies only to clustering.method = kmeans-mds")
         if self.top_features is not None and self.top_features < 1:
             raise ConfigError(
                 f"preprocess.top_features must be positive, got {self.top_features}"

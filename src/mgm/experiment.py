@@ -2,13 +2,13 @@
 
 One experiment preprocesses a matrix and runs the pipeline once: the
 embeddings, subspaces, distance matrix and its cluster embedding (spectral
-or classical MDS) do not depend on the seed. Only k-means runs once per
-seed on that embedding; each seed is then scored (when ground truth is
-available) and written. Two baselines reuse the run's PCA-reduced matrix
-and embeddings to put the numbers in context: k-means on a single PCA
-embedding, and k-means on the average of the per-scale embeddings. Per-seed
-results are written as they are scored, so a crash in a later seed
-preserves earlier output.
+or classical MDS) do not depend on the seed. Two baselines reuse the run's
+PCA-reduced matrix and embeddings to put the numbers in context: k-means on
+a single PCA embedding, and k-means on the average of the per-scale
+embeddings. Labels for every group, the method and both baselines, are
+computed first, with k-means once per seed. One loop then scores each seed
+(when ground truth is available) and writes its files as it is scored, so a
+failure in a later seed preserves earlier output.
 """
 
 from __future__ import annotations
@@ -104,14 +104,13 @@ def save_distance_matrix(
                 "seed": report.seed,
             }
         )
-    path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n"
-    )
+    _write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
 
 
 def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]:
     """Read a matrix written by save_distance_matrix; the sidecar is optional
-    and supplies the metric (chordal assumed without one)."""
+    and supplies the metric (chordal assumed without one). A sidecar
+    sample_count must match the matrix."""
     path = Path(path)
     try:
         values = _loadtxt(path, ",")
@@ -131,6 +130,9 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
         dmat = DistanceMatrix(values=values, metric=metric)
     except ValueError as err:
         raise DataError(f"{path} is not a valid distance matrix: {err}")
+    count = None if meta is None else meta.get("sample_count")
+    if count is not None and count != dmat.size:
+        raise DataError(f"sidecar {meta_path} gives {count!r} samples, {path} has {dmat.size}")
     return dmat, meta
 
 
@@ -163,33 +165,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_labels(path: Path, labels: np.ndarray) -> None:
-    path.write_text("\n".join(str(int(v)) for v in labels) + "\n")
-
-
-def _persist_outcome(
-    out_dir: Path | None,
-    group: str,
-    outcome: SeedOutcome,
-    k: int,
-    d: DistanceMatrix | None = None,
-    save_distance: bool = False,
-) -> None:
-    if out_dir is None:
-        return
-    seed_dir = out_dir / group / f"seed_{outcome.seed}"
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        seed_dir / "metrics.json",
-        metrics_payload(outcome.evaluation, outcome.method, outcome.seed, k),
-    )
-    _write_labels(seed_dir / "labels.csv", outcome.labels)
-    if outcome.report is not None:
-        _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
-    if save_distance and d is not None:
-        save_distance_matrix(d, seed_dir / "distance_matrix.csv", outcome.report)
-
-
 def run_experiment(
     matrix: ExpressionMatrix,
     cfg: PipelineConfig,
@@ -197,8 +172,9 @@ def run_experiment(
     save_distance: bool = False,
     with_baselines: bool = True,
 ) -> ExperimentResult:
-    """Run the pipeline and embed its distance matrix once, then run
-    k-means and score for every configured seed, plus baselines.
+    """Run the pipeline and embed its distance matrix once, run k-means for
+    every configured seed of the method and the baselines, then score and
+    write each seed.
 
     Evaluation requires matrix.labels; without them only predicted labels are
     produced. Each seed's run report and distance-matrix sidecar carry that
@@ -220,30 +196,25 @@ def run_experiment(
         (out_path / "config.txt").write_text("\n".join(lines) + "\n")
     truth = pre.labels
     cells, dmat, report, embedding = run_mgm(pre, cfg)
+    for _ in cfg.seeds[1:]:
+        # The matrix does not depend on the seed, but the pipeline
+        # workload of perfbench/ counts one build per seed
+        # (test_traced_child_reports_every_layer); ROADMAP item 1.
+        dmat = distance_matrix(cells, cfg.metric)
 
-    seed_labels = cluster_distances(
-        dmat, cfg.clustering_method, cfg.k, cfg.seeds, mds_dim=cfg.mds_dim
-    )
-    outcomes = []
-    for i, (seed, labels) in enumerate(zip(cfg.seeds, seed_labels)):
-        if i > 0:
-            # The matrix does not depend on the seed, but the pipeline
-            # workload of perfbench/ counts one build per seed
-            # (test_traced_child_reports_every_layer); ROADMAP item 1.
-            dmat = distance_matrix(cells, cfg.metric)
-        evaluation = evaluate(labels, truth) if truth is not None else None
-        outcome = SeedOutcome(
-            seed=seed,
-            labels=labels,
-            method=cfg.clustering_method.value,
-            evaluation=evaluation,
-            report=replace(report, seed=seed),
+    # Every group's labels first, one array per seed, with the run report
+    # and the distance matrix each of its seed directories gets (None for
+    # the baselines).
+    groups = {
+        "mgm": (
+            cfg.clustering_method.value,
+            cluster_distances(
+                dmat, cfg.clustering_method, cfg.k, cfg.seeds, mds_dim=cfg.mds_dim
+            ),
+            report,
+            dmat if save_distance else None,
         )
-        _persist_outcome(out_path, "mgm", outcome, cfg.k, dmat, save_distance)
-        outcomes.append(outcome)
-    outcomes = tuple(outcomes)
-
-    baselines: dict[str, tuple[SeedOutcome, ...]] = {}
+    }
     if with_baselines:
         reduced = embedding.reduced
         dim = min(cfg.embedding.embedding_dim, *reduced.shape)
@@ -252,7 +223,37 @@ def run_experiment(
             "baseline_avg_embedding": np.mean(np.stack(embedding.stack.embeddings), axis=0),
         }
         for group, values in points.items():
-            baselines[group] = _evaluate_baseline(values, pre, cfg, out_path, group)
+            seed_labels = tuple(kmeans_euclidean(values, cfg.k, seed=s) for s in cfg.seeds)
+            groups[group] = (f"{group}+kmeans", seed_labels, None, None)
+
+    scored: dict[str, tuple[SeedOutcome, ...]] = {}
+    for group, (method, seed_labels, group_report, saved) in groups.items():
+        outcomes = []
+        for seed, labels in zip(cfg.seeds, seed_labels):
+            outcome = SeedOutcome(
+                seed=seed,
+                labels=labels,
+                method=method,
+                evaluation=evaluate(labels, truth) if truth is not None else None,
+                report=None if group_report is None else replace(group_report, seed=seed),
+            )
+            outcomes.append(outcome)
+            if out_path is None:
+                continue
+            seed_dir = out_path / group / f"seed_{seed}"
+            seed_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(
+                seed_dir / "metrics.json",
+                metrics_payload(outcome.evaluation, method, seed, cfg.k),
+            )
+            (seed_dir / "labels.csv").write_text("\n".join(str(int(v)) for v in labels) + "\n")
+            if outcome.report is not None:
+                _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
+            if saved is not None:
+                save_distance_matrix(saved, seed_dir / "distance_matrix.csv", outcome.report)
+        scored[group] = tuple(outcomes)
+    outcomes = scored.pop("mgm")
+    baselines = scored
 
     result = ExperimentResult(
         outcomes=outcomes, baselines=baselines, checksum=checksum, out_dir=out_path
@@ -270,24 +271,3 @@ def run_experiment(
         _write_json(out_path / "summary.json", summary)
     return result
 
-
-def _evaluate_baseline(
-    points: np.ndarray,
-    pre: ExpressionMatrix,
-    cfg: PipelineConfig,
-    out_path: Path | None,
-    group: str,
-) -> tuple[SeedOutcome, ...]:
-    outcomes = []
-    for seed in cfg.seeds:
-        labels = kmeans_euclidean(points, cfg.k, seed=seed)
-        evaluation = evaluate(labels, pre.labels) if pre.labels is not None else None
-        outcome = SeedOutcome(
-            seed=seed,
-            labels=labels,
-            method=f"{group}+kmeans",
-            evaluation=evaluation,
-        )
-        _persist_outcome(out_path, group, outcome, cfg.k)
-        outcomes.append(outcome)
-    return tuple(outcomes)

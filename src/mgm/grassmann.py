@@ -21,7 +21,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_RANK_TOL",
     "GrassmannMetric",
     "Subspace",
     "PrincipalAngles",
@@ -32,8 +31,7 @@ __all__ = [
     "distance_from_angles",
 ]
 
-DEFAULT_RANK_TOL = 1e-10
-
+_RANK_TOL = 1e-10
 _ORTHO_TOL = 1e-10
 _HALF_PI = math.pi / 2
 # Any principal angle this close to pi/2 makes the Martin metric blow up.
@@ -127,12 +125,12 @@ class PrincipalAngles:
         return self.angles.shape[-1]
 
 
-def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def orthonormalize(columns: np.ndarray) -> Subspace:
     """Return the span of the given columns as a Subspace.
 
-    The numerical rank is the number of singular values above tol times the
-    largest one, so near-dependent columns are dropped rather than kept as
-    noise directions.
+    The numerical rank is the number of singular values above _RANK_TOL
+    times the largest one, so near-dependent columns are dropped rather than
+    kept as noise directions.
     """
     a = np.asarray(columns, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
@@ -144,7 +142,7 @@ def orthonormalize(columns: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Subspa
         raise AllColumnsZeroError(
             f"all {a.shape[1]} columns are numerically zero; no span to represent"
         )
-    rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
     return Subspace(u[:, :rank])
 
 

@@ -104,6 +104,11 @@ class MdrBackendSpec:
                 raise ValueError(
                     "the external backend needs a file pattern containing '{scale}'"
                 )
+        elif self.external_pattern is not None:
+            raise ValueError(
+                "embedding.external_pattern applies only to embedding.method = "
+                f"external, not {self.method.value}"
+            )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +31,7 @@ from .grassmann import (
     orthonormalize,
 )
 from .mdr import EmbeddingStack, MdrMethod, build_stack, pca_reduce
-from .scales import ScaleSamplingSpec, sample_scales
+from .scales import sample_scales
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -310,12 +310,7 @@ def embed_multiscale(
                     f"samples, got {m}"
                 )
             if spec.max_scale > cap:
-                spec = ScaleSamplingSpec(
-                    min_scale=spec.min_scale,
-                    max_scale=cap,
-                    count=spec.count,
-                    power=spec.power,
-                )
+                spec = replace(spec, max_scale=cap)
         scale_set = sample_scales(spec)
 
     with _stage("pca", timings):

@@ -55,10 +55,9 @@ class ScaleSamplingSpec:
 
 @dataclass(frozen=True)
 class ScaleSet:
-    """Strictly increasing integer scales, optionally tagged with their spec."""
+    """Strictly increasing integer scales."""
 
     scales: tuple[int, ...]
-    spec: ScaleSamplingSpec | None = None
 
     def __post_init__(self) -> None:
         if len(self.scales) < 1:
@@ -67,15 +66,6 @@ class ScaleSet:
             raise InvalidScaleSpecError("every scale must be at least 2")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise InvalidScaleSpecError("scales must be strictly increasing")
-        if self.spec is not None:
-            if self.scales[0] != self.spec.min_scale or self.scales[-1] != self.spec.max_scale:
-                raise InvalidScaleSpecError(
-                    "sampled scales must start at min_scale and end at max_scale"
-                )
-            if len(self.scales) > self.spec.count:
-                raise InvalidScaleSpecError(
-                    "deduplication can only shrink the sample count"
-                )
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -88,7 +78,6 @@ class ScaleSet:
 class GapSummary:
     """Gap statistics between consecutive scales of a set."""
 
-    gaps: tuple[int, ...]
     min_gap: int
     max_gap: int
     mean_gap: float
@@ -113,7 +102,7 @@ def sample_scales(spec: ScaleSamplingSpec) -> ScaleSet:
     rounded = np.floor(raw + 0.5).astype(int)
     clipped = np.clip(rounded, spec.min_scale, spec.max_scale)
     unique = tuple(sorted(set(int(v) for v in clipped)))
-    return ScaleSet(scales=unique, spec=spec)
+    return ScaleSet(scales=unique)
 
 
 def describe_density(scales: ScaleSet) -> GapSummary:
@@ -122,7 +111,6 @@ def describe_density(scales: ScaleSet) -> GapSummary:
         raise InvalidScaleSpecError("gap statistics need at least two scales")
     gaps = tuple(int(g) for g in np.diff(scales.scales))
     return GapSummary(
-        gaps=gaps,
         min_gap=min(gaps),
         max_gap=max(gaps),
         mean_gap=float(np.mean(gaps)),

@@ -299,6 +299,13 @@ class TestClusterCommand:
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
 
+    def test_mds_dim_under_spectral_exits_2(self, workspace, capsys):
+        dpath = self.make_distances(workspace)
+        argv = ["cluster", "--distances", str(dpath), "--k", "3", "--mds-dim", "7"]
+        assert main([*argv, "--method", "spectral"]) == 2
+        assert "--mds-dim applies only to --method kmeans-mds" in capsys.readouterr().err
+        assert main([*argv, "--method", "kmeans-mds"]) == 0
+
     def test_negative_seed_exits_2(self, workspace, capsys):
         dpath = self.make_distances(workspace)
         code = main(["cluster", "--distances", str(dpath), "--k", "3", "--seed", "-3"])
@@ -318,7 +325,11 @@ class TestClusterCommand:
 
 @pytest.mark.parametrize("command", ["cluster", "scatter"])
 @pytest.mark.parametrize(
-    "sidecar", ["{not json", "[1]", "{}", '{"metric": 2}', '{"metric": "bogus"}']
+    "sidecar",
+    [
+        "{not json", "[1]", "{}", '{"metric": 2}', '{"metric": "bogus"}',
+        '{"metric": "chordal", "sample_count": 5}',
+    ],
 )
 def test_bad_sidecar_exits_3(tmp_path, capsys, command, sidecar):
     points = np.random.default_rng(0).standard_normal((6, 2))
@@ -479,6 +490,22 @@ class TestPipelineCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("clustering.mds_dim = 3", "clustering.mds_dim"),
+            ("embedding.external_pattern = emb_{scale}.csv", "embedding.external_pattern"),
+        ],
+    )
+    def test_setting_the_method_ignores_exits_2(self, workspace, capsys, line, key):
+        # the defaults are clustering.method = spectral, embedding.method = laplacian
+        tmp_path, data, labels, config, _ = workspace
+        config.write_text(config.read_text() + line + "\n")
+        code = main(["pipeline", "--config", str(config), "--data", str(data),
+                     "--labels", str(labels)])
+        assert code == 2
+        assert f"config error: {key} applies only to" in capsys.readouterr().err
 
 
 class TestScatterCommand:

@@ -88,6 +88,8 @@ class TestFromMapping:
             {"nope": "1"},
             {"threads": "2"},
             {"subspace.normalize_columns": "false"},
+            {"clustering.mds_dim": "3"},
+            {"embedding.external_pattern": "emb_{scale}.csv"},
         ],
     )
     def test_invalid_values_rejected(self, mapping):

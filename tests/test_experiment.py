@@ -161,6 +161,17 @@ class TestExperimentOutputs:
         assert (out / "mgm" / "seed_1" / "run_report.json").is_file()
         assert (out / "mgm" / "seed_1" / "distance_matrix.csv").is_file()
         assert (out / "mgm" / "seed_1" / "distance_matrix.csv.meta.json").is_file()
+        for group in ("baseline_pca", "baseline_avg_embedding"):
+            for seed in (1, 2):
+                seed_dir = out / group / f"seed_{seed}"
+                assert not (seed_dir / "run_report.json").exists()
+                assert not list(seed_dir.glob("distance_matrix.csv*"))
+        unsaved = tmp_path / "run_unsaved"
+        run_experiment(blob_matrix(), fast_config(), out_dir=unsaved, with_baselines=False)
+        for seed in (1, 2):
+            seed_dir = unsaved / "mgm" / f"seed_{seed}"
+            assert (seed_dir / "run_report.json").is_file()
+            assert not list(seed_dir.glob("distance_matrix.csv*"))
 
     def test_seeds_share_one_distance_matrix(self, tmp_path):
         out = tmp_path / "shared"
@@ -250,6 +261,20 @@ class TestDistanceMatrixFiles:
         loaded, meta = load_distance_matrix(path)
         assert meta is None
         assert loaded.metric is GrassmannMetric.CHORDAL
+
+    def test_sidecar_sample_count_must_match(self, tmp_path):
+        dmat, report = self.make_distance()
+        path = tmp_path / "d.csv"
+        save_distance_matrix(dmat, path, report)
+        sidecar = path.with_name("d.csv.meta.json")
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "sample_count": 30}))
+        with pytest.raises(DataError, match="30 samples, .*d.csv has 20"):
+            load_distance_matrix(path)
+        del meta["sample_count"]
+        sidecar.write_text(json.dumps(meta))
+        loaded, _ = load_distance_matrix(path)
+        assert np.array_equal(loaded.values, dmat.values)
 
     def test_load_rejects_invalid_matrix(self, tmp_path):
         path = tmp_path / "bad.csv"

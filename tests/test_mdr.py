@@ -356,6 +356,12 @@ class TestBackendSpec:
         )
         assert spec.external_pattern == "emb_{scale}.csv"
 
+    def test_pattern_rejected_without_external(self):
+        with pytest.raises(ValueError, match="external_pattern applies only to"):
+            MdrBackendSpec(
+                MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=3, external_pattern="emb_{scale}.csv"
+            )
+
 
 class TestExternalBackend:
     def test_reads_files_verbatim(self, tmp_path, rng):
