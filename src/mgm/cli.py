@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ClusteringMethod, cluster_distances
-from .config import PRESETS, load_config
+from .config import PRESETS, load_config, parse_choice
 from .data import load_labels, load_matrix, preprocess
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
@@ -187,7 +187,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise ConfigError("seed must be nonnegative")
     dmat, _ = load_distance_matrix(args.distances)
     try:
-        method = ClusteringMethod.parse(args.method)
+        method = parse_choice(ClusteringMethod, args.method, "clustering method")
         if args.mds_dim is not None and method is not ClusteringMethod.KMEANS_MDS:
             raise ConfigError(f"--mds-dim applies only to --method kmeans-mds, not {args.method}")
         (labels,) = cluster_distances(dmat, method, args.k, (args.seed,), args.mds_dim)

@@ -36,17 +36,6 @@ class ClusteringMethod(enum.Enum):
     SPECTRAL = "spectral"
     KMEANS_MDS = "kmeans-mds"
 
-    @classmethod
-    def parse(cls, name: str) -> "ClusteringMethod":
-        key = name.strip().lower().replace("_", "-")
-        for method in cls:
-            if method.value == key:
-                return method
-        raise ValueError(
-            f"unknown clustering method {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
-
 
 def _sq_dists_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d2 = (

@@ -8,6 +8,7 @@ fixed point.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .scales import ScaleSamplingSpec
 __all__ = [
     "PipelineConfig",
     "PRESETS",
+    "parse_choice",
     "parse_config_text",
     "config_from_mapping",
     "config_to_mapping",
@@ -48,6 +50,9 @@ class PipelineConfig:
             raise ConfigError("seeds must be nonempty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be nonnegative")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seeds must be distinct; seed {repeated[0]} is repeated")
         if self.pca_dim is not None and self.pca_dim < 1:
             raise ConfigError(f"pca.dim must be positive, got {self.pca_dim}")
         if self.mds_dim is not None and self.mds_dim < 1:
@@ -104,6 +109,21 @@ PRESETS: dict[str, dict[str, str]] = {
         "seeds": "1,3,5,7,9",
     },
 }
+
+
+def parse_choice(choices: type[enum.Enum], name: str, what: str) -> enum.Enum:
+    """The member of choices whose value or member name matches name, ignoring
+    case, '-', '_' and surrounding whitespace; a ValueError otherwise."""
+
+    def key(text: str) -> str:
+        return text.strip().lower().replace("-", "").replace("_", "")
+
+    for member in choices:
+        if key(name) in (key(member.value), key(member.name)):
+            return member
+    raise ValueError(
+        f"unknown {what} {name!r}; expected one of " + ", ".join(m.value for m in choices)
+    )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -170,7 +190,7 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
         )
         pattern = merged["embedding.external_pattern"].strip()
         embedding = MdrBackendSpec(
-            method=MdrMethod.parse(merged["embedding.method"]),
+            method=parse_choice(MdrMethod, merged["embedding.method"], "embedding method"),
             embedding_dim=_parse_int(merged, "embedding.dim"),
             external_pattern=None if pattern.lower() in ("none", "") else pattern,
         )
@@ -184,8 +204,10 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
             scales=scales,
             embedding=embedding,
             pca_dim=_parse_optional_int(merged, "pca.dim"),
-            metric=GrassmannMetric.parse(merged["metric"]),
-            clustering_method=ClusteringMethod.parse(merged["clustering.method"]),
+            metric=parse_choice(GrassmannMetric, merged["metric"], "metric"),
+            clustering_method=parse_choice(
+                ClusteringMethod, merged["clustering.method"], "clustering method"
+            ),
             k=_parse_int(merged, "clustering.k"),
             seeds=seeds,
             mds_dim=_parse_optional_int(merged, "clustering.mds_dim"),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,7 +152,7 @@ def load_matrix(
                         parse_error = err
                 if has_id_col:
                     row_ids.append(row[0])
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}")
     if parse_error is not None:
         raise parse_error
@@ -183,20 +182,10 @@ def load_matrix(
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path, expected=values.shape[0])
-    return ExpressionMatrix(
-        values=values, sample_ids=sample_ids, feature_ids=feature_ids, labels=labels
-    )
-
-
-def _loadtxt(path: Path, delimiter: str | None) -> np.ndarray:
-    """np.loadtxt as a 2-d array; a file with no data is a DataError, not
-    numpy's warning and an empty array. OSError and ValueError propagate."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        values = np.loadtxt(path, delimiter=delimiter, ndmin=2)
-    if values.size == 0:
-        raise DataError(f"{path} is empty")
-    return values
+    try:
+        return ExpressionMatrix(values, sample_ids, feature_ids, labels)
+    except DataError as err:
+        raise type(err)(f"{path}: {err}") from err
 
 
 def load_labels(path: str | Path, expected: int | None = None) -> tuple[str, ...]:

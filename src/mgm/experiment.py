@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import classical_mds, cluster_distances, kmeans_euclidean
-from .config import PipelineConfig, config_to_mapping
-from .data import DataError, ExpressionMatrix, _loadtxt, preprocess
+from .config import PipelineConfig, config_to_mapping, parse_choice
+from .data import DataError, ExpressionMatrix, load_matrix, preprocess
 from .grassmann import GrassmannMetric
 from .mdr import pca_reduce
 from .metrics import EvaluationReport, evaluate
@@ -108,14 +108,11 @@ def save_distance_matrix(
 
 
 def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]:
-    """Read a matrix written by save_distance_matrix; the sidecar is optional
-    and supplies the metric (chordal assumed without one). A sidecar
-    sample_count must match the matrix."""
+    """Read a matrix written by save_distance_matrix, or any CSV load_matrix
+    reads; the sidecar is optional and supplies the metric (chordal assumed
+    without one). A sidecar sample_count must match the matrix."""
     path = Path(path)
-    try:
-        values = _loadtxt(path, ",")
-    except (OSError, ValueError) as err:
-        raise DataError(f"cannot read distance matrix {path}: {err}")
+    values = load_matrix(path).values
     meta, metric = None, GrassmannMetric.CHORDAL
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
@@ -123,7 +120,7 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
             meta = json.loads(meta_path.read_text())
             if not isinstance(meta, dict) or not isinstance(meta.get("metric"), str):
                 raise ValueError("expected a JSON object with a string 'metric'")
-            metric = GrassmannMetric.parse(meta["metric"])
+            metric = parse_choice(GrassmannMetric, meta["metric"], "metric")
         except (OSError, ValueError) as err:
             raise DataError(f"bad sidecar {meta_path}: {err}")
     try:

@@ -54,17 +54,6 @@ class GrassmannMetric(enum.Enum):
     MARTIN = "martin"
     PROCRUSTES = "procrustes"
 
-    @classmethod
-    def parse(cls, name: str) -> "GrassmannMetric":
-        key = name.strip().lower().replace("_", "").replace("-", "")
-        for metric in cls:
-            if metric.value.replace("-", "") == key:
-                return metric
-        raise ValueError(
-            f"unknown metric {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
-
 
 @dataclass(frozen=True)
 class Subspace:

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .data import _loadtxt
+from .data import load_matrix
 from .errors import (
     DataError,
     DimTooLargeError,
@@ -71,21 +71,6 @@ _NEIGHBOR_BLOCK_ROWS = 256
 class MdrMethod(enum.Enum):
     LAPLACIAN_EIGENMAPS = "laplacian"
     EXTERNAL = "external"
-
-    @classmethod
-    def parse(cls, name: str) -> "MdrMethod":
-        key = name.strip().lower().replace("_", "").replace("-", "")
-        aliases = {
-            "laplacian": cls.LAPLACIAN_EIGENMAPS,
-            "laplacianeigenmaps": cls.LAPLACIAN_EIGENMAPS,
-            "external": cls.EXTERNAL,
-        }
-        if key not in aliases:
-            raise ValueError(
-                f"unknown embedding method {name!r}; expected one of "
-                + ", ".join(sorted(set(a.value for a in aliases.values())))
-            )
-        return aliases[key]
 
 
 @dataclass(frozen=True)
@@ -392,21 +377,9 @@ def _load_external_embedding(
     pattern: str, scale: int, sample_count: int, dim: int
 ) -> np.ndarray:
     path = Path(pattern.replace("{scale}", str(scale)))
-    if not path.exists():
-        raise DataError(f"no embedding file for scale {scale}: {path}")
-    try:
-        values = _loadtxt(path, None if path.suffix == ".txt" else ",")
-    except OSError as err:
-        raise DataError(f"cannot read embedding file for scale {scale}: {err}")
-    except ValueError as err:
-        raise DataError(f"embedding file for scale {scale} is not numeric: {err}")
+    values = load_matrix(path).values
     if values.shape != (sample_count, dim):
-        raise DataError(
-            f"embedding file for scale {scale} has shape {values.shape}, "
-            f"expected ({sample_count}, {dim})"
-        )
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"embedding file for scale {scale} has non-finite values")
+        raise DataError(f"{path} has shape {values.shape}, expected ({sample_count}, {dim})")
     return values
 
 

@@ -343,6 +343,44 @@ def test_bad_sidecar_exits_3(tmp_path, capsys, command, sidecar):
     assert "data error" in capsys.readouterr().err
 
 
+_BAD_FILES = {
+    "nan-distances": "d.csv",
+    "directory-distances": "d.csv",
+    "wide-tsv": "wide.tsv",
+    "whitespace-embedding": "emb_3.txt",
+    "missing-embedding": "emb_3.csv",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_bad_input_file_exits_3_naming_it(workspace, capsys, case):
+    tmp_path, data, labels, config, _ = workspace
+    bad = tmp_path / _BAD_FILES[case]
+    if case == "nan-distances":
+        bad.write_text("0,1,nan\n1,0,1\nnan,1,0\n")
+        argv = ["cluster", "--distances", str(bad), "--k", "2"]
+    elif case == "directory-distances":
+        bad.mkdir()
+        argv = ["scatter", "--distances", str(bad), "--out", str(tmp_path / "s.csv")]
+    elif case == "wide-tsv":
+        # Read as CSV, each row is one field past the csv module's limit.
+        bad.write_text("\t".join(["1"] * 70_000) + "\n")
+        argv = ["embed", "--data", str(bad), "--out-dir", str(tmp_path / "emb")]
+    else:
+        # The external backend reads the first scale, 3, first.
+        if case == "whitespace-embedding":
+            bad.write_text("\n".join(" ".join(["0.5"] * 10) for _ in range(36)) + "\n")
+        pattern = str(bad).replace("_3.", "_{scale}.")
+        config.write_text(
+            config.read_text()
+            + f"embedding.method = external\nembedding.external_pattern = {pattern}\n"
+        )
+        argv = ["pipeline", "--config", str(config), "--data", str(data), "--labels", str(labels)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err
+
+
 @pytest.mark.parametrize(
     "command",
     ["sample-scales", "embed", "mgm", "cluster", "evaluate", "pipeline", "scatter"],

@@ -253,12 +253,3 @@ class TestDispatch:
                 with pytest.raises(ConfigError):
                     cluster_distances(d, method, k, (0,))
 
-    def test_plain_kmeans_rejected(self):
-        with pytest.raises(ValueError, match="unknown clustering method 'kmeans'"):
-            ClusteringMethod.parse("kmeans")
-
-    def test_parse(self):
-        assert ClusteringMethod.parse("Spectral") is ClusteringMethod.SPECTRAL
-        assert ClusteringMethod.parse("kmeans_mds") is ClusteringMethod.KMEANS_MDS
-        with pytest.raises(ValueError):
-            ClusteringMethod.parse("dbscan")

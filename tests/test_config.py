@@ -7,6 +7,7 @@ from mgm.config import (
     config_from_mapping,
     config_to_mapping,
     load_config,
+    parse_choice,
     parse_config_text,
 )
 from mgm.errors import ConfigError
@@ -90,6 +91,7 @@ class TestFromMapping:
             {"subspace.normalize_columns": "false"},
             {"clustering.mds_dim": "3"},
             {"embedding.external_pattern": "emb_{scale}.csv"},
+            {"seeds": "1,1,3"},
         ],
     )
     def test_invalid_values_rejected(self, mapping):
@@ -108,6 +110,61 @@ class TestFromMapping:
     def test_external_backend_requires_pattern(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"embedding.method": "external"})
+
+
+# (choices, name, the member it names or the error message listing the values)
+_CHOICES = [
+    (GrassmannMetric, "chordal", GrassmannMetric.CHORDAL),
+    (GrassmannMetric, "MARTIN", GrassmannMetric.MARTIN),
+    (GrassmannMetric, "fubini-study", GrassmannMetric.FUBINI_STUDY),
+    (GrassmannMetric, "FubiniStudy", GrassmannMetric.FUBINI_STUDY),
+    (GrassmannMetric, "Fubini_Study", GrassmannMetric.FUBINI_STUDY),
+    (GrassmannMetric, " geodesic ", GrassmannMetric.GEODESIC),
+    (ClusteringMethod, "Spectral", ClusteringMethod.SPECTRAL),
+    (ClusteringMethod, "kmeans-mds", ClusteringMethod.KMEANS_MDS),
+    (ClusteringMethod, "kmeans_mds", ClusteringMethod.KMEANS_MDS),
+    (ClusteringMethod, "KMeans_MDS", ClusteringMethod.KMEANS_MDS),
+    (ClusteringMethod, "kmeansmds", ClusteringMethod.KMEANS_MDS),
+    (MdrMethod, "laplacian", MdrMethod.LAPLACIAN_EIGENMAPS),
+    (MdrMethod, "Laplacian-Eigenmaps", MdrMethod.LAPLACIAN_EIGENMAPS),
+    (MdrMethod, "LAPLACIAN_EIGENMAPS", MdrMethod.LAPLACIAN_EIGENMAPS),
+    (MdrMethod, "external", MdrMethod.EXTERNAL),
+    (
+        GrassmannMetric,
+        "euclidean",
+        "unknown metric 'euclidean'; expected one of "
+        "geodesic, chordal, fubini-study, martin, procrustes",
+    ),
+    (
+        ClusteringMethod,
+        "kmeans",
+        "unknown clustering method 'kmeans'; expected one of spectral, kmeans-mds",
+    ),
+    (
+        MdrMethod,
+        "umap",
+        "unknown embedding method 'umap'; expected one of laplacian, external",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "choices,name,want",
+    _CHOICES,
+    ids=[f"{choices.__name__}-{name.strip()}" for choices, name, _ in _CHOICES],
+)
+def test_parse_choice(choices, name, want):
+    what = {
+        GrassmannMetric: "metric",
+        ClusteringMethod: "clustering method",
+        MdrMethod: "embedding method",
+    }[choices]
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            parse_choice(choices, name, what)
+        assert str(err.value) == want
+    else:
+        assert parse_choice(choices, name, what) is want
 
 
 class TestRoundTrip:

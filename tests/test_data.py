@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,7 +124,14 @@ class TestLoadMatrix:
 
     def test_non_finite_rejected(self, tmp_path):
         path = write(tmp_path / "m.csv", "1,2\nnan,4\n")
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*non-finite"):
+            load_matrix(path)
+
+    def test_whitespace_separated_file_is_named(self, tmp_path):
+        # One non-numeric cell per row: a header and an id column with no
+        # value column beside them.
+        path = write(tmp_path / "m.csv", "1 2\n3 4\n5 6\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: .*got shape \(2, 0\)"):
             load_matrix(path)
 
 

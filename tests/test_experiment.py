@@ -276,6 +276,18 @@ class TestDistanceMatrixFiles:
         loaded, _ = load_distance_matrix(path)
         assert np.array_equal(loaded.values, dmat.values)
 
+    def test_load_header_and_id_column(self, tmp_path):
+        dmat, _ = self.make_distance()
+        ids = [f"cell{i}" for i in range(dmat.size)]
+        rows = ["id," + ",".join(ids)] + [
+            f"{name}," + ",".join(f"{v:.17g}" for v in row) for name, row in zip(ids, dmat.values)
+        ]
+        path = tmp_path / "named.csv"
+        path.write_text("\n".join(rows) + "\n")
+        loaded, meta = load_distance_matrix(path)
+        assert meta is None
+        assert np.array_equal(loaded.values, dmat.values)
+
     def test_load_rejects_invalid_matrix(self, tmp_path):
         path = tmp_path / "bad.csv"
         np.savetxt(path, np.array([[0.0, 1.0], [2.0, 0.0]]), delimiter=",")

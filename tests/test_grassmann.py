@@ -268,14 +268,6 @@ class TestMetricValues:
                 want = distance_from_angles(row, metric)
                 assert abs(value - want) <= 1e-15 * max(1.0, want)
 
-    def test_parse_accepts_spellings(self):
-        assert GrassmannMetric.parse("Chordal") is GrassmannMetric.CHORDAL
-        assert GrassmannMetric.parse("fubini-study") is GrassmannMetric.FUBINI_STUDY
-        assert GrassmannMetric.parse("FubiniStudy") is GrassmannMetric.FUBINI_STUDY
-        assert GrassmannMetric.parse("MARTIN") is GrassmannMetric.MARTIN
-        with pytest.raises(ValueError):
-            GrassmannMetric.parse("euclidean")
-
 
 class TestMetricAxioms:
     def test_symmetry_and_identity(self, rng):

@@ -333,13 +333,6 @@ class TestNeighborGraph:
 
 
 class TestBackendSpec:
-    def test_parse_method_aliases(self):
-        assert MdrMethod.parse("laplacian") is MdrMethod.LAPLACIAN_EIGENMAPS
-        assert MdrMethod.parse("Laplacian-Eigenmaps") is MdrMethod.LAPLACIAN_EIGENMAPS
-        assert MdrMethod.parse("external") is MdrMethod.EXTERNAL
-        with pytest.raises(ValueError):
-            MdrMethod.parse("umap")
-
     def test_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=1)
@@ -376,6 +369,21 @@ class TestExternalBackend:
         stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
         assert np.allclose(stack.embeddings[0], want, atol=1e-15)
 
+    def test_header_and_id_column_load(self, tmp_path, rng):
+        # The layout of pandas' DataFrame.to_csv with named rows and columns.
+        want = rng.standard_normal((8, 3))
+        rows = [",dim_0,dim_1,dim_2"] + [
+            f"cell_{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(want)
+        ]
+        (tmp_path / "emb_5.csv").write_text("\n".join(rows) + "\n")
+        spec = MdrBackendSpec(
+            MdrMethod.EXTERNAL,
+            embedding_dim=3,
+            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+        )
+        stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
+        assert np.array_equal(stack.embeddings[0], want)
+
     def test_missing_file_raises(self, tmp_path):
         spec = MdrBackendSpec(
             MdrMethod.EXTERNAL,
@@ -392,7 +400,7 @@ class TestExternalBackend:
             embedding_dim=3,
             external_pattern=str(tmp_path / "emb_{scale}.csv"),
         )
-        with pytest.raises(DataError, match="cannot read embedding file for scale 7"):
+        with pytest.raises(DataError, match=r"scale 7: cannot read .*emb_7\.csv"):
             build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
 
     def test_empty_file_raises_without_warning(self, tmp_path):
