@@ -69,9 +69,11 @@ def _lloyd(
 ) -> tuple[np.ndarray, float]:
     m = points.shape[0]
     centers = _kmeans_pp_init(points, k, rng)
+    # One table per set of centres: it gives that step's inertia, the next
+    # step's assignment and the final labels.
+    d2 = _sq_dists_to(points, centers)
     prev_inertia = np.inf
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = _sq_dists_to(points, centers)
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
         for c in np.flatnonzero(counts == 0):
@@ -86,11 +88,11 @@ def _lloyd(
             counts[c] = 1
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
-        inertia = float(_sq_dists_to(points, centers)[np.arange(m), labels].sum())
+        d2 = _sq_dists_to(points, centers)
+        inertia = float(d2[np.arange(m), labels].sum())
         if prev_inertia - inertia <= _KMEANS_REL_TOL * max(inertia, 1e-300):
             break
         prev_inertia = inertia
-    d2 = _sq_dists_to(points, centers)
     labels = d2.argmin(axis=1)
     inertia = float(d2[np.arange(m), labels].sum())
     return labels, inertia

@@ -1,7 +1,8 @@
 """Loading and preprocessing of delimited sample-by-feature matrices.
 
 Files may carry a header row of feature names and a leading column of sample
-ids; both are detected from the first cells being non-numeric. A matrix
+ids; both are detected from the first cells being non-numeric, and both are
+present when the first row's first cell is empty. A matrix
 stored features-by-samples loads identically with orientation flipped.
 """
 
@@ -123,15 +124,20 @@ def load_matrix(
             first = next(rows, None)
             if first is None:
                 raise DataError(f"{path} is empty")
-            has_header = any(not _is_number(tok) for tok in first[1:]) or (
-                len(first) == 1 and not _is_number(first[0])
+            # An empty first cell is the corner of a header row above an id
+            # column, the layout pandas and R write by default.
+            blank_corner = not first[0].strip()
+            has_header = (
+                blank_corner
+                or any(not _is_number(tok) for tok in first[1:])
+                or (len(first) == 1 and not _is_number(first[0]))
             )
             header = first if has_header else None
             if has_header:
                 first = next(rows, None)
                 if first is None:
                     raise DataError(f"{path} has a header but no data rows")
-            has_id_col = not _is_number(first[0])
+            has_id_col = blank_corner or not _is_number(first[0])
             width = len(first)
             start = 1 if has_id_col else 0
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,6 +95,10 @@ def save_distance_matrix(
     plus a JSON sidecar describing how it was produced."""
     path = Path(path)
     np.savetxt(path, d.values, delimiter=",", fmt="%.17g")
+    _write_sidecar(d, path, report)
+
+
+def _write_sidecar(d: DistanceMatrix, path: Path, report: RunReport | None) -> None:
     meta = {"metric": d.metric.value, "sample_count": d.size}
     if report is not None:
         meta.update(
@@ -224,6 +229,7 @@ def run_experiment(
             groups[group] = (f"{group}+kmeans", seed_labels, None, None)
 
     scored: dict[str, tuple[SeedOutcome, ...]] = {}
+    written: Path | None = None
     for group, (method, seed_labels, group_report, saved) in groups.items():
         outcomes = []
         for seed, labels in zip(cfg.seeds, seed_labels):
@@ -247,7 +253,14 @@ def run_experiment(
             if outcome.report is not None:
                 _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
             if saved is not None:
-                save_distance_matrix(saved, seed_dir / "distance_matrix.csv", outcome.report)
+                # One matrix for every seed: formatted once, then copied.
+                target = seed_dir / "distance_matrix.csv"
+                if written is None:
+                    save_distance_matrix(saved, target, outcome.report)
+                    written = target
+                else:
+                    shutil.copyfile(written, target)
+                    _write_sidecar(saved, target, outcome.report)
         scored[group] = tuple(outcomes)
     outcomes = scored.pop("mgm")
     baselines = scored

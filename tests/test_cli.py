@@ -582,12 +582,24 @@ class TestPresetFlag:
         assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # Only scoring needs scipy.optimize, so every command that does not
-    # score is spared its import.
+def test_cli_import_leaves_out_scipy_optimize(tmp_path):
+    # Commands that do not score load neither scipy.optimize nor the
+    # csgraph matching; scoring loads csgraph only.
+    pred = tmp_path / "pred.txt"
+    truth = tmp_path / "truth.txt"
+    pred.write_text("0\n0\n1\n1\n1\n")
+    truth.write_text("a\na\nb\nb\na\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mgm.__file__).parents[1]))
-    code = "import sys, mgm.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, mgm.cli\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.sparse.csgraph' in sys.modules)\n"
+        "code = mgm.cli.main(['evaluate', '--pred', sys.argv[1], '--truth', sys.argv[2]])\n"
+        "print(code, 'scipy.optimize' in sys.modules, 'scipy.sparse.csgraph' in sys.modules)\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+        [sys.executable, "-c", code, str(pred), str(truth)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "False False"
+    assert json.loads("\n".join(out[1:-1]))["acc"] == 0.8
+    assert out[-1] == "0 False True"

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mgm import clustering
 from mgm.clustering import (
     ClusteringMethod,
     classical_mds,
@@ -102,6 +103,28 @@ class TestKmeans:
         assert inertia < 1e-18
         assert labels.min() >= 0 and labels.max() < 4
         assert np.array_equal(labels, again[0]) and inertia == again[1]
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_one_distance_table_per_set_of_centres(self, rng, monkeypatch, max_iter):
+        # k one-centre tables seed k-means++, then one full table before
+        # the loop and one after each centre update; the last one also
+        # gives the final labels and inertia.
+        real = clustering._sq_dists_to
+        calls = []
+
+        def spy(points, centers):
+            calls.append(centers.copy())
+            return real(points, centers)
+
+        monkeypatch.setattr(clustering, "_sq_dists_to", spy)
+        monkeypatch.setattr(clustering, "_KMEANS_MAX_ITER", max_iter)
+        x = rng.standard_normal((200, 3))
+        k = 5
+        labels, inertia = clustering._lloyd(x, k, np.random.default_rng([0, 0]))
+        assert [c.shape for c in calls] == [(1, 3)] * k + [(k, 3)] * (1 + max_iter)
+        d2 = real(x, calls[-1])
+        assert np.array_equal(labels, d2.argmin(axis=1))
+        assert inertia == float(d2[np.arange(200), labels].sum())
 
     def test_euclidean_wrapper(self, rng):
         x, truth = make_blobs(m=30, d=4, sep=9.0, seed=1)

@@ -214,6 +214,78 @@ class TestStreamingLoader:
         assert peak < 3 * x.values.nbytes
 
 
+# One 3x4 matrix written in each layout: header row none, text names or
+# numeric names (pandas' default column names); id column none, numeric
+# (pandas' default index) or text; and, where both are present, a blank or
+# named corner cell.
+_VALUES = np.array([[5.0, 6.5, 7.0, 0.0], [8.0, 9.0, 10.0, 1.0], [0.5, 2.0, 3.0, 4.0]])
+_FEATURE_IDS = {"text": ("g0", "g1", "g2", "g3"), "numeric": ("0", "1", "2", "3")}
+_SAMPLE_IDS = {"text": ("c0", "c1", "c2"), "numeric": ("0", "1", "2")}
+_LAYOUTS = [
+    (header, ids, corner)
+    for header in (None, "text", "numeric")
+    for ids in (None, "numeric", "text")
+    for corner in (("blank", "named") if header and ids else (None,))
+]
+_READABLE = [lay for lay in _LAYOUTS if lay[2] == "blank" or "numeric" not in lay[:2]]
+
+
+def _layout_text(header, ids, corner) -> str:
+    lines = []
+    if header is not None:
+        corner_cell = [] if ids is None else ["" if corner == "blank" else "id"]
+        lines.append(",".join(corner_cell + list(_FEATURE_IDS[header])))
+    for i, row in enumerate(_VALUES):
+        id_cell = [] if ids is None else [_SAMPLE_IDS[ids][i]]
+        lines.append(",".join(id_cell + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+class TestLayouts:
+    # A numeric header row or id column is told from data only by a blank
+    # corner cell; every other layout is told by a non-numeric cell.
+    @pytest.mark.parametrize("layout", _READABLE, ids=str)
+    def test_round_trip(self, tmp_path, layout):
+        header, ids, _ = layout
+        path = write(tmp_path / "m.csv", _layout_text(*layout))
+        x = load_matrix(path)
+        assert np.array_equal(x.values, _VALUES)
+        assert x.sample_ids == _SAMPLE_IDS.get(ids)
+        assert x.feature_ids == _FEATURE_IDS.get(header)
+
+    @pytest.mark.parametrize(
+        "layout", [lay for lay in _LAYOUTS if lay not in _READABLE], ids=str
+    )
+    def test_numeric_names_without_a_blank_corner_are_data(self, tmp_path, layout):
+        # Without a blank corner, a numeric header row loads as the first
+        # sample (a named corner becomes its id), and numeric ids under no
+        # header or a text header load as the first value column.
+        header, ids, _ = layout
+        path = write(tmp_path / "m.csv", _layout_text(*layout))
+        x = load_matrix(path)
+        if header == "numeric":
+            want = np.vstack([np.arange(4.0), _VALUES])
+        else:
+            want = np.column_stack([np.arange(3.0), _VALUES])
+        assert np.array_equal(x.values, want)
+
+    def test_pandas_default_layout(self, tmp_path):
+        path = write(tmp_path / "m.csv", ",0,1,2\n0,5,6,7\n1,8,9,10\n")
+        x = load_matrix(path)
+        assert np.array_equal(x.values, [[5, 6, 7], [8, 9, 10]])
+        assert x.sample_ids == ("0", "1")
+        assert x.feature_ids == ("0", "1", "2")
+
+    def test_blank_first_cell_makes_the_first_row_a_header(self, tmp_path):
+        # The one layout whose reading changed: without a header this file
+        # used to load three samples, the first with id ''.
+        path = write(tmp_path / "m.csv", ",1,2\n3,4,5\n6,7,8\n")
+        x = load_matrix(path)
+        assert np.array_equal(x.values, [[4, 5], [7, 8]])
+        assert x.sample_ids == ("3", "6")
+        assert x.feature_ids == ("1", "2")
+
+
 class TestLoadLabels:
     def test_utf8_bom_is_not_part_of_the_first_label(self, tmp_path):
         path = tmp_path / "labels.txt"

@@ -173,15 +173,26 @@ class TestExperimentOutputs:
             assert (seed_dir / "run_report.json").is_file()
             assert not list(seed_dir.glob("distance_matrix.csv*"))
 
-    def test_seeds_share_one_distance_matrix(self, tmp_path):
+    def test_seeds_share_one_distance_matrix(self, tmp_path, monkeypatch):
+        # The matrix is formatted once; later seeds get a copy of that file.
+        real = mgm.experiment.save_distance_matrix
+        saved = []
+
+        def spy(d, path, report=None):
+            saved.append(path)
+            return real(d, path, report)
+
+        monkeypatch.setattr(mgm.experiment, "save_distance_matrix", spy)
         out = tmp_path / "shared"
         run_experiment(
-            blob_matrix(), fast_config(), out_dir=out, save_distance=True,
+            blob_matrix(), fast_config(seeds="1,2,3"), out_dir=out, save_distance=True,
             with_baselines=False,
         )
+        assert saved == [out / "mgm" / "seed_1" / "distance_matrix.csv"]
         one, two = out / "mgm" / "seed_1", out / "mgm" / "seed_2"
         csv = "distance_matrix.csv"
         assert (one / csv).read_bytes() == (two / csv).read_bytes()
+        assert (one / csv).read_bytes() == (out / "mgm" / "seed_3" / csv).read_bytes()
         # one pipeline run: the reports and sidecars differ only in the seed,
         # down to the stage timings
         for name in ("run_report.json", csv + ".meta.json"):
@@ -286,6 +297,18 @@ class TestDistanceMatrixFiles:
         path.write_text("\n".join(rows) + "\n")
         loaded, meta = load_distance_matrix(path)
         assert meta is None
+        assert np.array_equal(loaded.values, dmat.values)
+
+    def test_load_pandas_default_layout(self, tmp_path):
+        # DataFrame.to_csv: a blank corner cell, integer column names and an
+        # integer index.
+        dmat, _ = self.make_distance()
+        rows = ["," + ",".join(str(j) for j in range(dmat.size))] + [
+            f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(dmat.values)
+        ]
+        path = tmp_path / "pandas.csv"
+        path.write_text("\n".join(rows) + "\n")
+        loaded, _ = load_distance_matrix(path)
         assert np.array_equal(loaded.values, dmat.values)
 
     def test_load_rejects_invalid_matrix(self, tmp_path):

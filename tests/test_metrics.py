@@ -23,6 +23,30 @@ class TestAccuracy:
             truth = random_labels(rng, m, kt)
             assert abs(accuracy(pred, truth) - accuracy_by_enumeration(pred, truth)) < 1e-12
 
+    def test_matches_oracle_on_rectangular_tables_with_zero_cells(self, rng):
+        # Up to 6 predicted x 4 true clusters over at most 8 samples, so
+        # most cells of the contingency table are zero.
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            pred = random_labels(rng, m, int(rng.integers(1, 7)))
+            truth = random_labels(rng, m, int(rng.integers(1, 5)))
+            assert accuracy(pred, truth) == accuracy_by_enumeration(pred, truth)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_single_row_and_single_column_tables(self, n):
+        spread = list(range(n)) * 2
+        same = [0] * len(spread)
+        assert accuracy(same, spread) == accuracy_by_enumeration(same, spread) == 2 / len(spread)
+        assert accuracy(spread, same) == accuracy_by_enumeration(spread, same) == 2 / len(spread)
+
+    def test_optimum_through_a_zero_cell(self):
+        # Contingency table [[5, 1], [1, 0]]: the best matching pairs the 5
+        # with the zero cell. A solver that reads zero cells as missing
+        # edges can only take the two 1s and would report 2/7.
+        pred = [0] * 6 + [1]
+        truth = [0] * 5 + [1, 0]
+        assert accuracy(pred, truth) == accuracy_by_enumeration(pred, truth) == 5 / 7
+
     def test_perfect_and_permuted(self):
         truth = [0, 0, 1, 1, 2, 2]
         assert accuracy(truth, truth) == 1.0
