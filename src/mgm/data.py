@@ -137,8 +137,14 @@ def load_matrix(
                 first = next(rows, None)
                 if first is None:
                     raise DataError(f"{path} has a header but no data rows")
-            has_id_col = blank_corner or not _is_number(first[0])
             width = len(first)
+            # As in R's read.table, a header one cell shorter than the data
+            # rows sits over an id column, numeric ids included.
+            has_id_col = (
+                blank_corner
+                or not _is_number(first[0])
+                or (header is not None and len(header) == width - 1)
+            )
             start = 1 if has_id_col else 0
 
             row_ids, values = [], []
@@ -172,9 +178,10 @@ def load_matrix(
         elif len(header) == width - start:
             col_ids = header
         else:
+            # Any other width is wrong whether or not there is an id column.
+            expected = f"{width} or {width - 1}" if width > 1 else f"{width}"
             raise RaggedRowsError(
-                f"{path}: header has {len(header)} cells, expected {width} "
-                f"or {width - start}"
+                f"{path}: header has {len(header)} cells, expected {expected}"
             )
         col_ids = tuple(col_ids)
 

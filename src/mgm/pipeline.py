@@ -8,6 +8,8 @@ clustering stage consumes.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -50,8 +52,9 @@ __all__ = [
 ]
 
 # Subspaces per tile of the batched angle kernel in distance_matrix. A tile
-# pair's cross Gram holds (8 r)^2 floats, 270 KB at the setup1 rank of 23,
-# and its SVD runs on up to 64 blocks at once. On the M = 200 setup1
+# pair's cross blocks hold 64 r^2 floats, 270 KB at the setup1 rank of 23,
+# and their SVD runs on up to 64 blocks at once. That working set is per
+# worker thread: each holds one row's tiles at a time. On the M = 200 setup1
 # benchmark input (1 BLAS thread) a run's peak RSS stayed at ~75 MB, as with
 # one SVD per pair; 16-subspace tiles raised it by 2.5 MB for no clear
 # speed-up, and one padded stack of all M bases would grow with M.
@@ -162,55 +165,111 @@ def _pair_distance(
         raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
 
 
+def _cpu_count() -> int:
+    """How many CPUs this process may run on: the worker count of
+    _angle_distances."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def _padded_tile(points: tuple[Subspace, ...], start: int, width: int) -> np.ndarray:
-    """The bases of up to _TILE_SUBSPACES points from `start`, side by side,
-    each padded with zero columns to `width`."""
+    """The bases of up to _TILE_SUBSPACES points from `start`, stacked as a
+    (t, n, width) array, each padded with zero columns to `width`."""
     tile = points[start : start + _TILE_SUBSPACES]
-    out = np.zeros((tile[0].ambient_dim, len(tile) * width))
+    out = np.zeros((len(tile), tile[0].ambient_dim, width))
     for t, sub in enumerate(tile):
-        out[:, t * width : t * width + sub.rank] = sub.basis
+        out[t, :, : sub.rank] = sub.basis
     return out
+
+
+def _tile_row(
+    cells: CellSubspaceSet,
+    ranks: np.ndarray,
+    lo: int,
+    metric: GrassmannMetric,
+    out: np.ndarray,
+) -> list[tuple[int, int]]:
+    """Fill out[i, j] for every i of the tile starting at `lo` and every
+    j > i, and return the pairs grassmann.block_distances flagged.
+
+    One broadcast matmul of the r x n and n x r blocks gives every cross
+    block Qi^T Qj of a tile pair. Each product is far below the size at
+    which OpenBLAS starts its own threads, so a row never wakes the BLAS
+    pool.
+    """
+    points, r, m = cells.points, cells.nominal_rank, len(cells)
+    left = _padded_tile(points, lo, r)
+    left_t = left.transpose(0, 2, 1)[:, None]
+    flagged: list[tuple[int, int]] = []
+    for hi in range(lo, m, _TILE_SUBSPACES):
+        right = left if hi == lo else _padded_tile(points, hi, r)
+        cross = np.matmul(left_t, right[None])
+        if hi == lo:
+            ti, tj = np.triu_indices(len(left), 1)
+        else:
+            ti, tj = np.indices((len(left), len(right))).reshape(2, -1)
+        if ti.size == 0:
+            continue
+        i, j = lo + ti, hi + tj
+        values, redo = block_distances(
+            cross[ti, tj], np.minimum(ranks[i], ranks[j]), metric
+        )
+        out[i, j] = values
+        flagged.extend(zip(i[redo].tolist(), j[redo].tolist()))
+    return flagged
 
 
 def _angle_distances(
     cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
 ) -> int:
-    """Fill the strict upper triangle of `out` tile pair by tile pair and
-    return how many pairs were recomputed one by one.
+    """Fill the strict upper triangle of `out` row of tiles by row of tiles
+    (_tile_row) and return how many pairs were recomputed one by one.
 
-    One GEMM of two padded tiles gives every cross block Qi^T Qj of the tile
-    pair; grassmann.block_distances turns them into distances with one
-    batched SVD. The pairs it flags are recomputed with grassmann.distance
-    after each row of tiles, in lexicographic order, so a Martin divergence
-    names the first offending pair as a pair-by-pair loop would.
+    The rows are spread over the CPUs this process may use: the calling
+    thread and up to _cpu_count() - 1 helper threads take rows from one
+    shared sequence and write their disjoint entries of `out`. The first
+    error stops the hand-out of rows and reaches the caller unchanged. Every
+    pair is computed by the same code on the same inputs whichever thread
+    takes its row, so `out` does not depend on the core count. The pairs
+    the batch flags are recomputed with grassmann.distance once every row
+    is done, on the calling thread and in lexicographic order, so a Martin
+    divergence names the first offending pair as a pair-by-pair loop would.
     """
-    points, r, m = cells.points, cells.nominal_rank, len(cells)
-    ranks = np.array([sub.rank for sub in points])
-    redone = 0
-    for lo in range(0, m, _TILE_SUBSPACES):
-        left = _padded_tile(points, lo, r)
-        a = left.shape[1] // r
-        redo: list[tuple[int, int]] = []
-        for hi in range(lo, m, _TILE_SUBSPACES):
-            right = left if hi == lo else _padded_tile(points, hi, r)
-            b = right.shape[1] // r
-            cross = (left.T @ right).reshape(a, r, b, r).swapaxes(1, 2)
-            if hi == lo:
-                ti, tj = np.triu_indices(a, 1)
-            else:
-                ti, tj = np.indices((a, b)).reshape(2, -1)
-            if ti.size == 0:
-                continue
-            i, j = lo + ti, hi + tj
-            values, flagged = block_distances(
-                cross[ti, tj], np.minimum(ranks[i], ranks[j]), metric
-            )
-            out[i, j] = values
-            redo.extend(zip(i[flagged].tolist(), j[flagged].tolist()))
-        for i, j in sorted(redo):
-            out[i, j] = _pair_distance(points, i, j, metric)
-        redone += len(redo)
-    return redone
+    ranks = np.array([sub.rank for sub in cells.points])
+    starts = range(0, len(cells), _TILE_SUBSPACES)
+    rows = iter(starts)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain() -> list[tuple[int, int]]:
+        flagged: list[tuple[int, int]] = []
+        try:
+            while True:
+                with lock:
+                    lo = None if failed.is_set() else next(rows, None)
+                if lo is None:
+                    return flagged
+                flagged += _tile_row(cells, ranks, lo, metric, out)
+        except BaseException:
+            failed.set()
+            raise
+
+    helpers = min(_cpu_count(), len(starts)) - 1
+    if helpers < 1:
+        redo = drain()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            redo = drain()
+            for future in futures:
+                redo += future.result()
+    for i, j in sorted(redo):
+        out[i, j] = _pair_distance(cells.points, i, j, metric)
+    return len(redo)
 
 
 def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> DistanceMatrix:
@@ -219,9 +278,11 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
 
     Chordal takes one residual per pair (grassmann.distance), which needs no
     SVD. The four angle metrics run as tiled, batched SVDs of the cross
-    blocks Qi^T Qj (_angle_distances); only the pairs that fail the
-    cancellation guard, or whose Martin distance diverges, go through
-    grassmann.distance, and the matrix counts them as guarded_pairs.
+    blocks Qi^T Qj, their rows of tiles spread over the CPUs this process
+    may use (_angle_distances); only the pairs that fail the cancellation
+    guard, or whose Martin distance diverges, go through grassmann.distance,
+    and the matrix counts them as guarded_pairs. The values do not depend on
+    the core count or on the BLAS thread count.
     """
     m = len(cells)
     out = np.zeros((m, m))

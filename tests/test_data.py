@@ -285,6 +285,23 @@ class TestLayouts:
         assert x.sample_ids == ("3", "6")
         assert x.feature_ids == ("1", "2")
 
+    def test_header_one_cell_short_sits_over_numeric_ids(self, tmp_path):
+        # R's read.table rule: the short header leaves the first column as ids
+        path = write(tmp_path / "m.csv", "g0,g1\n0,5,6\n1,8,9\n")
+        x = load_matrix(path)
+        assert np.array_equal(x.values, [[5, 6], [8, 9]])
+        assert x.sample_ids == ("0", "1")
+        assert x.feature_ids == ("g0", "g1")
+
+    @pytest.mark.parametrize("ids", ["0,1", "c0,c1"])
+    def test_other_header_widths_name_each_expected_width_once(self, tmp_path, ids):
+        first, second = ids.split(",")
+        text = f"g0,g1,g2,g3\n{first},5,6\n{second},8,9\n"
+        path = write(tmp_path / "m.csv", text)
+        with pytest.raises(RaggedRowsError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: header has 4 cells, expected 3 or 2"
+
 
 class TestLoadLabels:
     def test_utf8_bom_is_not_part_of_the_first_label(self, tmp_path):

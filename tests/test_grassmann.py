@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -556,25 +559,76 @@ def cells_of(points):
     return CellSubspaceSet(points=tuple(points), nominal_rank=rank, embedding_dim=n)
 
 
+def force_workers(monkeypatch, count):
+    """Make _angle_distances see `count` CPUs."""
+    monkeypatch.setattr(pipeline, "_cpu_count", lambda: count)
+
+
+def rank_reduced_and_replicate_cells(rng):
+    # 21 samples, not a multiple of the tile. Samples 2, 9 and 17 repeat
+    # a scale (rank 3), 5 and 13 repeat one row at every scale (rank 1);
+    # 20 repeats 3, and 19 holds 4's features in another basis.
+    emb = [rng.standard_normal((21, 12)) for _ in range(4)]
+    for i in (2, 9, 17):
+        emb[1][i] = emb[0][i]
+    for i in (5, 13):
+        for e in emb[1:]:
+            e[i] = emb[0][i]
+    for e in emb:
+        e[20] = e[3]
+    emb[0][19] = emb[0][4] + emb[1][4]
+    for e in emb[1:]:
+        e[19] = e[4]
+    stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4, 5)), embeddings=tuple(emb))
+    return build_subspaces(stack)
+
+
+def points_either_side_of_both_guards(rng):
+    chordal = [
+        math.asin(math.sqrt(_CHORDAL_SQ_GUARD * (1.0 + side * 1e-3) / 3.0))
+        for side in (-1, 1)
+    ]
+    cosine = [math.acos(1.0 - _COSINE_GUARD * (1.0 - side * 1e-3)) for side in (-1, 1)]
+    points = [random_subspace(rng, 12, 3 + k % 2) for k in range(19)]
+    placed = {
+        (0, 9): pair_with_angles(rng, 12, 3, 4, [chordal[0]] * 3),  # below
+        (1, 10): pair_with_angles(rng, 12, 3, 4, [chordal[1]] * 3),
+        (2, 17): pair_with_angles(rng, 12, 3, 3, [cosine[1], 0.7, 1.3]),  # above
+        (3, 11): pair_with_angles(rng, 12, 3, 3, [cosine[0], 0.7, 1.3]),
+    }
+    for (i, j), (x, y) in placed.items():
+        points[i], points[j] = x, y
+    turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    points[18] = Subspace(points[4].basis @ turn)  # a replicate cell
+    points[12] = Subspace(points[5].basis.copy())  # an exact duplicate
+    return points
+
+
+def points_near_right_angles(rng):
+    points = [random_subspace(rng, 10, 2) for _ in range(20)]
+    # (3, 4) shares a tile, (2, 17) does not; (2, 17) comes first
+    for i, j in ((3, 4), (2, 17)):
+        points[i], points[j] = pair_with_angles(rng, 10, 2, 2, [0.4, math.pi / 2 - 1e-12])
+    return points
+
+
+def angle_kernel_peak(rng, m):
+    """Peak bytes traced while _angle_distances fills an m x m matrix of
+    rank-6 subspaces of R^40."""
+    cells = cells_of([random_subspace(rng, 40, 6) for _ in range(m)])
+    out = np.zeros((m, m))
+    tracemalloc.start()
+    try:
+        _angle_distances(cells, GrassmannMetric.GEODESIC, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBatchedAngleKernel:
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
     def test_rank_reduced_and_replicate_cells(self, rng, metric, monkeypatch):
-        # 21 samples, not a multiple of the tile. Samples 2, 9 and 17 repeat
-        # a scale (rank 3), 5 and 13 repeat one row at every scale (rank 1);
-        # 20 repeats 3, and 19 holds 4's features in another basis.
-        emb = [rng.standard_normal((21, 12)) for _ in range(4)]
-        for i in (2, 9, 17):
-            emb[1][i] = emb[0][i]
-        for i in (5, 13):
-            for e in emb[1:]:
-                e[i] = emb[0][i]
-        for e in emb:
-            e[20] = e[3]
-        emb[0][19] = emb[0][4] + emb[1][4]
-        for e in emb[1:]:
-            e[19] = e[4]
-        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4, 5)), embeddings=tuple(emb))
-        cells = build_subspaces(stack)
+        cells = rank_reduced_and_replicate_cells(rng)
         assert [p.rank for p in cells.points].count(3) == 3
         assert [p.rank for p in cells.points].count(1) == 2
         calls = per_pair_spy(monkeypatch, cells.points)
@@ -585,23 +639,7 @@ class TestBatchedAngleKernel:
 
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
     def test_either_side_of_both_guards(self, rng, metric, monkeypatch):
-        chordal = [
-            math.asin(math.sqrt(_CHORDAL_SQ_GUARD * (1.0 + side * 1e-3) / 3.0))
-            for side in (-1, 1)
-        ]
-        cosine = [math.acos(1.0 - _COSINE_GUARD * (1.0 - side * 1e-3)) for side in (-1, 1)]
-        points = [random_subspace(rng, 12, 3 + k % 2) for k in range(19)]
-        placed = {
-            (0, 9): pair_with_angles(rng, 12, 3, 4, [chordal[0]] * 3),  # below
-            (1, 10): pair_with_angles(rng, 12, 3, 4, [chordal[1]] * 3),
-            (2, 17): pair_with_angles(rng, 12, 3, 3, [cosine[1], 0.7, 1.3]),  # above
-            (3, 11): pair_with_angles(rng, 12, 3, 3, [cosine[0], 0.7, 1.3]),
-        }
-        for (i, j), (x, y) in placed.items():
-            points[i], points[j] = x, y
-        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        points[18] = Subspace(points[4].basis @ turn)  # a replicate cell
-        points[12] = Subspace(points[5].basis.copy())  # an exact duplicate
+        points = points_either_side_of_both_guards(rng)
         calls = per_pair_spy(monkeypatch, points)
         dmat = distance_matrix(cells_of(points), metric)
         assert_matrix_matches(points, metric, dmat.values)
@@ -618,10 +656,7 @@ class TestBatchedAngleKernel:
         assert dmat.guarded_pairs == 0
 
     def test_near_right_angles(self, rng):
-        points = [random_subspace(rng, 10, 2) for _ in range(20)]
-        # (3, 4) shares a tile, (2, 17) does not; (2, 17) comes first
-        for i, j in ((3, 4), (2, 17)):
-            points[i], points[j] = pair_with_angles(rng, 10, 2, 2, [0.4, math.pi / 2 - 1e-12])
+        points = points_near_right_angles(rng)
         cells = cells_of(points)
         for metric in ANGLE_METRICS:
             if metric is GrassmannMetric.MARTIN:
@@ -631,18 +666,109 @@ class TestBatchedAngleKernel:
                 dmat = distance_matrix(cells, metric)
                 assert_matrix_matches(points, metric, dmat.values)
 
-    def test_working_set_does_not_grow_with_the_sample_count(self, rng):
-        def peak(m):
-            cells = cells_of([random_subspace(rng, 40, 6) for _ in range(m)])
-            out = np.zeros((m, m))
-            tracemalloc.start()
-            try:
-                _angle_distances(cells, GrassmannMetric.GEODESIC, out)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            rank_reduced_and_replicate_cells,
+            lambda rng: cells_of(points_either_side_of_both_guards(rng)),
+        ],
+        ids=["rank_reduced_and_replicate_cells", "either_side_of_both_guards"],
+    )
+    def test_results_do_not_depend_on_the_worker_count(self, rng, cells, monkeypatch):
+        cells = cells(rng)
+        for metric in ANGLE_METRICS:
+            runs = []
+            for workers in (1, 2, 3):
+                force_workers(monkeypatch, workers)
+                with pytest.MonkeyPatch.context() as patch:
+                    calls = per_pair_spy(patch, cells.points)
+                    dmat = distance_matrix(cells, metric)
+                runs.append((dmat.values.tobytes(), dmat.guarded_pairs, calls))
+            assert runs[1] == runs[0] and runs[2] == runs[0], metric
 
-        small, large = peak(24), peak(96)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_martin_error_names_the_first_pair_at_any_worker_count(
+        self, rng, workers, monkeypatch
+    ):
+        cells = cells_of(points_near_right_angles(rng))
+        force_workers(monkeypatch, workers)
+        with pytest.raises(MartinDivergentError, match=r"pair \(2, 17\)"):
+            distance_matrix(cells, GrassmannMetric.MARTIN)
+
+    def test_error_in_a_helper_thread_reaches_the_caller(self, rng, monkeypatch):
+        # 40 rows of tiles over 3 workers. The first block_distances call on
+        # a helper thread raises; the calling thread's first call waits for
+        # it, so a helper is sure to fail while rows are left.
+        points = [random_subspace(rng, 6, 2) for _ in range(40 * pipeline._TILE_SUBSPACES)]
+        force_workers(monkeypatch, 3)
+        boom = RuntimeError("boom")
+        failed = threading.Event()
+        lock = threading.Lock()
+        started = []  # (row, whether the failure had happened)
+        real_block, real_row = pipeline.block_distances, pipeline._tile_row
+
+        def block(cross, counts, metric):
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(timeout=30)
+            else:
+                with lock:
+                    first = not failed.is_set()
+                    failed.set()
+                if first:
+                    raise boom
+            return real_block(cross, counts, metric)
+
+        def row(cells, ranks, lo, metric, out):
+            started.append((lo, failed.is_set()))
+            return real_row(cells, ranks, lo, metric, out)
+
+        monkeypatch.setattr(pipeline, "block_distances", block)
+        monkeypatch.setattr(pipeline, "_tile_row", row)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            distance_matrix(cells_of(points), GrassmannMetric.GEODESIC)
+        assert info.value is boom
+        assert failed.is_set()
+        assert [lo for lo, after in started if after] == []
+        assert threading.active_count() == threads
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self, rng, monkeypatch):
+        # A replicate in every row of tiles, so every worker flags a pair; a
+        # lost write to the matrix or to the flagged pairs changes the result.
+        tile = pipeline._TILE_SUBSPACES
+        points = [random_subspace(rng, 12, 3) for _ in range(10 * tile)]
+        for lo in range(0, len(points), tile):
+            turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            points[lo + tile - 1] = Subspace(points[lo].basis @ turn)
+        cells = cells_of(points)
+        force_workers(monkeypatch, 1)
+        want = distance_matrix(cells, GrassmannMetric.GEODESIC)
+        force_workers(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = distance_matrix(cells, GrassmannMetric.GEODESIC)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.guarded_pairs == want.guarded_pairs == 10
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+        assert pipeline._cpu_count() == (os.cpu_count() or 1)
+
+    def test_working_set_does_not_grow_with_the_sample_count(self, rng, monkeypatch):
+        force_workers(monkeypatch, 1)
+        small, large = angle_kernel_peak(rng, 24), angle_kernel_peak(rng, 96)
         # a tile pair's cross Gram, (8 x 6)^2 floats, and a few of its size
         assert small < 20 * 48**2 * 8
         assert large < small + 4096
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_working_set_grows_at_most_with_the_worker_count(self, rng, workers, monkeypatch):
+        # each worker holds one row's tiles at a time
+        force_workers(monkeypatch, 1)
+        one = angle_kernel_peak(rng, 96)
+        force_workers(monkeypatch, workers)
+        assert angle_kernel_peak(rng, 96) <= workers * one + 4096
