@@ -52,7 +52,6 @@ from .pipeline import (
     DistanceMatrix,
     MultiscaleEmbedding,
     RunReport,
-    aggregate_features,
     build_subspaces,
     distance_matrix,
     embed_multiscale,

@@ -1,8 +1,8 @@
 """Grassmann manifold primitives.
 
 A point on Gr(n, r) is an r-dimensional linear subspace of R^n, stored as an
-orthonormal basis matrix. This module provides orthonormalization with
-numerical rank detection, principal angles between subspaces, and five
+orthonormal basis matrix. This module provides batched orthonormalization
+with numerical rank detection, principal angles between subspaces, and five
 principal-angle distance metrics, per pair or for a batch of pairs.
 """
 
@@ -114,25 +114,32 @@ class PrincipalAngles:
         return self.angles.shape[-1]
 
 
-def orthonormalize(columns: np.ndarray) -> Subspace:
-    """Return the span of the given columns as a Subspace.
+def orthonormalize(columns: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The spans of a stack of column matrices, from one batched SVD.
 
-    The numerical rank is the number of singular values above _RANK_TOL
-    times the largest one, so near-dependent columns are dropped rather than
-    kept as noise directions.
+    columns[k] holds sample k's p columns in R^n. Returns the bases, shape
+    (m, n, min(n, p)), sample k's orthonormal basis in the first ranks[k]
+    columns of bases[k] and zeros after, and the ranks: the number of
+    singular values above _RANK_TOL times the largest, so near-dependent
+    columns are dropped rather than kept as noise directions. An all-zero
+    sample raises, named as sample start + k.
     """
     a = np.asarray(columns, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a nonempty 2-d array, got shape {a.shape}")
+    if a.ndim != 3 or min(a.shape) < 1:
+        raise ValueError(f"expected a nonempty 3-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("input contains non-finite values")
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= np.finfo(float).tiny:
+    zero = s[:, 0] <= np.finfo(float).tiny
+    if zero.any():
         raise AllColumnsZeroError(
-            f"all {a.shape[1]} columns are numerically zero; no span to represent"
+            f"sample {start + int(np.argmax(zero))}: all {a.shape[2]} columns are "
+            "numerically zero; no span to represent"
         )
-    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    return Subspace(u[:, :rank])
+    # Singular values descend, so the kept columns are a prefix of each basis.
+    keep = s > _RANK_TOL * s[:, :1]
+    np.copyto(u, 0.0, where=~keep[:, None, :])
+    return u, np.count_nonzero(keep, axis=1)
 
 
 def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
-    AllColumnsZeroError,
     ConfigError,
     DataError,
     MartinDivergentError,
@@ -44,59 +43,67 @@ __all__ = [
     "DistanceMatrix",
     "MultiscaleEmbedding",
     "RunReport",
-    "aggregate_features",
     "build_subspaces",
     "distance_matrix",
     "embed_multiscale",
     "run_mgm",
 ]
 
-# Subspaces per tile of the batched angle kernel in distance_matrix. A tile
-# pair's cross blocks hold 64 r^2 floats, 270 KB at the setup1 rank of 23,
-# and their SVD runs on up to 64 blocks at once. That working set is per
-# worker thread: each holds one row's tiles at a time. On the M = 200 setup1
-# benchmark input (1 BLAS thread) a run's peak RSS stayed at ~75 MB, as with
-# one SVD per pair; 16-subspace tiles raised it by 2.5 MB for no clear
-# speed-up, and one padded stack of all M bases would grow with M.
+# Subspaces per tile of the batched angle kernel in distance_matrix and per
+# batched SVD of build_subspaces. A tile pair's cross blocks hold 64 r^2
+# floats, 270 KB at the setup1 rank of 23, and each worker thread holds one
+# tile pair's at a time. On the M = 200 setup1 benchmark input (1 BLAS
+# thread), 16-subspace tiles raised peak RSS by 2.5 MB for no clear
+# speed-up, and one SVD of all M feature matrices raised it by 6 MB.
 _TILE_SUBSPACES = 8
 
 
 @dataclass(frozen=True)
 class CellSubspaceSet:
-    """One subspace per sample, all in the same ambient space."""
+    """One subspace per sample, all in R^n: bases[k] holds sample k's
+    orthonormal basis in its first ranks[k] of p columns, zeros after. p is
+    the nominal rank (the scale count); both arrays are held read-only."""
 
-    points: tuple[Subspace, ...]
-    nominal_rank: int
-    embedding_dim: int
+    bases: np.ndarray
+    ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) < 1:
-            raise ValueError("need at least one subspace")
-        for i, sub in enumerate(self.points):
-            if sub.ambient_dim != self.embedding_dim:
-                raise ValueError(
-                    f"subspace {i} lives in R^{sub.ambient_dim}, expected R^{self.embedding_dim}"
-                )
-            if sub.rank > self.nominal_rank:
-                raise ValueError(
-                    f"subspace {i} has rank {sub.rank} above the nominal {self.nominal_rank}"
-                )
+        bases = np.asarray(self.bases, dtype=float).view()
+        ranks = np.asarray(self.ranks).view()
+        if bases.ndim != 3 or min(bases.shape) < 1 or ranks.shape != bases.shape[:1]:
+            raise ValueError(f"need (M, n, p) bases and M ranks, got {bases.shape}, {ranks.shape}")
+        if not 1 <= ranks.min() <= ranks.max() <= min(bases.shape[1:]):
+            raise ValueError(f"ranks must lie in [1, min(n, p)], got {ranks.min()}..{ranks.max()}")
+        for name, value in (("bases", bases), ("ranks", ranks)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def nominal_rank(self) -> int:
+        return self.bases.shape[2]
+
+    @property
+    def embedding_dim(self) -> int:
+        return self.bases.shape[1]
 
     @property
     def rank_reduced_count(self) -> int:
-        full = min(self.nominal_rank, self.embedding_dim)
-        return sum(1 for sub in self.points if sub.rank < full)
+        return int(np.count_nonzero(self.ranks < min(self.bases.shape[1:])))
+
+    def subspace(self, k: int) -> Subspace:
+        """Sample k's subspace on its own, for the per-pair paths."""
+        return Subspace(self.bases[k, :, : self.ranks[k]])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.bases)
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Symmetric nonnegative pairwise distances with a zero diagonal.
 
-    guarded_pairs counts the pairs distance_matrix recomputed one by one
-    after the batched kernel could not be trusted on them (0 for chordal,
+    guarded_pairs counts the pairs distance_matrix computed one by one
+    because the batched kernel could not be trusted on them (0 for chordal,
     which has no batch, and for a matrix read from a file).
     """
 
@@ -125,44 +132,28 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def aggregate_features(stack: EmbeddingStack, index: int) -> np.ndarray:
-    """The n x p feature matrix of one sample: its embedding row per scale,
-    stacked as columns in scale order."""
-    if not 0 <= index < stack.sample_count:
-        raise IndexError(f"sample index {index} out of range [0, {stack.sample_count})")
-    return np.column_stack([emb[index] for emb in stack.embeddings])
-
-
 def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
-    """Orthonormalize every sample's feature matrix into a subspace.
-
-    Only the span is kept, so scaling a column by a positive factor moves no
-    distance. Samples whose features are rank deficient get a smaller
-    subspace; the set reports how many were reduced.
+    """Orthonormalize every sample's n x p feature matrix, its embedding row
+    per scale as columns in scale order, into one basis array, with one
+    batched SVD per _TILE_SUBSPACES samples. Only the span is kept, so
+    scaling a column by a positive factor moves no distance. Samples whose
+    features are rank deficient get a smaller subspace; the set reports how
+    many were reduced.
     """
-    n, p = stack.embedding_dim, len(stack)
+    n, p, m = stack.embedding_dim, len(stack), stack.sample_count
     if n < p:
         warnings.warn(
             f"embedding dim {n} is below the scale count {p}; "
             "every subspace will be rank reduced",
             stacklevel=2,
         )
-    points = []
-    for i in range(stack.sample_count):
-        try:
-            points.append(orthonormalize(aggregate_features(stack, i)))
-        except AllColumnsZeroError as err:
-            raise AllColumnsZeroError(f"sample {i}: {err}") from err
-    return CellSubspaceSet(points=tuple(points), nominal_rank=p, embedding_dim=n)
-
-
-def _pair_distance(
-    points: tuple[Subspace, ...], i: int, j: int, metric: GrassmannMetric
-) -> float:
-    try:
-        return distance(points[i], points[j], metric)
-    except MartinDivergentError as err:
-        raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
+    bases = np.zeros((m, n, p))
+    ranks = np.empty(m, dtype=int)
+    for lo in range(0, m, _TILE_SUBSPACES):
+        hi = lo + _TILE_SUBSPACES
+        features = np.stack([emb[lo:hi] for emb in stack.embeddings], axis=2)
+        bases[lo:hi, :, : min(n, p)], ranks[lo:hi] = orthonormalize(features, lo)
+    return CellSubspaceSet(bases=bases, ranks=ranks)
 
 
 def _cpu_count() -> int:
@@ -174,48 +165,43 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _padded_tile(points: tuple[Subspace, ...], start: int, width: int) -> np.ndarray:
-    """The bases of up to _TILE_SUBSPACES points from `start`, stacked as a
-    (t, n, width) array, each padded with zero columns to `width`."""
-    tile = points[start : start + _TILE_SUBSPACES]
-    out = np.zeros((len(tile), tile[0].ambient_dim, width))
-    for t, sub in enumerate(tile):
-        out[t, :, : sub.rank] = sub.basis
-    return out
-
-
 def _tile_row(
-    cells: CellSubspaceSet,
-    ranks: np.ndarray,
-    lo: int,
-    metric: GrassmannMetric,
-    out: np.ndarray,
+    cells: CellSubspaceSet, lo: int, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
     """Fill out[i, j] for every i of the tile starting at `lo` and every
-    j > i, and return the pairs grassmann.block_distances flagged.
+    j > i, and return the pairs to compute one by one: those that
+    grassmann.block_distances flags, and those whose ranks sum past n. Such
+    a pair shares a direction, a cosine of 1 that fails the cancellation
+    guard, so it skips the batch.
 
-    One broadcast matmul of the r x n and n x r blocks gives every cross
-    block Qi^T Qj of a tile pair. Each product is far below the size at
-    which OpenBLAS starts its own threads, so a row never wakes the BLAS
-    pool.
+    Tiles are slices of cells.bases. One broadcast matmul of the p x n and
+    n x p blocks gives every cross block Qi^T Qj of a tile pair. Each
+    product is far below the size at which OpenBLAS starts its own threads,
+    so a row never wakes the BLAS pool.
     """
-    points, r, m = cells.points, cells.nominal_rank, len(cells)
-    left = _padded_tile(points, lo, r)
+    bases, ranks = cells.bases, cells.ranks
+    m, n, r = bases.shape
+    left = bases[lo : lo + _TILE_SUBSPACES]
     left_t = left.transpose(0, 2, 1)[:, None]
     flagged: list[tuple[int, int]] = []
     for hi in range(lo, m, _TILE_SUBSPACES):
-        right = left if hi == lo else _padded_tile(points, hi, r)
-        cross = np.matmul(left_t, right[None])
+        right = bases[hi : hi + _TILE_SUBSPACES]
         if hi == lo:
             ti, tj = np.triu_indices(len(left), 1)
         else:
             ti, tj = np.indices((len(left), len(right))).reshape(2, -1)
-        if ti.size == 0:
-            continue
         i, j = lo + ti, hi + tj
-        values, redo = block_distances(
-            cross[ti, tj], np.minimum(ranks[i], ranks[j]), metric
-        )
+        batch = ranks[i] + ranks[j] <= n
+        flagged.extend(zip(i[~batch].tolist(), j[~batch].tolist()))
+        if not batch.any():
+            continue
+        # The cross blocks in (ti, tj) order, copied only when some are left out.
+        cross = np.matmul(left_t, right[None]).reshape(-1, r, r)
+        pick = (ti * len(right) + tj)[batch]
+        if pick.size < len(cross):
+            cross = cross[pick]
+        i, j = i[batch], j[batch]
+        values, redo = block_distances(cross, np.minimum(ranks[i], ranks[j]), metric)
         out[i, j] = values
         flagged.extend(zip(i[redo].tolist(), j[redo].tolist()))
     return flagged
@@ -225,7 +211,7 @@ def _angle_distances(
     cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
 ) -> int:
     """Fill the strict upper triangle of `out` row of tiles by row of tiles
-    (_tile_row) and return how many pairs were recomputed one by one.
+    (_tile_row) and return how many pairs were computed one by one.
 
     The rows are spread over the CPUs this process may use: the calling
     thread and up to _cpu_count() - 1 helper threads take rows from one
@@ -233,11 +219,10 @@ def _angle_distances(
     error stops the hand-out of rows and reaches the caller unchanged. Every
     pair is computed by the same code on the same inputs whichever thread
     takes its row, so `out` does not depend on the core count. The pairs
-    the batch flags are recomputed with grassmann.distance once every row
-    is done, on the calling thread and in lexicographic order, so a Martin
+    the rows flag are computed with grassmann.distance once every row is
+    done, on the calling thread and in lexicographic order, so a Martin
     divergence names the first offending pair as a pair-by-pair loop would.
     """
-    ranks = np.array([sub.rank for sub in cells.points])
     starts = range(0, len(cells), _TILE_SUBSPACES)
     rows = iter(starts)
     lock = threading.Lock()
@@ -251,7 +236,7 @@ def _angle_distances(
                     lo = None if failed.is_set() else next(rows, None)
                 if lo is None:
                     return flagged
-                flagged += _tile_row(cells, ranks, lo, metric, out)
+                flagged += _tile_row(cells, lo, metric, out)
         except BaseException:
             failed.set()
             raise
@@ -268,7 +253,10 @@ def _angle_distances(
             for future in futures:
                 redo += future.result()
     for i, j in sorted(redo):
-        out[i, j] = _pair_distance(cells.points, i, j, metric)
+        try:
+            out[i, j] = distance(cells.subspace(i), cells.subspace(j), metric)
+        except MartinDivergentError as err:
+            raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
     return len(redo)
 
 
@@ -277,20 +265,23 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     and mirrored.
 
     Chordal takes one residual per pair (grassmann.distance), which needs no
-    SVD. The four angle metrics run as tiled, batched SVDs of the cross
-    blocks Qi^T Qj, their rows of tiles spread over the CPUs this process
-    may use (_angle_distances); only the pairs that fail the cancellation
-    guard, or whose Martin distance diverges, go through grassmann.distance,
-    and the matrix counts them as guarded_pairs. The values do not depend on
-    the core count or on the BLAS thread count.
+    SVD, on the M subspaces taken out of cells.bases once per call. The four
+    angle metrics run as tiled, batched SVDs of the cross blocks Qi^T Qj,
+    each tile a slice of cells.bases, their rows of tiles spread over the
+    CPUs this process may use (_angle_distances). Only the pairs whose ranks
+    sum past the ambient dimension, that fail the cancellation guard, or
+    whose Martin distance diverges go through grassmann.distance, with just
+    the two subspaces each needs; the matrix counts them as guarded_pairs.
+    The values do not depend on the core count or on the BLAS thread count.
     """
     m = len(cells)
     out = np.zeros((m, m))
     guarded = 0
     if metric is GrassmannMetric.CHORDAL:
+        points = [cells.subspace(k) for k in range(m)]
         for i in range(m - 1):
             for j in range(i + 1, m):
-                out[i, j] = _pair_distance(cells.points, i, j, metric)
+                out[i, j] = distance(points[i], points[j], metric)
     else:
         guarded = _angle_distances(cells, metric, out)
     out = out + out.T

@@ -6,8 +6,15 @@ import pytest
 from mgm.grassmann import Subspace, orthonormalize
 
 
+def span(columns: np.ndarray) -> Subspace:
+    """The span of one n x p column matrix, through the batched
+    orthonormalize on a stack of one."""
+    bases, ranks = orthonormalize(np.asarray(columns)[None])
+    return Subspace(bases[0, :, : ranks[0]])
+
+
 def random_subspace(rng: np.random.Generator, n: int, r: int) -> Subspace:
-    return orthonormalize(rng.standard_normal((n, r)))
+    return span(rng.standard_normal((n, r)))
 
 
 def make_blobs(

@@ -211,3 +211,18 @@ def laplacian_eigenmaps_dense(x: np.ndarray, n_neighbors: int, dim: int) -> np.n
     signs = np.sign(emb[idx, np.arange(dim)])
     signs[signs == 0] = 1.0
     return emb * signs
+
+
+def bases_per_sample(embeddings, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The basis array of a stack of per-scale embeddings, one sample at a
+    time: one SVD of each sample's n x p feature matrix (its row per scale as
+    columns), keeping the left singular vectors whose singular value exceeds
+    tol times the largest, padded with zero columns to p."""
+    m, n = embeddings[0].shape
+    bases = np.zeros((m, n, len(embeddings)))
+    ranks = np.zeros(m, dtype=int)
+    for k in range(m):
+        u, s, _ = np.linalg.svd(np.column_stack([e[k] for e in embeddings]), full_matrices=False)
+        ranks[k] = np.count_nonzero(s > tol * s[0])
+        bases[k, :, : ranks[k]] = u[:, : ranks[k]]
+    return bases, ranks

@@ -20,7 +20,6 @@ from mgm.grassmann import (
     Subspace,
     distance,
     distance_from_angles,
-    orthonormalize,
     principal_angles,
 )
 from mgm import pipeline
@@ -28,7 +27,7 @@ from mgm.mdr import EmbeddingStack
 from mgm.pipeline import CellSubspaceSet, _angle_distances, build_subspaces, distance_matrix
 from mgm.scales import ScaleSet
 
-from conftest import random_subspace
+from conftest import random_subspace, span
 from oracles import (
     gram_schmidt_basis,
     principal_angles_deflation,
@@ -65,7 +64,7 @@ class TestSubspaceTypes:
         for _ in range(20):
             s = random_subspace(rng, 7, 3)
             p = projector(s)
-            back = orthonormalize(p)
+            back = span(p)
             assert back.rank == 3
             # same span: projectors agree
             assert np.linalg.norm(projector(back) - p) < 1e-10
@@ -93,7 +92,7 @@ class TestOrthonormalize:
             n = int(rng.integers(2, 9))
             r = int(rng.integers(1, n + 1))
             a = rng.standard_normal((n, r))
-            sub = orthonormalize(a)
+            sub = span(a)
             gs = gram_schmidt_basis(a)
             assert sub.rank == gs.shape[1]
             p_sub = sub.basis @ sub.basis.T
@@ -102,7 +101,7 @@ class TestOrthonormalize:
 
     def test_duplicate_columns_reduce_rank(self):
         col = np.array([[1.0], [2.0], [3.0]])
-        sub = orthonormalize(np.hstack([col, col, 2.0 * col]))
+        sub = span(np.hstack([col, col, 2.0 * col]))
         assert sub.rank == 1
 
     def test_dependent_column_dropped(self):
@@ -115,7 +114,7 @@ class TestOrthonormalize:
                 [0.0, 0.0, 0.0],
             ]
         )
-        sub = orthonormalize(z)
+        sub = span(z)
         assert sub.rank == 2
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = 1.0
@@ -123,12 +122,12 @@ class TestOrthonormalize:
 
     def test_all_zero_columns_raise(self):
         with pytest.raises(AllColumnsZeroError):
-            orthonormalize(np.zeros((4, 2)))
+            span(np.zeros((4, 2)))
 
     def test_scaling_does_not_change_span(self, rng):
         a = rng.standard_normal((6, 3))
-        p1 = projector(orthonormalize(a))
-        p2 = projector(orthonormalize(a * np.array([1e-3, 1.0, 1e3])))
+        p1 = projector(span(a))
+        p2 = projector(span(a * np.array([1e-3, 1.0, 1e3])))
         assert np.linalg.norm(p1 - p2) < 1e-9
 
 
@@ -204,7 +203,7 @@ class TestPrincipalAngles:
         x = Subspace(np.eye(5)[:, :2])
         tilted = np.eye(5)[:, :2].copy()
         tilted[4, 0] = eps
-        y = orthonormalize(tilted)
+        y = span(tilted)
         theta = principal_angles(x, y).angles
         assert abs(theta[-1] - eps) < 1e-12 * max(1.0, eps)
 
@@ -405,7 +404,7 @@ class TestCancellationGuard:
             # the same span held in another basis, as for replicate cells
             turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
             assert_matches_sine_oracle(x, Subspace(x.basis @ turn))
-            assert_matches_sine_oracle(x, orthonormalize(x.basis + 1e-14))
+            assert_matches_sine_oracle(x, span(x.basis + 1e-14))
 
     @pytest.mark.parametrize("tiny", [1e-10, 1e-6])
     def test_one_tiny_angle_among_large_ones(self, rng, tiny):
@@ -445,7 +444,7 @@ class TestCancellationGuard:
         x, y = pair_with_angles(rng, 8, 2, 3, [0.4, math.pi / 2 - 1e-12])
         assert_matches_sine_oracle(x, y)
         z = random_subspace(rng, 8, 2)
-        cells = CellSubspaceSet(points=(z, x, y), nominal_rank=3, embedding_dim=8)
+        cells = cells_of([z, x, y])
         with pytest.raises(MartinDivergentError, match=r"pair \(1, 2\)"):
             distance_matrix(cells, GrassmannMetric.MARTIN)
 
@@ -507,9 +506,9 @@ class TestChordalResidual:
         turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         points = base + [
             Subspace(base[0].basis @ turn),
-            orthonormalize(base[1].basis + 1e-14),
+            span(base[1].basis + 1e-14),
         ]
-        cells = CellSubspaceSet(points=tuple(points), nominal_rank=3, embedding_dim=12)
+        cells = cells_of(points)
         got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
@@ -525,17 +524,24 @@ class TestChordalResidual:
 ANGLE_METRICS = [m for m in GrassmannMetric if m is not GrassmannMetric.CHORDAL]
 
 
-def per_pair_spy(monkeypatch, points):
+def per_pair_spy(monkeypatch):
     """Record the (i, j) of every pair distance_matrix hands to
-    grassmann.distance."""
-    index = {id(p): k for k, p in enumerate(points)}
+    grassmann.distance, i and j the samples CellSubspaceSet.subspace took
+    the two subspaces out for."""
+    index = {}
     calls = []
-    real = pipeline.distance
+    real_subspace, real_distance = CellSubspaceSet.subspace, pipeline.distance
+
+    def subspace(cells, k):
+        sub = real_subspace(cells, k)
+        index[id(sub)] = k
+        return sub
 
     def spy(x, y, metric):
         calls.append((index[id(x)], index[id(y)]))
-        return real(x, y, metric)
+        return real_distance(x, y, metric)
 
+    monkeypatch.setattr(CellSubspaceSet, "subspace", subspace)
     monkeypatch.setattr(pipeline, "distance", spy)
     return calls
 
@@ -554,9 +560,16 @@ def assert_matrix_matches(points, metric, got):
 
 
 def cells_of(points):
-    n = points[0].ambient_dim
-    rank = max(p.rank for p in points)
-    return CellSubspaceSet(points=tuple(points), nominal_rank=rank, embedding_dim=n)
+    """The set of the given subspaces, padded with zero columns to the
+    largest rank."""
+    bases = np.zeros((len(points), points[0].ambient_dim, max(p.rank for p in points)))
+    for k, p in enumerate(points):
+        bases[k, :, : p.rank] = p.basis
+    return CellSubspaceSet(bases=bases, ranks=[p.rank for p in points])
+
+
+def points_of(cells):
+    return [cells.subspace(k) for k in range(len(cells))]
 
 
 def force_workers(monkeypatch, count):
@@ -629,22 +642,48 @@ class TestBatchedAngleKernel:
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
     def test_rank_reduced_and_replicate_cells(self, rng, metric, monkeypatch):
         cells = rank_reduced_and_replicate_cells(rng)
-        assert [p.rank for p in cells.points].count(3) == 3
-        assert [p.rank for p in cells.points].count(1) == 2
-        calls = per_pair_spy(monkeypatch, cells.points)
+        assert cells.ranks.tolist().count(3) == 3
+        assert cells.ranks.tolist().count(1) == 2
+        calls = per_pair_spy(monkeypatch)
         dmat = distance_matrix(cells, metric)
-        assert_matrix_matches(cells.points, metric, dmat.values)
+        assert_matrix_matches(points_of(cells), metric, dmat.values)
         assert calls == [(3, 20), (4, 19)]
         assert dmat.guarded_pairs == 2
 
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
     def test_either_side_of_both_guards(self, rng, metric, monkeypatch):
         points = points_either_side_of_both_guards(rng)
-        calls = per_pair_spy(monkeypatch, points)
+        calls = per_pair_spy(monkeypatch)
         dmat = distance_matrix(cells_of(points), metric)
         assert_matrix_matches(points, metric, dmat.values)
         assert calls == [(0, 9), (2, 17), (4, 18), (5, 12)]
         assert dmat.guarded_pairs == 4
+
+    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    def test_pairs_whose_ranks_sum_past_n_skip_the_batch(self, rng, metric, monkeypatch):
+        # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, and
+        # fail the cosine guard; ranks 2 + 4 and 3 + 3 need not.
+        points = [random_subspace(rng, 6, (2, 3, 4)[k % 3]) for k in range(19)]
+        ranks = [p.rank for p in points]
+        shared = [
+            (i, j) for i, j in zip(*np.triu_indices(19, 1)) if ranks[i] + ranks[j] > 6
+        ]
+        batched = []
+        real_block = pipeline.block_distances
+
+        def block(cross, counts, metric):
+            batched.append(np.linalg.svd(cross, compute_uv=False)[:, 0])
+            return real_block(cross, counts, metric)
+
+        monkeypatch.setattr(pipeline, "block_distances", block)
+        calls = per_pair_spy(monkeypatch)
+        dmat = distance_matrix(cells_of(points), metric)
+        assert_matrix_matches(points, metric, dmat.values)
+        assert calls == shared
+        assert dmat.guarded_pairs == len(shared) == 51
+        largest = np.concatenate(batched)
+        assert largest.size == 19 * 18 // 2 - len(shared)
+        assert largest.max() < 1.0 - _COSINE_GUARD
 
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
     @pytest.mark.parametrize("m", [1, 2, 8, 9])
@@ -681,7 +720,7 @@ class TestBatchedAngleKernel:
             for workers in (1, 2, 3):
                 force_workers(monkeypatch, workers)
                 with pytest.MonkeyPatch.context() as patch:
-                    calls = per_pair_spy(patch, cells.points)
+                    calls = per_pair_spy(patch)
                     dmat = distance_matrix(cells, metric)
                 runs.append((dmat.values.tobytes(), dmat.guarded_pairs, calls))
             assert runs[1] == runs[0] and runs[2] == runs[0], metric
@@ -718,9 +757,9 @@ class TestBatchedAngleKernel:
                     raise boom
             return real_block(cross, counts, metric)
 
-        def row(cells, ranks, lo, metric, out):
+        def row(cells, lo, metric, out):
             started.append((lo, failed.is_set()))
-            return real_row(cells, ranks, lo, metric, out)
+            return real_row(cells, lo, metric, out)
 
         monkeypatch.setattr(pipeline, "block_distances", block)
         monkeypatch.setattr(pipeline, "_tile_row", row)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,12 @@ from mgm.errors import (
     DataError,
     MartinDivergentError,
 )
-from mgm.grassmann import GrassmannMetric, distance
+from mgm.grassmann import _RANK_TOL, GrassmannMetric, distance
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, MdrMethod, build_stack
 from mgm import pipeline
 from mgm.pipeline import (
     CellSubspaceSet,
     DistanceMatrix,
-    aggregate_features,
     build_subspaces,
     distance_matrix,
     run_mgm,
@@ -22,6 +23,7 @@ from mgm.pipeline import (
 from mgm.scales import ScaleSamplingSpec, ScaleSet
 
 from conftest import make_blobs
+from oracles import bases_per_sample
 
 
 def random_stack(m=12, n=8, p=4, seed=0):
@@ -38,21 +40,15 @@ def blob_stack(m=60):
     return build_stack(x, scales, spec), labels
 
 
-class TestAggregateFeatures:
-    def test_columns_are_embedding_rows(self):
-        stack = random_stack(m=6, n=5, p=3)
-        for i in range(6):
-            features = aggregate_features(stack, i)
-            assert features.shape == (5, 3)
-            for j, emb in enumerate(stack.embeddings):
-                assert np.array_equal(features[:, j], emb[i])
+def identical_scales_stack():
+    emb = np.random.default_rng(3).standard_normal((7, 6))
+    return EmbeddingStack(scales=ScaleSet(scales=(2, 4, 8)), embeddings=(emb, emb, emb))
 
-    def test_index_out_of_range(self):
-        stack = random_stack(m=6)
-        with pytest.raises(IndexError):
-            aggregate_features(stack, 6)
-        with pytest.raises(IndexError):
-            aggregate_features(stack, -1)
+
+def dependent_scale_stack():
+    rng = np.random.default_rng(4)
+    e1, e2 = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), embeddings=(e1, e2, e1 + e2))
 
 
 class TestBuildSubspaces:
@@ -63,28 +59,16 @@ class TestBuildSubspaces:
         assert cells.nominal_rank == 4
         assert cells.embedding_dim == 8
         assert cells.rank_reduced_count == 0
-        for sub in cells.points:
-            assert sub.rank == 4
+        assert cells.ranks.tolist() == [4] * 10
 
     def test_identical_embeddings_collapse_to_lines(self):
-        rng = np.random.default_rng(3)
-        emb = rng.standard_normal((7, 6))
-        scales = ScaleSet(scales=(2, 4, 8))
-        stack = EmbeddingStack(scales=scales, embeddings=(emb, emb, emb))
-        cells = build_subspaces(stack)
+        cells = build_subspaces(identical_scales_stack())
         assert cells.rank_reduced_count == 7
-        for sub in cells.points:
-            assert sub.rank == 1
+        assert cells.ranks.tolist() == [1] * 7
 
     def test_dependent_scale_detected(self):
-        rng = np.random.default_rng(4)
-        e1 = rng.standard_normal((5, 6))
-        e2 = rng.standard_normal((5, 6))
-        scales = ScaleSet(scales=(2, 3, 4))
-        stack = EmbeddingStack(scales=scales, embeddings=(e1, e2, e1 + e2))
-        cells = build_subspaces(stack)
-        for sub in cells.points:
-            assert sub.rank == 2
+        cells = build_subspaces(dependent_scale_stack())
+        assert cells.ranks.tolist() == [2] * 5
 
     def test_column_norms_do_not_move_the_span(self):
         stack = random_stack(m=8, n=7, p=3, seed=5)
@@ -98,10 +82,8 @@ class TestBuildSubspaces:
         )
         a = build_subspaces(stack)
         b = build_subspaces(scaled)
-        for sa, sb in zip(a.points, b.points):
-            pa = sa.basis @ sa.basis.T
-            pb = sb.basis @ sb.basis.T
-            assert np.linalg.norm(pa - pb) < 1e-9
+        for qa, qb in zip(a.bases, b.bases):
+            assert np.linalg.norm(qa @ qa.T - qb @ qb.T) < 1e-9
 
     def test_zero_sample_raises_with_index(self):
         emb = np.ones((4, 5))
@@ -117,8 +99,72 @@ class TestBuildSubspaces:
             cells = build_subspaces(stack)
         # rank 3 is the cap min(p, n), so nothing counts as reduced below it
         assert cells.rank_reduced_count == 0
-        for sub in cells.points:
-            assert sub.rank == 3
+        assert cells.ranks.tolist() == [3] * 6
+
+
+def near_dependent_stack():
+    # The third singular value is 4e-10 (kept) or 5e-11 (dropped) times the
+    # first, either side of the rank rule's 1e-10.
+    rng = np.random.default_rng(6)
+    features = [
+        np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        @ np.diag([1.0, 0.5, 4e-10 if k % 2 else 5e-11])
+        @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for k in range(10)
+    ]
+    embeddings = tuple(np.array([f[:, j] for f in features]) for j in range(3))
+    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), embeddings=embeddings)
+
+
+class TestBatchedBuild:
+    """build_subspaces against one SVD per sample (oracles.bases_per_sample)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_stack(m=16, n=8, p=4, seed=1),
+            lambda: random_stack(m=13, n=8, p=4, seed=2),  # not a multiple of the chunk
+            identical_scales_stack,  # rank 1
+            dependent_scale_stack,  # rank 2 of 3
+            near_dependent_stack,  # ranks 3 and 2
+            lambda: random_stack(m=6, n=3, p=5, seed=3),  # n < p, warned
+            lambda: random_stack(m=21, n=100, p=23, seed=4),  # the setup1 shape
+        ],
+        ids=[
+            "random", "ragged", "identical", "dependent", "near_dependent",
+            "dim_below_scales", "setup1",
+        ],
+    )
+    def test_bitwise_equal_to_one_svd_per_sample(self, make):
+        stack = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cells = build_subspaces(stack)
+        bases, ranks = bases_per_sample(stack.embeddings, _RANK_TOL)
+        assert cells.ranks.tolist() == ranks.tolist()
+        if make is near_dependent_stack:
+            assert ranks.tolist() == [2, 3] * 5
+        assert cells.bases.shape == bases.shape
+        assert cells.bases.tobytes() == bases.tobytes()
+
+    def test_zero_sample_past_a_chunk_boundary_is_named(self):
+        emb = np.random.default_rng(5).standard_normal((12, 5))
+        emb[9] = 0.0
+        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), embeddings=(emb, emb * 2.0))
+        assert pipeline._TILE_SUBSPACES < 9
+        with pytest.raises(AllColumnsZeroError, match=r"sample 9\b"):
+            build_subspaces(stack)
+
+    def test_set_rejects_bad_ranks(self):
+        bases = np.zeros((4, 5, 3))
+        bases[:, 0, 0] = 1.0
+        assert CellSubspaceSet(bases=bases, ranks=[1, 1, 1, 1]).rank_reduced_count == 4
+        for ranks in ([1, 1, 1], [1, 0, 1, 1], [1, 1, 4, 1]):
+            with pytest.raises(ValueError, match="ranks"):
+                CellSubspaceSet(bases=bases, ranks=ranks)
+        # min(n, p) caps the rank when n < p
+        with pytest.raises(ValueError, match="ranks"):
+            CellSubspaceSet(bases=np.zeros((2, 3, 5)), ranks=[1, 4])
 
 
 class TestDistanceMatrix:
@@ -131,7 +177,7 @@ class TestDistanceMatrix:
             for i in range(9):
                 assert dmat.values[i, i] == 0.0
                 for j in range(i + 1, 9):
-                    want = distance(cells.points[i], cells.points[j], metric)
+                    want = distance(cells.subspace(i), cells.subspace(j), metric)
                     if metric is GrassmannMetric.CHORDAL:
                         assert dmat.values[i, j] == want
                     else:
