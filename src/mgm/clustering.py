@@ -3,8 +3,8 @@
 Two routes are provided: spectral clustering on a Gaussian affinity built
 from the distances, and k-means on a classical multidimensional-scaling
 embedding of the distances. Each route embeds the matrix once, without a
-seed; the shared k-means core then runs per seed and is fully deterministic
-given one.
+seed; the shared k-means core then runs every restart of every seed as one
+batched program, and each seed's labels are fully deterministic given it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ __all__ = [
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-6
+# Runs advance in groups of at most this much scratch, taken as 3k + d + 3
+# doubles per point per run (tracemalloc: 3k + d + 1.8 at M = 2,000-20,000). At
+# M = 10,000, k = 3, d = 20 the stage peaked at 8.1 MB for 5 seeds and 7.8 MB
+# for 1, and 1-16 MiB budgets took about the same time; M = 120 fits one group.
+_KMEANS_GROUP_BYTES = 8 << 20
 
 
 class ClusteringMethod(enum.Enum):
@@ -37,97 +42,124 @@ class ClusteringMethod(enum.Enum):
     KMEANS_MDS = "kmeans-mds"
 
 
-def _sq_dists_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dist_tables(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (runs, M, c) from every point to each run's c centres."""
+    cross = 2.0 * np.matmul(points, centers.transpose(0, 2, 1))
+    d2 = sq_norms[:, None] + np.sum(centers**2, axis=2)[:, None, :]
+    d2 -= cross
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_pp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
+def _cluster_means(columns: np.ndarray, bins: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean point of each bin of bins (runs, M); counts holds the bin sizes,
+    none zero, and columns (d, runs * M) each column of the points once per
+    run. Sums add as points[labels == c].mean(axis=0) adds them, so the means
+    are bitwise equal to it: one column pairwise from zero (numpy's reduction
+    along a contiguous axis), wider rows in row order (bincount's order)."""
+    if columns.shape[0] == 1:
+        order = np.argsort(bins, axis=None, kind="stable")
+        starts = np.cumsum(counts) - counts
+        runs = np.insert(columns[0, order], starts, 0.0)
+        sums = np.add.reduceat(runs, starts + np.arange(counts.size))[:, None]
+    else:
+        flat = bins.ravel()
+        sums = np.stack([np.bincount(flat, weights=w, minlength=counts.size) for w in columns], 1)
+    return sums / counts[:, None]
+
+
+def _kmeans_pp_starts(points, sq_norms, k: int, rngs: list) -> np.ndarray:
+    """k centres (runs, k, d) per generator, drawn by k-means++."""
     m = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(m))]
-    closest = _sq_dists_to(points, centers[:1])[:, 0]
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[[int(rng.integers(m)) for rng in rngs]]
+    closest = _sq_dist_tables(points, sq_norms, centers[:, :1])[:, :, 0]
     for c in range(1, k):
-        total = float(closest.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(m))
-        else:
-            idx = int(rng.choice(m, p=closest / total))
-        centers[c] = points[idx]
-        closest = np.minimum(closest, _sq_dists_to(points, centers[c : c + 1])[:, 0])
+        for r, (rng, total) in enumerate(zip(rngs, closest.sum(axis=1).tolist())):
+            draw = rng.integers(m) if total <= 0.0 else rng.choice(m, p=closest[r] / total)
+            centers[r, c] = points[int(draw)]
+        added = _sq_dist_tables(points, sq_norms, centers[:, c : c + 1])[:, :, 0]
+        closest = np.minimum(closest, added)
     return centers
 
 
-def _lloyd(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
+def _lloyd_runs(points, sq_norms, k: int, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (runs, M) and inertias of one k-means++ start and Lloyd's loop
+    per generator, all runs stepped together. A run whose inertia fell by no
+    more than _KMEANS_REL_TOL, relative, stops and is never advanced again."""
     m = points.shape[0]
-    centers = _kmeans_pp_init(points, k, rng)
+    labels, inertia = np.empty((len(rngs), m), dtype=np.intp), np.empty(len(rngs))
+    prev, live = np.full(len(rngs), np.inf), np.arange(len(rngs))
+    columns = np.tile(points.T, len(rngs))
     # One table per set of centres: it gives that step's inertia, the next
     # step's assignment and the final labels.
-    d2 = _sq_dists_to(points, centers)
-    prev_inertia = np.inf
-    for _ in range(_KMEANS_MAX_ITER):
-        labels = d2.argmin(axis=1)
-        counts = np.bincount(labels, minlength=k)
-        for c in np.flatnonzero(counts == 0):
+    d2 = _sq_dist_tables(points, sq_norms, _kmeans_pp_starts(points, sq_norms, k, rngs))
+    for step in range(_KMEANS_MAX_ITER):
+        offsets = k * np.arange(live.size)[:, None]
+        step_labels = d2.argmin(axis=2)
+        counts = np.bincount((step_labels + offsets).ravel(), minlength=live.size * k)
+        counts = counts.reshape(live.size, k)
+        for r, c in zip(*np.nonzero(counts == 0)):
             # Refill an empty cluster with the worst-served point of a
             # cluster that keeps a member after the move. One exists while
             # a cluster is empty, since k <= m.
-            costs = d2[np.arange(m), labels]
-            costs[counts[labels] < 2] = -np.inf
+            run_labels, run_counts = step_labels[r], counts[r]
+            costs = d2[r, np.arange(m), run_labels]
+            costs[run_counts[run_labels] < 2] = -np.inf
             i = int(np.argmax(costs))
-            counts[labels[i]] -= 1
-            labels[i] = c
-            counts[c] = 1
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-        d2 = _sq_dists_to(points, centers)
-        inertia = float(d2[np.arange(m), labels].sum())
-        if prev_inertia - inertia <= _KMEANS_REL_TOL * max(inertia, 1e-300):
+            run_counts[run_labels[i]] -= 1
+            run_labels[i] = c
+            run_counts[c] = 1
+        means = _cluster_means(columns[:, : live.size * m], step_labels + offsets, counts.ravel())
+        d2 = _sq_dist_tables(points, sq_norms, means.reshape(live.size, k, -1))
+        now = np.take_along_axis(d2, step_labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        tol = _KMEANS_REL_TOL * np.maximum(now, 1e-300)
+        stop = (prev[live] - now <= tol) | (step == _KMEANS_MAX_ITER - 1)
+        prev[live], done = now, live[stop]
+        labels[done] = d2[stop].argmin(axis=2)
+        inertia[done] = d2[stop].min(axis=2).sum(axis=1)
+        live, d2 = live[~stop], d2[~stop]
+        if not live.size:
             break
-        prev_inertia = inertia
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(m), labels].sum())
     return labels, inertia
 
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
-    """k-means with k-means++ starts; the best of _KMEANS_RESTARTS runs wins.
+def kmeans(
+    points: np.ndarray, k: int, seeds: Sequence[int]
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """(labels, inertia) per seed, each the best of _KMEANS_RESTARTS k-means++ runs.
 
-    Each restart r draws from an independent generator seeded by (seed, r),
-    and ties on inertia keep the earliest restart, so results depend only on
-    (points, k, seed).
+    Restart r of a seed draws from its own generator, seeded by (seed, r), and
+    ties on inertia keep the earliest restart, so a seed's result depends only
+    on (points, k, seed). All runs of all seeds advance together, as one
+    batched Lloyd program in groups bounded by _KMEANS_GROUP_BYTES.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"points must be a nonempty 2-d array, got {points.shape}")
-    m = points.shape[0]
+    m, d = points.shape
     if not 1 <= k <= m:
         raise ConfigError(f"k must lie in [1, {m}], got {k}")
     if k == 1:
-        center = points.mean(axis=0)
-        inertia = float(np.sum((points - center) ** 2))
-        return np.zeros(m, dtype=int), inertia
-    best_labels, best_inertia = None, np.inf
-    for r in range(_KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, r])
-        labels, inertia = _lloyd(points, k, rng)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    assert best_labels is not None
-    return best_labels, best_inertia
+        inertia = float(np.sum((points - points.mean(axis=0)) ** 2))
+        return tuple((np.zeros(m, dtype=int), inertia) for _ in seeds)
+    rngs = [np.random.default_rng([s, r]) for s in seeds for r in range(_KMEANS_RESTARTS)]
+    sq_norms = np.sum(points**2, axis=1)
+    group = max(1, _KMEANS_GROUP_BYTES // (8 * m * (3 * k + d + 3)))
+    best: list = [(None, np.inf)] * len(seeds)
+    for start in range(0, len(rngs), group):
+        labels, inertia = _lloyd_runs(points, sq_norms, k, rngs[start : start + group])
+        for run, value in enumerate(inertia.tolist(), start):
+            seed = run // _KMEANS_RESTARTS
+            if value < best[seed][1]:
+                best[seed] = (labels[run - start].copy(), value)
+        del labels  # before the next group allocates its own
+    return tuple(best)
 
 
-def kmeans_euclidean(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """k-means labels directly on coordinates; the baseline route."""
-    return kmeans(points, k, seed)[0]
+def kmeans_euclidean(points: np.ndarray, k: int, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """k-means labels directly on coordinates, one labelling per seed; the
+    baseline route."""
+    return tuple(labels for labels, _ in kmeans(points, k, seeds))
 
 
 def spectral_cluster(d: DistanceMatrix, k: int) -> np.ndarray:
@@ -184,9 +216,9 @@ def cluster_distances(
 
     The embedding does not depend on the seed, so it is computed once: the
     spectral embedding, or classical MDS coordinates in mds_dim dimensions
-    (default k, at most M - 1). Only k-means runs per seed. A matrix whose
-    centered squared distances have no positive eigenvalue cannot be
-    embedded by MDS and is rejected.
+    (default k, at most M - 1); one kmeans call clusters it for every seed.
+    A matrix whose centered squared distances have no positive eigenvalue
+    cannot be embedded by MDS and is rejected.
     """
     m = d.size
     if not 1 <= k <= m:
@@ -205,4 +237,4 @@ def cluster_distances(
                 "no positive eigenvalue in the centered squared distances; "
                 "the matrix admits no Euclidean embedding"
             )
-    return tuple(kmeans(points, k, seed)[0] for seed in seeds)
+    return tuple(labels for labels, _ in kmeans(points, k, seeds))

@@ -6,9 +6,9 @@ or classical MDS) do not depend on the seed. Two baselines reuse the run's
 PCA-reduced matrix and embeddings to put the numbers in context: k-means on
 a single PCA embedding, and k-means on the average of the per-scale
 embeddings. Labels for every group, the method and both baselines, are
-computed first, with k-means once per seed. One loop then scores each seed
-(when ground truth is available) and writes its files as it is scored, so a
-failure in a later seed preserves earlier output.
+computed first, with one k-means call per group for all seeds. One loop
+then scores each seed (when ground truth is available) and writes its files
+as it is scored, so a failure in a later seed preserves earlier output.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def run_experiment(
             "baseline_avg_embedding": np.mean(np.stack(embedding.stack.embeddings), axis=0),
         }
         for group, values in points.items():
-            seed_labels = tuple(kmeans_euclidean(values, cfg.k, seed=s) for s in cfg.seeds)
+            seed_labels = kmeans_euclidean(values, cfg.k, cfg.seeds)
             groups[group] = (f"{group}+kmeans", seed_labels, None, None)
 
     scored: dict[str, tuple[SeedOutcome, ...]] = {}

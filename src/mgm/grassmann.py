@@ -145,14 +145,11 @@ def orthonormalize(columns: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.
 def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """The two bases, the wider first; equal widths are ordered by raw bytes
     so every result built on them is bit-identical under argument swap."""
-    if x.ambient_dim != y.ambient_dim:
-        raise AmbientDimMismatchError(
-            f"ambient dims differ: {x.ambient_dim} vs {y.ambient_dim}"
-        )
     qx, qy = x.basis, y.basis
-    if qx.shape[1] < qy.shape[1] or (
-        qx.shape[1] == qy.shape[1] and qx.tobytes() > qy.tobytes()
-    ):
+    (nx, rx), (ny, ry) = qx.shape, qy.shape
+    if nx != ny:
+        raise AmbientDimMismatchError(f"ambient dims differ: {nx} vs {ny}")
+    if rx < ry or (rx == ry and qx.tobytes() > qy.tobytes()):
         qx, qy = qy, qx
     return qx, qy
 

@@ -280,8 +280,9 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     if metric is GrassmannMetric.CHORDAL:
         points = [cells.subspace(k) for k in range(m)]
         for i in range(m - 1):
+            row, x = out[i], points[i]
             for j in range(i + 1, m):
-                out[i, j] = distance(points[i], points[j], metric)
+                row[j] = distance(x, points[j], metric)
     else:
         guarded = _angle_distances(cells, metric, out)
     out = out + out.T

@@ -226,3 +226,78 @@ def bases_per_sample(embeddings, tol: float) -> tuple[np.ndarray, np.ndarray]:
         ranks[k] = np.count_nonzero(s > tol * s[0])
         bases[k, :, : ranks[k]] = u[:, : ranks[k]]
     return bases, ranks
+
+
+def _sq_dists_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    d2 = (
+        np.sum(points**2, axis=1)[:, None]
+        + np.sum(centers**2, axis=1)[None, :]
+        - 2.0 * points @ centers.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    m = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(m))]
+    closest = _sq_dists_to(points, centers[:1])[:, 0]
+    for c in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=closest / total))
+        centers[c] = points[idx]
+        closest = np.minimum(closest, _sq_dists_to(points, centers[c : c + 1])[:, 0])
+    return centers
+
+
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    from mgm import clustering
+
+    m = points.shape[0]
+    centers = _kmeans_pp_init(points, k, rng)
+    d2 = _sq_dists_to(points, centers)
+    prev_inertia = np.inf
+    for _ in range(clustering._KMEANS_MAX_ITER):
+        labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            costs = d2[np.arange(m), labels]
+            costs[counts[labels] < 2] = -np.inf
+            i = int(np.argmax(costs))
+            counts[labels[i]] -= 1
+            labels[i] = c
+            counts[c] = 1
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+        d2 = _sq_dists_to(points, centers)
+        inertia = float(d2[np.arange(m), labels].sum())
+        if prev_inertia - inertia <= clustering._KMEANS_REL_TOL * max(inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    labels = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(m), labels].sum())
+    return labels, inertia
+
+
+def kmeans_per_restart(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
+    """k-means for one seed, one restart at a time: restart r runs k-means++
+    and Lloyd's loop alone on default_rng([seed, r]), each cluster mean is
+    points[labels == c].mean(axis=0), and the earliest restart of lowest
+    inertia wins. Reads the restart count, step limit and tolerance from
+    mgm.clustering, so a patched limit holds here too."""
+    from mgm import clustering
+
+    points = np.asarray(points, dtype=float)
+    m = points.shape[0]
+    if k == 1:
+        center = points.mean(axis=0)
+        return np.zeros(m, dtype=int), float(np.sum((points - center) ** 2))
+    best_labels, best_inertia = None, np.inf
+    for r in range(clustering._KMEANS_RESTARTS):
+        labels, inertia = _lloyd(points, k, np.random.default_rng([seed, r]))
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia

@@ -1,4 +1,6 @@
+import importlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,15 @@ from mgm.clustering import (
     kmeans_euclidean,
     spectral_cluster,
 )
+from mgm.config import load_config
+from mgm.data import ExpressionMatrix
 from mgm.errors import ConfigError, DegenerateAffinityError, DegenerateEmbeddingError
+from mgm.experiment import run_experiment
 from mgm.grassmann import GrassmannMetric
 from mgm.pipeline import DistanceMatrix
 
 from conftest import make_blobs
-from oracles import kmeans_1d_optimal
+from oracles import kmeans_1d_optimal, kmeans_per_restart
 
 
 def euclidean_distance_matrix(points: np.ndarray) -> DistanceMatrix:
@@ -26,6 +31,11 @@ def euclidean_distance_matrix(points: np.ndarray) -> DistanceMatrix:
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+
+
+def kmeans_one(points, k: int, seed: int) -> tuple[np.ndarray, float]:
+    (result,) = kmeans(points, k, (seed,))
+    return result
 
 
 def same_partition(a, b) -> bool:
@@ -45,7 +55,7 @@ class TestKmeans:
             m = int(rng.integers(6, 25))
             k = int(rng.integers(2, 5))
             points = rng.uniform(-10, 10, size=m)
-            _, inertia = kmeans(points[:, None], k, seed=trial)
+            _, inertia = kmeans_one(points[:, None], k, trial)
             best = kmeans_1d_optimal(points, k)
             assert inertia <= best * (1.0 + 1e-6) + 1e-9
             # never better than the true optimum
@@ -54,40 +64,40 @@ class TestKmeans:
     def test_separated_blobs_recovered(self, rng):
         for seed in range(5):
             x, truth = make_blobs(m=60, d=5, sep=10.0, seed=seed)
-            labels, _ = kmeans(x, 3, seed=0)
+            labels, _ = kmeans_one(x, 3, 0)
             assert same_partition(labels, truth)
 
     def test_deterministic(self, rng):
         x = rng.standard_normal((40, 4))
-        a, ia = kmeans(x, 4, seed=9)
-        b, ib = kmeans(x, 4, seed=9)
+        a, ia = kmeans_one(x, 4, 9)
+        b, ib = kmeans_one(x, 4, 9)
         assert np.array_equal(a, b)
         assert ia == ib
 
     def test_k_equals_one(self, rng):
         x = rng.standard_normal((10, 3))
-        labels, inertia = kmeans(x, 1, seed=0)
+        labels, inertia = kmeans_one(x, 1, 0)
         assert np.all(labels == 0)
         center = x.mean(axis=0)
         assert abs(inertia - np.sum((x - center) ** 2)) < 1e-9
 
     def test_k_equals_m_gives_zero_inertia(self, rng):
         x = rng.standard_normal((7, 3))
-        labels, inertia = kmeans(x, 7, seed=0)
+        labels, inertia = kmeans_one(x, 7, 0)
         assert sorted(labels) == list(range(7))
         assert inertia < 1e-18
 
     def test_k_out_of_range(self, rng):
         x = rng.standard_normal((5, 2))
         with pytest.raises(ConfigError):
-            kmeans(x, 0, seed=0)
+            kmeans(x, 0, (0,))
         with pytest.raises(ConfigError):
-            kmeans(x, 6, seed=0)
+            kmeans(x, 6, (0,))
 
     def test_duplicate_points_tolerated(self):
         x = np.zeros((8, 2))
         x[4:] = 1.0
-        labels, inertia = kmeans(x, 2, seed=0)
+        labels, inertia = kmeans_one(x, 2, 0)
         assert inertia < 1e-18
         assert same_partition(labels, [0, 0, 0, 0, 1, 1, 1, 1])
 
@@ -97,8 +107,8 @@ class TestKmeans:
         x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels, inertia = kmeans(x, 4, seed=0)
-            again = kmeans(x, 4, seed=0)
+            labels, inertia = kmeans_one(x, 4, 0)
+            again = kmeans_one(x, 4, 0)
         assert np.isfinite(inertia)
         assert inertia < 1e-18
         assert labels.min() >= 0 and labels.max() < 4
@@ -109,29 +119,165 @@ class TestKmeans:
         # k one-centre tables seed k-means++, then one full table before
         # the loop and one after each centre update; the last one also
         # gives the final labels and inertia.
-        real = clustering._sq_dists_to
+        real = clustering._sq_dist_tables
         calls = []
 
-        def spy(points, centers):
+        def spy(points, sq_norms, centers):
             calls.append(centers.copy())
-            return real(points, centers)
+            return real(points, sq_norms, centers)
 
-        monkeypatch.setattr(clustering, "_sq_dists_to", spy)
+        monkeypatch.setattr(clustering, "_sq_dist_tables", spy)
         monkeypatch.setattr(clustering, "_KMEANS_MAX_ITER", max_iter)
+        monkeypatch.setattr(clustering, "_KMEANS_RESTARTS", 1)
         x = rng.standard_normal((200, 3))
         k = 5
-        labels, inertia = clustering._lloyd(x, k, np.random.default_rng([0, 0]))
-        assert [c.shape for c in calls] == [(1, 3)] * k + [(k, 3)] * (1 + max_iter)
-        d2 = real(x, calls[-1])
+        labels, inertia = kmeans_one(x, k, 0)
+        assert [c.shape for c in calls] == [(1, 1, 3)] * k + [(1, k, 3)] * (1 + max_iter)
+        d2 = real(x, np.sum(x**2, axis=1), calls[-1])[0]
         assert np.array_equal(labels, d2.argmin(axis=1))
         assert inertia == float(d2[np.arange(200), labels].sum())
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_one_distance_table_per_step_of_a_group(self, rng, monkeypatch, max_iter):
+        # Runs advance in groups: each group of n runs makes k tables of n
+        # one-centre rows for k-means++, then 1 + max_iter tables for Lloyd's
+        # loop, none of which converges within 3 steps on these points.
+        real = clustering._sq_dist_tables
+        calls = []
+
+        def spy(points, sq_norms, centers):
+            calls.append(centers.shape)
+            return real(points, sq_norms, centers)
+
+        monkeypatch.setattr(clustering, "_sq_dist_tables", spy)
+        monkeypatch.setattr(clustering, "_KMEANS_MAX_ITER", max_iter)
+        x = rng.standard_normal((200, 3))
+        k = 5
+        # 4 runs a group: 5 groups for the 20 runs of 2 seeds
+        monkeypatch.setattr(clustering, "_KMEANS_GROUP_BYTES", 4 * 8 * 200 * (3 * k + 3 + 3))
+        got = kmeans(x, k, (0, 1))
+        want = []
+        for _ in range(5):
+            want += [(4, 1, 3)] * k + [(4, k, 3)] * (1 + max_iter)
+        assert calls == want
+        for seed, (labels, inertia) in zip((0, 1), got):
+            want_labels, want_inertia = kmeans_per_restart(x, k, seed)
+            assert np.array_equal(labels, want_labels) and inertia == want_inertia
+
     def test_euclidean_wrapper(self, rng):
         x, truth = make_blobs(m=30, d=4, sep=9.0, seed=1)
-        labels = kmeans_euclidean(x, 3, seed=2)
-        assert np.array_equal(labels, kmeans(x, 3, seed=2)[0])
-        assert len(labels) == 30
-        assert same_partition(labels, truth)
+        seeds = (2, 5)
+        labellings = kmeans_euclidean(x, 3, seeds)
+        assert len(labellings) == len(seeds)
+        for seed, labels in zip(seeds, labellings):
+            assert np.array_equal(labels, kmeans_one(x, 3, seed)[0])
+            assert len(labels) == 30
+            assert same_partition(labels, truth)
+
+
+def assert_matches_per_restart(points, k: int, seeds) -> None:
+    """Every seed's labels and inertia from one batched call are bitwise
+    those of the per-restart oracle run for that seed alone."""
+    got = kmeans(points, k, seeds)
+    assert len(got) == len(seeds)
+    for seed, (labels, inertia) in zip(seeds, got):
+        want_labels, want_inertia = kmeans_per_restart(points, k, seed)
+        assert np.array_equal(labels, want_labels)
+        assert np.float64(inertia).tobytes() == np.float64(want_inertia).tobytes()
+
+
+class TestBatchedKmeans:
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_random_points(self, rng, d, k):
+        # 90 points: clusters far past the 8 values under which a pairwise
+        # and a row-order sum agree
+        x = rng.standard_normal((90, d)) * 10.0 ** rng.uniform(-2, 2, size=(90, 1))
+        assert_matches_per_restart(x, k, (0, 1, 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20])
+    def test_cluster_means_are_bitwise_the_per_cluster_means(self, rng, d):
+        # Labels and inertia hardly move with the last bit of a centre, since
+        # the inertia is flat at the mean, so the means are checked directly:
+        # one column is summed pairwise, wider rows in row order.
+        m, k, runs = 300, 3, 4
+        x = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+        labels = rng.integers(0, k, size=(runs, m))
+        counts = np.stack([np.bincount(row, minlength=k) for row in labels])
+        bins = labels + k * np.arange(runs)[:, None]
+        got = clustering._cluster_means(np.tile(x.T, runs), bins, counts.ravel())
+        want = [x[row == c].mean(axis=0) for row in labels for c in range(k)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_empty_clusters_refilled(self):
+        x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)
+        assert_matches_per_restart(x, 4, (0, 1, 2, 3))
+
+    def test_duplicate_points(self, rng):
+        x = np.repeat(rng.standard_normal((6, 3)), 5, axis=0)
+        assert_matches_per_restart(x, 4, (0, 7))
+        assert_matches_per_restart(x[:, :1], 4, (0, 7))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_k_equals_m(self, rng, d):
+        assert_matches_per_restart(rng.standard_normal((9, d)), 9, (0, 9))
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_runs_that_stop_early_stay_frozen(self, monkeypatch, max_iter):
+        # On three blobs with k = 4 some runs converge at the second step
+        # and others run on, so the later tables hold fewer runs; a frozen
+        # run that moved would differ from the oracle.
+        real = clustering._sq_dist_tables
+        runs = []
+
+        def spy(points, sq_norms, centers):
+            runs.append(centers.shape[0])
+            return real(points, sq_norms, centers)
+
+        monkeypatch.setattr(clustering, "_sq_dist_tables", spy)
+        monkeypatch.setattr(clustering, "_KMEANS_MAX_ITER", max_iter)
+        x, _ = make_blobs(m=60, d=3, sep=4.0, seed=1)
+        assert_matches_per_restart(x, 4, (0, 1))
+        lloyd = runs[4:]
+        assert len(lloyd) == 1 + max_iter
+        if max_iter == 3:
+            assert lloyd[0] == 20 and lloyd[-1] < 20
+
+    def test_a_seed_does_not_depend_on_its_batch(self, rng):
+        x = rng.standard_normal((70, 4))
+        seeds = (5, 1, 9, 3, 7)
+        together = kmeans(x, 3, seeds)
+        permuted = dict(zip(seeds[::-1], kmeans(x, 3, seeds[::-1])))
+        for seed, (labels, inertia) in zip(seeds, together):
+            for other in (permuted[seed], kmeans_one(x, 3, seed)):
+                assert np.array_equal(labels, other[0]) and inertia == other[1]
+
+    @pytest.mark.parametrize("data_seed", [5, 7])
+    def test_pipeline_points(self, monkeypatch, data_seed):
+        # The MDS, baseline-PCA and average-embedding points of the
+        # pipeline-counts-m120 benchmark inputs.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        counts, labels = importlib.import_module("workloads").generate_counts(120, data_seed)
+        matrix = ExpressionMatrix(
+            values=counts.astype(float), labels=tuple(str(v) for v in labels)
+        )
+        real = clustering.kmeans
+        calls = []
+
+        def spy(points, k, seeds):
+            calls.append((np.array(points), k, tuple(seeds)))
+            return real(points, k, seeds)
+
+        monkeypatch.setattr(clustering, "kmeans", spy)
+        cfg = load_config(preset="setup2-small", overrides={"clustering.k": "3"})
+        run_experiment(matrix, cfg)
+        assert [(p.shape[1], k, s) for p, k, s in calls] == [
+            (3, 3, cfg.seeds),
+            (20, 3, cfg.seeds),
+            (20, 3, cfg.seeds),
+        ]
+        for points, k, seeds in calls:
+            assert_matches_per_restart(points, k, seeds)
 
 
 def spectral(d: DistanceMatrix, k: int, seed: int) -> np.ndarray:
@@ -266,7 +412,7 @@ class TestDispatch:
             labels = cluster_distances(d, method, 3, seeds)
             assert len(labels) == len(seeds)
             for seed, got in zip(seeds, labels):
-                assert np.array_equal(got, kmeans(emb, 3, seed)[0])
+                assert np.array_equal(got, kmeans_one(emb, 3, seed)[0])
 
     def test_k_out_of_range(self):
         x, _ = make_blobs(m=6, d=3, sep=5.0, seed=0)

@@ -79,7 +79,23 @@ class TestRunExperiment:
         }
         (points,) = calls[embed]
         for outcome in result.outcomes:
-            assert np.array_equal(outcome.labels, kmeans(points, 3, outcome.seed)[0])
+            ((labels, _),) = kmeans(points, 3, (outcome.seed,))
+            assert np.array_equal(outcome.labels, labels)
+
+    def test_one_kmeans_call_per_group_of_labellings(self, monkeypatch):
+        # The method and both baselines each cluster every seed in one call.
+        real = mgm.clustering.kmeans
+        calls = []
+
+        def counted(points, k, seeds):
+            calls.append(tuple(seeds))
+            return real(points, k, seeds)
+
+        monkeypatch.setattr(mgm.clustering, "kmeans", counted)
+        cfg = fast_config(**{"clustering.method": "kmeans-mds", "seeds": "1,2,3,4,5"})
+        result = run_experiment(blob_matrix(), cfg)
+        assert calls == [(1, 2, 3, 4, 5)] * 3
+        assert set(result.baselines) == {"baseline_pca", "baseline_avg_embedding"}
 
     def test_deterministic(self):
         a = run_experiment(blob_matrix(), fast_config())
