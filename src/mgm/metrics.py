@@ -37,16 +37,13 @@ class EvaluationReport:
 
 
 def _contingency(pred, truth) -> np.ndarray:
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.ndim != 1 or truth.ndim != 1:
         raise LengthMismatchError("label vectors must be 1-d")
     if pred.size == 0 or truth.size == 0:
         raise LengthMismatchError("label vectors must be nonempty")
     if pred.size != truth.size:
-        raise LengthMismatchError(
-            f"label vectors differ in length: {pred.size} vs {truth.size}"
-        )
+        raise LengthMismatchError(f"label vectors differ in length: {pred.size} vs {truth.size}")
     _, pred_codes = np.unique(pred, return_inverse=True)
     _, truth_codes = np.unique(truth, return_inverse=True)
     table = np.zeros((pred_codes.max() + 1, truth_codes.max() + 1), dtype=np.int64)
@@ -54,7 +51,20 @@ def _contingency(pred, truth) -> np.ndarray:
     return table
 
 
-def accuracy(pred, truth) -> float:
+def _on_labels(score):
+    """The (pred, truth) form of a score of the contingency table. The table
+    form stays on it as .of_table, so evaluate builds one table for all five."""
+
+    def on_labels(pred, truth) -> float:
+        return score(_contingency(pred, truth))
+
+    on_labels.__name__ = on_labels.__qualname__ = score.__name__
+    on_labels.__doc__, on_labels.of_table = score.__doc__, score
+    return on_labels
+
+
+@_on_labels
+def accuracy(table: np.ndarray) -> float:
     """Fraction of samples correct under the best one-to-one relabeling,
     found as a maximum-weight full matching of the contingency table."""
     # Imported here, so only the commands that score load csgraph. It reads
@@ -63,20 +73,18 @@ def accuracy(pred, truth) -> float:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    table = _contingency(pred, truth)
-    rows, cols = min_weight_full_bipartite_matching(
-        csr_array(table + 1.0), maximize=True
-    )
+    rows, cols = min_weight_full_bipartite_matching(csr_array(table + 1.0), maximize=True)
     return float(table[rows, cols].sum() / table.sum())
 
 
-def nmi(pred, truth) -> float:
+@_on_labels
+def nmi(table: np.ndarray) -> float:
     """Mutual information normalized by the geometric mean of the entropies.
 
     Both partitions trivial (single cluster) gives 1.0; exactly one trivial
     partition gives 0.0. Natural logarithms throughout.
     """
-    table = _contingency(pred, truth).astype(float)
+    table = table.astype(float)
     total = table.sum()
     p_rows = table.sum(axis=1) / total
     p_cols = table.sum(axis=0) / total
@@ -89,24 +97,22 @@ def nmi(pred, truth) -> float:
     joint = table / total
     outer = np.outer(p_rows, p_cols)
     mask = joint > 0
-    mi = float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
-    mi = max(mi, 0.0)
+    mi = max(float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask]))), 0.0)
     return min(mi / np.sqrt(h_pred * h_truth), 1.0)
 
 
 def _pair_count(counts: np.ndarray) -> int:
-    counts = counts.astype(np.int64)
     return int(np.sum(counts * (counts - 1) // 2))
 
 
-def ari(pred, truth) -> float:
+@_on_labels
+def ari(table: np.ndarray) -> float:
     """Adjusted Rand index via pair counting.
 
     When the expected index equals the maximum index the adjustment is
     undefined; that happens only for edge partitions, where the value is 1.0
     if the partitions are identical up to relabeling and 0.0 otherwise.
     """
-    table = _contingency(pred, truth)
     n = int(table.sum())
     index = _pair_count(table.ravel())
     sum_rows = _pair_count(table.sum(axis=1))
@@ -115,33 +121,27 @@ def ari(pred, truth) -> float:
     expected = sum_rows * sum_cols / total_pairs if total_pairs else 0.0
     max_index = (sum_rows + sum_cols) / 2.0
     if max_index == expected:
-        identical = np.all((table > 0).sum(axis=0) == 1) and np.all(
-            (table > 0).sum(axis=1) == 1
-        )
-        return 1.0 if identical else 0.0
+        hit = table > 0
+        return 1.0 if np.all(hit.sum(axis=0) == 1) and np.all(hit.sum(axis=1) == 1) else 0.0
     return float((index - expected) / (max_index - expected))
 
 
-def purity(pred, truth) -> float:
+@_on_labels
+def purity(table: np.ndarray) -> float:
     """Size-weighted purity: each predicted cluster contributes its majority
     count; the total is divided by the number of samples."""
-    table = _contingency(pred, truth)
     return float(table.max(axis=1).sum() / table.sum())
 
 
-def avg_purity(pred, truth) -> float:
+@_on_labels
+def avg_purity(table: np.ndarray) -> float:
     """Unweighted mean of per-cluster purity, so small clusters count as
     much as large ones."""
-    table = _contingency(pred, truth)
-    sizes = table.sum(axis=1)
-    return float(np.mean(table.max(axis=1) / sizes))
+    return float(np.mean(table.max(axis=1) / table.sum(axis=1)))
 
 
 def evaluate(pred, truth) -> EvaluationReport:
-    return EvaluationReport(
-        acc=accuracy(pred, truth),
-        nmi=nmi(pred, truth),
-        ari=ari(pred, truth),
-        purity=purity(pred, truth),
-        avg_purity=avg_purity(pred, truth),
-    )
+    """All five scores, from one contingency table."""
+    table = _contingency(pred, truth)
+    scores = (accuracy, nmi, ari, purity, avg_purity)
+    return EvaluationReport(*(score.of_table(table) for score in scores))

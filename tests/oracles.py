@@ -5,6 +5,7 @@ package code it checks, so agreement is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -85,6 +86,44 @@ def principal_angles_sine(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
         sines = np.linalg.svd(qy - qx @ m, compute_uv=False)[::-1]
         theta[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
     return np.sort(theta)
+
+
+def ordered_bases_by_bytes(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair order of two subspaces' bases as first written: the
+    wider first, equal widths by a fresh tobytes() copy of each basis."""
+    qx, qy = x.basis, y.basis
+    if qx.shape[1] < qy.shape[1] or (
+        qx.shape[1] == qy.shape[1] and qx.tobytes() > qy.tobytes()
+    ):
+        qx, qy = qy, qx
+    return qx, qy
+
+
+def chordal_by_matmul(x, y) -> float:
+    """The chordal residual as first written, every product through the @
+    operator: the norm of Qy - Qx (Qx^T Qy), Qx the wider basis."""
+    qx, qy = ordered_bases_by_bytes(x, y)
+    r = (qy - qx @ (qx.T @ qy)).ravel()
+    return math.sqrt(r @ r)
+
+
+def principal_angles_by_matmul(x, y) -> np.ndarray:
+    """grassmann.principal_angles as first written, every product through
+    the @ operator: arccos of the singular values of Qx^T Qy, and past the
+    package's cancellation guard the angles with cos^2 >= 1/2 from the
+    singular values of Qy - Qx (Qx^T Qy)."""
+    from mgm.grassmann import _needs_sines
+
+    qx, qy = ordered_bases_by_bytes(x, y)
+    m = qx.T @ qy
+    cosines = np.minimum(np.linalg.svd(m, compute_uv=False), 1.0)
+    theta = np.arccos(cosines)
+    if _needs_sines(cosines, cosines.size):
+        small = cosines**2 >= 0.5
+        sines = np.linalg.svd(qy - qx @ m, compute_uv=False)[::-1]
+        theta[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
+        theta.sort()
+    return theta
 
 
 def accuracy_by_enumeration(pred, truth) -> float:

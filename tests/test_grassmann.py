@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import sys
@@ -12,9 +13,12 @@ from mgm.errors import (
     AmbientDimMismatchError,
     MartinDivergentError,
 )
+from mgm.config import load_config
+from mgm.data import ExpressionMatrix, preprocess
 from mgm.grassmann import (
     _CHORDAL_SQ_GUARD,
     _COSINE_GUARD,
+    _ordered_bases,
     GrassmannMetric,
     PrincipalAngles,
     Subspace,
@@ -24,12 +28,21 @@ from mgm.grassmann import (
 )
 from mgm import pipeline
 from mgm.mdr import EmbeddingStack
-from mgm.pipeline import CellSubspaceSet, _angle_distances, build_subspaces, distance_matrix
+from mgm.pipeline import (
+    CellSubspaceSet,
+    _angle_distances,
+    build_subspaces,
+    distance_matrix,
+    run_mgm,
+)
 from mgm.scales import ScaleSet
 
 from conftest import random_subspace, span
 from oracles import (
+    chordal_by_matmul,
     gram_schmidt_basis,
+    ordered_bases_by_bytes,
+    principal_angles_by_matmul,
     principal_angles_deflation,
     principal_angles_sine,
 )
@@ -522,6 +535,106 @@ class TestChordalResidual:
 
 
 ANGLE_METRICS = [m for m in GrassmannMetric if m is not GrassmannMetric.CHORDAL]
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def assert_bits_match_matmul(x, y):
+    """distance under every metric and principal_angles, in both argument
+    orders, equal the @-operator path bit for bit."""
+    for a, b in ((x, y), (y, x)):
+        assert bits(distance(a, b, GrassmannMetric.CHORDAL)) == bits(chordal_by_matmul(a, b))
+        angles = principal_angles_by_matmul(a, b)
+        assert principal_angles(a, b).angles.tobytes() == angles.tobytes()
+        for metric in ANGLE_METRICS:
+            try:
+                want = distance_from_angles(angles, metric)
+            except MartinDivergentError:
+                with pytest.raises(MartinDivergentError):
+                    distance(a, b, metric)
+                continue
+            assert bits(distance(a, b, metric)) == bits(want), metric
+
+
+class TestPerPairKernelsMatchTheMatmulPath:
+    """The per-pair kernels call np.dot where they first used @, and order
+    bases by a key cached per subspace; every value keeps its bits."""
+
+    def test_random_mixed_rank_pairs(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            rx, ry = (int(r) for r in rng.integers(1, n + 1, 2))
+            x = random_subspace(rng, n, rx)
+            if rng.random() < 0.5:
+                y = random_subspace(rng, n, ry)
+            else:  # near x: small angles, past the cancellation guard
+                noise = rng.choice([1e-14, 1e-9, 1e-5, 1e-2]) * rng.standard_normal((n, ry))
+                y = span(np.resize(x.basis.T, (ry, n)).T + noise)
+            assert_bits_match_matmul(x, y)
+
+    def test_self_pairs_on_one_buffer(self, rng):
+        for n, r in ((1, 1), (5, 2), (12, 6), (20, 10), (29, 29), (100, 23)):
+            x = random_subspace(rng, n, r)
+            assert_bits_match_matmul(x, x)
+
+    def test_rank_one_bases(self, rng):
+        for n in range(1, 30):
+            x, y = random_subspace(rng, n, 1), random_subspace(rng, n, 1)
+            assert_bits_match_matmul(x, y)
+            assert_bits_match_matmul(x, random_subspace(rng, n, int(rng.integers(1, n + 1))))
+
+    def test_replicate_cells(self, rng):
+        for n, r in ((12, 3), (20, 10), (100, 23)):
+            x = random_subspace(rng, n, r)
+            turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
+            for y in (Subspace(x.basis @ turn), span(x.basis + 1e-14), Subspace(x.basis.copy())):
+                assert_bits_match_matmul(x, y)
+
+    @pytest.mark.parametrize(
+        "sq", [1e-28, 3e-6, _CHORDAL_SQ_GUARD * 0.999, _CHORDAL_SQ_GUARD * 1.001, 1.0]
+    )
+    def test_chordal_residual_cases(self, rng, sq):
+        for _ in range(3):
+            assert_bits_match_matmul(*pair_with_chordal_sq(rng, 100, 23, sq))
+
+    def test_cached_key_orders_as_tobytes(self, rng):
+        # Two bases of one plane that differ only in the sign of a zero:
+        # their bytes differ, and +0.0 sorts first.
+        plus = np.eye(3)[:, :2]
+        minus = plus.copy()
+        minus[2, 0] = -0.0
+        x, y = Subspace(plus), Subspace(minus)
+        assert x.basis.tobytes() < y.basis.tobytes()
+        pairs = [(x, y), (y, x), (x, x)]
+        pairs += [(random_subspace(rng, 8, 3), random_subspace(rng, 8, 3)) for _ in range(20)]
+        for a, b in pairs:
+            got, want = _ordered_bases(a, b), ordered_bases_by_bytes(a, b)
+            assert got[0] is want[0] and got[1] is want[1]
+        assert _ordered_bases(y, x)[0] is x.basis
+        assert_bits_match_matmul(x, y)
+
+    def test_chordal_matrix_on_the_benchmark_cells(self, monkeypatch):
+        # The seed-5 pipeline-counts-m120 benchmark input under its preset:
+        # 120 rank-10 subspaces of R^20, replicate cells among them.
+        here = os.path.dirname(os.path.abspath(__file__))
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(here), "perfbench"))
+        counts, _ = importlib.import_module("workloads").generate_counts(120, 5)
+        cfg = load_config(preset="setup2-small", overrides={"clustering.k": "3"})
+        pre = preprocess(
+            ExpressionMatrix(values=counts.astype(float)),
+            normalize=cfg.normalize,
+            log_transform=cfg.log_transform,
+            top_features=cfg.top_features,
+        )
+        cells = run_mgm(pre, cfg)[0]
+        points = points_of(cells)
+        want = np.zeros((len(points), len(points)))
+        for i, j in zip(*np.triu_indices(len(points), 1)):
+            want[i, j] = chordal_by_matmul(points[i], points[j])
+        got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
+        assert got.tobytes() == (want + want.T).tobytes()
 
 
 def per_pair_spy(monkeypatch):

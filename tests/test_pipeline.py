@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,6 +202,57 @@ class TestDistanceMatrix:
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError):
             DistanceMatrix(values=bad, metric=GrassmannMetric.CHORDAL)
+
+    def test_symmetry_is_checked_across_row_blocks(self):
+        # 150 rows are three row blocks, the last one partial.
+        rng = np.random.default_rng(3)
+        upper = np.triu(rng.random((150, 150)), 1)
+        for i, j, step, ok in ((140, 3, 1e-9, False), (3, 140, 1e-12, True), (70, 69, 1e-9, False)):
+            values = upper + upper.T
+            values[i, j] += step
+            if ok:
+                DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+            else:
+                with pytest.raises(ValueError, match="distance matrix is not symmetric"):
+                    DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+
+    @staticmethod
+    def filled_matrix(monkeypatch, upper):
+        """distance_matrix on len(upper) one-dimensional cells, the angle
+        kernel replaced by a copy of upper's strict upper triangle, and the
+        peak bytes traced from that copy on."""
+
+        def fill(cells, metric, out):
+            out[...] = np.triu(upper, 1)
+            tracemalloc.start()
+            return 0
+
+        monkeypatch.setattr(pipeline, "_angle_distances", fill)
+        bases = np.zeros((len(upper), 2, 1))
+        bases[:, 0, 0] = 1.0
+        cells = CellSubspaceSet(bases=bases, ranks=np.ones(len(upper), dtype=int))
+        try:
+            dmat = distance_matrix(cells, GrassmannMetric.GEODESIC)
+            return dmat, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_mirror_has_the_bits_of_the_full_sum(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        upper = np.triu(rng.random((150, 150)), 1)
+        upper[0, 1] = upper[5, 140] = upper[100, 149] = -0.0
+        upper[1, 2] = 0.0
+        dmat, _ = self.filled_matrix(monkeypatch, upper)
+        assert dmat.values.tobytes() == (upper + upper.T).tobytes()
+
+    def test_mirror_and_validation_allocate_one_matrix(self, monkeypatch):
+        # Beyond the filled triangle: the read-only copy DistanceMatrix keeps
+        # and 64-row blocks, where out + out.T and a full v - v.T were two
+        # more M x M arrays alive at once.
+        m = 1000
+        upper = np.random.default_rng(5).random((m, m))
+        _, peak = self.filled_matrix(monkeypatch, upper)
+        assert peak < 1.2 * 8 * m * m
 
     def test_validation_rejects_nonzero_diagonal(self):
         bad = np.array([[0.1, 1.0], [1.0, 0.0]])
