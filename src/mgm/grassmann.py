@@ -259,16 +259,25 @@ def block_distances(
 def distance(x: Subspace, y: Subspace, metric: GrassmannMetric) -> float:
     """Distance between two subspaces under the chosen metric.
 
-    Chordal needs no angles: with Qx the wider basis, the residual
-    Qy - Qx (Qx^T Qy) has squared Frobenius norm sum(sin^2 theta), so its
-    norm is the distance (the projection distance of Hamm & Lee 2008). No
-    SVD runs, and nothing is subtracted from min(rx, ry), so tiny and
-    near-right distances keep full precision without the cancellation
-    guard. np.dot makes the BLAS calls of @ with less dispatch per pair.
+    Chordal needs no angles, and no SVD runs. With Qx the wider basis and
+    G = Qx^T Qy, the squared distance sum(sin^2 theta) is
+    min(rx, ry) - ||G||_F^2 (the projection distance of Hamm & Lee 2008).
+    That difference is trusted while it is at least _CHORDAL_SQ_GUARD, the
+    cancellation guard of principal_angles: its absolute error, a few
+    r * eps, moves the distance by about r * eps / d, well inside
+    1e-12 + 1e-9 * d there. Below the guard (replicate cells, near-equal
+    spans) the distance is the Frobenius norm of the residual Qy - Qx G,
+    which subtracts nothing from min(rx, ry) and keeps full precision down
+    to distances of ~1e-14. np.dot makes the BLAS calls of @ with less
+    dispatch per pair.
     """
     if metric is GrassmannMetric.CHORDAL:
         qx, qy = _ordered_bases(x, y)
-        r = np.dot(qx, np.dot(qx.T, qy))
+        g = np.dot(qx.T, qy)
+        sq = qy.shape[1] - np.vdot(g, g)
+        if sq >= _CHORDAL_SQ_GUARD:
+            return math.sqrt(sq)
+        r = np.dot(qx, g)
         np.subtract(qy, r, out=r)
         return math.sqrt(np.vdot(r, r))
     return distance_from_angles(principal_angles(x, y), metric)

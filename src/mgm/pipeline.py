@@ -8,12 +8,14 @@ clustering stage consumes.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,7 +66,8 @@ _BLOCK_ROWS = 64
 class CellSubspaceSet:
     """One subspace per sample, all in R^n: bases[k] holds sample k's
     orthonormal basis in its first ranks[k] of p columns, zeros after. p is
-    the nominal rank (the scale count); both arrays are held read-only."""
+    the nominal rank (the scale count); both arrays are held read-only, so
+    the Subspace objects `subspaces` builds on first use stay valid."""
 
     bases: np.ndarray
     ranks: np.ndarray
@@ -96,6 +99,12 @@ class CellSubspaceSet:
         """Sample k's subspace on its own, for the per-pair paths."""
         return Subspace(self.bases[k, :, : self.ranks[k]])
 
+    @cached_property
+    def subspaces(self) -> tuple[Subspace, ...]:
+        """Every sample's subspace, built once per set: each build of a
+        chordal matrix reuses them and their cached order keys."""
+        return tuple(self.subspace(k) for k in range(len(self)))
+
     def __len__(self) -> int:
         return len(self.bases)
 
@@ -105,8 +114,14 @@ class DistanceMatrix:
     """Symmetric nonnegative pairwise distances with a zero diagonal.
 
     guarded_pairs counts the pairs distance_matrix computed one by one
-    because the batched kernel could not be trusted on them (0 for chordal,
-    which has no batch, and for a matrix read from a file).
+    because the batched kernel could not be trusted on them. It is 0 for
+    chordal, which has no batch (grassmann.distance guards each pair
+    itself), and for a matrix read from a file.
+
+    values is held read-only. An array that is already read-only and owns
+    its data is kept as it is, with no M x M copy; any other array is
+    copied, so a later write by the caller cannot reach the matrix. The
+    checks hold no M x M temporary.
     """
 
     values: np.ndarray
@@ -117,20 +132,26 @@ class DistanceMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        # min and max carry any NaN, so the two are finite only if all are.
+        low, high = (v.min(), v.max()) if v.size else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("distance matrix has non-finite values")
-        if np.any(v < 0):
+        if low < 0:
             raise ValueError("distance matrix has negative entries")
-        asym = 0.0
-        for lo in range(0, len(v), _BLOCK_ROWS):
-            d = (v[lo : lo + _BLOCK_ROWS] - v[:, lo : lo + _BLOCK_ROWS].T).ravel()
-            asym += np.dot(d, d)
-        if np.sqrt(asym) > 1e-10:
+        # One row block's difference alive at a time.
+        asym = math.hypot(
+            *(
+                np.linalg.norm(v[lo : lo + _BLOCK_ROWS] - v[:, lo : lo + _BLOCK_ROWS].T)
+                for lo in range(0, len(v), _BLOCK_ROWS)
+            )
+        )
+        if asym > 1e-10:
             raise ValueError("distance matrix is not symmetric")
         if np.any(np.diag(v) != 0.0):
             raise ValueError("distance matrix diagonal must be exactly zero")
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -270,21 +291,25 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     """All pairwise subspace distances, computed on the strict upper triangle
     and mirrored.
 
-    Chordal takes one residual per pair (grassmann.distance), which needs no
-    SVD, on the M subspaces taken out of cells.bases once per call. The four
-    angle metrics run as tiled, batched SVDs of the cross blocks Qi^T Qj,
+    Chordal runs no SVD: grassmann.distance takes each pair's squared
+    distance as min(ri, rj) - ||Qi^T Qj||_F^2, and only a pair below the
+    cancellation guard (replicate cells) as the norm of its residual. The
+    pairs come from cells.subspaces, built once per set and reused by every
+    later build; guarded_pairs stays 0, as no batched value is redone. The
+    four angle metrics run as tiled, batched SVDs of the cross blocks Qi^T Qj,
     each tile a slice of cells.bases, their rows of tiles spread over the
     CPUs this process may use (_angle_distances). Only the pairs whose ranks
     sum past the ambient dimension, that fail the cancellation guard, or
     whose Martin distance diverges go through grassmann.distance, with just
     the two subspaces each needs; the matrix counts them as guarded_pairs.
     The values do not depend on the core count or on the BLAS thread count.
+    The one M x M array filled here is handed over read-only, not copied.
     """
     m = len(cells)
     out = np.zeros((m, m))
     guarded = 0
     if metric is GrassmannMetric.CHORDAL:
-        points = [cells.subspace(k) for k in range(m)]
+        points = cells.subspaces
         for i in range(m - 1):
             x = points[i]
             out[i, i + 1 :] = [distance(x, y, metric) for y in points[i + 1 :]]
@@ -294,6 +319,8 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     # out[i, j] + 0.0 and (j, i) then 0.0 + that, the same bits.
     for lo in range(0, m, _BLOCK_ROWS):
         out[lo : lo + _BLOCK_ROWS] += out[:, lo : lo + _BLOCK_ROWS].T
+    # Read-only and owning its data, out is handed over without a copy.
+    out.setflags(write=False)
     return DistanceMatrix(values=out, metric=metric, guarded_pairs=guarded)
 
 

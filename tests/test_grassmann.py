@@ -534,6 +534,81 @@ class TestChordalResidual:
         assert got[0, 3] < 1e-13 and got[1, 4] < 1e-13
 
 
+def chordal_products(x, y):
+    """How many np.dot products distance(x, y, CHORDAL) takes: 1 for the
+    cross Gram alone, 2 when the pair falls back to the residual."""
+    calls = []
+    dot = np.dot
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dot(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "dot", spy)
+        distance(x, y, GrassmannMetric.CHORDAL)
+    return len(calls)
+
+
+class TestChordalGramGuard:
+    """Chordal takes d^2 = min(rx, ry) - ||Qx^T Qy||_F^2 from the cross Gram,
+    and the residual's norm below _CHORDAL_SQ_GUARD."""
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("rx, ry", [(3, 3), (3, 4), (4, 3), (2, 6), (1, 5)])
+    def test_either_side_of_the_guard_with_mixed_ranks(self, rng, side, rx, ry):
+        k = min(rx, ry)
+        sq = _CHORDAL_SQ_GUARD * (1.0 + side * 1e-3)
+        for _ in range(5):
+            x, y = pair_with_angles(rng, 12, rx, ry, [math.asin(math.sqrt(sq / k))] * k)
+            want = chordal_by_matmul(x, y)
+            assert (want**2 < _CHORDAL_SQ_GUARD) == (side < 0)
+            for a, b in ((x, y), (y, x)):
+                assert chordal_products(a, b) == (2 if side < 0 else 1)
+                assert_chordal_matches_matmul(distance(a, b, GrassmannMetric.CHORDAL), want)
+            assert distance(x, y, GrassmannMetric.CHORDAL) == pytest.approx(
+                math.sqrt(sq), rel=1e-9
+            )
+
+    def test_negative_gram_difference_takes_the_residual(self, rng):
+        # For a subspace against itself or a replicate, ||Q^T Q||_F^2 can
+        # round above r, so the Gram difference is below 0; the residual
+        # still gives a tiny nonnegative distance, with the oracle's bits.
+        negative = 0
+        for r in (1, 3, 10, 23):
+            for _ in range(20):
+                x = random_subspace(rng, max(2 * r, 20), r)
+                turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
+                for y in (x, Subspace(x.basis @ turn)):
+                    qx, qy = _ordered_bases(x, y)
+                    g = np.dot(qx.T, qy)
+                    negative += r - np.vdot(g, g) < 0
+                    got = distance(x, y, GrassmannMetric.CHORDAL)
+                    assert bits(got) == bits(chordal_by_matmul(x, y))
+                    assert 0.0 <= got < 1e-13
+        assert negative > 0
+
+    def test_two_builds_construct_each_subspace_once(self, rng, monkeypatch):
+        points = [random_subspace(rng, 9, 1 + k % 4) for k in range(13)]
+        cells = cells_of(points)
+        built = []
+        real_subspace = CellSubspaceSet.subspace
+
+        def subspace(cells, k):
+            built.append(k)
+            return real_subspace(cells, k)
+
+        monkeypatch.setattr(CellSubspaceSet, "subspace", subspace)
+        first = distance_matrix(cells, GrassmannMetric.CHORDAL)
+        second = distance_matrix(cells, GrassmannMetric.CHORDAL)
+        assert built == list(range(len(points)))
+        assert first.values.tobytes() == second.values.tobytes()
+        assert first.guarded_pairs == second.guarded_pairs == 0
+        for i, j in zip(*np.triu_indices(len(points), 1)):
+            want = distance(points[i], points[j], GrassmannMetric.CHORDAL)
+            assert bits(first.values[i, j]) == bits(want)
+
+
 ANGLE_METRICS = [m for m in GrassmannMetric if m is not GrassmannMetric.CHORDAL]
 
 
@@ -541,11 +616,24 @@ def bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+def assert_chordal_matches_matmul(got, want):
+    """A chordal distance against the @-operator residual: bit for bit below
+    the cancellation guard, where distance takes that residual too, and
+    within 1e-12 + 1e-9 * d above it, where it takes the cross Gram."""
+    if want**2 < _CHORDAL_SQ_GUARD:
+        assert bits(got) == bits(want), (got, want)
+    else:
+        assert abs(got - want) <= 1e-12 + 1e-9 * want, (got, want)
+
+
 def assert_bits_match_matmul(x, y):
-    """distance under every metric and principal_angles, in both argument
-    orders, equal the @-operator path bit for bit."""
+    """principal_angles and distance under every angle metric, in both
+    argument orders, equal the @-operator path bit for bit; chordal matches
+    it as assert_chordal_matches_matmul states."""
     for a, b in ((x, y), (y, x)):
-        assert bits(distance(a, b, GrassmannMetric.CHORDAL)) == bits(chordal_by_matmul(a, b))
+        assert_chordal_matches_matmul(
+            distance(a, b, GrassmannMetric.CHORDAL), chordal_by_matmul(a, b)
+        )
         angles = principal_angles_by_matmul(a, b)
         assert principal_angles(a, b).angles.tobytes() == angles.tobytes()
         for metric in ANGLE_METRICS:
@@ -560,7 +648,8 @@ def assert_bits_match_matmul(x, y):
 
 class TestPerPairKernelsMatchTheMatmulPath:
     """The per-pair kernels call np.dot where they first used @, and order
-    bases by a key cached per subspace; every value keeps its bits."""
+    bases by a key cached per subspace. The angle kernels keep every bit;
+    chordal keeps them below the cancellation guard."""
 
     def test_random_mixed_rank_pairs(self, rng):
         for _ in range(300):
@@ -634,7 +723,13 @@ class TestPerPairKernelsMatchTheMatmulPath:
         for i, j in zip(*np.triu_indices(len(points), 1)):
             want[i, j] = chordal_by_matmul(points[i], points[j])
         got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
-        assert got.tobytes() == (want + want.T).tobytes()
+        assert np.array_equal(got, got.T) and np.all(np.diag(got) == 0.0)
+        below = 0
+        for i, j in zip(*np.triu_indices(len(points), 1)):
+            assert_chordal_matches_matmul(got[i, j], want[i, j])
+            below += want[i, j] ** 2 < _CHORDAL_SQ_GUARD
+        # the replicate cells, whose values keep the residual's bits
+        assert below > 0
 
 
 def per_pair_spy(monkeypatch):

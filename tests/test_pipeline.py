@@ -246,13 +246,53 @@ class TestDistanceMatrix:
         assert dmat.values.tobytes() == (upper + upper.T).tobytes()
 
     def test_mirror_and_validation_allocate_one_matrix(self, monkeypatch):
-        # Beyond the filled triangle: the read-only copy DistanceMatrix keeps
-        # and 64-row blocks, where out + out.T and a full v - v.T were two
-        # more M x M arrays alive at once.
+        # Beyond the filled triangle: 64-row blocks, where out + out.T and a
+        # full v - v.T were two more M x M arrays alive at once, and no copy
+        # for DistanceMatrix to keep.
         m = 1000
         upper = np.random.default_rng(5).random((m, m))
-        _, peak = self.filled_matrix(monkeypatch, upper)
-        assert peak < 1.2 * 8 * m * m
+        dmat, peak = self.filled_matrix(monkeypatch, upper)
+        assert peak < 2 * 8 * m * pipeline._BLOCK_ROWS
+        assert not dmat.values.flags.writeable
+
+    def test_keeps_a_read_only_array_that_owns_its_data(self):
+        values = np.array([[0.0, 1.0], [1.0, 0.0]])
+        values.setflags(write=False)
+        dmat = DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+        assert dmat.values is values
+
+    def test_copies_a_writable_or_borrowed_array(self):
+        def symmetric():
+            return np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+
+        writable = symmetric()
+        base = symmetric()
+        borrowed = base[:]
+        borrowed.setflags(write=False)
+        for values, owner in ((writable, writable), (borrowed, base)):
+            dmat = DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+            assert dmat.values is not values
+            assert not dmat.values.flags.writeable
+            owner[0, 1] = owner[1, 0] = 7.0
+            assert dmat.values.tobytes() == symmetric().tobytes()
+
+    def test_distance_matrix_holds_one_matrix(self, monkeypatch):
+        # Traced from the call on: the output and at most two row blocks
+        # beside it, where handing DistanceMatrix a copy made it two
+        # matrices. Geodesic at rank 1 keeps the angle kernel's share small.
+        monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
+        m = 400
+        bases = np.random.default_rng(8).standard_normal((m, 3, 1))
+        bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+        cells = CellSubspaceSet(bases=bases, ranks=np.ones(m, dtype=int))
+        tracemalloc.start()
+        try:
+            dmat = distance_matrix(cells, GrassmannMetric.GEODESIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dmat.size == m
+        assert peak < 8 * m * (m + 2 * pipeline._BLOCK_ROWS)
 
     def test_validation_rejects_nonzero_diagonal(self):
         bad = np.array([[0.1, 1.0], [1.0, 0.0]])
