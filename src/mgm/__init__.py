@@ -41,7 +41,6 @@ from .grassmann import (
 from .mdr import (
     EmbeddingStack,
     MdrBackendSpec,
-    MdrMethod,
     build_stack,
     laplacian_eigenmaps,
     pca_reduce,

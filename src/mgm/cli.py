@@ -156,7 +156,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        for scale, emb in zip(stack.scales, stack.embeddings):
+        for scale, emb in zip(stack.scales, stack.values):
             np.savetxt(
                 out_dir / f"embedding_scale_{scale}.csv", emb, delimiter=",", fmt="%.17g"
             )
@@ -164,7 +164,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             "scales": list(stack.scales.scales),
             "embedding_dim": stack.embedding_dim,
             "sample_count": stack.sample_count,
-            "method": cfg.embedding.method.value,
+            "method": "laplacian" if cfg.embedding.external_pattern is None else "external",
             "seed": cfg.seeds[0],
         }
         _write_json(out_dir / "stack.json", meta)

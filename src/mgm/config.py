@@ -15,7 +15,7 @@ from pathlib import Path
 from .clustering import ClusteringMethod
 from .errors import ConfigError
 from .grassmann import GrassmannMetric
-from .mdr import MdrBackendSpec, MdrMethod
+from .mdr import MdrBackendSpec
 from .scales import ScaleSamplingSpec
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 @dataclass(frozen=True)
 class PipelineConfig:
     scales: ScaleSamplingSpec = ScaleSamplingSpec(5, 50, 20, 1.6)
-    embedding: MdrBackendSpec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, 20)
+    embedding: MdrBackendSpec = MdrBackendSpec(20)
     pca_dim: int | None = None
     metric: GrassmannMetric = GrassmannMetric.CHORDAL
     clustering_method: ClusteringMethod = ClusteringMethod.SPECTRAL
@@ -190,7 +190,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
         )
         pattern = merged["embedding.external_pattern"].strip()
         embedding = MdrBackendSpec(
-            method=parse_choice(MdrMethod, merged["embedding.method"], "embedding method"),
             embedding_dim=_parse_int(merged, "embedding.dim"),
             external_pattern=None if pattern.lower() in ("none", "") else pattern,
         )
@@ -230,7 +229,6 @@ def config_to_mapping(cfg: PipelineConfig) -> dict[str, str]:
         "scales.max": str(cfg.scales.max_scale),
         "scales.count": str(cfg.scales.count),
         "scales.power": repr(cfg.scales.power),
-        "embedding.method": cfg.embedding.method.value,
         "embedding.dim": str(cfg.embedding.embedding_dim),
         "embedding.external_pattern": cfg.embedding.external_pattern or "none",
         "pca.dim": opt(cfg.pca_dim),

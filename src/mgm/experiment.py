@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,33 +51,30 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """means: each group's ("mgm", each baseline) mean scores, None if unscored."""
+
     outcomes: tuple[SeedOutcome, ...]
     baselines: dict[str, tuple[SeedOutcome, ...]]
     checksum: str
     out_dir: Path | None
+    means: dict[str, dict[str, float] | None]
 
     def mean_metrics(self) -> dict[str, float] | None:
-        return _mean_metrics(self.outcomes)
+        return self.means["mgm"]
 
     def baseline_mean_metrics(self) -> dict[str, dict[str, float] | None]:
-        return {name: _mean_metrics(runs) for name, runs in self.baselines.items()}
+        return {name: self.means[name] for name in self.baselines}
 
 
-def _mean_metrics(outcomes) -> dict[str, float] | None:
-    evals = [o.evaluation for o in outcomes if o.evaluation is not None]
-    if not evals:
+_SCORE_KEYS = tuple(f.name for f in fields(EvaluationReport))
+
+
+def _mean_metrics(payloads: list[dict]) -> dict[str, float] | None:
+    """Each score's mean over one group's metrics_payload rows, None when
+    they carry no scores."""
+    if _SCORE_KEYS[0] not in payloads[0]:
         return None
-    keys = evals[0].to_dict().keys()
-    return {k: float(np.mean([e.to_dict()[k] for e in evals])) for k in keys}
-
-
-def _scores(outcomes, k: int) -> dict:
-    return {
-        "mean": _mean_metrics(outcomes),
-        "per_seed": [
-            metrics_payload(o.evaluation, o.method, o.seed, k) for o in outcomes
-        ],
-    }
+    return {k: float(np.mean([p[k] for p in payloads])) for k in _SCORE_KEYS}
 
 
 def metrics_payload(
@@ -222,16 +219,19 @@ def run_experiment(
         dim = min(cfg.embedding.embedding_dim, *reduced.shape)
         points = {
             "baseline_pca": pca_reduce(reduced, dim),
-            "baseline_avg_embedding": np.mean(np.stack(embedding.stack.embeddings), axis=0),
+            "baseline_avg_embedding": embedding.stack.values.mean(axis=0),
         }
         for group, values in points.items():
             seed_labels = kmeans_euclidean(values, cfg.k, cfg.seeds)
             groups[group] = (f"{group}+kmeans", seed_labels, None, None)
 
+    # Each seed's metrics payload is built once, for its metrics.json, the
+    # summary and the means.
     scored: dict[str, tuple[SeedOutcome, ...]] = {}
+    payloads: dict[str, list[dict]] = {}
     written: Path | None = None
     for group, (method, seed_labels, group_report, saved) in groups.items():
-        outcomes = []
+        outcomes, rows = [], []
         for seed, labels in zip(cfg.seeds, seed_labels):
             outcome = SeedOutcome(
                 seed=seed,
@@ -241,14 +241,12 @@ def run_experiment(
                 report=None if group_report is None else replace(group_report, seed=seed),
             )
             outcomes.append(outcome)
+            rows.append(metrics_payload(outcome.evaluation, method, seed, cfg.k))
             if out_path is None:
                 continue
             seed_dir = out_path / group / f"seed_{seed}"
             seed_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(
-                seed_dir / "metrics.json",
-                metrics_payload(outcome.evaluation, method, seed, cfg.k),
-            )
+            _write_json(seed_dir / "metrics.json", rows[-1])
             (seed_dir / "labels.csv").write_text("\n".join(str(int(v)) for v in labels) + "\n")
             if outcome.report is not None:
                 _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
@@ -262,21 +260,22 @@ def run_experiment(
                     shutil.copyfile(written, target)
                     _write_sidecar(saved, target, outcome.report)
         scored[group] = tuple(outcomes)
-    outcomes = scored.pop("mgm")
-    baselines = scored
-
+        payloads[group] = rows
+    outcomes, baselines = scored.pop("mgm"), scored
+    means = {group: _mean_metrics(rows) for group, rows in payloads.items()}
     result = ExperimentResult(
-        outcomes=outcomes, baselines=baselines, checksum=checksum, out_dir=out_path
+        outcomes=outcomes, baselines=baselines, checksum=checksum, out_dir=out_path, means=means
     )
     if out_path is not None:
+        scores = {g: {"mean": means[g], "per_seed": rows} for g, rows in payloads.items()}
         summary = {
             "checksum": checksum,
             "seeds": list(cfg.seeds),
             "k": cfg.k,
             "metric": cfg.metric.value,
             "scales": list(report.scales),
-            "mgm": {"method": cfg.clustering_method.value, **_scores(outcomes, cfg.k)},
-            "baselines": {name: _scores(runs, cfg.k) for name, runs in baselines.items()},
+            "mgm": {"method": cfg.clustering_method.value, **scores.pop("mgm")},
+            "baselines": scores,
         }
         _write_json(out_path / "summary.json", summary)
     return result

@@ -8,7 +8,6 @@ per scale.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from .errors import (
 from .scales import ScaleSet
 
 __all__ = [
-    "MdrMethod",
     "MdrBackendSpec",
     "EmbeddingStack",
     "pca_reduce",
@@ -68,69 +66,62 @@ _SPARSE_SOLVER_MIN_SAMPLES = 600
 _NEIGHBOR_BLOCK_ROWS = 256
 
 
-class MdrMethod(enum.Enum):
-    LAPLACIAN_EIGENMAPS = "laplacian"
-    EXTERNAL = "external"
-
-
 @dataclass(frozen=True)
 class MdrBackendSpec:
-    """Which backend to run and the embedding dimension it must produce."""
+    """The embedding dimension every backend must produce, and the file
+    pattern that selects the external backend: one file per scale, '{scale}'
+    in its name replaced by the scale. Without a pattern, Laplacian
+    eigenmaps run."""
 
-    method: MdrMethod
     embedding_dim: int
     external_pattern: str | None = None
 
     def __post_init__(self) -> None:
         if self.embedding_dim < 2:
             raise ValueError(f"embedding_dim must be at least 2, got {self.embedding_dim}")
-        if self.method is MdrMethod.EXTERNAL:
-            if not self.external_pattern or "{scale}" not in self.external_pattern:
-                raise ValueError(
-                    "the external backend needs a file pattern containing '{scale}'"
-                )
-        elif self.external_pattern is not None:
+        if self.external_pattern is not None and "{scale}" not in self.external_pattern:
             raise ValueError(
-                "embedding.external_pattern applies only to embedding.method = "
-                f"external, not {self.method.value}"
+                f"the external file pattern {self.external_pattern!r} lacks '{{scale}}'"
             )
 
 
 @dataclass(frozen=True)
 class EmbeddingStack:
-    """One M x n embedding per scale, all shapes identical and finite."""
+    """Every scale's M x n embedding in one finite (p, M, n) array, scale s's
+    in values[s].
+
+    values is held read-only. An array that is already read-only and owns
+    its data is kept as it is, with no copy; any other array is copied, so a
+    later write by the caller cannot reach the stack.
+    """
 
     scales: ScaleSet
-    embeddings: tuple[np.ndarray, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.embeddings) != len(self.scales):
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 3 or len(v) != len(self.scales):
             raise ValueError(
-                f"{len(self.embeddings)} embeddings for {len(self.scales)} scales"
+                f"need a (p, M, n) array for {len(self.scales)} scales, got shape {v.shape}"
             )
-        shape = self.embeddings[0].shape
-        for scale, emb in zip(self.scales, self.embeddings):
-            if emb.ndim != 2 or emb.shape != shape:
-                raise ValueError(f"embedding for scale {scale} has shape {emb.shape}")
-            if not np.all(np.isfinite(emb)):
+        for scale, emb in zip(self.scales, v):
+            if not np.isfinite(emb).all():
                 raise NumericalError(f"embedding for scale {scale} has non-finite values")
-        frozen = []
-        for emb in self.embeddings:
-            emb = np.asarray(emb, dtype=float).copy()
-            emb.setflags(write=False)
-            frozen.append(emb)
-        object.__setattr__(self, "embeddings", tuple(frozen))
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def sample_count(self) -> int:
-        return self.embeddings[0].shape[0]
+        return self.values.shape[1]
 
     @property
     def embedding_dim(self) -> int:
-        return self.embeddings[0].shape[1]
+        return self.values.shape[2]
 
     def __len__(self) -> int:
-        return len(self.embeddings)
+        return len(self.values)
 
 
 def _column_signs(a: np.ndarray) -> np.ndarray:
@@ -384,22 +375,23 @@ def _load_external_embedding(
 
 
 def build_stack(x: np.ndarray, scales: ScaleSet, spec: MdrBackendSpec) -> EmbeddingStack:
-    """Embed x once per scale: Laplacian eigenmaps on one neighbor graph built
-    for the largest scale, or one external file per scale. Backend errors are
-    re-raised with the offending scale in the message."""
+    """Embed x once per scale into one array, filled scale by scale and then
+    frozen: one external file per scale when spec has a pattern, Laplacian
+    eigenmaps on one neighbor graph built for the largest scale otherwise.
+    Backend errors are re-raised with the offending scale in the message."""
     x = np.asarray(x, dtype=float)
-    external = spec.method is MdrMethod.EXTERNAL
-    graph = None if external else _neighbor_graph(x, max(scales))
-    embeddings = []
-    for scale in scales:
+    pattern = spec.external_pattern
+    graph = None if pattern else _neighbor_graph(x, max(scales))
+    values = np.empty((len(scales), x.shape[0], spec.embedding_dim))
+    for s, scale in enumerate(scales):
         try:
-            if external:
-                emb = _load_external_embedding(
-                    spec.external_pattern, scale, x.shape[0], spec.embedding_dim
+            if pattern:
+                values[s] = _load_external_embedding(
+                    pattern, scale, x.shape[0], spec.embedding_dim
                 )
             else:
-                emb = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
+                values[s] = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
         except MgmError as err:
             raise type(err)(f"scale {scale}: {err}") from err
-        embeddings.append(emb)
-    return EmbeddingStack(scales=scales, embeddings=tuple(embeddings))
+    values.setflags(write=False)
+    return EmbeddingStack(scales=scales, values=values)

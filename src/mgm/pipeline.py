@@ -33,7 +33,7 @@ from .grassmann import (
     distance,
     orthonormalize,
 )
-from .mdr import EmbeddingStack, MdrMethod, build_stack, pca_reduce
+from .mdr import EmbeddingStack, build_stack, pca_reduce
 from .scales import sample_scales
 
 if TYPE_CHECKING:
@@ -178,7 +178,7 @@ def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
     ranks = np.empty(m, dtype=int)
     for lo in range(0, m, _TILE_SUBSPACES):
         hi = lo + _TILE_SUBSPACES
-        features = np.stack([emb[lo:hi] for emb in stack.embeddings], axis=2)
+        features = stack.values[:, lo:hi].transpose(1, 2, 0)
         bases[lo:hi, :, : min(n, p)], ranks[lo:hi] = orthonormalize(features, lo)
     return CellSubspaceSet(bases=bases, ranks=ranks)
 
@@ -370,9 +370,9 @@ def embed_multiscale(
 ) -> MultiscaleEmbedding:
     """Sample scales, apply the optional PCA, and embed at every scale.
 
-    For neighborhood-based backends the scale range is clamped to at most
-    M - 1 neighbors. Stages are timed into `timings` when it is given, and
-    a failing stage's name is prepended to its error.
+    Without an external file pattern (Laplacian eigenmaps) the scale range
+    is clamped to at most M - 1 neighbors. Stages are timed into `timings`
+    when it is given, and a failing stage's name is prepended to its error.
     """
     timings = {} if timings is None else timings
     m = values.shape[0]
@@ -389,7 +389,7 @@ def embed_multiscale(
 
     with _stage("scales", timings):
         spec = cfg.scales
-        if cfg.embedding.method is MdrMethod.LAPLACIAN_EIGENMAPS:
+        if cfg.embedding.external_pattern is None:
             cap = m - 1
             # The clamped range [min, M - 1] must hold two scales.
             if spec.min_scale >= cap:

@@ -15,7 +15,7 @@ from mgm.config import config_from_mapping, load_config
 from mgm.data import ExpressionMatrix, load_labels, load_matrix
 from mgm.experiment import run_experiment
 from mgm.grassmann import GrassmannMetric, distance, principal_angles
-from mgm.mdr import EmbeddingStack, MdrBackendSpec, MdrMethod, build_stack, pca_reduce
+from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack, pca_reduce
 from mgm.metrics import accuracy, ari, avg_purity, evaluate, nmi, purity
 from mgm.pipeline import build_subspaces, distance_matrix
 from mgm.scales import ScaleSamplingSpec, sample_scales
@@ -112,7 +112,7 @@ def test_scale_sampling_exactness():
 def sixty_cell_stack():
     x, _ = make_blobs(m=60, d=20, sep=6.0, seed=7)
     scales = sample_scales(ScaleSamplingSpec(5, 20, 4, 1.6))
-    spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=10)
+    spec = MdrBackendSpec(embedding_dim=10)
     return build_stack(x, scales, spec)
 
 
@@ -121,27 +121,20 @@ def test_pipeline_invariances():
     stack = sixty_cell_stack()
     base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL).values
 
-    order = (2, 0, 3, 1)
-    reordered = EmbeddingStack(
-        scales=stack.scales,
-        embeddings=tuple(stack.embeddings[i] for i in order),
-    )
+    order = [2, 0, 3, 1]
+    reordered = EmbeddingStack(scales=stack.scales, values=stack.values[order])
     got = distance_matrix(build_subspaces(reordered), GrassmannMetric.CHORDAL).values
     assert np.max(np.abs(got - base)) <= 1e-9
 
-    factors = (3.7, 0.02, 1.0, 40.0)
+    factors = np.array([3.7, 0.02, 1.0, 40.0])
     rescaled = EmbeddingStack(
-        scales=stack.scales,
-        embeddings=tuple(e * f for e, f in zip(stack.embeddings, factors)),
+        scales=stack.scales, values=stack.values * factors[:, None, None]
     )
     got = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL).values
     assert np.max(np.abs(got - base)) <= 1e-9
 
     perm = np.random.default_rng(17).permutation(60)
-    permuted = EmbeddingStack(
-        scales=stack.scales,
-        embeddings=tuple(e[perm] for e in stack.embeddings),
-    )
+    permuted = EmbeddingStack(scales=stack.scales, values=stack.values[:, perm])
     got = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL).values
     assert np.max(np.abs(got - base[np.ix_(perm, perm)])) == 0.0
 
@@ -220,10 +213,10 @@ def test_degradation_beats_single_scales():
     scale_set = sample_scales(cfg.scales)
     stack = build_stack(reduced, scale_set, cfg.embedding)
     noise = np.random.default_rng(123)
-    embeddings = list(stack.embeddings)
+    values = stack.values.copy()
     for idx in (1, 3):
-        embeddings[idx] = noise.standard_normal(embeddings[idx].shape)
-    corrupted = EmbeddingStack(scales=stack.scales, embeddings=tuple(embeddings))
+        values[idx] = noise.standard_normal(values[idx].shape)
+    corrupted = EmbeddingStack(scales=stack.scales, values=values)
 
     dmat = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
     seeds = (1, 3, 5, 7, 9)
@@ -233,7 +226,7 @@ def test_degradation_beats_single_scales():
     ]
     single_scores = [
         ari(labels, truth)
-        for emb in corrupted.embeddings
+        for emb in corrupted.values
         for labels in kmeans_euclidean(emb, 3, seeds)
     ]
     assert np.mean(mgm_scores) >= np.mean(single_scores)
@@ -255,7 +248,6 @@ def test_gse57249_external_backend_parity():
     cfg = load_config(
         preset="setup2-tiny",
         overrides={
-            "embedding.method": "external",
             "embedding.external_pattern": str(pattern),
             "clustering.k": "3",
         },

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -169,6 +170,36 @@ class TestEmbed:
         argv = ["embed", "--config", str(config), "--data", str(data)]
         assert main([*argv, "--out-dir", str(tmp_path / "emb")]) == 4
         assert "numerical error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["chordal", "geodesic"])
+def test_embed_output_read_back_as_external_embeddings(tmp_path, monkeypatch, metric):
+    # mgm embed writes 17 significant digits, so its files read back through
+    # embedding.external_pattern give mgm the same stack, bit for bit.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    counts, _ = importlib.import_module("workloads").generate_counts(120, 5)
+    data = tmp_path / "counts.csv"
+    np.savetxt(data, counts, delimiter=",", fmt="%d")
+    config = tmp_path / "external.cfg"
+    pattern = tmp_path / "emb" / "embedding_scale_{scale}.csv"
+    config.write_text(f"embedding.external_pattern = {pattern}\n")
+    common = ["--preset", "setup2-small", "--metric", metric, "--data", str(data)]
+    external = [*common, "--config", str(config)]
+    assert main(["embed", *common, "--out-dir", str(tmp_path / "emb")]) == 0
+    assert main(["embed", *external, "--out-dir", str(tmp_path / "emb_again")]) == 0
+    assert main(["mgm", *common, "--out-dir", str(tmp_path / "own")]) == 0
+    assert main(["mgm", *external, "--out-dir", str(tmp_path / "read")]) == 0
+    meta = json.loads((tmp_path / "emb" / "stack.json").read_text())
+    assert meta["method"] == "laplacian"
+    assert json.loads((tmp_path / "emb_again" / "stack.json").read_text()) == {
+        **meta, "method": "external"
+    }
+    names = [f"embedding_scale_{scale}.csv" for scale in meta["scales"]]
+    for a, b, name in [("emb", "emb_again", n) for n in names] + [
+        ("own", "read", "distance_matrix.csv"),
+        ("own", "read", "distance_matrix.csv.meta.json"),
+    ]:
+        assert (tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["embed", "mgm"])
@@ -373,7 +404,7 @@ def test_bad_input_file_exits_3_naming_it(workspace, capsys, case):
         pattern = str(bad).replace("_3.", "_{scale}.")
         config.write_text(
             config.read_text()
-            + f"embedding.method = external\nembedding.external_pattern = {pattern}\n"
+            + f"embedding.external_pattern = {pattern}\n"
         )
         argv = ["pipeline", "--config", str(config), "--data", str(data), "--labels", str(labels)]
     assert main(argv) == 3
@@ -533,11 +564,10 @@ class TestPipelineCommand:
         "line, key",
         [
             ("clustering.mds_dim = 3", "clustering.mds_dim"),
-            ("embedding.external_pattern = emb_{scale}.csv", "embedding.external_pattern"),
         ],
     )
     def test_setting_the_method_ignores_exits_2(self, workspace, capsys, line, key):
-        # the defaults are clustering.method = spectral, embedding.method = laplacian
+        # the default is clustering.method = spectral
         tmp_path, data, labels, config, _ = workspace
         config.write_text(config.read_text() + line + "\n")
         code = main(["pipeline", "--config", str(config), "--data", str(data),

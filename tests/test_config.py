@@ -12,7 +12,6 @@ from mgm.config import (
 )
 from mgm.errors import ConfigError
 from mgm.grassmann import GrassmannMetric
-from mgm.mdr import MdrMethod
 from mgm.scales import sample_scales
 
 
@@ -43,7 +42,7 @@ class TestFromMapping:
         cfg = config_from_mapping({})
         assert cfg.metric is GrassmannMetric.CHORDAL
         assert cfg.clustering_method is ClusteringMethod.SPECTRAL
-        assert cfg.embedding.method is MdrMethod.LAPLACIAN_EIGENMAPS
+        assert cfg.embedding.external_pattern is None
         assert cfg.embedding.embedding_dim == 20
         assert cfg.pca_dim is None
         assert cfg.k == 2
@@ -78,8 +77,8 @@ class TestFromMapping:
             {"clustering.k": "zero"},
             {"clustering.k": "0"},
             {"metric": "hamming"},
-            {"embedding.method": "tsne"},
-            {"embedding.method": "pca"},
+            {"embedding.method": "laplacian"},
+            {"embedding.method": "external"},
             {"clustering.method": "kmeans"},
             {"scales.min": "1"},
             {"scales.power": "-1"},
@@ -90,7 +89,7 @@ class TestFromMapping:
             {"threads": "2"},
             {"subspace.normalize_columns": "false"},
             {"clustering.mds_dim": "3"},
-            {"embedding.external_pattern": "emb_{scale}.csv"},
+            {"embedding.external_pattern": "emb.csv"},
             {"seeds": "1,1,3"},
         ],
     )
@@ -99,17 +98,18 @@ class TestFromMapping:
             config_from_mapping(mapping)
 
     def test_external_backend_roundtrips_pattern(self):
-        cfg = config_from_mapping(
-            {
-                "embedding.method": "external",
-                "embedding.external_pattern": "emb_{scale}.csv",
-            }
-        )
+        cfg = config_from_mapping({"embedding.external_pattern": "emb_{scale}.csv"})
         assert cfg.embedding.external_pattern == "emb_{scale}.csv"
+        assert config_to_mapping(cfg)["embedding.external_pattern"] == "emb_{scale}.csv"
 
     def test_external_backend_requires_pattern(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping({"embedding.method": "external"})
+        with pytest.raises(ConfigError, match="lacks '{scale}'"):
+            config_from_mapping({"embedding.external_pattern": "emb.csv"})
+
+    @pytest.mark.parametrize("value", ["none", "", "None"])
+    def test_no_pattern_selects_laplacian(self, value):
+        cfg = config_from_mapping({"embedding.external_pattern": value})
+        assert cfg.embedding.external_pattern is None
 
 
 # (choices, name, the member it names or the error message listing the values)
@@ -125,10 +125,6 @@ _CHOICES = [
     (ClusteringMethod, "kmeans_mds", ClusteringMethod.KMEANS_MDS),
     (ClusteringMethod, "KMeans_MDS", ClusteringMethod.KMEANS_MDS),
     (ClusteringMethod, "kmeansmds", ClusteringMethod.KMEANS_MDS),
-    (MdrMethod, "laplacian", MdrMethod.LAPLACIAN_EIGENMAPS),
-    (MdrMethod, "Laplacian-Eigenmaps", MdrMethod.LAPLACIAN_EIGENMAPS),
-    (MdrMethod, "LAPLACIAN_EIGENMAPS", MdrMethod.LAPLACIAN_EIGENMAPS),
-    (MdrMethod, "external", MdrMethod.EXTERNAL),
     (
         GrassmannMetric,
         "euclidean",
@@ -139,11 +135,6 @@ _CHOICES = [
         ClusteringMethod,
         "kmeans",
         "unknown clustering method 'kmeans'; expected one of spectral, kmeans-mds",
-    ),
-    (
-        MdrMethod,
-        "umap",
-        "unknown embedding method 'umap'; expected one of laplacian, external",
     ),
 ]
 
@@ -157,7 +148,6 @@ def test_parse_choice(choices, name, want):
     what = {
         GrassmannMetric: "metric",
         ClusteringMethod: "clustering method",
-        MdrMethod: "embedding method",
     }[choices]
     if isinstance(want, str):
         with pytest.raises(ValueError) as err:

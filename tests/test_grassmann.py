@@ -800,7 +800,7 @@ def rank_reduced_and_replicate_cells(rng):
     emb[0][19] = emb[0][4] + emb[1][4]
     for e in emb[1:]:
         e[19] = e[4]
-    stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4, 5)), embeddings=tuple(emb))
+    stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4, 5)), values=np.array(emb))
     return build_subspaces(stack)
 
 

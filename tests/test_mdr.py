@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from mgm import mdr
-from mgm.errors import DataError, DimTooLargeError, ScaleOutOfRangeError
+from mgm.errors import DataError, DimTooLargeError, NumericalError, ScaleOutOfRangeError
 from mgm.grassmann import GrassmannMetric
 from mgm.mdr import (
     EmbeddingStack,
     MdrBackendSpec,
-    MdrMethod,
     build_stack,
     laplacian_eigenmaps,
     pca_reduce,
@@ -335,25 +334,14 @@ class TestNeighborGraph:
 class TestBackendSpec:
     def test_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=1)
+            MdrBackendSpec(embedding_dim=1)
 
     def test_external_needs_scale_placeholder(self):
-        with pytest.raises(ValueError):
-            MdrBackendSpec(MdrMethod.EXTERNAL, embedding_dim=3)
-        with pytest.raises(ValueError):
-            MdrBackendSpec(
-                MdrMethod.EXTERNAL, embedding_dim=3, external_pattern="emb.csv"
-            )
-        spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL, embedding_dim=3, external_pattern="emb_{scale}.csv"
-        )
+        for pattern in ("emb.csv", ""):
+            with pytest.raises(ValueError, match="lacks '{scale}'"):
+                MdrBackendSpec(embedding_dim=3, external_pattern=pattern)
+        spec = MdrBackendSpec(embedding_dim=3, external_pattern="emb_{scale}.csv")
         assert spec.external_pattern == "emb_{scale}.csv"
-
-    def test_pattern_rejected_without_external(self):
-        with pytest.raises(ValueError, match="external_pattern applies only to"):
-            MdrBackendSpec(
-                MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=3, external_pattern="emb_{scale}.csv"
-            )
 
 
 class TestExternalBackend:
@@ -362,12 +350,10 @@ class TestExternalBackend:
         path = tmp_path / "emb_5.csv"
         np.savetxt(path, want, delimiter=",", fmt="%.17g")
         spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL,
-            embedding_dim=3,
-            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+            embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
-        assert np.allclose(stack.embeddings[0], want, atol=1e-15)
+        assert np.allclose(stack.values[0], want, atol=1e-15)
 
     def test_header_and_id_column_load(self, tmp_path, rng):
         # The layout of pandas' DataFrame.to_csv with named rows and columns.
@@ -377,18 +363,14 @@ class TestExternalBackend:
         ]
         (tmp_path / "emb_5.csv").write_text("\n".join(rows) + "\n")
         spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL,
-            embedding_dim=3,
-            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+            embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
-        assert np.array_equal(stack.embeddings[0], want)
+        assert np.array_equal(stack.values[0], want)
 
     def test_missing_file_raises(self, tmp_path):
         spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL,
-            embedding_dim=3,
-            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+            embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with pytest.raises(DataError, match="scale 7"):
             build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
@@ -396,9 +378,7 @@ class TestExternalBackend:
     def test_unreadable_file_raises(self, tmp_path):
         (tmp_path / "emb_7.csv").mkdir()
         spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL,
-            embedding_dim=3,
-            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+            embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with pytest.raises(DataError, match=r"scale 7: cannot read .*emb_7\.csv"):
             build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
@@ -406,9 +386,7 @@ class TestExternalBackend:
     def test_empty_file_raises_without_warning(self, tmp_path):
         (tmp_path / "emb_5.csv").write_text("")
         spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL,
-            embedding_dim=3,
-            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+            embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -419,9 +397,7 @@ class TestExternalBackend:
         path = tmp_path / "emb_5.csv"
         np.savetxt(path, rng.standard_normal((8, 2)), delimiter=",")
         spec = MdrBackendSpec(
-            MdrMethod.EXTERNAL,
-            embedding_dim=3,
-            external_pattern=str(tmp_path / "emb_{scale}.csv"),
+            embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with pytest.raises(DataError, match="shape"):
             build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
@@ -431,45 +407,79 @@ class TestBuildStack:
     def test_shapes_and_order(self):
         x, _ = two_blob_data(m=30)
         scales = ScaleSet(scales=(3, 5, 8))
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=4)
+        spec = MdrBackendSpec(embedding_dim=4)
         stack = build_stack(x, scales, spec)
         assert len(stack) == 3
         assert stack.sample_count == 30
         assert stack.embedding_dim == 4
-        for scale, emb in zip(scales, stack.embeddings):
+        for scale, emb in zip(scales, stack.values):
             assert np.array_equal(emb, laplacian_eigenmaps(x, scale, 4))
 
     def test_error_names_offending_scale(self):
         x, _ = two_blob_data(m=10)
         scales = ScaleSet(scales=(3, 9, 12))
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=3)
+        spec = MdrBackendSpec(embedding_dim=3)
         with pytest.raises(ScaleOutOfRangeError, match="scale 12"):
             build_stack(x, scales, spec)
 
     def test_stack_validates_matching_shapes(self):
         scales = ScaleSet(scales=(2, 3))
-        with pytest.raises(ValueError):
-            EmbeddingStack(
-                scales=scales,
-                embeddings=(np.zeros((4, 2)), np.zeros((5, 2))),
-            )
+        for shape in ((3, 4, 2), (2, 4), (2, 4, 2, 1)):
+            with pytest.raises(ValueError, match="for 2 scales"):
+                EmbeddingStack(scales=scales, values=np.zeros(shape))
 
     def test_stack_embeddings_are_immutable(self):
-        scales = ScaleSet(scales=(2, 3))
-        stack = EmbeddingStack(
-            scales=scales, embeddings=(np.ones((4, 2)), np.ones((4, 2)))
-        )
+        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=np.ones((2, 4, 2)))
         with pytest.raises(ValueError):
-            stack.embeddings[0][0, 0] = 5.0
+            stack.values[0, 0, 0] = 5.0
+
+    def test_read_only_owning_array_is_kept(self):
+        values = np.ones((2, 4, 3))
+        values.setflags(write=False)
+        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=values)
+        assert stack.values is values
+
+    @pytest.mark.parametrize("kind", ["writable", "borrowed"])
+    def test_other_arrays_are_copied(self, kind):
+        owner = np.ones((2, 4, 3))
+        values = owner if kind == "writable" else owner[:, :, :]
+        if kind == "borrowed":
+            values.setflags(write=False)
+        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=values)
+        assert stack.values is not values
+        assert not stack.values.flags.writeable
+        owner[1, 2, 0] = 7.0
+        assert np.all(stack.values == 1.0)
+
+    def test_non_finite_value_names_its_scale(self):
+        values = np.zeros((3, 4, 2))
+        values[1, 3, 0] = np.inf
+        with pytest.raises(NumericalError, match="scale 5 has non-finite"):
+            EmbeddingStack(scales=ScaleSet(scales=(2, 5, 9)), values=values)
+
+    def test_built_stack_is_held_without_a_copy(self):
+        x, _ = two_blob_data(m=60)
+        stack = build_stack(x, ScaleSet(scales=(3, 5, 8)), MdrBackendSpec(embedding_dim=4))
+        values = stack.values
+        assert values.shape == (3, 60, 4)
+        assert values.flags.owndata and not values.flags.writeable
+        tracemalloc.start()
+        try:
+            again = EmbeddingStack(scales=stack.scales, values=values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.values is values
+        # The finiteness check holds one scale's boolean mask, 1/8 of a scale.
+        assert peak < values[0].nbytes
 
     def test_blob_stack_is_reproducible(self):
         x, _ = make_blobs(m=45, d=10, sep=7.0, seed=2)
         scales = ScaleSet(scales=(4, 8, 14))
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
+        spec = MdrBackendSpec(embedding_dim=5)
         a = build_stack(x, scales, spec)
         b = build_stack(x, scales, spec)
-        for ea, eb in zip(a.embeddings, b.embeddings):
-            assert np.array_equal(ea, eb)
+        assert np.array_equal(a.values, b.values)
 
     def test_neighbor_graph_built_once(self, monkeypatch):
         counts = {"dists": 0, "graphs": 0, "embeds": 0}
@@ -487,7 +497,7 @@ class TestBuildStack:
             mdr, "laplacian_eigenmaps", counted("embeds", mdr.laplacian_eigenmaps)
         )
         x, _ = two_blob_data(m=30)
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=4)
+        spec = MdrBackendSpec(embedding_dim=4)
         build_stack(x, ScaleSet(scales=(3, 5, 8)), spec)
         assert counts == {"dists": 1, "graphs": 1, "embeds": 3}
 
@@ -501,9 +511,9 @@ class TestDenseOracleParity:
     def test_subset_solver_spans_match_dense(self):
         # (dim + 1) * 8 = 48 <= M = 200: the subset solver runs
         x = noisy_curve()
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
+        spec = MdrBackendSpec(embedding_dim=5)
         stack = build_stack(x, self.SCALES, spec)
-        for scale, emb in zip(self.SCALES, stack.embeddings):
+        for scale, emb in zip(self.SCALES, stack.values):
             want = laplacian_eigenmaps_dense(x, scale, 5)
             assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
             assert np.array_equal(laplacian_eigenmaps(x, scale, 5), emb)
@@ -511,13 +521,13 @@ class TestDenseOracleParity:
     @pytest.mark.parametrize("metric", [GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC])
     def test_subset_solver_distances_match_dense(self, metric):
         x = noisy_curve()
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
-        shared = build_stack(x, self.SCALES, spec).embeddings
+        spec = MdrBackendSpec(embedding_dim=5)
+        shared = build_stack(x, self.SCALES, spec).values
         dense = [laplacian_eigenmaps_dense(x, s, 5) for s in self.SCALES]
 
         def distances(embeddings):
             # every 4th sample keeps the per-pair distance loop short
-            stack = EmbeddingStack(self.SCALES, tuple(e[::4] for e in embeddings))
+            stack = EmbeddingStack(self.SCALES, np.asarray(embeddings)[:, ::4])
             return distance_matrix(build_subspaces(stack), metric).values
 
         assert np.max(np.abs(distances(shared) - distances(dense))) < 1e-10
@@ -527,9 +537,9 @@ class TestDenseOracleParity:
         # (dim + 1) * 8 > M: the full dense solver runs, bit for bit
         x, _ = make_blobs(m=m, d=8, sep=6.0, seed=m)
         scales = ScaleSet(scales=(3, 7, m - 1))
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=dim)
+        spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, scales, spec)
-        for scale, emb in zip(scales, stack.embeddings):
+        for scale, emb in zip(scales, stack.values):
             want = laplacian_eigenmaps_dense(x, scale, dim)
             assert np.array_equal(emb, want)
             assert np.array_equal(laplacian_eigenmaps(x, scale, dim), want)
@@ -566,7 +576,7 @@ class TestLanczosTier:
 
     def distances(self, embeddings, metric):
         # every 12th sample keeps the per-pair distance loop short
-        stack = EmbeddingStack(self.SCALES, tuple(e[::12] for e in embeddings))
+        stack = EmbeddingStack(self.SCALES, np.asarray(embeddings)[:, ::12])
         return distance_matrix(build_subspaces(stack), metric).values
 
     @pytest.mark.parametrize("data, dim", [("curve", 5), ("curve", 20), ("blobs", 5)])
@@ -575,9 +585,9 @@ class TestLanczosTier:
         assert m >= mdr._SPARSE_SOLVER_MIN_SAMPLES and (dim + 1) * 8 <= m
         # sep=60 leaves the three blobs' kNN graphs disconnected
         x = noisy_curve(m=m) if data == "curve" else make_blobs(m=m, sep=60.0)[0]
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=dim)
+        spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, self.SCALES, spec)
-        for scale, emb in zip(self.SCALES, stack.embeddings):
+        for scale, emb in zip(self.SCALES, stack.values):
             want = laplacian_eigenmaps_dense(x, scale, dim)
             assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
             assert np.array_equal(laplacian_eigenmaps(x, scale, dim), emb)
@@ -590,11 +600,11 @@ class TestLanczosTier:
         # (Blobs are not checked: their two bottom nontrivial eigenvalues
         # nearly coincide, so no solver pins those two vectors.)
         x = noisy_curve(m=600)
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=dim)
+        spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, self.SCALES, spec)
         dense = [laplacian_eigenmaps_dense(x, s, dim) for s in self.SCALES]
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
-            got = self.distances(stack.embeddings, metric)
+            got = self.distances(stack.values, metric)
             want = self.distances(dense, metric)
             assert np.max(np.abs(got - want)) < tol
 
@@ -620,7 +630,7 @@ class TestLanczosTier:
 
         monkeypatch.setattr(mdr.scipy.sparse.linalg, "eigsh", spy)
         x = noisy_curve(m=mdr._SPARSE_SOLVER_MIN_SAMPLES + offset)
-        spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=5)
+        spec = MdrBackendSpec(embedding_dim=5)
         build_stack(x, self.SCALES, spec)
         assert calls == ([5] * len(self.SCALES) if lanczos else [])
 

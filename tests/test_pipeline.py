@@ -12,7 +12,7 @@ from mgm.errors import (
     MartinDivergentError,
 )
 from mgm.grassmann import _RANK_TOL, GrassmannMetric, distance
-from mgm.mdr import EmbeddingStack, MdrBackendSpec, MdrMethod, build_stack
+from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack
 from mgm import pipeline
 from mgm.pipeline import (
     CellSubspaceSet,
@@ -30,26 +30,25 @@ from oracles import bases_per_sample
 def random_stack(m=12, n=8, p=4, seed=0):
     rng = np.random.default_rng(seed)
     scales = ScaleSet(scales=tuple(range(2, 2 + p)))
-    embeddings = tuple(rng.standard_normal((m, n)) for _ in range(p))
-    return EmbeddingStack(scales=scales, embeddings=embeddings)
+    return EmbeddingStack(scales=scales, values=rng.standard_normal((p, m, n)))
 
 
 def blob_stack(m=60):
     x, labels = make_blobs(m=m, d=20, sep=6.0, seed=7)
     scales = ScaleSet(scales=(5, 9, 14, 20))
-    spec = MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=10)
+    spec = MdrBackendSpec(embedding_dim=10)
     return build_stack(x, scales, spec), labels
 
 
 def identical_scales_stack():
     emb = np.random.default_rng(3).standard_normal((7, 6))
-    return EmbeddingStack(scales=ScaleSet(scales=(2, 4, 8)), embeddings=(emb, emb, emb))
+    return EmbeddingStack(scales=ScaleSet(scales=(2, 4, 8)), values=np.array([emb, emb, emb]))
 
 
 def dependent_scale_stack():
     rng = np.random.default_rng(4)
     e1, e2 = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
-    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), embeddings=(e1, e2, e1 + e2))
+    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), values=np.array([e1, e2, e1 + e2]))
 
 
 class TestBuildSubspaces:
@@ -74,12 +73,7 @@ class TestBuildSubspaces:
     def test_column_norms_do_not_move_the_span(self):
         stack = random_stack(m=8, n=7, p=3, seed=5)
         scaled = EmbeddingStack(
-            scales=stack.scales,
-            embeddings=(
-                stack.embeddings[0] * 250.0,
-                stack.embeddings[1],
-                stack.embeddings[2] * 1e-3,
-            ),
+            scales=stack.scales, values=stack.values * np.array([250.0, 1.0, 1e-3])[:, None, None]
         )
         a = build_subspaces(stack)
         b = build_subspaces(scaled)
@@ -90,7 +84,7 @@ class TestBuildSubspaces:
         emb = np.ones((4, 5))
         emb[2] = 0.0
         scales = ScaleSet(scales=(2, 3))
-        stack = EmbeddingStack(scales=scales, embeddings=(emb, emb * 2.0))
+        stack = EmbeddingStack(scales=scales, values=np.array([emb, emb * 2.0]))
         with pytest.raises(AllColumnsZeroError, match="sample 2"):
             build_subspaces(stack)
 
@@ -113,8 +107,8 @@ def near_dependent_stack():
         @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
         for k in range(10)
     ]
-    embeddings = tuple(np.array([f[:, j] for f in features]) for j in range(3))
-    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), embeddings=embeddings)
+    values = np.array(features).transpose(2, 0, 1)
+    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), values=values)
 
 
 class TestBatchedBuild:
@@ -141,7 +135,7 @@ class TestBatchedBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             cells = build_subspaces(stack)
-        bases, ranks = bases_per_sample(stack.embeddings, _RANK_TOL)
+        bases, ranks = bases_per_sample(stack.values, _RANK_TOL)
         assert cells.ranks.tolist() == ranks.tolist()
         if make is near_dependent_stack:
             assert ranks.tolist() == [2, 3] * 5
@@ -151,7 +145,7 @@ class TestBatchedBuild:
     def test_zero_sample_past_a_chunk_boundary_is_named(self):
         emb = np.random.default_rng(5).standard_normal((12, 5))
         emb[9] = 0.0
-        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), embeddings=(emb, emb * 2.0))
+        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=np.array([emb, emb * 2.0]))
         assert pipeline._TILE_SUBSPACES < 9
         with pytest.raises(AllColumnsZeroError, match=r"sample 9\b"):
             build_subspaces(stack)
@@ -192,7 +186,7 @@ class TestDistanceMatrix:
         scales = ScaleSet(scales=(2, 3))
         stack = EmbeddingStack(
             scales=scales,
-            embeddings=(np.array([e[0], e[2]]), np.array([e[1], e[3]])),
+            values=np.array([[e[0], e[2]], [e[1], e[3]]]),
         )
         cells = build_subspaces(stack)
         with pytest.raises(MartinDivergentError, match=r"pair \(0, 1\)"):
@@ -307,27 +301,16 @@ class TestStackInvariances:
         stack, _ = blob_stack()
         cells = build_subspaces(stack)
         base = distance_matrix(cells, GrassmannMetric.CHORDAL)
-        shuffled = EmbeddingStack(
-            scales=stack.scales,
-            embeddings=(
-                stack.embeddings[2],
-                stack.embeddings[0],
-                stack.embeddings[3],
-                stack.embeddings[1],
-            ),
-        )
+        shuffled = EmbeddingStack(scales=stack.scales, values=stack.values[[2, 0, 3, 1]])
         other = distance_matrix(build_subspaces(shuffled), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values - other.values)) < 1e-9
 
     def test_per_scale_rescaling_does_not_matter(self):
         stack, _ = blob_stack()
         base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
+        factors = np.array([3.7, 0.02, 1.0, 40.0])
         rescaled = EmbeddingStack(
-            scales=stack.scales,
-            embeddings=tuple(
-                emb * factor
-                for emb, factor in zip(stack.embeddings, (3.7, 0.02, 1.0, 40.0))
-            ),
+            scales=stack.scales, values=stack.values * factors[:, None, None]
         )
         other = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values - other.values)) < 1e-9
@@ -335,10 +318,7 @@ class TestStackInvariances:
     def test_sample_permutation_conjugates_the_matrix(self):
         stack, _ = blob_stack()
         perm = np.random.default_rng(17).permutation(stack.sample_count)
-        permuted = EmbeddingStack(
-            scales=stack.scales,
-            embeddings=tuple(emb[perm] for emb in stack.embeddings),
-        )
+        permuted = EmbeddingStack(scales=stack.scales, values=stack.values[:, perm])
         base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
         other = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values[np.ix_(perm, perm)] - other.values)) < 1e-12
@@ -348,7 +328,7 @@ class TestRunMgm:
     def make_config(self, **overrides):
         defaults = dict(
             scales=ScaleSamplingSpec(3, 12, 4, 1.0),
-            embedding=MdrBackendSpec(MdrMethod.LAPLACIAN_EIGENMAPS, embedding_dim=8),
+            embedding=MdrBackendSpec(embedding_dim=8),
             pca_dim=None,
             metric=GrassmannMetric.CHORDAL,
             seeds=(1,),
@@ -418,7 +398,6 @@ class TestRunMgm:
         x = np.random.default_rng(0).standard_normal((10, 5))
         cfg = self.make_config(
             embedding=MdrBackendSpec(
-                MdrMethod.EXTERNAL,
                 embedding_dim=3,
                 external_pattern=str(tmp_path / "missing_{scale}.csv"),
             ),
