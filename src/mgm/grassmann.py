@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,11 +84,6 @@ class Subspace:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    @cached_property
-    def _order_key(self) -> bytes:
-        """The basis's raw bytes, copied once: _ordered_bases compares them."""
-        return self.basis.tobytes()
-
 
 @dataclass(frozen=True)
 class PrincipalAngles:
@@ -154,7 +148,7 @@ def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:
     (nx, rx), (ny, ry) = x.basis.shape, y.basis.shape
     if nx != ny:
         raise AmbientDimMismatchError(f"ambient dims differ: {nx} vs {ny}")
-    if rx < ry or (rx == ry and x._order_key > y._order_key):
+    if rx < ry or (rx == ry and x.basis.tobytes() > y.basis.tobytes()):
         x, y = y, x
     return x.basis, y.basis
 
@@ -229,16 +223,26 @@ def distance_from_angles(
 def block_distances(
     cross: np.ndarray, counts: np.ndarray, metric: GrassmannMetric
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of a batch of pairs from their cross Gram blocks, one
-    batched SVD for all of them.
+    """Distances of a batch of pairs from their cross Gram blocks.
 
-    cross[p] is Qi^T Qj of pair p, zero-padded to a common r x r. Padding
-    only adds zero singular values, which sort last, so the first
-    counts[p] = min(ri, rj) are the pair's cosines. Returns the distances and
-    a mask of the pairs that fail the cancellation guard of principal_angles
-    or whose Martin distance diverges. Their distances read 0 and must be
-    recomputed with `distance`, which takes the sine path or raises.
+    cross[p] is Qi^T Qj of pair p, zero-padded to a common r x r, and
+    counts[p] = min(ri, rj). Chordal runs no SVD: its squared distance is
+    counts[p] - ||cross[p]||_F^2, as in `distance`, with the squares summed
+    over S + S^T for S = cross[p]**2. A swapped pair has the block's
+    transpose, and so the same S + S^T and the same bits. The other metrics
+    take one batched SVD for all pairs. Padding only adds zero singular
+    values, which sort last, so the first counts[p] are the pair's cosines.
+    Returns the distances and a mask of the pairs that fail the
+    cancellation guard of principal_angles (chordal: its squared distance
+    below _CHORDAL_SQ_GUARD) or whose Martin distance diverges. Their
+    distances read 0 and must be recomputed with `distance`, which takes
+    the residual or sine path or raises.
     """
+    if metric is GrassmannMetric.CHORDAL:
+        squares = cross * cross
+        sq = counts - 0.5 * np.sum(squares + squares.transpose(0, 2, 1), axis=(1, 2))
+        redo = sq < _CHORDAL_SQ_GUARD
+        return np.sqrt(np.where(redo, 0.0, sq)), redo
     r = cross.shape[-1]
     real = np.arange(r) < counts[:, None]
     singular = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)

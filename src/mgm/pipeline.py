@@ -15,7 +15,6 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +50,7 @@ __all__ = [
     "run_mgm",
 ]
 
-# Subspaces per tile of the batched angle kernel in distance_matrix and per
+# Subspaces per tile of the distance kernel in distance_matrix and per
 # batched SVD of build_subspaces. A tile pair's cross blocks hold 64 r^2
 # floats, 270 KB at the setup1 rank of 23, and each worker thread holds one
 # tile pair's at a time. On the M = 200 setup1 benchmark input (1 BLAS
@@ -66,8 +65,7 @@ _BLOCK_ROWS = 64
 class CellSubspaceSet:
     """One subspace per sample, all in R^n: bases[k] holds sample k's
     orthonormal basis in its first ranks[k] of p columns, zeros after. p is
-    the nominal rank (the scale count); both arrays are held read-only, so
-    the Subspace objects `subspaces` builds on first use stay valid."""
+    the nominal rank (the scale count); both arrays are held read-only."""
 
     bases: np.ndarray
     ranks: np.ndarray
@@ -99,12 +97,6 @@ class CellSubspaceSet:
         """Sample k's subspace on its own, for the per-pair paths."""
         return Subspace(self.bases[k, :, : self.ranks[k]])
 
-    @cached_property
-    def subspaces(self) -> tuple[Subspace, ...]:
-        """Every sample's subspace, built once per set: each build of a
-        chordal matrix reuses them and their cached order keys."""
-        return tuple(self.subspace(k) for k in range(len(self)))
-
     def __len__(self) -> int:
         return len(self.bases)
 
@@ -114,9 +106,8 @@ class DistanceMatrix:
     """Symmetric nonnegative pairwise distances with a zero diagonal.
 
     guarded_pairs counts the pairs distance_matrix computed one by one
-    because the batched kernel could not be trusted on them. It is 0 for
-    chordal, which has no batch (grassmann.distance guards each pair
-    itself), and for a matrix read from a file.
+    because the batched kernel could not be trusted on them. It is 0 for a
+    matrix read from a file.
 
     values is held read-only. An array that is already read-only and owns
     its data is kept as it is, with no M x M copy; any other array is
@@ -185,7 +176,7 @@ def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
 
 def _cpu_count() -> int:
     """How many CPUs this process may run on: the worker count of
-    _angle_distances."""
+    _tiled_distances."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call outside Linux
@@ -199,7 +190,7 @@ def _tile_row(
     j > i, and return the pairs to compute one by one: those that
     grassmann.block_distances flags, and those whose ranks sum past n. Such
     a pair shares a direction, a cosine of 1 that fails the cancellation
-    guard, so it skips the batch.
+    guard of the angle metrics, so it skips the batch under every metric.
 
     Tiles are slices of cells.bases. One broadcast matmul of the p x n and
     n x p blocks gives every cross block Qi^T Qj of a tile pair. Each
@@ -234,7 +225,7 @@ def _tile_row(
     return flagged
 
 
-def _angle_distances(
+def _tiled_distances(
     cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
 ) -> int:
     """Fill the strict upper triangle of `out` row of tiles by row of tiles
@@ -291,34 +282,31 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     """All pairwise subspace distances, computed on the strict upper triangle
     and mirrored.
 
-    Chordal runs no SVD: grassmann.distance takes each pair's squared
-    distance as min(ri, rj) - ||Qi^T Qj||_F^2, and only a pair below the
-    cancellation guard (replicate cells) as the norm of its residual. The
-    pairs come from cells.subspaces, built once per set and reused by every
-    later build; guarded_pairs stays 0, as no batched value is redone. The
-    four angle metrics run as tiled, batched SVDs of the cross blocks Qi^T Qj,
-    each tile a slice of cells.bases, their rows of tiles spread over the
-    CPUs this process may use (_angle_distances). Only the pairs whose ranks
-    sum past the ambient dimension, that fail the cancellation guard, or
-    whose Martin distance diverges go through grassmann.distance, with just
-    the two subspaces each needs; the matrix counts them as guarded_pairs.
-    The values do not depend on the core count or on the BLAS thread count.
-    The one M x M array filled here is handed over read-only, not copied.
+    Every metric runs on one kernel (_tiled_distances): one broadcast matmul
+    gives the cross blocks Qi^T Qj of a pair of tiles, each tile a slice of
+    cells.bases, and grassmann.block_distances turns them into distances,
+    chordal from their sums of squares and the four angle metrics from one
+    batched SVD. The rows of tiles are spread over the CPUs this process
+    may use. Only the pairs whose ranks sum past the ambient dimension,
+    that fail the cancellation guard, or whose Martin distance diverges go
+    through grassmann.distance, with just the two subspaces each needs; the
+    matrix counts them as guarded_pairs. The values do not depend on the
+    core count or on the BLAS thread count. The one M x M array filled here
+    is handed over read-only, not copied.
     """
     m = len(cells)
     out = np.zeros((m, m))
-    guarded = 0
-    if metric is GrassmannMetric.CHORDAL:
-        points = cells.subspaces
-        for i in range(m - 1):
-            x = points[i]
-            out[i, i + 1 :] = [distance(x, y, metric) for y in points[i + 1 :]]
-    else:
-        guarded = _angle_distances(cells, metric, out)
-    # out + out.T in place by row blocks: only i < j is set, so (i, j) gets
-    # out[i, j] + 0.0 and (j, i) then 0.0 + that, the same bits.
+    guarded = _tiled_distances(cells, metric, out)
+    # out + out.T in place by row blocks, with the bits of that sum: only
+    # i < j is set, and x + 0.0 is x but for -0.0, which reads +0.0. The
+    # columns above a block already hold that sum when its rows below the
+    # diagonal take their transpose, so only the diagonal block is copied.
     for lo in range(0, m, _BLOCK_ROWS):
-        out[lo : lo + _BLOCK_ROWS] += out[:, lo : lo + _BLOCK_ROWS].T
+        hi = lo + _BLOCK_ROWS
+        out[lo:hi] += 0.0
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+        diagonal = out[lo:hi, lo:hi]
+        diagonal += diagonal.T
     # Read-only and owning its data, out is handed over without a copy.
     out.setflags(write=False)
     return DistanceMatrix(values=out, metric=metric, guarded_pairs=guarded)

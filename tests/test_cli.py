@@ -262,7 +262,7 @@ class TestMgmCommand:
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["scales"] == [3, 5, 6, 8]
         assert report["sample_count"] == 36
-        assert report["guarded_pairs"] == 0  # chordal has no guard
+        assert report["guarded_pairs"] == 0  # no replicate cells: no pair below the guard
         assert set(report["stage_seconds"]) == {
             "scales", "pca", "embed", "subspaces", "distances",
         }

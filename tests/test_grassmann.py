@@ -22,6 +22,7 @@ from mgm.grassmann import (
     GrassmannMetric,
     PrincipalAngles,
     Subspace,
+    block_distances,
     distance,
     distance_from_angles,
     principal_angles,
@@ -30,7 +31,7 @@ from mgm import pipeline
 from mgm.mdr import EmbeddingStack
 from mgm.pipeline import (
     CellSubspaceSet,
-    _angle_distances,
+    _tiled_distances,
     build_subspaces,
     distance_matrix,
     run_mgm,
@@ -588,25 +589,46 @@ class TestChordalGramGuard:
                     assert 0.0 <= got < 1e-13
         assert negative > 0
 
-    def test_two_builds_construct_each_subspace_once(self, rng, monkeypatch):
-        points = [random_subspace(rng, 9, 1 + k % 4) for k in range(13)]
+    def test_block_bits_do_not_depend_on_the_pair_order(self, rng):
+        # Mixed-rank cross blocks padded to rank 5, and a replicate cell
+        # (2, 12): a swapped pair has the transposed block.
+        points = [random_subspace(rng, 12, 1 + k % 5) for k in range(12)]
+        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        points.append(Subspace(points[2].basis @ turn))
         cells = cells_of(points)
-        built = []
-        real_subspace = CellSubspaceSet.subspace
+        i, j = np.triu_indices(len(points), 1)
+        cross = np.matmul(cells.bases[i].transpose(0, 2, 1), cells.bases[j])
+        counts = np.minimum(cells.ranks[i], cells.ranks[j])
+        got, redo = block_distances(cross, counts, GrassmannMetric.CHORDAL)
+        flipped = cross.transpose(0, 2, 1)
+        for swapped in (flipped, np.ascontiguousarray(flipped)):
+            values, again = block_distances(swapped, counts, GrassmannMetric.CHORDAL)
+            assert values.tobytes() == got.tobytes()
+            assert np.array_equal(again, redo)
+        assert list(zip(i[redo].tolist(), j[redo].tolist())) == [(2, 12)]
+        assert np.all(got[redo] == 0.0)
+        for p in np.flatnonzero(~redo):
+            want = distance(points[i[p]], points[j[p]], GrassmannMetric.CHORDAL)
+            assert abs(got[p] - want) <= 1e-12 + 1e-9 * want
 
-        def subspace(cells, k):
-            built.append(k)
-            return real_subspace(cells, k)
-
-        monkeypatch.setattr(CellSubspaceSet, "subspace", subspace)
-        first = distance_matrix(cells, GrassmannMetric.CHORDAL)
-        second = distance_matrix(cells, GrassmannMetric.CHORDAL)
-        assert built == list(range(len(points)))
-        assert first.values.tobytes() == second.values.tobytes()
-        assert first.guarded_pairs == second.guarded_pairs == 0
-        for i, j in zip(*np.triu_indices(len(points), 1)):
-            want = distance(points[i], points[j], GrassmannMetric.CHORDAL)
-            assert bits(first.values[i, j]) == bits(want)
+    def test_permuted_samples_permute_the_matrix_bit_for_bit(self, rng):
+        # 21 samples of ranks 2 to 5 in R^9, not a multiple of the tile, a
+        # replicate cell and an exact duplicate among them. A permutation
+        # moves pairs between tiles and swaps their order; pairs of rank
+        # 5 + 5 > 9 and the two copies take the per-pair path.
+        points = [random_subspace(rng, 9, 2 + k % 4) for k in range(21)]
+        turn = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        points[19] = Subspace(points[3].basis @ turn)
+        points[20] = Subspace(points[8].basis.copy())
+        base = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
+        fives = sum(p.rank == 5 for p in points)
+        assert base.guarded_pairs == fives * (fives - 1) // 2 + 1
+        assert max(base.values[3, 19], base.values[8, 20]) < 1e-13
+        for _ in range(3):
+            perm = rng.permutation(len(points))
+            got = distance_matrix(cells_of([points[k] for k in perm]), GrassmannMetric.CHORDAL)
+            assert got.values.tobytes() == base.values[np.ix_(perm, perm)].tobytes()
+            assert got.guarded_pairs == base.guarded_pairs
 
 
 ANGLE_METRICS = [m for m in GrassmannMetric if m is not GrassmannMetric.CHORDAL]
@@ -648,8 +670,8 @@ def assert_bits_match_matmul(x, y):
 
 class TestPerPairKernelsMatchTheMatmulPath:
     """The per-pair kernels call np.dot where they first used @, and order
-    bases by a key cached per subspace. The angle kernels keep every bit;
-    chordal keeps them below the cancellation guard."""
+    bases by their raw bytes. The angle kernels keep every bit; chordal
+    keeps them below the cancellation guard."""
 
     def test_random_mixed_rank_pairs(self, rng):
         for _ in range(300):
@@ -688,7 +710,7 @@ class TestPerPairKernelsMatchTheMatmulPath:
         for _ in range(3):
             assert_bits_match_matmul(*pair_with_chordal_sq(rng, 100, 23, sq))
 
-    def test_cached_key_orders_as_tobytes(self, rng):
+    def test_bases_order_by_their_raw_bytes(self, rng):
         # Two bases of one plane that differ only in the sign of a zero:
         # their bytes differ, and +0.0 sorts first.
         plus = np.eye(3)[:, :2]
@@ -781,7 +803,7 @@ def points_of(cells):
 
 
 def force_workers(monkeypatch, count):
-    """Make _angle_distances see `count` CPUs."""
+    """Make _tiled_distances see `count` CPUs."""
     monkeypatch.setattr(pipeline, "_cpu_count", lambda: count)
 
 
@@ -834,20 +856,22 @@ def points_near_right_angles(rng):
 
 
 def angle_kernel_peak(rng, m):
-    """Peak bytes traced while _angle_distances fills an m x m matrix of
+    """Peak bytes traced while _tiled_distances fills an m x m matrix of
     rank-6 subspaces of R^40."""
     cells = cells_of([random_subspace(rng, 40, 6) for _ in range(m)])
     out = np.zeros((m, m))
     tracemalloc.start()
     try:
-        _angle_distances(cells, GrassmannMetric.GEODESIC, out)
+        _tiled_distances(cells, GrassmannMetric.GEODESIC, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 class TestBatchedAngleKernel:
-    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    """The tiled kernel of distance_matrix, which every metric runs on."""
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_rank_reduced_and_replicate_cells(self, rng, metric, monkeypatch):
         cells = rank_reduced_and_replicate_cells(rng)
         assert cells.ranks.tolist().count(3) == 3
@@ -858,16 +882,20 @@ class TestBatchedAngleKernel:
         assert calls == [(3, 20), (4, 19)]
         assert dmat.guarded_pairs == 2
 
-    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_either_side_of_both_guards(self, rng, metric, monkeypatch):
         points = points_either_side_of_both_guards(rng)
         calls = per_pair_spy(monkeypatch)
         dmat = distance_matrix(cells_of(points), metric)
         assert_matrix_matches(points, metric, dmat.values)
-        assert calls == [(0, 9), (2, 17), (4, 18), (5, 12)]
-        assert dmat.guarded_pairs == 4
+        # chordal has no cosine guard: (2, 17) is far above d^2 = 1e-4
+        want = [(0, 9), (2, 17), (4, 18), (5, 12)]
+        if metric is GrassmannMetric.CHORDAL:
+            want.remove((2, 17))
+        assert calls == want
+        assert dmat.guarded_pairs == len(want)
 
-    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_pairs_whose_ranks_sum_past_n_skip_the_batch(self, rng, metric, monkeypatch):
         # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, and
         # fail the cosine guard; ranks 2 + 4 and 3 + 3 need not.
@@ -893,7 +921,7 @@ class TestBatchedAngleKernel:
         assert largest.size == 19 * 18 // 2 - len(shared)
         assert largest.max() < 1.0 - _COSINE_GUARD
 
-    @pytest.mark.parametrize("metric", ANGLE_METRICS)
+    @pytest.mark.parametrize("metric", ALL_METRICS)
     @pytest.mark.parametrize("m", [1, 2, 8, 9])
     def test_small_and_ragged_sizes(self, rng, metric, m):
         points = [random_subspace(rng, 7, 1 + k % 3) for k in range(m)]
@@ -905,7 +933,7 @@ class TestBatchedAngleKernel:
     def test_near_right_angles(self, rng):
         points = points_near_right_angles(rng)
         cells = cells_of(points)
-        for metric in ANGLE_METRICS:
+        for metric in ALL_METRICS:
             if metric is GrassmannMetric.MARTIN:
                 with pytest.raises(MartinDivergentError, match=r"pair \(2, 17\)"):
                     distance_matrix(cells, metric)
@@ -923,7 +951,7 @@ class TestBatchedAngleKernel:
     )
     def test_results_do_not_depend_on_the_worker_count(self, rng, cells, monkeypatch):
         cells = cells(rng)
-        for metric in ANGLE_METRICS:
+        for metric in ALL_METRICS:
             runs = []
             for workers in (1, 2, 3):
                 force_workers(monkeypatch, workers)
@@ -946,38 +974,46 @@ class TestBatchedAngleKernel:
         # 40 rows of tiles over 3 workers. The first block_distances call on
         # a helper thread raises; the calling thread's first call waits for
         # it, so a helper is sure to fail while rows are left.
-        points = [random_subspace(rng, 6, 2) for _ in range(40 * pipeline._TILE_SUBSPACES)]
+        cells = cells_of(
+            [random_subspace(rng, 6, 2) for _ in range(40 * pipeline._TILE_SUBSPACES)]
+        )
         force_workers(monkeypatch, 3)
-        boom = RuntimeError("boom")
-        failed = threading.Event()
-        lock = threading.Lock()
-        started = []  # (row, whether the failure had happened)
         real_block, real_row = pipeline.block_distances, pipeline._tile_row
 
-        def block(cross, counts, metric):
-            if threading.current_thread() is threading.main_thread():
-                failed.wait(timeout=30)
-            else:
-                with lock:
-                    first = not failed.is_set()
-                    failed.set()
-                if first:
-                    raise boom
-            return real_block(cross, counts, metric)
+        def fail_once(metric):
+            boom = RuntimeError(f"boom under {metric.value}")
+            failed = threading.Event()
+            lock = threading.Lock()
+            started = []  # (row, whether the failure had happened)
 
-        def row(cells, lo, metric, out):
-            started.append((lo, failed.is_set()))
-            return real_row(cells, lo, metric, out)
+            def block(cross, counts, metric):
+                if threading.current_thread() is threading.main_thread():
+                    failed.wait(timeout=30)
+                else:
+                    with lock:
+                        first = not failed.is_set()
+                        failed.set()
+                    if first:
+                        raise boom
+                return real_block(cross, counts, metric)
 
-        monkeypatch.setattr(pipeline, "block_distances", block)
-        monkeypatch.setattr(pipeline, "_tile_row", row)
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            distance_matrix(cells_of(points), GrassmannMetric.GEODESIC)
-        assert info.value is boom
-        assert failed.is_set()
-        assert [lo for lo, after in started if after] == []
-        assert threading.active_count() == threads
+            def row(cells, lo, metric, out):
+                started.append((lo, failed.is_set()))
+                return real_row(cells, lo, metric, out)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "block_distances", block)
+                patch.setattr(pipeline, "_tile_row", row)
+                threads = threading.active_count()
+                with pytest.raises(RuntimeError) as info:
+                    distance_matrix(cells, metric)
+            assert info.value is boom
+            assert failed.is_set()
+            assert [lo for lo, after in started if after] == []
+            assert threading.active_count() == threads
+
+        for metric in ALL_METRICS:
+            fail_once(metric)
 
     def test_more_workers_than_cores_under_a_short_switch_interval(self, rng, monkeypatch):
         # A replicate in every row of tiles, so every worker flags a pair; a
@@ -988,18 +1024,19 @@ class TestBatchedAngleKernel:
             turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
             points[lo + tile - 1] = Subspace(points[lo].basis @ turn)
         cells = cells_of(points)
-        force_workers(monkeypatch, 1)
-        want = distance_matrix(cells, GrassmannMetric.GEODESIC)
-        force_workers(monkeypatch, 6)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = distance_matrix(cells, GrassmannMetric.GEODESIC)
-                assert got.values.tobytes() == want.values.tobytes()
-                assert got.guarded_pairs == want.guarded_pairs == 10
-        finally:
-            sys.setswitchinterval(interval)
+        for metric in ALL_METRICS:
+            force_workers(monkeypatch, 1)
+            want = distance_matrix(cells, metric)
+            force_workers(monkeypatch, 6)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    got = distance_matrix(cells, metric)
+                    assert got.values.tobytes() == want.values.tobytes(), metric
+                    assert got.guarded_pairs == want.guarded_pairs == 10, metric
+            finally:
+                sys.setswitchinterval(interval)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)

@@ -11,7 +11,7 @@ from mgm.errors import (
     DataError,
     MartinDivergentError,
 )
-from mgm.grassmann import _RANK_TOL, GrassmannMetric, distance
+from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack
 from mgm import pipeline
 from mgm.pipeline import (
@@ -164,21 +164,33 @@ class TestBatchedBuild:
 
 class TestDistanceMatrix:
     def test_matches_pairwise_calls(self):
+        # Samples 7 and 8 repeat 1 and 4 up to a factor per scale: the same
+        # spans, two replicate pairs below the chordal guard.
         stack = random_stack(m=9, n=8, p=3, seed=6)
-        cells = build_subspaces(stack)
+        values = stack.values.copy()
+        values[:, 7] = values[:, 1] * np.array([[2.0], [0.5], [3.0]])
+        values[:, 8] = values[:, 4]
+        cells = build_subspaces(EmbeddingStack(scales=stack.scales, values=values))
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
             dmat = distance_matrix(cells, metric)
             assert dmat.values.shape == (9, 9)
+            below = []
             for i in range(9):
                 assert dmat.values[i, i] == 0.0
                 for j in range(i + 1, 9):
                     want = distance(cells.subspace(i), cells.subspace(j), metric)
-                    if metric is GrassmannMetric.CHORDAL:
-                        assert dmat.values[i, j] == want
+                    got = dmat.values[i, j]
+                    if metric is GrassmannMetric.CHORDAL and want**2 < _CHORDAL_SQ_GUARD:
+                        # recomputed by the per-pair call itself
+                        below.append((i, j))
+                        assert got == want
                     else:
-                        # a batched SVD, not one per pair: equal up to rounding
-                        assert abs(dmat.values[i, j] - want) <= 1e-12 + 1e-9 * want
-                    assert dmat.values[j, i] == dmat.values[i, j]
+                        # from the batched kernel: equal up to rounding
+                        assert abs(got - want) <= 1e-12 + 1e-9 * want
+                    assert dmat.values[j, i] == got
+            assert dmat.guarded_pairs == 2
+            if metric is GrassmannMetric.CHORDAL:
+                assert below == [(1, 7), (4, 8)]
 
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
@@ -221,7 +233,7 @@ class TestDistanceMatrix:
             tracemalloc.start()
             return 0
 
-        monkeypatch.setattr(pipeline, "_angle_distances", fill)
+        monkeypatch.setattr(pipeline, "_tiled_distances", fill)
         bases = np.zeros((len(upper), 2, 1))
         bases[:, 0, 0] = 1.0
         cells = CellSubspaceSet(bases=bases, ranks=np.ones(len(upper), dtype=int))
@@ -249,6 +261,26 @@ class TestDistanceMatrix:
         assert peak < 2 * 8 * m * pipeline._BLOCK_ROWS
         assert not dmat.values.flags.writeable
 
+    def test_mirror_copies_no_row_block(self, monkeypatch):
+        # Traced up to the DistanceMatrix checks, whose row blocks are their
+        # own. The mirror copies a 64 x 64 diagonal block, beside numpy's
+        # ufunc buffers: ~100 KB at any M, where out[lo:hi] += out[:, lo:hi].T
+        # copied a 64 x M operand, 512 KB here.
+        m = 1000
+        upper = np.random.default_rng(6).random((m, m))
+        peaks = []
+        real = pipeline.DistanceMatrix
+
+        def checked(**kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(**kwargs)
+
+        monkeypatch.setattr(pipeline, "DistanceMatrix", checked)
+        dmat, _ = self.filled_matrix(monkeypatch, upper)
+        assert peaks[0] < 8 * m * pipeline._BLOCK_ROWS // 4
+        strict = np.triu(upper, 1)
+        assert dmat.values.tobytes() == (strict + strict.T).tobytes()
+
     def test_keeps_a_read_only_array_that_owns_its_data(self):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
         values.setflags(write=False)
@@ -273,7 +305,7 @@ class TestDistanceMatrix:
     def test_distance_matrix_holds_one_matrix(self, monkeypatch):
         # Traced from the call on: the output and at most two row blocks
         # beside it, where handing DistanceMatrix a copy made it two
-        # matrices. Geodesic at rank 1 keeps the angle kernel's share small.
+        # matrices. Geodesic at rank 1 keeps the distance kernel's share small.
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
         m = 400
         bases = np.random.default_rng(8).standard_normal((m, 3, 1))
@@ -374,13 +406,11 @@ class TestRunMgm:
             return real(*args)
 
         monkeypatch.setattr(pipeline, "distance", spy)
-        _, dmat, report, _ = run_mgm(x, self.make_config(metric=GrassmannMetric.GEODESIC))
-        assert report.guarded_pairs == dmat.guarded_pairs == len(calls) >= 2
-        assert report.to_dict()["guarded_pairs"] == len(calls)
-        calls.clear()
-        _, _, report, _ = run_mgm(x, self.make_config())
-        assert len(calls) == 40 * 39 // 2
-        assert report.guarded_pairs == 0
+        for metric in (GrassmannMetric.GEODESIC, GrassmannMetric.CHORDAL):
+            calls.clear()
+            _, dmat, report, _ = run_mgm(x, self.make_config(metric=metric))
+            assert report.guarded_pairs == dmat.guarded_pairs == len(calls) >= 2
+            assert report.to_dict()["guarded_pairs"] == len(calls)
 
     def test_max_scale_clamped_to_sample_count(self):
         x, _ = make_blobs(m=20, d=10, sep=6.0, seed=4)
