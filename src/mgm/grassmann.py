@@ -214,7 +214,8 @@ def distance_from_angles(
             raise MartinDivergentError(
                 "a principal angle is within 1e-9 of pi/2; the Martin metric diverges"
             )
-        return np.sqrt(-2.0 * np.sum(np.log(np.cos(theta)), axis=-1))
+        # + 0.0 turns the -0.0 of equal subspaces, -2 * (+0.0), into +0.0.
+        return np.sqrt(-2.0 * np.sum(np.log(np.cos(theta)), axis=-1)) + 0.0
     if metric is GrassmannMetric.PROCRUSTES:
         return 2.0 * np.sqrt(np.sum(np.sin(theta / 2.0) ** 2, axis=-1))
     raise ValueError(f"unhandled metric {metric!r}")
@@ -223,26 +224,17 @@ def distance_from_angles(
 def block_distances(
     cross: np.ndarray, counts: np.ndarray, metric: GrassmannMetric
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of a batch of pairs from their cross Gram blocks.
+    """Distances of a batch of pairs from their cross Gram blocks, by one
+    batched SVD: distance_matrix's kernel of the four angle metrics.
 
     cross[p] is Qi^T Qj of pair p, zero-padded to a common r x r, and
-    counts[p] = min(ri, rj). Chordal runs no SVD: its squared distance is
-    counts[p] - ||cross[p]||_F^2, as in `distance`, with the squares summed
-    over S + S^T for S = cross[p]**2. A swapped pair has the block's
-    transpose, and so the same S + S^T and the same bits. The other metrics
-    take one batched SVD for all pairs. Padding only adds zero singular
-    values, which sort last, so the first counts[p] are the pair's cosines.
-    Returns the distances and a mask of the pairs that fail the
-    cancellation guard of principal_angles (chordal: its squared distance
-    below _CHORDAL_SQ_GUARD) or whose Martin distance diverges. Their
-    distances read 0 and must be recomputed with `distance`, which takes
-    the residual or sine path or raises.
+    counts[p] = min(ri, rj). Padding only adds zero singular values, which
+    sort last, so the first counts[p] are the pair's cosines. Returns the
+    distances and a mask of the pairs that fail the cancellation guard of
+    principal_angles or whose Martin distance diverges. Their distances
+    read 0 and must be recomputed with `distance`, which takes the sine
+    path or raises.
     """
-    if metric is GrassmannMetric.CHORDAL:
-        squares = cross * cross
-        sq = counts - 0.5 * np.sum(squares + squares.transpose(0, 2, 1), axis=(1, 2))
-        redo = sq < _CHORDAL_SQ_GUARD
-        return np.sqrt(np.where(redo, 0.0, sq)), redo
     r = cross.shape[-1]
     real = np.arange(r) < counts[:, None]
     singular = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)

@@ -26,6 +26,7 @@ from .errors import (
     MgmError,
 )
 from .grassmann import (
+    _CHORDAL_SQ_GUARD,
     GrassmannMetric,
     Subspace,
     block_distances,
@@ -50,14 +51,14 @@ __all__ = [
     "run_mgm",
 ]
 
-# Subspaces per tile of the distance kernel in distance_matrix and per
-# batched SVD of build_subspaces. A tile pair's cross blocks hold 64 r^2
-# floats, 270 KB at the setup1 rank of 23, and each worker thread holds one
-# tile pair's at a time. On the M = 200 setup1 benchmark input (1 BLAS
-# thread), 16-subspace tiles raised peak RSS by 2.5 MB for no clear
-# speed-up, and one SVD of all M feature matrices raised it by 6 MB.
+# Subspaces per tile of the angle-metric kernel, per batched SVD of
+# build_subspaces and per batch of chordal projector features. A tile pair's
+# cross blocks hold 64 r^2 floats, 270 KB at the setup1 rank of 23, and each
+# worker thread holds one tile pair's at a time. On the M = 200 setup1
+# benchmark input (1 BLAS thread), 16-subspace tiles raised peak RSS by 2.5
+# MB for no clear speed-up, and one SVD of all M feature matrices by 6 MB.
 _TILE_SUBSPACES = 8
-# Rows per block where an M x M array is mirrored or checked for symmetry.
+# Rows per block where an M x M array is filled, mirrored or checked.
 _BLOCK_ROWS = 64
 
 
@@ -186,11 +187,11 @@ def _cpu_count() -> int:
 def _tile_row(
     cells: CellSubspaceSet, lo: int, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
-    """Fill out[i, j] for every i of the tile starting at `lo` and every
-    j > i, and return the pairs to compute one by one: those that
-    grassmann.block_distances flags, and those whose ranks sum past n. Such
-    a pair shares a direction, a cosine of 1 that fails the cancellation
-    guard of the angle metrics, so it skips the batch under every metric.
+    """Fill out[i, j] under an angle metric for every i of the tile starting
+    at `lo` and every j > i, and return the pairs to compute one by one:
+    those that grassmann.block_distances flags, and those whose ranks sum
+    past n. Such a pair shares a direction, a cosine of 1 that fails the
+    cancellation guard, so it skips the batch.
 
     Tiles are slices of cells.bases. One broadcast matmul of the p x n and
     n x p blocks gives every cross block Qi^T Qj of a tile pair. Each
@@ -227,19 +228,16 @@ def _tile_row(
 
 def _tiled_distances(
     cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
-) -> int:
-    """Fill the strict upper triangle of `out` row of tiles by row of tiles
-    (_tile_row) and return how many pairs were computed one by one.
+) -> list[tuple[int, int]]:
+    """Fill the strict upper triangle of `out` under an angle metric, row of
+    tiles by row of tiles (_tile_row), and return the pairs the rows flag.
 
     The rows are spread over the CPUs this process may use: the calling
     thread and up to _cpu_count() - 1 helper threads take rows from one
     shared sequence and write their disjoint entries of `out`. The first
     error stops the hand-out of rows and reaches the caller unchanged. Every
     pair is computed by the same code on the same inputs whichever thread
-    takes its row, so `out` does not depend on the core count. The pairs
-    the rows flag are computed with grassmann.distance once every row is
-    done, on the calling thread and in lexicographic order, so a Martin
-    divergence names the first offending pair as a pair-by-pair loop would.
+    takes its row, so `out` does not depend on the core count.
     """
     starts = range(0, len(cells), _TILE_SUBSPACES)
     rows = iter(starts)
@@ -261,42 +259,80 @@ def _tiled_distances(
 
     helpers = min(_cpu_count(), len(starts)) - 1
     if helpers < 1:
-        redo = drain()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return drain()
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            redo = drain()
-            for future in futures:
-                redo += future.result()
-    for i, j in sorted(redo):
-        try:
-            out[i, j] = distance(cells.subspace(i), cells.subspace(j), metric)
-        except MartinDivergentError as err:
-            raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
-    return len(redo)
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        redo = drain()
+        for future in futures:
+            redo += future.result()
+    return redo
+
+
+def _chordal_sq(features: np.ndarray, ranks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared chordal distances min(ri, rj) - <Fi, Fj> of cells lo:hi
+    against cells lo:, each rounded once. np.einsum (optimize=False) sums an
+    entry in an order set by the feature width alone, so a pair has the same
+    bits in either order and in any block; a BLAS GEMM does not."""
+    sq = np.einsum("ik,jk->ij", features[lo:hi], features[lo:])
+    np.subtract(ranks[lo:], sq, out=sq, where=ranks[lo:hi, None] >= ranks[lo:])
+    return np.subtract(ranks[lo:hi, None], sq, out=sq, where=ranks[lo:hi, None] < ranks[lo:])
+
+
+def _chordal_distances(cells: CellSubspaceSet, out: np.ndarray) -> list[tuple[int, int]]:
+    """Fill the strict upper triangle of `out` with chordal distances by row
+    blocks, on the calling thread, and return the pairs left at 0: those
+    below _CHORDAL_SQ_GUARD and those whose ranks sum past n. The features
+    F pack each projector QQ^T, a tile at a time: its diagonal, then its
+    strict upper triangle times sqrt(2), so <Fi, Fj> = <Pi, Pj>_F."""
+    (m, n, _), ranks = cells.bases.shape, cells.ranks.astype(float)
+    rows, cols = np.hstack([np.diag_indices(n), np.triu_indices(n, 1)])
+    scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
+    features = np.empty((m, len(rows)))
+    for lo in range(0, m, _TILE_SUBSPACES):
+        q = cells.bases[lo : lo + _TILE_SUBSPACES]
+        features[lo : lo + len(q)] = np.einsum("tia,tja->tij", q, q)[:, rows, cols] * scale
+    redo: list[tuple[int, int]] = []
+    for lo in range(0, m, _BLOCK_ROWS):
+        sq = _chordal_sq(features, ranks, lo, lo + _BLOCK_ROWS)
+        skip = sq < _CHORDAL_SQ_GUARD
+        if 2 * ranks.max() > n:
+            skip |= ranks[lo : lo + _BLOCK_ROWS, None] > n - ranks[lo:]
+        sq[skip] = 0.0
+        sq[np.tril_indices(len(sq))] = 0.0  # row a is cell lo + a
+        i, j = np.nonzero(np.triu(skip, 1))
+        out[lo : lo + len(sq), lo:] = np.sqrt(sq, out=sq)
+        redo += zip((i + lo).tolist(), (j + lo).tolist())
+        del sq, skip  # not held beside the next block's Gram
+    return redo
 
 
 def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> DistanceMatrix:
     """All pairwise subspace distances, computed on the strict upper triangle
     and mirrored.
 
-    Every metric runs on one kernel (_tiled_distances): one broadcast matmul
-    gives the cross blocks Qi^T Qj of a pair of tiles, each tile a slice of
-    cells.bases, and grassmann.block_distances turns them into distances,
-    chordal from their sums of squares and the four angle metrics from one
-    batched SVD. The rows of tiles are spread over the CPUs this process
-    may use. Only the pairs whose ranks sum past the ambient dimension,
-    that fail the cancellation guard, or whose Martin distance diverges go
-    through grassmann.distance, with just the two subspaces each needs; the
-    matrix counts them as guarded_pairs. The values do not depend on the
-    core count or on the BLAS thread count. The one M x M array filled here
-    is handed over read-only, not copied.
+    Chordal takes its squared distances from Grams of packed projector
+    features (_chordal_distances), the angle metrics from the cross blocks
+    of the tiled kernel (_tiled_distances). Only the pairs whose ranks sum
+    past the ambient dimension, that fail the cancellation guard, or whose
+    Martin distance diverges go through grassmann.distance, with just the
+    two subspaces each needs; the matrix counts them as guarded_pairs. The
+    values do not depend on the core count or on the BLAS thread count.
+    The one M x M array filled here is handed over read-only, not copied.
     """
     m = len(cells)
     out = np.zeros((m, m))
-    guarded = _tiled_distances(cells, metric, out)
+    if metric is GrassmannMetric.CHORDAL:
+        redo = _chordal_distances(cells, out)
+    else:
+        redo = _tiled_distances(cells, metric, out)
+    # In order, so a Martin divergence names the first offending pair.
+    for i, j in sorted(redo):
+        try:
+            out[i, j] = distance(cells.subspace(i), cells.subspace(j), metric)
+        except MartinDivergentError as err:
+            raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
     # out + out.T in place by row blocks, with the bits of that sum: only
     # i < j is set, and x + 0.0 is x but for -0.0, which reads +0.0. The
     # columns above a block already hold that sum when its rows below the
@@ -309,7 +345,7 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
         diagonal += diagonal.T
     # Read-only and owning its data, out is handed over without a copy.
     out.setflags(write=False)
-    return DistanceMatrix(values=out, metric=metric, guarded_pairs=guarded)
+    return DistanceMatrix(values=out, metric=metric, guarded_pairs=len(redo))
 
 
 @dataclass(frozen=True)

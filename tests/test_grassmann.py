@@ -22,7 +22,6 @@ from mgm.grassmann import (
     GrassmannMetric,
     PrincipalAngles,
     Subspace,
-    block_distances,
     distance,
     distance_from_angles,
     principal_angles,
@@ -273,6 +272,14 @@ class TestMetricValues:
         theta = np.zeros(3)
         for metric in ALL_METRICS:
             assert distance_from_angles(theta, metric) == 0.0
+
+    def test_identical_subspaces_give_positive_zero(self):
+        # Martin's sqrt(-2 * 0.0) alone would be -0.0.
+        x = Subspace(np.eye(4)[:, :2])
+        for metric in ALL_METRICS:
+            assert bits(distance(x, x, metric)) == bits(0.0), metric
+        batch = distance_from_angles(np.zeros((2, 3)), GrassmannMetric.MARTIN)
+        assert batch.tobytes() == np.zeros(2).tobytes()
 
     def test_batch_rows_match_vectors_and_ignore_leading_zeros(self, rng):
         rows = [np.sort(rng.uniform(0.0, 1.5, 3)) for _ in range(5)]
@@ -590,26 +597,32 @@ class TestChordalGramGuard:
         assert negative > 0
 
     def test_block_bits_do_not_depend_on_the_pair_order(self, rng):
-        # Mixed-rank cross blocks padded to rank 5, and a replicate cell
-        # (2, 12): a swapped pair has the transposed block.
+        # Mixed ranks 1 to 5 in R^12, and a replicate cell (2, 12): a pair
+        # has the same bits in either order, in any row block, and after
+        # the cells are reversed.
         points = [random_subspace(rng, 12, 1 + k % 5) for k in range(12)]
         turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         points.append(Subspace(points[2].basis @ turn))
         cells = cells_of(points)
-        i, j = np.triu_indices(len(points), 1)
-        cross = np.matmul(cells.bases[i].transpose(0, 2, 1), cells.bases[j])
-        counts = np.minimum(cells.ranks[i], cells.ranks[j])
-        got, redo = block_distances(cross, counts, GrassmannMetric.CHORDAL)
-        flipped = cross.transpose(0, 2, 1)
-        for swapped in (flipped, np.ascontiguousarray(flipped)):
-            values, again = block_distances(swapped, counts, GrassmannMetric.CHORDAL)
-            assert values.tobytes() == got.tobytes()
-            assert np.array_equal(again, redo)
-        assert list(zip(i[redo].tolist(), j[redo].tolist())) == [(2, 12)]
-        assert np.all(got[redo] == 0.0)
-        for p in np.flatnonzero(~redo):
+        m = len(points)
+        upper = np.triu_indices(12, 1)
+        features = np.array(
+            [np.r_[np.diag(q), math.sqrt(2.0) * q[upper]] for q in map(projector, points)]
+        )
+        full = pipeline._chordal_sq(features, cells.ranks, 0, m)
+        assert full.tobytes() == full.T.tobytes()
+        for lo in range(0, m, 5):
+            block = pipeline._chordal_sq(features, cells.ranks, lo, lo + 5)
+            assert block.tobytes() == full[lo : lo + 5, lo:].tobytes()
+        back = pipeline._chordal_sq(features[::-1].copy(), cells.ranks[::-1], 0, m)
+        assert back.tobytes() == full[::-1, ::-1].tobytes()
+        i, j = np.triu_indices(m, 1)
+        below = full[i, j] < _CHORDAL_SQ_GUARD
+        assert list(zip(i[below].tolist(), j[below].tolist())) == [(2, 12)]
+        for p in np.flatnonzero(~below):
             want = distance(points[i[p]], points[j[p]], GrassmannMetric.CHORDAL)
-            assert abs(got[p] - want) <= 1e-12 + 1e-9 * want
+            got = math.sqrt(full[i[p], j[p]])
+            assert abs(got - want) <= 1e-12 + 1e-9 * want
 
     def test_permuted_samples_permute_the_matrix_bit_for_bit(self, rng):
         # 21 samples of ranks 2 to 5 in R^9, not a multiple of the tile, a
@@ -869,7 +882,8 @@ def angle_kernel_peak(rng, m):
 
 
 class TestBatchedAngleKernel:
-    """The tiled kernel of distance_matrix, which every metric runs on."""
+    """The kernels of distance_matrix: the tiled angle kernel of the four
+    angle metrics, and the projector Gram of chordal."""
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_rank_reduced_and_replicate_cells(self, rng, metric, monkeypatch):
@@ -895,7 +909,7 @@ class TestBatchedAngleKernel:
         assert calls == want
         assert dmat.guarded_pairs == len(want)
 
-    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("metric", ANGLE_METRICS)
     def test_pairs_whose_ranks_sum_past_n_skip_the_batch(self, rng, metric, monkeypatch):
         # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, and
         # fail the cosine guard; ranks 2 + 4 and 3 + 3 need not.
@@ -920,6 +934,42 @@ class TestBatchedAngleKernel:
         largest = np.concatenate(batched)
         assert largest.size == 19 * 18 // 2 - len(shared)
         assert largest.max() < 1.0 - _COSINE_GUARD
+
+    def test_chordal_takes_rank_sum_and_guarded_pairs_one_by_one(self, rng, monkeypatch):
+        # The ranks of the test above, with two replicate cells, 70 rows:
+        # more than one row block. Chordal runs on the calling thread alone
+        # and never reaches the tiled kernel.
+        points = [random_subspace(rng, 6, (2, 3, 4)[k % 3]) for k in range(70)]
+        turn = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        points[68] = Subspace(points[0].basis @ turn)
+        points[69] = Subspace(points[3].basis.copy())
+        ranks = [p.rank for p in points]
+        redo = sorted(
+            {(i, j) for i, j in zip(*np.triu_indices(70, 1)) if ranks[i] + ranks[j] > 6}
+            | {(0, 68), (3, 69)}
+        )
+        threads = threading.active_count()
+        seen = []
+        real_gram = pipeline._chordal_sq
+
+        def gram(*args):
+            seen.append(threading.active_count())
+            return real_gram(*args)
+
+        def tiled(*args):
+            raise AssertionError("chordal reached the tiled kernel")
+
+        monkeypatch.setattr(pipeline, "_chordal_sq", gram)
+        monkeypatch.setattr(pipeline, "block_distances", tiled)
+        monkeypatch.setattr(pipeline, "_tile_row", tiled)
+        force_workers(monkeypatch, 3)
+        calls = per_pair_spy(monkeypatch)
+        dmat = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
+        assert_matrix_matches(points, GrassmannMetric.CHORDAL, dmat.values)
+        assert calls == redo
+        assert dmat.guarded_pairs == len(redo)
+        assert seen == [threads, threads]
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     @pytest.mark.parametrize("m", [1, 2, 8, 9])
@@ -1012,8 +1062,31 @@ class TestBatchedAngleKernel:
             assert [lo for lo, after in started if after] == []
             assert threading.active_count() == threads
 
-        for metric in ALL_METRICS:
+        for metric in ANGLE_METRICS:
             fail_once(metric)
+
+    def test_error_in_the_chordal_gram_reaches_the_caller(self, rng, monkeypatch):
+        # Chordal fills its row blocks on the calling thread, with no helper
+        # threads at any CPU count: the second block's error stops the build.
+        cells = cells_of([random_subspace(rng, 6, 2) for _ in range(3 * pipeline._BLOCK_ROWS)])
+        force_workers(monkeypatch, 3)
+        real_gram = pipeline._chordal_sq
+        boom = RuntimeError("boom under chordal")
+        blocks = []
+
+        def gram(features, ranks, lo, hi):
+            blocks.append((lo, threading.current_thread() is threading.main_thread()))
+            if len(blocks) == 2:
+                raise boom
+            return real_gram(features, ranks, lo, hi)
+
+        monkeypatch.setattr(pipeline, "_chordal_sq", gram)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            distance_matrix(cells, GrassmannMetric.CHORDAL)
+        assert info.value is boom
+        assert blocks == [(0, True), (pipeline._BLOCK_ROWS, True)]
+        assert threading.active_count() == threads
 
     def test_more_workers_than_cores_under_a_short_switch_interval(self, rng, monkeypatch):
         # A replicate in every row of tiles, so every worker flags a pair; a

@@ -231,7 +231,7 @@ class TestDistanceMatrix:
         def fill(cells, metric, out):
             out[...] = np.triu(upper, 1)
             tracemalloc.start()
-            return 0
+            return []
 
         monkeypatch.setattr(pipeline, "_tiled_distances", fill)
         bases = np.zeros((len(upper), 2, 1))
@@ -305,20 +305,25 @@ class TestDistanceMatrix:
     def test_distance_matrix_holds_one_matrix(self, monkeypatch):
         # Traced from the call on: the output and at most two row blocks
         # beside it, where handing DistanceMatrix a copy made it two
-        # matrices. Geodesic at rank 1 keeps the distance kernel's share small.
+        # matrices. Geodesic at rank 1 keeps the distance kernel's share
+        # small; chordal also holds its projector features, n(n+1)/2 per
+        # cell, and fills the matrix by row blocks, with no M x M or
+        # M(M-1)/2 temporary.
         monkeypatch.setattr(pipeline, "_cpu_count", lambda: 1)
         m = 400
-        bases = np.random.default_rng(8).standard_normal((m, 3, 1))
-        bases /= np.linalg.norm(bases, axis=1, keepdims=True)
-        cells = CellSubspaceSet(bases=bases, ranks=np.ones(m, dtype=int))
-        tracemalloc.start()
-        try:
-            dmat = distance_matrix(cells, GrassmannMetric.GEODESIC)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dmat.size == m
-        assert peak < 8 * m * (m + 2 * pipeline._BLOCK_ROWS)
+        for metric, n, rank in ((GrassmannMetric.GEODESIC, 3, 1), (GrassmannMetric.CHORDAL, 8, 3)):
+            features = 8 * m * n * (n + 1) // 2 if metric is GrassmannMetric.CHORDAL else 0
+            columns = np.random.default_rng(8).standard_normal((m, n, rank))
+            bases = np.linalg.qr(columns)[0]
+            cells = CellSubspaceSet(bases=bases, ranks=np.full(m, rank))
+            tracemalloc.start()
+            try:
+                dmat = distance_matrix(cells, metric)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dmat.size == m
+            assert peak < 8 * m * (m + 2 * pipeline._BLOCK_ROWS) + features, metric
 
     def test_validation_rejects_nonzero_diagonal(self):
         bad = np.array([[0.1, 1.0], [1.0, 0.0]])
