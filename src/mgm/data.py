@@ -31,9 +31,19 @@ __all__ = [
 ]
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """array itself if it is read-only and owns its data, otherwise a
+    read-only copy, so a later write by the caller cannot reach it."""
+    if array.flags.writeable or not array.flags.owndata:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ExpressionMatrix:
-    """An M x N matrix of finite floats with optional ids and labels."""
+    """An M x N matrix of finite floats, held read-only (frozen), with
+    optional ids and labels."""
 
     values: np.ndarray
     sample_ids: tuple[str, ...] | None = None
@@ -53,9 +63,7 @@ class ExpressionMatrix:
             raise DataError(f"{len(self.feature_ids)} feature ids for {n} columns")
         if self.labels is not None and len(self.labels) != m:
             raise LabelLengthMismatchError(f"{len(self.labels)} labels for {m} samples")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen(values))
 
     @property
     def sample_count(self) -> int:
@@ -169,6 +177,7 @@ def load_matrix(
     if parse_error is not None:
         raise parse_error
     values = np.vstack(values)  # rebinding frees the per-row arrays
+    values.setflags(write=False)
 
     col_ids = None
     if header is not None:
@@ -229,7 +238,7 @@ def preprocess(
     Normalization rescales each row to the median row total; all-zero rows
     stay zero. Negative entries make totals meaningless, so they are
     rejected. top_features keeps that many highest-variance columns, in
-    their original order.
+    their original order. Each step works on the one copy the result keeps.
     """
     values = np.array(x.values, dtype=float)
     if normalize:
@@ -240,11 +249,11 @@ def preprocess(
         totals = values.sum(axis=1)
         median_total = float(np.median(totals))
         nonzero = totals > 0
-        values[nonzero] *= median_total / totals[nonzero, None]
+        values *= np.divide(median_total, totals, out=np.ones_like(totals), where=nonzero)[:, None]
     if log_transform:
         if np.any(values <= -1.0):
             raise DataError("log1p requires every value to exceed -1")
-        values = np.log1p(values)
+        np.log1p(values, out=values)
     feature_ids = x.feature_ids
     if top_features is not None:
         if not 1 <= top_features <= values.shape[1]:
@@ -257,6 +266,7 @@ def preprocess(
         values = values[:, keep]
         if feature_ids is not None:
             feature_ids = tuple(feature_ids[i] for i in keep)
+    values.setflags(write=False)  # handed over, not copied
     return ExpressionMatrix(
         values=values,
         sample_ids=x.sample_ids,

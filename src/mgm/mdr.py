@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .data import load_matrix
+from .data import frozen, load_matrix
 from .errors import (
     DataError,
     DimTooLargeError,
@@ -90,9 +90,8 @@ class EmbeddingStack:
     """Every scale's M x n embedding in one finite (p, M, n) array, scale s's
     in values[s].
 
-    values is held read-only. An array that is already read-only and owns
-    its data is kept as it is, with no copy; any other array is copied, so a
-    later write by the caller cannot reach the stack.
+    values is held read-only, and copied unless it is already read-only and
+    owns its data (data.frozen).
     """
 
     scales: ScaleSet
@@ -107,10 +106,7 @@ class EmbeddingStack:
         for scale, emb in zip(self.scales, v):
             if not np.isfinite(emb).all():
                 raise NumericalError(f"embedding for scale {scale} has non-finite values")
-        if v.flags.writeable or not v.flags.owndata:
-            v = v.copy()
-            v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", frozen(v))
 
     @property
     def sample_count(self) -> int:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import frozen
 from .errors import (
     ConfigError,
     DataError,
@@ -58,7 +59,7 @@ __all__ = [
 # benchmark input (1 BLAS thread), 16-subspace tiles raised peak RSS by 2.5
 # MB for no clear speed-up, and one SVD of all M feature matrices by 6 MB.
 _TILE_SUBSPACES = 8
-# Rows per block where an M x M array is filled, mirrored or checked.
+# Rows per block where an M x M array is filled or checked.
 _BLOCK_ROWS = 64
 
 
@@ -66,21 +67,20 @@ _BLOCK_ROWS = 64
 class CellSubspaceSet:
     """One subspace per sample, all in R^n: bases[k] holds sample k's
     orthonormal basis in its first ranks[k] of p columns, zeros after. p is
-    the nominal rank (the scale count); both arrays are held read-only."""
+    the nominal rank (the scale count). Both arrays are held read-only, each
+    copied unless it is already read-only and owns its data (data.frozen)."""
 
     bases: np.ndarray
     ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        bases = np.asarray(self.bases, dtype=float).view()
-        ranks = np.asarray(self.ranks).view()
+        bases, ranks = np.asarray(self.bases, dtype=float), np.asarray(self.ranks)
         if bases.ndim != 3 or min(bases.shape) < 1 or ranks.shape != bases.shape[:1]:
             raise ValueError(f"need (M, n, p) bases and M ranks, got {bases.shape}, {ranks.shape}")
         if not 1 <= ranks.min() <= ranks.max() <= min(bases.shape[1:]):
             raise ValueError(f"ranks must lie in [1, min(n, p)], got {ranks.min()}..{ranks.max()}")
-        for name, value in (("bases", bases), ("ranks", ranks)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "bases", frozen(bases))
+        object.__setattr__(self, "ranks", frozen(ranks))
 
     @property
     def nominal_rank(self) -> int:
@@ -110,10 +110,8 @@ class DistanceMatrix:
     because the batched kernel could not be trusted on them. It is 0 for a
     matrix read from a file.
 
-    values is held read-only. An array that is already read-only and owns
-    its data is kept as it is, with no M x M copy; any other array is
-    copied, so a later write by the caller cannot reach the matrix. The
-    checks hold no M x M temporary.
+    values is held read-only, with no M x M copy if it is already read-only
+    and owns its data (data.frozen). The checks hold no M x M temporary.
     """
 
     values: np.ndarray
@@ -141,10 +139,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix is not symmetric")
         if np.any(np.diag(v) != 0.0):
             raise ValueError("distance matrix diagonal must be exactly zero")
-        if v.flags.writeable or not v.flags.owndata:
-            v = v.copy()
-            v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", frozen(v))
 
     @property
     def size(self) -> int:
@@ -172,6 +167,8 @@ def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
         hi = lo + _TILE_SUBSPACES
         features = stack.values[:, lo:hi].transpose(1, 2, 0)
         bases[lo:hi, :, : min(n, p)], ranks[lo:hi] = orthonormalize(features, lo)
+    bases.setflags(write=False)  # handed over, not copied
+    ranks.setflags(write=False)
     return CellSubspaceSet(bases=bases, ranks=ranks)
 
 
@@ -187,11 +184,11 @@ def _cpu_count() -> int:
 def _tile_row(
     cells: CellSubspaceSet, lo: int, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
-    """Fill out[i, j] under an angle metric for every i of the tile starting
-    at `lo` and every j > i, and return the pairs to compute one by one:
-    those that grassmann.block_distances flags, and those whose ranks sum
-    past n. Such a pair shares a direction, a cosine of 1 that fails the
-    cancellation guard, so it skips the batch.
+    """Fill out[i, j] and out[j, i] under an angle metric for every i of the
+    tile starting at `lo` and every j > i, and return the pairs to compute
+    one by one: those that grassmann.block_distances flags, and those whose
+    ranks sum past n. Such a pair shares a direction, a cosine of 1 that
+    fails the cancellation guard, so it skips the batch.
 
     Tiles are slices of cells.bases. One broadcast matmul of the p x n and
     n x p blocks gives every cross block Qi^T Qj of a tile pair. Each
@@ -221,7 +218,7 @@ def _tile_row(
             cross = cross[pick]
         i, j = i[batch], j[batch]
         values, redo = block_distances(cross, np.minimum(ranks[i], ranks[j]), metric)
-        out[i, j] = values
+        out[i, j] = out[j, i] = values
         flagged.extend(zip(i[redo].tolist(), j[redo].tolist()))
     return flagged
 
@@ -229,8 +226,8 @@ def _tile_row(
 def _tiled_distances(
     cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
-    """Fill the strict upper triangle of `out` under an angle metric, row of
-    tiles by row of tiles (_tile_row), and return the pairs the rows flag.
+    """Fill `out` off the diagonal under an angle metric, row of tiles by
+    row of tiles (_tile_row), and return the pairs the rows flag.
 
     The rows are spread over the CPUs this process may use: the calling
     thread and up to _cpu_count() - 1 helper threads take rows from one
@@ -281,10 +278,10 @@ def _chordal_sq(features: np.ndarray, ranks: np.ndarray, lo: int, hi: int) -> np
 
 
 def _chordal_distances(cells: CellSubspaceSet, out: np.ndarray) -> list[tuple[int, int]]:
-    """Fill the strict upper triangle of `out` with chordal distances by row
-    blocks, on the calling thread, and return the pairs left at 0: those
-    below _CHORDAL_SQ_GUARD and those whose ranks sum past n. The features
-    F pack each projector QQ^T, a tile at a time: its diagonal, then its
+    """Fill `out` with chordal distances by row blocks, on the calling
+    thread, and return the pairs i < j left at 0, those whose ranks sum
+    past n or below _CHORDAL_SQ_GUARD (as the diagonal is). The features F
+    pack each projector QQ^T, a tile at a time: its diagonal, then its
     strict upper triangle times sqrt(2), so <Fi, Fj> = <Pi, Pj>_F."""
     (m, n, _), ranks = cells.bases.shape, cells.ranks.astype(float)
     rows, cols = np.hstack([np.diag_indices(n), np.triu_indices(n, 1)])
@@ -296,21 +293,22 @@ def _chordal_distances(cells: CellSubspaceSet, out: np.ndarray) -> list[tuple[in
     redo: list[tuple[int, int]] = []
     for lo in range(0, m, _BLOCK_ROWS):
         sq = _chordal_sq(features, ranks, lo, lo + _BLOCK_ROWS)
+        hi = lo + len(sq)  # row a is cell lo + a
         skip = sq < _CHORDAL_SQ_GUARD
         if 2 * ranks.max() > n:
-            skip |= ranks[lo : lo + _BLOCK_ROWS, None] > n - ranks[lo:]
+            skip |= ranks[lo:hi, None] > n - ranks[lo:]
         sq[skip] = 0.0
-        sq[np.tril_indices(len(sq))] = 0.0  # row a is cell lo + a
         i, j = np.nonzero(np.triu(skip, 1))
-        out[lo : lo + len(sq), lo:] = np.sqrt(sq, out=sq)
+        out[lo:hi, lo:] = np.sqrt(sq, out=sq)
+        out[hi:, lo:hi] = sq[:, hi - lo :].T  # the columns below the block
         redo += zip((i + lo).tolist(), (j + lo).tolist())
         del sq, skip  # not held beside the next block's Gram
     return redo
 
 
 def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> DistanceMatrix:
-    """All pairwise subspace distances, computed on the strict upper triangle
-    and mirrored.
+    """All pairwise subspace distances. Each pair is computed once, and its
+    value written into both triangles where it is computed.
 
     Chordal takes its squared distances from Grams of packed projector
     features (_chordal_distances), the angle metrics from the cross blocks
@@ -330,19 +328,9 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     # In order, so a Martin divergence names the first offending pair.
     for i, j in sorted(redo):
         try:
-            out[i, j] = distance(cells.subspace(i), cells.subspace(j), metric)
+            out[i, j] = out[j, i] = distance(cells.subspace(i), cells.subspace(j), metric)
         except MartinDivergentError as err:
             raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
-    # out + out.T in place by row blocks, with the bits of that sum: only
-    # i < j is set, and x + 0.0 is x but for -0.0, which reads +0.0. The
-    # columns above a block already hold that sum when its rows below the
-    # diagonal take their transpose, so only the diagonal block is copied.
-    for lo in range(0, m, _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        out[lo:hi] += 0.0
-        out[lo:hi, :lo] = out[:lo, lo:hi].T
-        diagonal = out[lo:hi, lo:hi]
-        diagonal += diagonal.T
     # Read-only and owning its data, out is handed over without a copy.
     out.setflags(write=False)
     return DistanceMatrix(values=out, metric=metric, guarded_pairs=len(redo))

@@ -387,12 +387,53 @@ class TestPreprocess:
         out = preprocess(x, normalize=False, log_transform=False, top_features=2)
         assert out.feature_ids == ("a", "b")
 
+    def test_works_in_place_on_the_copy_it_hands_over(self):
+        # Beside that copy: a boolean mask, 1/8 of a matrix, at a time. A
+        # fancy-indexed row scaling and a new log1p array were two more.
+        counts = np.random.default_rng(9).poisson(2.0, size=(1000, 500)).astype(float)
+        counts[3] = 0.0
+        x = ExpressionMatrix(values=counts)
+        tracemalloc.start()
+        try:
+            out = preprocess(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.flags.owndata and not out.values.flags.writeable
+        assert peak <= 1.25 * x.values.nbytes
+        totals = counts.sum(axis=1)
+        want = counts.copy()
+        want[totals > 0] *= np.median(totals) / totals[totals > 0, None]
+        assert out.values.tobytes() == np.log1p(want).tobytes()
+
 
 class TestExpressionMatrix:
     def test_values_read_only(self):
         x = ExpressionMatrix(values=np.ones((2, 2)))
         with pytest.raises(ValueError):
             x.values[0, 0] = 5.0
+
+    def test_read_only_owning_array_is_kept(self):
+        values = np.ones((2, 3))
+        values.setflags(write=False)
+        assert ExpressionMatrix(values=values).values is values
+
+    @pytest.mark.parametrize("kind", ["writable", "borrowed"])
+    def test_other_arrays_are_copied(self, kind):
+        owner = np.ones((2, 3))
+        values = owner if kind == "writable" else owner[:, :]
+        if kind == "borrowed":
+            values.setflags(write=False)
+        x = ExpressionMatrix(values=values)
+        assert x.values is not values
+        owner[1, 2] = 7.0
+        assert np.all(x.values == 1.0)
+
+    @pytest.mark.parametrize("orientation", ["samples-as-rows", "samples-as-columns"])
+    def test_loaded_values_own_their_data(self, tmp_path, orientation):
+        path = write(tmp_path / "m.csv", "1,2,3\n4,5,6\n")
+        x = load_matrix(path, orientation=orientation)
+        assert x.values.flags.owndata and not x.values.flags.writeable
 
     def test_label_length_checked(self):
         with pytest.raises(LabelLengthMismatchError):

@@ -25,6 +25,12 @@ from mgm.scales import ScaleSamplingSpec, ScaleSet
 
 from conftest import make_blobs
 from oracles import bases_per_sample
+from test_grassmann import (
+    cells_of,
+    force_workers,
+    points_either_side_of_both_guards,
+    rank_reduced_and_replicate_cells,
+)
 
 
 def random_stack(m=12, n=8, p=4, seed=0):
@@ -95,6 +101,24 @@ class TestBuildSubspaces:
         # rank 3 is the cap min(p, n), so nothing counts as reduced below it
         assert cells.rank_reduced_count == 0
         assert cells.ranks.tolist() == [3] * 6
+
+    def test_a_later_write_by_the_caller_does_not_reach_the_set(self):
+        bases = np.zeros((3, 4, 2))
+        bases[:, 0, 0] = bases[:, 1, 1] = 1.0
+        ranks = np.full(3, 2)
+        cells = CellSubspaceSet(bases=bases, ranks=ranks)
+        bases[0, 0, 0] = 5.0
+        ranks[1] = 1
+        assert cells.bases[0, 0, 0] == 1.0
+        assert cells.ranks.tolist() == [2, 2, 2]
+        assert not (cells.bases.flags.writeable or cells.ranks.flags.writeable)
+
+    def test_built_arrays_are_held_without_a_copy(self):
+        cells = build_subspaces(random_stack())
+        for held in (cells.bases, cells.ranks):
+            assert held.flags.owndata and not held.flags.writeable
+        again = CellSubspaceSet(bases=cells.bases, ranks=cells.ranks)
+        assert again.bases is cells.bases and again.ranks is cells.ranks
 
 
 def near_dependent_stack():
@@ -222,64 +246,40 @@ class TestDistanceMatrix:
                 with pytest.raises(ValueError, match="distance matrix is not symmetric"):
                     DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
 
-    @staticmethod
-    def filled_matrix(monkeypatch, upper):
-        """distance_matrix on len(upper) one-dimensional cells, the angle
-        kernel replaced by a copy of upper's strict upper triangle, and the
-        peak bytes traced from that copy on."""
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            rank_reduced_and_replicate_cells,
+            lambda rng: cells_of(points_either_side_of_both_guards(rng)),
+        ],
+        ids=["rank_reduced_and_replicate_cells", "either_side_of_both_guards"],
+    )
+    def test_both_triangles_hold_the_same_bits(self, rng, cells, monkeypatch):
+        # Each kernel and the per-pair path write a pair into out[i, j] and
+        # out[j, i] where they compute it, on whichever worker takes its row.
+        cells = cells(rng)
+        for metric in GrassmannMetric:
+            for workers in (1, 2, 3):
+                force_workers(monkeypatch, workers)
+                values = distance_matrix(cells, metric).values
+                assert values.tobytes() == values.T.copy().tobytes(), (metric, workers)
+                assert not np.signbit(values).any(), (metric, workers)
 
-        def fill(cells, metric, out):
-            out[...] = np.triu(upper, 1)
-            tracemalloc.start()
-            return []
-
-        monkeypatch.setattr(pipeline, "_tiled_distances", fill)
-        bases = np.zeros((len(upper), 2, 1))
-        bases[:, 0, 0] = 1.0
-        cells = CellSubspaceSet(bases=bases, ranks=np.ones(len(upper), dtype=int))
+    def test_validation_holds_two_row_blocks(self):
+        # A read-only matrix that owns its data is checked by row blocks and
+        # kept, not copied.
+        m = 1000
+        upper = np.triu(np.random.default_rng(5).random((m, m)), 1)
+        values = upper + upper.T
+        values.setflags(write=False)
+        tracemalloc.start()
         try:
-            dmat = distance_matrix(cells, GrassmannMetric.GEODESIC)
-            return dmat, tracemalloc.get_traced_memory()[1]
+            dmat = DistanceMatrix(values=values, metric=GrassmannMetric.GEODESIC)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    def test_mirror_has_the_bits_of_the_full_sum(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        upper = np.triu(rng.random((150, 150)), 1)
-        upper[0, 1] = upper[5, 140] = upper[100, 149] = -0.0
-        upper[1, 2] = 0.0
-        dmat, _ = self.filled_matrix(monkeypatch, upper)
-        assert dmat.values.tobytes() == (upper + upper.T).tobytes()
-
-    def test_mirror_and_validation_allocate_one_matrix(self, monkeypatch):
-        # Beyond the filled triangle: 64-row blocks, where out + out.T and a
-        # full v - v.T were two more M x M arrays alive at once, and no copy
-        # for DistanceMatrix to keep.
-        m = 1000
-        upper = np.random.default_rng(5).random((m, m))
-        dmat, peak = self.filled_matrix(monkeypatch, upper)
+        assert dmat.values is values
         assert peak < 2 * 8 * m * pipeline._BLOCK_ROWS
-        assert not dmat.values.flags.writeable
-
-    def test_mirror_copies_no_row_block(self, monkeypatch):
-        # Traced up to the DistanceMatrix checks, whose row blocks are their
-        # own. The mirror copies a 64 x 64 diagonal block, beside numpy's
-        # ufunc buffers: ~100 KB at any M, where out[lo:hi] += out[:, lo:hi].T
-        # copied a 64 x M operand, 512 KB here.
-        m = 1000
-        upper = np.random.default_rng(6).random((m, m))
-        peaks = []
-        real = pipeline.DistanceMatrix
-
-        def checked(**kwargs):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            return real(**kwargs)
-
-        monkeypatch.setattr(pipeline, "DistanceMatrix", checked)
-        dmat, _ = self.filled_matrix(monkeypatch, upper)
-        assert peaks[0] < 8 * m * pipeline._BLOCK_ROWS // 4
-        strict = np.triu(upper, 1)
-        assert dmat.values.tobytes() == (strict + strict.T).tobytes()
 
     def test_keeps_a_read_only_array_that_owns_its_data(self):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
