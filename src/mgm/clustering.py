@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateAffinityError, DegenerateEmbeddingError
+from .errors import ConfigError, NumericalError
 from .mdr import _fix_column_signs, _normalized_laplacian
 from .pipeline import DistanceMatrix
 
@@ -174,7 +174,7 @@ def spectral_cluster(d: DistanceMatrix, k: int) -> np.ndarray:
     off_diag = d.values[~np.eye(m, dtype=bool)]
     sigma = float(np.median(off_diag))
     if sigma <= 0.0:
-        raise DegenerateAffinityError(
+        raise NumericalError(
             "median pairwise distance is zero; the affinity scale is undefined"
         )
     affinity = np.exp(-(d.values**2) / (2.0 * sigma**2))
@@ -233,7 +233,7 @@ def cluster_distances(
             raise ConfigError(f"mds_dim must lie in [1, {m - 1}], got {dim}")
         points = classical_mds(d.values, dim)
         if points.shape[1] == 0:
-            raise DegenerateEmbeddingError(
+            raise NumericalError(
                 "no positive eigenvalue in the centered squared distances; "
                 "the matrix admits no Euclidean embedding"
             )

@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    LabelLengthMismatchError,
-    NegativeValuesError,
-    ParseError,
-    RaggedRowsError,
-)
+from .errors import DataError, ParseError
 
 __all__ = [
     "ExpressionMatrix",
@@ -62,7 +56,7 @@ class ExpressionMatrix:
         if self.feature_ids is not None and len(self.feature_ids) != n:
             raise DataError(f"{len(self.feature_ids)} feature ids for {n} columns")
         if self.labels is not None and len(self.labels) != m:
-            raise LabelLengthMismatchError(f"{len(self.labels)} labels for {m} samples")
+            raise DataError(f"{len(self.labels)} labels for {m} samples")
         object.__setattr__(self, "values", frozen(values))
 
     @property
@@ -161,7 +155,7 @@ def load_matrix(
                 itertools.chain([first], rows), start=2 if has_header else 1
             ):
                 if len(row) != width:
-                    raise RaggedRowsError(
+                    raise DataError(
                         f"{path}: row {row_no} has {len(row)} cells, expected {width}"
                     )
                 if parse_error is None:
@@ -189,7 +183,7 @@ def load_matrix(
         else:
             # Any other width is wrong whether or not there is an id column.
             expected = f"{width} or {width - 1}" if width > 1 else f"{width}"
-            raise RaggedRowsError(
+            raise DataError(
                 f"{path}: header has {len(header)} cells, expected {expected}"
             )
         col_ids = tuple(col_ids)
@@ -221,9 +215,7 @@ def load_labels(path: str | Path, expected: int | None = None) -> tuple[str, ...
     if not labels:
         raise DataError(f"{path} contains no labels")
     if expected is not None and len(labels) != expected:
-        raise LabelLengthMismatchError(
-            f"{path}: {len(labels)} labels for {expected} samples"
-        )
+        raise DataError(f"{path}: {len(labels)} labels for {expected} samples")
     return labels
 
 
@@ -243,9 +235,7 @@ def preprocess(
     values = np.array(x.values, dtype=float)
     if normalize:
         if np.any(values < 0):
-            raise NegativeValuesError(
-                "normalization requires nonnegative values; got negatives"
-            )
+            raise DataError("normalization requires nonnegative values; got negatives")
         totals = values.sum(axis=1)
         median_total = float(np.median(totals))
         nonzero = totals > 0

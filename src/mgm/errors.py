@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The three intermediate classes map onto the CLI exit codes: configuration
-problems exit with 2, input-data problems with 3, numerical failures with 4.
+Under MgmError, three classes map onto the CLI exit codes: ConfigError exits
+with 2, DataError with 3 and NumericalError with 4. Every raise site uses one
+of them, except where the package itself catches a narrower case:
+`load_matrix` catches ParseError so that a ragged row reports before a bad
+cell, and `distance_matrix` catches MartinDivergentError to name the pair.
 """
 
 
@@ -21,53 +24,9 @@ class NumericalError(MgmError):
     """A numerical routine failed or its mathematical preconditions were violated."""
 
 
-class InvalidScaleSpecError(ConfigError):
-    """Scale sampling parameters are out of their admissible ranges."""
-
-
-class ScaleOutOfRangeError(ConfigError):
-    """A neighborhood scale is incompatible with the number of samples."""
-
-
-class DimTooLargeError(ConfigError):
-    """A requested dimension exceeds what the input matrix can support."""
-
-
 class ParseError(DataError):
     """A cell of a delimited file could not be parsed as a number."""
 
 
-class RaggedRowsError(DataError):
-    """Rows of a delimited file have inconsistent lengths."""
-
-
-class LabelLengthMismatchError(DataError):
-    """A label vector does not have one entry per sample."""
-
-
-class LengthMismatchError(DataError):
-    """Two label vectors that must be compared have different lengths."""
-
-
-class NegativeValuesError(DataError):
-    """Normalization was requested on data containing negative entries."""
-
-
-class AllColumnsZeroError(NumericalError):
-    """Every column of a matrix to orthonormalize is numerically zero."""
-
-
-class AmbientDimMismatchError(NumericalError):
-    """Two subspaces live in ambient spaces of different dimension."""
-
-
 class MartinDivergentError(NumericalError):
     """The Martin metric diverges when any principal angle reaches pi/2."""
-
-
-class DegenerateAffinityError(NumericalError):
-    """All pairwise distances are zero, so no affinity scale can be chosen."""
-
-
-class DegenerateEmbeddingError(NumericalError):
-    """A distance matrix admits no positive-eigenvalue Euclidean embedding."""

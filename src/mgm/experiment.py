@@ -185,9 +185,7 @@ def run_experiment(
         log_transform=cfg.log_transform,
         top_features=cfg.top_features,
     )
-    checksum = hashlib.sha256(
-        np.ascontiguousarray(pre.values).tobytes()
-    ).hexdigest()
+    checksum = hashlib.sha256(np.ascontiguousarray(pre.values)).hexdigest()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllColumnsZeroError,
-    AmbientDimMismatchError,
-    MartinDivergentError,
-)
+from .errors import MartinDivergentError, NumericalError
 
 __all__ = [
     "GrassmannMetric",
@@ -132,7 +128,7 @@ def orthonormalize(columns: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     zero = s[:, 0] <= np.finfo(float).tiny
     if zero.any():
-        raise AllColumnsZeroError(
+        raise NumericalError(
             f"sample {start + int(np.argmax(zero))}: all {a.shape[2]} columns are "
             "numerically zero; no span to represent"
         )
@@ -147,7 +143,7 @@ def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:
     so every result built on them is bit-identical under argument swap."""
     (nx, rx), (ny, ry) = x.basis.shape, y.basis.shape
     if nx != ny:
-        raise AmbientDimMismatchError(f"ambient dims differ: {nx} vs {ny}")
+        raise NumericalError(f"ambient dims differ: {nx} vs {ny}")
     if rx < ry or (rx == ry and x.basis.tobytes() > y.basis.tobytes()):
         x, y = y, x
     return x.basis, y.basis

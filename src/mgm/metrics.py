@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import DataError
 
 __all__ = [
     "EvaluationReport",
@@ -39,11 +39,11 @@ class EvaluationReport:
 def _contingency(pred, truth) -> np.ndarray:
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.ndim != 1 or truth.ndim != 1:
-        raise LengthMismatchError("label vectors must be 1-d")
+        raise DataError("label vectors must be 1-d")
     if pred.size == 0 or truth.size == 0:
-        raise LengthMismatchError("label vectors must be nonempty")
+        raise DataError("label vectors must be nonempty")
     if pred.size != truth.size:
-        raise LengthMismatchError(f"label vectors differ in length: {pred.size} vs {truth.size}")
+        raise DataError(f"label vectors differ in length: {pred.size} vs {truth.size}")
     _, pred_codes = np.unique(pred, return_inverse=True)
     _, truth_codes = np.unique(truth, return_inverse=True)
     table = np.zeros((pred_codes.max() + 1, truth_codes.max() + 1), dtype=np.int64)

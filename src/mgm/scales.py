@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScaleSpecError
+from .errors import ConfigError
 
 __all__ = [
     "ScaleSamplingSpec",
@@ -36,21 +36,17 @@ class ScaleSamplingSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.min_scale, int) or not isinstance(self.max_scale, int):
-            raise InvalidScaleSpecError("min_scale and max_scale must be integers")
+            raise ConfigError("min_scale and max_scale must be integers")
         if self.min_scale < 2:
-            raise InvalidScaleSpecError(
-                f"min_scale must be at least 2, got {self.min_scale}"
-            )
+            raise ConfigError(f"min_scale must be at least 2, got {self.min_scale}")
         if self.max_scale <= self.min_scale:
-            raise InvalidScaleSpecError(
+            raise ConfigError(
                 f"max_scale must exceed min_scale, got [{self.min_scale}, {self.max_scale}]"
             )
         if self.count < 2:
-            raise InvalidScaleSpecError(f"count must be at least 2, got {self.count}")
+            raise ConfigError(f"count must be at least 2, got {self.count}")
         if not 0 < self.power < math.inf:
-            raise InvalidScaleSpecError(
-                f"power must be positive and finite, got {self.power}"
-            )
+            raise ConfigError(f"power must be positive and finite, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +57,11 @@ class ScaleSet:
 
     def __post_init__(self) -> None:
         if len(self.scales) < 1:
-            raise InvalidScaleSpecError("a scale set cannot be empty")
+            raise ConfigError("a scale set cannot be empty")
         if any(s < 2 for s in self.scales):
-            raise InvalidScaleSpecError("every scale must be at least 2")
+            raise ConfigError("every scale must be at least 2")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise InvalidScaleSpecError("scales must be strictly increasing")
+            raise ConfigError("scales must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -108,7 +104,7 @@ def sample_scales(spec: ScaleSamplingSpec) -> ScaleSet:
 def describe_density(scales: ScaleSet) -> GapSummary:
     """Summarize consecutive gaps of a scale set with at least two scales."""
     if len(scales) < 2:
-        raise InvalidScaleSpecError("gap statistics need at least two scales")
+        raise ConfigError("gap statistics need at least two scales")
     gaps = tuple(int(g) for g in np.diff(scales.scales))
     return GapSummary(
         min_gap=min(gaps),

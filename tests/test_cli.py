@@ -378,6 +378,7 @@ _BAD_FILES = {
     "nan-distances": "d.csv",
     "directory-distances": "d.csv",
     "wide-tsv": "wide.tsv",
+    "header-only": "header.csv",
     "whitespace-embedding": "emb_3.txt",
     "missing-embedding": "emb_3.csv",
 }
@@ -393,6 +394,9 @@ def test_bad_input_file_exits_3_naming_it(workspace, capsys, case):
     elif case == "directory-distances":
         bad.mkdir()
         argv = ["scatter", "--distances", str(bad), "--out", str(tmp_path / "s.csv")]
+    elif case == "header-only":
+        bad.write_text("g1,g2\n")
+        argv = ["embed", "--data", str(bad), "--out-dir", str(tmp_path / "emb")]
     elif case == "wide-tsv":
         # Read as CSV, each row is one field past the csv module's limit.
         bad.write_text("\t".join(["1"] * 70_000) + "\n")
@@ -549,16 +553,25 @@ class TestPipelineCommand:
     def test_bad_config_file_exits_2(self, workspace, capsys):
         tmp_path, data, labels, _, _ = workspace
         bad = tmp_path / "bad.cfg"
-        bad.write_text("not.a.key = 1\n")
-        code = main(
-            [
-                "pipeline",
-                "--config", str(bad),
-                "--data", str(data),
-                "--labels", str(labels),
-            ]
-        )
-        assert code == 2
+        for line, message in [
+            ("not.a.key = 1", "line 1: unknown key 'not.a.key'"),
+            ("= 3", "line 1: empty key"),
+            ("scales.power = x", "scales.power must be a number, got 'x'"),
+            ("pca.dim = 0", "pca.dim must be positive, got 0"),
+            ("clustering.mds_dim = 0", "clustering.mds_dim must be positive, got 0"),
+            ("preprocess.top_features = 0", "preprocess.top_features must be positive, got 0"),
+        ]:
+            bad.write_text(line + "\n")
+            code = main(
+                [
+                    "pipeline",
+                    "--config", str(bad),
+                    "--data", str(data),
+                    "--labels", str(labels),
+                ]
+            )
+            assert code == 2
+            assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, key",

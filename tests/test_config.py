@@ -37,6 +37,32 @@ class TestParseText:
             parse_config_text("just some words\n")
 
 
+# (mapping, part of the message rejecting it)
+_INVALID_MAPPINGS = [
+    ({"clustering.k": "zero"}, "clustering.k must be an integer"),
+    ({"clustering.k": "0"}, "k must be at least 1"),
+    ({"metric": "hamming"}, "unknown metric 'hamming'"),
+    ({"embedding.method": "laplacian"}, "unknown config keys: embedding.method"),
+    ({"embedding.method": "external"}, "unknown config keys: embedding.method"),
+    ({"clustering.method": "kmeans"}, "unknown clustering method 'kmeans'"),
+    ({"scales.min": "1"}, "min_scale must be at least 2"),
+    ({"scales.power": "-1"}, "power must be positive and finite"),
+    ({"preprocess.normalize": "maybe"}, "preprocess.normalize must be true or false"),
+    ({"seeds": ""}, "seeds must be nonempty"),
+    ({"seeds": "-3"}, "seeds must be nonnegative"),
+    ({"nope": "1"}, "unknown config keys: nope"),
+    ({"threads": "2"}, "unknown config keys: threads"),
+    ({"subspace.normalize_columns": "false"}, "unknown config keys: subspace.normalize_columns"),
+    ({"clustering.mds_dim": "3"}, "clustering.mds_dim applies only to"),
+    ({"embedding.external_pattern": "emb.csv"}, "lacks '{scale}'"),
+    ({"seeds": "1,1,3"}, "seeds must be distinct"),
+    ({"pca.dim": "0"}, "pca.dim must be positive, got 0"),
+    ({"clustering.mds_dim": "0"}, "clustering.mds_dim must be positive, got 0"),
+    ({"preprocess.top_features": "-1"}, "preprocess.top_features must be positive, got -1"),
+    ({"scales.power": "x"}, "scales.power must be a number, got 'x'"),
+]
+
+
 class TestFromMapping:
     def test_defaults(self):
         cfg = config_from_mapping({})
@@ -72,29 +98,12 @@ class TestFromMapping:
         assert cfg.scales.power == 2.5
 
     @pytest.mark.parametrize(
-        "mapping",
-        [
-            {"clustering.k": "zero"},
-            {"clustering.k": "0"},
-            {"metric": "hamming"},
-            {"embedding.method": "laplacian"},
-            {"embedding.method": "external"},
-            {"clustering.method": "kmeans"},
-            {"scales.min": "1"},
-            {"scales.power": "-1"},
-            {"preprocess.normalize": "maybe"},
-            {"seeds": ""},
-            {"seeds": "-3"},
-            {"nope": "1"},
-            {"threads": "2"},
-            {"subspace.normalize_columns": "false"},
-            {"clustering.mds_dim": "3"},
-            {"embedding.external_pattern": "emb.csv"},
-            {"seeds": "1,1,3"},
-        ],
+        "mapping, message",
+        _INVALID_MAPPINGS,
+        ids=[f"mapping{i}" for i in range(len(_INVALID_MAPPINGS))],
     )
-    def test_invalid_values_rejected(self, mapping):
-        with pytest.raises(ConfigError):
+    def test_invalid_values_rejected(self, mapping, message):
+        with pytest.raises(ConfigError, match=message):
             config_from_mapping(mapping)
 
     def test_external_backend_roundtrips_pattern(self):
@@ -233,6 +242,9 @@ class TestLoadConfig:
         path = tmp_path / "run.cfg"
         path.write_text("metric = chordal\nbogus.key = 1\n")
         with pytest.raises(ConfigError, match="line 2"):
+            load_config(path=path)
+        path.write_text("metric = chordal\n= 3\n")
+        with pytest.raises(ConfigError, match="line 2: empty key"):
             load_config(path=path)
 
     def test_missing_file(self, tmp_path):

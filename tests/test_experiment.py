@@ -121,6 +121,27 @@ class TestRunExperiment:
         )
         assert logged.checksum != plain.checksum
 
+    def test_checksum_hashes_the_preprocessed_array_without_a_copy(self, monkeypatch):
+        preprocess, sha256 = mgm.experiment.preprocess, hashlib.sha256
+        preprocessed, hashed = [], []
+
+        def kept_preprocess(*args, **kwargs):
+            preprocessed.append(preprocess(*args, **kwargs))
+            return preprocessed[-1]
+
+        def recorded_sha256(data):
+            hashed.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(mgm.experiment, "preprocess", kept_preprocess)
+        monkeypatch.setattr(mgm.experiment.hashlib, "sha256", recorded_sha256)
+        run_experiment(blob_matrix(), fast_config(), with_baselines=False)
+        assert len(preprocessed) == 1 and len(hashed) == 1
+        # Hashing the array itself, not its tobytes() copy, keeps an M x N
+        # matrix's worth of memory out of the run.
+        assert isinstance(hashed[0], np.ndarray)
+        assert np.shares_memory(hashed[0], preprocessed[0].values)
+
     def test_no_labels_no_evaluation(self):
         result = run_experiment(
             blob_matrix(with_labels=False), fast_config(), with_baselines=False

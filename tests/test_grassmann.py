@@ -8,11 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mgm.errors import (
-    AllColumnsZeroError,
-    AmbientDimMismatchError,
-    MartinDivergentError,
-)
+from mgm.errors import MartinDivergentError, NumericalError
 from mgm.config import load_config
 from mgm.data import ExpressionMatrix, preprocess
 from mgm.grassmann import (
@@ -134,7 +130,7 @@ class TestOrthonormalize:
         assert np.linalg.norm(projector(sub) - expected) < 1e-12
 
     def test_all_zero_columns_raise(self):
-        with pytest.raises(AllColumnsZeroError):
+        with pytest.raises(NumericalError, match="columns are numerically zero"):
             span(np.zeros((4, 2)))
 
     def test_scaling_does_not_change_span(self, rng):
@@ -223,7 +219,7 @@ class TestPrincipalAngles:
     def test_ambient_mismatch_raises(self, rng):
         x = random_subspace(rng, 5, 2)
         y = random_subspace(rng, 6, 2)
-        with pytest.raises(AmbientDimMismatchError):
+        with pytest.raises(NumericalError, match="ambient dims differ: 5 vs 6"):
             principal_angles(x, y)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mgm import mdr
-from mgm.errors import DataError, DimTooLargeError, NumericalError, ScaleOutOfRangeError
+from mgm.errors import ConfigError, DataError, NumericalError
 from mgm.grassmann import GrassmannMetric
 from mgm.mdr import (
     EmbeddingStack,
@@ -195,7 +195,7 @@ class TestPcaReduce:
     @pytest.mark.parametrize("dim", [0, -1, 8])
     def test_dim_out_of_range(self, rng, dim):
         x = rng.standard_normal((10, 7))
-        with pytest.raises(DimTooLargeError):
+        with pytest.raises(ConfigError, match=f"pca dim {dim} is outside"):
             pca_reduce(x, dim)
 
 
@@ -256,12 +256,12 @@ class TestLaplacianEigenmaps:
     @pytest.mark.parametrize("k", [0, 1, 20, 25])
     def test_neighbor_count_out_of_range(self, k):
         x = np.random.default_rng(0).standard_normal((20, 4))
-        with pytest.raises(ScaleOutOfRangeError):
+        with pytest.raises(ConfigError, match=f"scale {k} needs"):
             laplacian_eigenmaps(x, n_neighbors=k, dim=2)
 
     def test_dim_needs_enough_samples(self):
         x = np.random.default_rng(0).standard_normal((6, 4))
-        with pytest.raises(DimTooLargeError):
+        with pytest.raises(ConfigError, match="embedding dim 6 needs at least 7 samples"):
             laplacian_eigenmaps(x, n_neighbors=3, dim=6)
 
 
@@ -419,7 +419,7 @@ class TestBuildStack:
         x, _ = two_blob_data(m=10)
         scales = ScaleSet(scales=(3, 9, 12))
         spec = MdrBackendSpec(embedding_dim=3)
-        with pytest.raises(ScaleOutOfRangeError, match="scale 12"):
+        with pytest.raises(ConfigError, match="scale 12"):
             build_stack(x, scales, spec)
 
     def test_stack_validates_matching_shapes(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mgm.errors import LengthMismatchError
+from mgm.errors import DataError
 from mgm.metrics import accuracy, ari, avg_purity, evaluate, nmi, purity
 
 from oracles import accuracy_by_enumeration, ari_by_pair_counting
@@ -181,10 +181,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("fn", [accuracy, nmi, ari, purity, avg_purity, evaluate])
     def test_length_mismatch(self, fn):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="differ in length: 2 vs 3"):
             fn([0, 1], [0, 1, 2])
+        with pytest.raises(DataError, match="must be 1-d"):
+            fn([[0, 1]], [[0, 1]])
 
     @pytest.mark.parametrize("fn", [accuracy, nmi, ari, purity, avg_purity, evaluate])
     def test_empty_rejected(self, fn):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="must be nonempty"):
             fn([], [])

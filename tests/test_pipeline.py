@@ -6,10 +6,10 @@ import pytest
 
 from mgm.config import PipelineConfig
 from mgm.errors import (
-    AllColumnsZeroError,
     ConfigError,
     DataError,
     MartinDivergentError,
+    NumericalError,
 )
 from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack
@@ -91,7 +91,7 @@ class TestBuildSubspaces:
         emb[2] = 0.0
         scales = ScaleSet(scales=(2, 3))
         stack = EmbeddingStack(scales=scales, values=np.array([emb, emb * 2.0]))
-        with pytest.raises(AllColumnsZeroError, match="sample 2"):
+        with pytest.raises(NumericalError, match="sample 2"):
             build_subspaces(stack)
 
     def test_warns_when_dim_below_scale_count(self):
@@ -171,7 +171,7 @@ class TestBatchedBuild:
         emb[9] = 0.0
         stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=np.array([emb, emb * 2.0]))
         assert pipeline._TILE_SUBSPACES < 9
-        with pytest.raises(AllColumnsZeroError, match=r"sample 9\b"):
+        with pytest.raises(NumericalError, match=r"sample 9\b"):
             build_subspaces(stack)
 
     def test_set_rejects_bad_ranks(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgm.errors import InvalidScaleSpecError
+from mgm.errors import ConfigError
 from mgm.scales import (
     ScaleSamplingSpec,
     ScaleSet,
@@ -11,26 +11,41 @@ from mgm.scales import (
 )
 
 
+# (spec fields, the start of the message rejecting them)
+_INVALID_SPECS = [
+    (dict(min_scale=1, max_scale=10, count=5, power=1.0), "min_scale must be at least 2"),
+    (dict(min_scale=5, max_scale=5, count=5, power=1.0), "max_scale must exceed min_scale"),
+    (dict(min_scale=8, max_scale=5, count=5, power=1.0), "max_scale must exceed min_scale"),
+    (dict(min_scale=2, max_scale=10, count=1, power=1.0), "count must be at least 2"),
+    (dict(min_scale=2, max_scale=10, count=5, power=0.0), "power must be positive and finite"),
+    (dict(min_scale=2, max_scale=10, count=5, power=-2.0), "power must be positive and finite"),
+    (
+        dict(min_scale=2, max_scale=10, count=5, power=float("nan")),
+        "power must be positive and finite",
+    ),
+    (
+        dict(min_scale=2, max_scale=10, count=5, power=float("inf")),
+        "power must be positive and finite",
+    ),
+    (
+        dict(min_scale=2.0, max_scale=10, count=5, power=1.0),
+        "min_scale and max_scale must be integers",
+    ),
+]
+
+
 class TestSpecValidation:
     def test_valid_spec(self):
         spec = ScaleSamplingSpec(min_scale=2, max_scale=10, count=5, power=1.0)
         assert spec.count == 5
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(min_scale=1, max_scale=10, count=5, power=1.0),
-            dict(min_scale=5, max_scale=5, count=5, power=1.0),
-            dict(min_scale=8, max_scale=5, count=5, power=1.0),
-            dict(min_scale=2, max_scale=10, count=1, power=1.0),
-            dict(min_scale=2, max_scale=10, count=5, power=0.0),
-            dict(min_scale=2, max_scale=10, count=5, power=-2.0),
-            dict(min_scale=2, max_scale=10, count=5, power=float("nan")),
-            dict(min_scale=2, max_scale=10, count=5, power=float("inf")),
-        ],
+        "kwargs, message",
+        _INVALID_SPECS,
+        ids=[f"kwargs{i}" for i in range(len(_INVALID_SPECS))],
     )
-    def test_invalid_specs_raise(self, kwargs):
-        with pytest.raises(InvalidScaleSpecError):
+    def test_invalid_specs_raise(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             ScaleSamplingSpec(**kwargs)
 
 
@@ -138,10 +153,14 @@ class TestSampleScales:
         assert len(scales) == 12
 
     def test_scaleset_validates_order(self):
-        with pytest.raises(InvalidScaleSpecError):
+        with pytest.raises(ConfigError, match="strictly increasing"):
             ScaleSet(scales=(3, 3, 5))
-        with pytest.raises(InvalidScaleSpecError):
+        with pytest.raises(ConfigError, match="strictly increasing"):
             ScaleSet(scales=(5, 3))
+        with pytest.raises(ConfigError, match="cannot be empty"):
+            ScaleSet(scales=())
+        with pytest.raises(ConfigError, match="every scale must be at least 2"):
+            ScaleSet(scales=(1, 3))
 
 
 class TestDescribeDensity:
@@ -151,6 +170,10 @@ class TestDescribeDensity:
         assert summ.min_gap == 2
         assert summ.max_gap == 2
         assert summ.mean_gap == pytest.approx(2.0)
+
+    def test_one_scale_has_no_gaps(self):
+        with pytest.raises(ConfigError, match="need at least two scales"):
+            describe_density(ScaleSet(scales=(4,)))
 
     def test_gaps_grow_with_power(self):
         result = sample_scales(ScaleSamplingSpec(5, 100, 25, 2.0))
