@@ -188,9 +188,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     dmat, _ = load_distance_matrix(args.distances)
     try:
         method = parse_choice(ClusteringMethod, args.method, "clustering method")
-        if args.mds_dim is not None and method is not ClusteringMethod.KMEANS_MDS:
-            raise ConfigError(f"--mds-dim applies only to --method kmeans-mds, not {args.method}")
-        (labels,) = cluster_distances(dmat, method, args.k, (args.seed,), args.mds_dim)
+        (labels,) = cluster_distances(dmat, method, args.k, (args.seed,))
     except ValueError as err:
         raise ConfigError(str(err))
     _write_text("\n".join(str(int(v)) for v in labels) + "\n", args.out)
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="spectral", help="spectral or kmeans-mds")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mds-dim", type=int, help="MDS embedding dimension (defaults to k)")
     p.add_argument("--out", metavar="FILE", help="write labels here instead of stdout")
     p.set_defaults(func=_cmd_cluster)
 

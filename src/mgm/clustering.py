@@ -210,13 +210,12 @@ def cluster_distances(
     method: ClusteringMethod,
     k: int,
     seeds: Sequence[int],
-    mds_dim: int | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Labels in [0, k) for every seed, from one embedding of the matrix.
 
     The embedding does not depend on the seed, so it is computed once: the
-    spectral embedding, or classical MDS coordinates in mds_dim dimensions
-    (default k, at most M - 1); one kmeans call clusters it for every seed.
+    spectral embedding, or classical MDS coordinates in min(k, M - 1)
+    dimensions; one kmeans call clusters it for every seed.
     A matrix whose centered squared distances have no positive eigenvalue
     cannot be embedded by MDS and is rejected.
     """
@@ -228,10 +227,7 @@ def cluster_distances(
     if method is ClusteringMethod.SPECTRAL:
         points = spectral_cluster(d, k)
     else:
-        dim = min(k, m - 1) if mds_dim is None else mds_dim
-        if not 1 <= dim <= m - 1:
-            raise ConfigError(f"mds_dim must lie in [1, {m - 1}], got {dim}")
-        points = classical_mds(d.values, dim)
+        points = classical_mds(d.values, min(k, m - 1))
         if points.shape[1] == 0:
             raise NumericalError(
                 "no positive eigenvalue in the centered squared distances; "

@@ -38,14 +38,13 @@ class PipelineConfig:
     clustering_method: ClusteringMethod = ClusteringMethod.SPECTRAL
     k: int = 2
     seeds: tuple[int, ...] = (0,)
-    mds_dim: int | None = None
     normalize: bool = True
     log_transform: bool = True
     top_features: int | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k}")
+            raise ConfigError(f"clustering.k must be at least 1, got {self.k}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         if any(s < 0 for s in self.seeds):
@@ -55,10 +54,6 @@ class PipelineConfig:
             raise ConfigError(f"seeds must be distinct; seed {repeated[0]} is repeated")
         if self.pca_dim is not None and self.pca_dim < 1:
             raise ConfigError(f"pca.dim must be positive, got {self.pca_dim}")
-        if self.mds_dim is not None and self.mds_dim < 1:
-            raise ConfigError(f"clustering.mds_dim must be positive, got {self.mds_dim}")
-        if self.mds_dim is not None and self.clustering_method is not ClusteringMethod.KMEANS_MDS:
-            raise ConfigError("clustering.mds_dim applies only to clustering.method = kmeans-mds")
         if self.top_features is not None and self.top_features < 1:
             raise ConfigError(
                 f"preprocess.top_features must be positive, got {self.top_features}"
@@ -112,14 +107,15 @@ PRESETS: dict[str, dict[str, str]] = {
 
 
 def parse_choice(choices: type[enum.Enum], name: str, what: str) -> enum.Enum:
-    """The member of choices whose value or member name matches name, ignoring
-    case, '-', '_' and surrounding whitespace; a ValueError otherwise."""
+    """The member of choices whose value matches name, ignoring case, '-', '_'
+    and surrounding whitespace, so its member name matches too; a ValueError
+    otherwise."""
 
     def key(text: str) -> str:
         return text.strip().lower().replace("-", "").replace("_", "")
 
     for member in choices:
-        if key(name) in (key(member.value), key(member.name)):
+        if key(name) == key(member.value):
             return member
     raise ValueError(
         f"unknown {what} {name!r}; expected one of " + ", ".join(m.value for m in choices)
@@ -209,7 +205,6 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
             ),
             k=_parse_int(merged, "clustering.k"),
             seeds=seeds,
-            mds_dim=_parse_optional_int(merged, "clustering.mds_dim"),
             normalize=_parse_bool(merged, "preprocess.normalize"),
             log_transform=_parse_bool(merged, "preprocess.log1p"),
             top_features=_parse_optional_int(merged, "preprocess.top_features"),
@@ -235,7 +230,6 @@ def config_to_mapping(cfg: PipelineConfig) -> dict[str, str]:
         "metric": cfg.metric.value,
         "clustering.method": cfg.clustering_method.value,
         "clustering.k": str(cfg.k),
-        "clustering.mds_dim": opt(cfg.mds_dim),
         "seeds": ",".join(str(s) for s in cfg.seeds),
         "preprocess.normalize": "true" if cfg.normalize else "false",
         "preprocess.log1p": "true" if cfg.log_transform else "false",

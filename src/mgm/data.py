@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError
 
 __all__ = [
     "ExpressionMatrix",
@@ -88,7 +88,7 @@ def _parse_row(tokens: list[str], row_no: int, first_col: int, path: Path) -> np
         try:
             values.append(float(token))
         except ValueError:
-            raise ParseError(
+            raise DataError(
                 f"{path}: non-numeric value {token!r} at ({row_no}, {j + first_col})"
             )
     return np.array(values)
@@ -161,7 +161,7 @@ def load_matrix(
                 if parse_error is None:
                     try:
                         values.append(_parse_row(row[start:], row_no, start + 1, path))
-                    except ParseError as err:
+                    except DataError as err:
                         # Kept until every row's length has been checked.
                         parse_error = err
                 if has_id_col:

@@ -205,9 +205,7 @@ def run_experiment(
     groups = {
         "mgm": (
             cfg.clustering_method.value,
-            cluster_distances(
-                dmat, cfg.clustering_method, cfg.k, cfg.seeds, mds_dim=cfg.mds_dim
-            ),
+            cluster_distances(dmat, cfg.clustering_method, cfg.k, cfg.seeds),
             report,
             dmat if save_distance else None,
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MartinDivergentError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "GrassmannMetric",
@@ -207,7 +207,7 @@ def distance_from_angles(
         return np.arccos(np.clip(np.prod(np.cos(theta), axis=-1), 0.0, 1.0))
     if metric is GrassmannMetric.MARTIN:
         if _martin_diverges(theta).any():
-            raise MartinDivergentError(
+            raise NumericalError(
                 "a principal angle is within 1e-9 of pi/2; the Martin metric diverges"
             )
         # + 0.0 turns the -0.0 of equal subspaces, -2 * (+0.0), into +0.0.

@@ -72,7 +72,7 @@ class MdrBackendSpec:
 
     def __post_init__(self) -> None:
         if self.embedding_dim < 2:
-            raise ValueError(f"embedding_dim must be at least 2, got {self.embedding_dim}")
+            raise ValueError(f"embedding.dim must be at least 2, got {self.embedding_dim}")
         if self.external_pattern is not None and "{scale}" not in self.external_pattern:
             raise ValueError(
                 f"the external file pattern {self.external_pattern!r} lacks '{{scale}}'"

@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import frozen
-from .errors import (
-    ConfigError,
-    DataError,
-    MartinDivergentError,
-    MgmError,
-)
+from .errors import ConfigError, DataError, MgmError, NumericalError
 from .grassmann import (
     _CHORDAL_SQ_GUARD,
     GrassmannMetric,
@@ -329,8 +324,8 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     for i, j in sorted(redo):
         try:
             out[i, j] = out[j, i] = distance(cells.subspace(i), cells.subspace(j), metric)
-        except MartinDivergentError as err:
-            raise MartinDivergentError(f"pair ({i}, {j}): {err}") from err
+        except NumericalError as err:
+            raise NumericalError(f"pair ({i}, {j}): {err}") from err
     # Read-only and owning its data, out is handed over without a copy.
     out.setflags(write=False)
     return DistanceMatrix(values=out, metric=metric, guarded_pairs=len(redo))

@@ -36,17 +36,17 @@ class ScaleSamplingSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.min_scale, int) or not isinstance(self.max_scale, int):
-            raise ConfigError("min_scale and max_scale must be integers")
+            raise ConfigError("scales.min and scales.max must be integers")
         if self.min_scale < 2:
-            raise ConfigError(f"min_scale must be at least 2, got {self.min_scale}")
+            raise ConfigError(f"scales.min must be at least 2, got {self.min_scale}")
         if self.max_scale <= self.min_scale:
             raise ConfigError(
-                f"max_scale must exceed min_scale, got [{self.min_scale}, {self.max_scale}]"
+                f"scales.max must exceed scales.min, got [{self.min_scale}, {self.max_scale}]"
             )
         if self.count < 2:
-            raise ConfigError(f"count must be at least 2, got {self.count}")
+            raise ConfigError(f"scales.count must be at least 2, got {self.count}")
         if not 0 < self.power < math.inf:
-            raise ConfigError(f"power must be positive and finite, got {self.power}")
+            raise ConfigError(f"scales.power must be positive and finite, got {self.power}")
 
 
 @dataclass(frozen=True)

@@ -330,12 +330,14 @@ class TestClusterCommand:
         assert code == 4
         assert "numerical error" in capsys.readouterr().err
 
-    def test_mds_dim_under_spectral_exits_2(self, workspace, capsys):
+    def test_mds_dim_flag_is_unknown(self, workspace, capsys):
+        # kmeans-mds always embeds in min(k, M - 1) dimensions
         dpath = self.make_distances(workspace)
-        argv = ["cluster", "--distances", str(dpath), "--k", "3", "--mds-dim", "7"]
-        assert main([*argv, "--method", "spectral"]) == 2
-        assert "--mds-dim applies only to --method kmeans-mds" in capsys.readouterr().err
-        assert main([*argv, "--method", "kmeans-mds"]) == 0
+        argv = ["cluster", "--distances", str(dpath), "--k", "3", "--mds-dim", "3"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--method", "kmeans-mds"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --mds-dim 3" in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, workspace, capsys):
         dpath = self.make_distances(workspace)
@@ -558,7 +560,8 @@ class TestPipelineCommand:
             ("= 3", "line 1: empty key"),
             ("scales.power = x", "scales.power must be a number, got 'x'"),
             ("pca.dim = 0", "pca.dim must be positive, got 0"),
-            ("clustering.mds_dim = 0", "clustering.mds_dim must be positive, got 0"),
+            ("clustering.mds_dim = 0", "line 1: unknown key 'clustering.mds_dim'"),
+            ("scales.min = 1", "scales.min must be at least 2, got 1"),
             ("preprocess.top_features = 0", "preprocess.top_features must be positive, got 0"),
         ]:
             bad.write_text(line + "\n")
@@ -572,21 +575,6 @@ class TestPipelineCommand:
             )
             assert code == 2
             assert f"config error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "line, key",
-        [
-            ("clustering.mds_dim = 3", "clustering.mds_dim"),
-        ],
-    )
-    def test_setting_the_method_ignores_exits_2(self, workspace, capsys, line, key):
-        # the default is clustering.method = spectral
-        tmp_path, data, labels, config, _ = workspace
-        config.write_text(config.read_text() + line + "\n")
-        code = main(["pipeline", "--config", str(config), "--data", str(data),
-                     "--labels", str(labels)])
-        assert code == 2
-        assert f"config error: {key} applies only to" in capsys.readouterr().err
 
 
 class TestScatterCommand:

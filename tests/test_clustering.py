@@ -285,10 +285,8 @@ def spectral(d: DistanceMatrix, k: int, seed: int) -> np.ndarray:
     return labels
 
 
-def kmeans_mds(
-    d: DistanceMatrix, k: int, seed: int, mds_dim: int | None = None
-) -> np.ndarray:
-    (labels,) = cluster_distances(d, ClusteringMethod.KMEANS_MDS, k, (seed,), mds_dim)
+def kmeans_mds(d: DistanceMatrix, k: int, seed: int) -> np.ndarray:
+    (labels,) = cluster_distances(d, ClusteringMethod.KMEANS_MDS, k, (seed,))
     return labels
 
 
@@ -380,13 +378,20 @@ class TestKmeansOnDistances:
         with pytest.raises(NumericalError, match="no positive eigenvalue"):
             kmeans_mds(d, 2, seed=0)
 
-    def test_embed_dim_validation(self):
+    def test_embed_dim_is_k_at_most_m_minus_1(self, monkeypatch):
+        dims = []
+
+        def spy(values, dim):
+            dims.append(dim)
+            return classical_mds(values, dim)
+
+        monkeypatch.setattr(clustering, "classical_mds", spy)
         x, _ = make_blobs(m=12, d=3, sep=5.0, seed=0)
         d = euclidean_distance_matrix(x)
-        with pytest.raises(ConfigError):
-            kmeans_mds(d, 2, seed=0, mds_dim=12)
-        with pytest.raises(ConfigError):
-            kmeans_mds(d, 2, seed=0, mds_dim=0)
+        assert set(kmeans_mds(d, 3, seed=0)) == {0, 1, 2}
+        labels = kmeans_mds(d, 12, seed=0)
+        assert labels.shape == (12,) and set(labels) <= set(range(12))
+        assert dims == [3, 11]
 
     def test_k_equals_one(self):
         x, _ = make_blobs(m=8, d=3, sep=5.0, seed=0)

@@ -40,26 +40,26 @@ class TestParseText:
 # (mapping, part of the message rejecting it)
 _INVALID_MAPPINGS = [
     ({"clustering.k": "zero"}, "clustering.k must be an integer"),
-    ({"clustering.k": "0"}, "k must be at least 1"),
+    ({"clustering.k": "0"}, "clustering.k must be at least 1, got 0"),
     ({"metric": "hamming"}, "unknown metric 'hamming'"),
     ({"embedding.method": "laplacian"}, "unknown config keys: embedding.method"),
     ({"embedding.method": "external"}, "unknown config keys: embedding.method"),
     ({"clustering.method": "kmeans"}, "unknown clustering method 'kmeans'"),
-    ({"scales.min": "1"}, "min_scale must be at least 2"),
-    ({"scales.power": "-1"}, "power must be positive and finite"),
+    ({"scales.min": "1"}, "scales.min must be at least 2, got 1"),
+    ({"scales.power": "-1"}, "scales.power must be positive and finite, got -1.0"),
     ({"preprocess.normalize": "maybe"}, "preprocess.normalize must be true or false"),
     ({"seeds": ""}, "seeds must be nonempty"),
     ({"seeds": "-3"}, "seeds must be nonnegative"),
     ({"nope": "1"}, "unknown config keys: nope"),
     ({"threads": "2"}, "unknown config keys: threads"),
     ({"subspace.normalize_columns": "false"}, "unknown config keys: subspace.normalize_columns"),
-    ({"clustering.mds_dim": "3"}, "clustering.mds_dim applies only to"),
+    ({"clustering.mds_dim": "3"}, "unknown config keys: clustering.mds_dim"),
     ({"embedding.external_pattern": "emb.csv"}, "lacks '{scale}'"),
     ({"seeds": "1,1,3"}, "seeds must be distinct"),
     ({"pca.dim": "0"}, "pca.dim must be positive, got 0"),
-    ({"clustering.mds_dim": "0"}, "clustering.mds_dim must be positive, got 0"),
     ({"preprocess.top_features": "-1"}, "preprocess.top_features must be positive, got -1"),
     ({"scales.power": "x"}, "scales.power must be a number, got 'x'"),
+    ({"embedding.dim": "1"}, r"embedding\.dim must be at least 2, got 1"),
 ]
 
 
@@ -166,13 +166,19 @@ def test_parse_choice(choices, name, want):
         assert parse_choice(choices, name, what) is want
 
 
+@pytest.mark.parametrize("member", [*GrassmannMetric, *ClusteringMethod], ids=str)
+def test_parse_choice_takes_every_member_name(member):
+    # parse_choice compares the value alone; a member whose name does not
+    # normalize to its value would stop parsing by name.
+    assert parse_choice(type(member), member.name, "choice") is member
+
+
 class TestRoundTrip:
     def test_serialization_is_a_fixed_point(self):
         cfg = config_from_mapping(
             {
                 "metric": "procrustes",
                 "clustering.method": "kmeans-mds",
-                "clustering.mds_dim": "7",
                 "seeds": "1,3,5",
                 "scales.power": "1.6",
                 "preprocess.top_features": "500",

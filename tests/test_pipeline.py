@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from mgm.config import PipelineConfig
-from mgm.errors import (
-    ConfigError,
-    DataError,
-    MartinDivergentError,
-    NumericalError,
-)
+from mgm.errors import ConfigError, DataError, NumericalError
 from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack
 from mgm import pipeline
@@ -225,7 +220,7 @@ class TestDistanceMatrix:
             values=np.array([[e[0], e[2]], [e[1], e[3]]]),
         )
         cells = build_subspaces(stack)
-        with pytest.raises(MartinDivergentError, match=r"pair \(0, 1\)"):
+        with pytest.raises(NumericalError, match=r"pair \(0, 1\)"):
             distance_matrix(cells, GrassmannMetric.MARTIN)
 
     def test_validation_rejects_asymmetric(self):

@@ -11,25 +11,43 @@ from mgm.scales import (
 )
 
 
-# (spec fields, the start of the message rejecting them)
+# (spec fields, a pattern for the whole message rejecting them)
 _INVALID_SPECS = [
-    (dict(min_scale=1, max_scale=10, count=5, power=1.0), "min_scale must be at least 2"),
-    (dict(min_scale=5, max_scale=5, count=5, power=1.0), "max_scale must exceed min_scale"),
-    (dict(min_scale=8, max_scale=5, count=5, power=1.0), "max_scale must exceed min_scale"),
-    (dict(min_scale=2, max_scale=10, count=1, power=1.0), "count must be at least 2"),
-    (dict(min_scale=2, max_scale=10, count=5, power=0.0), "power must be positive and finite"),
-    (dict(min_scale=2, max_scale=10, count=5, power=-2.0), "power must be positive and finite"),
+    (
+        dict(min_scale=1, max_scale=10, count=5, power=1.0),
+        r"scales\.min must be at least 2, got 1",
+    ),
+    (
+        dict(min_scale=5, max_scale=5, count=5, power=1.0),
+        r"scales\.max must exceed scales\.min, got \[5, 5\]",
+    ),
+    (
+        dict(min_scale=8, max_scale=5, count=5, power=1.0),
+        r"scales\.max must exceed scales\.min, got \[8, 5\]",
+    ),
+    (
+        dict(min_scale=2, max_scale=10, count=1, power=1.0),
+        r"scales\.count must be at least 2, got 1",
+    ),
+    (
+        dict(min_scale=2, max_scale=10, count=5, power=0.0),
+        r"scales\.power must be positive and finite, got 0\.0",
+    ),
+    (
+        dict(min_scale=2, max_scale=10, count=5, power=-2.0),
+        r"scales\.power must be positive and finite, got -2\.0",
+    ),
     (
         dict(min_scale=2, max_scale=10, count=5, power=float("nan")),
-        "power must be positive and finite",
+        r"scales\.power must be positive and finite, got nan",
     ),
     (
         dict(min_scale=2, max_scale=10, count=5, power=float("inf")),
-        "power must be positive and finite",
+        r"scales\.power must be positive and finite, got inf",
     ),
     (
         dict(min_scale=2.0, max_scale=10, count=5, power=1.0),
-        "min_scale and max_scale must be integers",
+        r"scales\.min and scales\.max must be integers",
     ),
 ]
 
