@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusteringMethod, cluster_distances
-from .config import PRESETS, load_config, parse_choice
+from .clustering import cluster_distances
+from .config import DEFAULTS, PRESETS, load_config
 from .data import load_labels, load_matrix, preprocess
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
-    _write_json,
     export_scatter,
     load_distance_matrix,
     metrics_payload,
@@ -44,15 +43,20 @@ def _add_config_options(parser: argparse.ArgumentParser):
         help="named parameter preset; file and flags override it",
     )
     group.add_argument("--metric", help="subspace metric (geodesic, chordal, fubini-study, martin, procrustes)")
-    group.add_argument("--k", type=int, help="number of clusters")
+    group.add_argument("--k", dest="clustering.k", type=int, help="number of clusters")
     seed_group = group.add_mutually_exclusive_group()
-    seed_group.add_argument("--seed", type=int, help="single seed")
+    seed_group.add_argument("--seed", dest="seeds", type=int, help="single seed")
     seed_group.add_argument("--seeds", help="comma-separated seeds")
-    group.add_argument("--top-features", type=int, help="keep this many highest-variance features")
-    group.add_argument("--scale-min", type=int, help="smallest scale")
-    group.add_argument("--scale-max", type=int, help="largest scale")
-    group.add_argument("--scale-count", type=int, help="samples along the curve")
-    group.add_argument("--scale-power", type=float, help="curve exponent")
+    group.add_argument(
+        "--top-features",
+        dest="preprocess.top_features",
+        type=int,
+        help="keep this many highest-variance features",
+    )
+    group.add_argument("--scale-min", dest="scales.min", type=int, help="smallest scale")
+    group.add_argument("--scale-max", dest="scales.max", type=int, help="largest scale")
+    group.add_argument("--scale-count", dest="scales.count", type=int, help="samples along the curve")
+    group.add_argument("--scale-power", dest="scales.power", type=float, help="curve exponent")
 
 
 def _add_data_options(parser: argparse.ArgumentParser):
@@ -68,30 +72,13 @@ def _add_data_options(parser: argparse.ArgumentParser):
     )
 
 
-# argparse attribute -> config key, for the flags of _add_config_options.
-_FLAG_KEYS = {
-    "metric": "metric",
-    "k": "clustering.k",
-    "seed": "seeds",
-    "seeds": "seeds",
-    "top_features": "preprocess.top_features",
-    "scale_min": "scales.min",
-    "scale_max": "scales.max",
-    "scale_count": "scales.count",
-    "scale_power": "scales.power",
-}
-
-
-def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
-    given = vars(args)
-    return {key: str(given[a]) for a, key in _FLAG_KEYS.items() if given[a] is not None}
-
-
 def _resolve_config(args: argparse.Namespace):
+    """Defaults < --preset < --config < each given flag whose dest is a key."""
+    given = vars(args)
     return load_config(
-        path=getattr(args, "config", None),
-        preset=getattr(args, "preset", None),
-        overrides=_overrides_from_args(args),
+        path=given.get("config"),
+        preset=given.get("preset"),
+        overrides={k: str(v) for k, v in given.items() if k in DEFAULTS and v is not None},
     )
 
 
@@ -122,7 +109,7 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text: str, out: str | Path | None) -> None:
     if out:
         with _writing(out):
             Path(out).write_text(text)
@@ -130,21 +117,19 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | Path | None) -> None:
     _write_text(json.dumps(payload, indent=2) + "\n", out)
 
 
 def _cmd_sample_scales(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     scale_set = sample_scales(cfg.scales)
-    gaps = describe_density(scale_set) if len(scale_set) > 1 else None
+    gaps = describe_density(scale_set)
     payload = {
         "scales": list(scale_set.scales),
         "count": len(scale_set),
         "requested": cfg.scales.count,
-        "gaps": None
-        if gaps is None
-        else {"min": gaps.min_gap, "max": gaps.max_gap, "mean": gaps.mean_gap},
+        "gaps": {"min": gaps.min_gap, "max": gaps.max_gap, "mean": gaps.mean_gap},
     }
     _emit(payload, args.out)
     return 0
@@ -167,7 +152,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             "method": "laplacian" if cfg.embedding.external_pattern is None else "external",
             "seed": cfg.seeds[0],
         }
-        _write_json(out_dir / "stack.json", meta)
+        _emit(meta, out_dir / "stack.json")
     return 0
 
 
@@ -178,19 +163,14 @@ def _cmd_mgm(args: argparse.Namespace) -> int:
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
-        _write_json(out_dir / "run_report.json", report.to_dict())
+        _emit(report.to_dict(), out_dir / "run_report.json")
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    cfg = _resolve_config(args)
     dmat, _ = load_distance_matrix(args.distances)
-    try:
-        method = parse_choice(ClusteringMethod, args.method, "clustering method")
-        (labels,) = cluster_distances(dmat, method, args.k, (args.seed,))
-    except ValueError as err:
-        raise ConfigError(str(err))
+    (labels,) = cluster_distances(dmat, cfg.clustering_method, cfg.k, cfg.seeds)
     _write_text("\n".join(str(int(v)) for v in labels) + "\n", args.out)
     return 0
 
@@ -262,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster a saved distance matrix")
     p.add_argument("--distances", required=True, metavar="FILE", help="distance matrix CSV")
-    p.add_argument("--method", default="spectral", help="spectral or kmeans-mds")
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--method", dest="clustering.method", help="spectral (default) or kmeans-mds")
+    p.add_argument("--k", dest="clustering.k", type=int, required=True, help="number of clusters")
+    p.add_argument("--seed", dest="seeds", type=int, help="k-means seed (default 0)")
     p.add_argument("--out", metavar="FILE", help="write labels here instead of stdout")
     p.set_defaults(func=_cmd_cluster)
 

@@ -221,7 +221,7 @@ def cluster_distances(
     """
     m = d.size
     if not 1 <= k <= m:
-        raise ConfigError(f"k must lie in [1, {m}], got {k}")
+        raise ConfigError(f"clustering.k must lie in [1, {m}], got {k}")
     if k == 1:
         return tuple(np.zeros(m, dtype=int) for _ in seeds)
     if method is ClusteringMethod.SPECTRAL:

@@ -1,9 +1,10 @@
 """Pipeline configuration: a flat dotted-key format, named presets, and the
 validated PipelineConfig object every stage consumes.
 
-Config files are lines of `key = value`; `#` starts a comment. Unknown keys
-are rejected so typos fail loudly. Serializing and re-parsing a config is a
-fixed point.
+Config files are lines of `key = value`; `#` starts a comment. DEFAULTS maps
+every key to its default value, so its keys are the whole key set; unknown
+keys are rejected so typos fail loudly. Serializing and re-parsing a config is
+a fixed point.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .scales import ScaleSamplingSpec
 
 __all__ = [
     "PipelineConfig",
+    "DEFAULTS",
     "PRESETS",
     "parse_choice",
     "parse_config_text",
@@ -135,7 +137,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
-        if key not in _DEFAULTS:
+        if key not in DEFAULTS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         mapping[key] = value
     return mapping
@@ -172,10 +174,10 @@ def _parse_optional_int(mapping: dict[str, str], key: str) -> int | None:
 
 def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     """Build and validate a PipelineConfig from dotted keys over defaults."""
-    unknown = set(mapping) - set(_DEFAULTS)
+    unknown = set(mapping) - set(DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = dict(_DEFAULTS)
+    merged = dict(DEFAULTS)
     merged.update(mapping)
     try:
         scales = ScaleSamplingSpec(
@@ -237,7 +239,7 @@ def config_to_mapping(cfg: PipelineConfig) -> dict[str, str]:
     }
 
 
-_DEFAULTS = config_to_mapping(PipelineConfig())
+DEFAULTS = config_to_mapping(PipelineConfig())
 
 
 def load_config(

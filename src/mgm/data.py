@@ -248,7 +248,7 @@ def preprocess(
     if top_features is not None:
         if not 1 <= top_features <= values.shape[1]:
             raise DataError(
-                f"top_features must lie in [1, {values.shape[1]}], got {top_features}"
+                f"preprocess.top_features must lie in [1, {values.shape[1]}], got {top_features}"
             )
         variances = values.var(axis=0)
         ranked = np.argsort(-variances, kind="stable")[:top_features]

@@ -23,7 +23,8 @@ import numpy as np
 
 from .clustering import classical_mds, cluster_distances, kmeans_euclidean
 from .config import PipelineConfig, config_to_mapping, parse_choice
-from .data import DataError, ExpressionMatrix, load_matrix, preprocess
+from .data import ExpressionMatrix, load_matrix, preprocess
+from .errors import ConfigError, DataError
 from .grassmann import GrassmannMetric
 from .mdr import pca_reduce
 from .metrics import EvaluationReport, evaluate
@@ -177,8 +178,10 @@ def run_experiment(
 
     Evaluation requires matrix.labels; without them only predicted labels are
     produced. Each seed's run report and distance-matrix sidecar carry that
-    seed.
+    seed. save_distance needs an out_dir to save into.
     """
+    if save_distance and out_dir is None:
+        raise ConfigError("saving the distance matrix needs an output directory")
     pre = preprocess(
         matrix,
         normalize=cfg.normalize,

@@ -142,7 +142,7 @@ def pca_reduce(x: np.ndarray, dim: int) -> np.ndarray:
     m, n = x.shape
     short = min(m, n)
     if not 1 <= dim <= short:
-        raise ConfigError(f"pca dim {dim} is outside [1, min(M, N)] = [1, {short}]")
+        raise ConfigError(f"pca.dim {dim} is outside [1, min(M, N)] = [1, {short}]")
     centered = x - x.mean(axis=0)
     if (dim + 1) * _SUBSET_SOLVER_RATIO > short:
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -326,7 +326,7 @@ def laplacian_eigenmaps(
     if not 2 <= n_neighbors <= m - 1:
         raise ConfigError(f"scale {n_neighbors} needs 2 <= scale <= M - 1 = {m - 1}")
     if dim + 1 > m:
-        raise ConfigError(f"embedding dim {dim} needs at least {dim + 1} samples")
+        raise ConfigError(f"embedding.dim {dim} needs at least {dim + 1} samples")
     dists, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
     rows, cols, weights = _knn_edges(dists, order, n_neighbors)
     subset = (dim + 1) * _SUBSET_SOLVER_RATIO <= m

@@ -152,7 +152,7 @@ def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
     n, p, m = stack.embedding_dim, len(stack), stack.sample_count
     if n < p:
         warnings.warn(
-            f"embedding dim {n} is below the scale count {p}; "
+            f"embedding.dim {n} is below the scale count {p}; "
             "every subspace will be rank reduced",
             stacklevel=2,
         )
@@ -401,7 +401,7 @@ def embed_multiscale(
             # The clamped range [min, M - 1] must hold two scales.
             if spec.min_scale >= cap:
                 raise ConfigError(
-                    f"min scale {spec.min_scale} needs at least {spec.min_scale + 2} "
+                    f"scales.min {spec.min_scale} needs at least {spec.min_scale + 2} "
                     f"samples, got {m}"
                 )
             if spec.max_scale > cap:

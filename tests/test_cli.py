@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 import mgm
 from mgm import mdr
-from mgm.cli import main
+from mgm.cli import _resolve_config, build_parser, main
+from mgm.config import DEFAULTS, load_config
 from mgm.experiment import load_distance_matrix
 
 from conftest import make_blobs
@@ -155,7 +157,8 @@ class TestEmbed:
             small.write_text("\n".join(rows[: m + 1]) + "\n")
             argv = ["embed", "--config", str(config), "--data", str(small)]
             assert main([*argv, "--out-dir", str(tmp_path / f"emb{m}")]) == code
-        assert "min scale 3 needs at least 5 samples, got 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: stage 'scales': scales.min 3 needs at least 5 samples, got 4" in err
 
     def test_non_finite_embedding_exits_4(self, workspace, monkeypatch, capsys):
         real = mdr.laplacian_eigenmaps
@@ -343,7 +346,7 @@ class TestClusterCommand:
         dpath = self.make_distances(workspace)
         code = main(["cluster", "--distances", str(dpath), "--k", "3", "--seed", "-3"])
         assert code == 2
-        assert "config error: seed must be nonnegative" in capsys.readouterr().err
+        assert "config error: seeds must be nonnegative" in capsys.readouterr().err
 
     def test_empty_file_exits_3_without_warning(self, tmp_path, capsys):
         dpath = tmp_path / "empty.csv"
@@ -528,6 +531,19 @@ class TestPipelineCommand:
             )
         assert exc.value.code == 2
 
+    def test_saving_distances_without_out_dir_exits_2(self, workspace, monkeypatch, capsys):
+        tmp_path, data, _, config, _ = workspace
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["pipeline", "--config", str(config), "--data", str(data)]
+        assert main([*argv, "--save-distance-matrix"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: saving the distance matrix needs an output directory\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_missing_data_file_exits_3(self, workspace, capsys):
         tmp_path, _, labels, config, _ = workspace
         code = main(
@@ -596,6 +612,65 @@ class TestScatterCommand:
         assert lines[0] == "x,y,label"
         assert len(lines) == 37
         assert lines[1].split(",")[2].startswith("type")
+
+
+# Each flag that sets a config value, with the key it sets and a value that
+# differs from the default.
+_CONFIG_FLAGS = {
+    "--metric": ("metric", "geodesic"),
+    "--k": ("clustering.k", "4"),
+    "--seed": ("seeds", "3"),
+    "--seeds": ("seeds", "3,5"),
+    "--top-features": ("preprocess.top_features", "7"),
+    "--scale-min": ("scales.min", "3"),
+    "--scale-max": ("scales.max", "30"),
+    "--scale-count": ("scales.count", "6"),
+    "--scale-power": ("scales.power", "1.5"),
+    "--method": ("clustering.method", "kmeans-mds"),
+}
+# The required arguments of each subcommand; the files are never opened.
+_REQUIRED = {
+    "sample-scales": [],
+    "embed": ["--data", "x.csv", "--out-dir", "out"],
+    "mgm": ["--data", "x.csv", "--out-dir", "out"],
+    "pipeline": ["--data", "x.csv"],
+    "cluster": ["--distances", "d.csv", "--k", "2"],
+}
+_SHARED_FLAGS = sorted(set(_CONFIG_FLAGS) - {"--method"})
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestConfigFlags:
+    def test_each_config_flag_names_its_key(self):
+        # _resolve_config ignores a configuration flag whose dest is not a
+        # key, and passes on any dest that is one, so each must be listed.
+        for command, sub in _subcommands().items():
+            config_group = [
+                a
+                for g in sub._action_groups
+                if g.title == "configuration"
+                for a in g._group_actions
+                if a.dest not in ("config", "preset")
+            ]
+            for action in sub._actions:
+                if action in config_group or action.dest in DEFAULTS:
+                    (flag,) = action.option_strings
+                    assert _CONFIG_FLAGS[flag][0] == action.dest, (command, flag)
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c in ("sample-scales", "embed", "mgm", "pipeline") for f in _SHARED_FLAGS]
+        + [("cluster", f) for f in ("--method", "--k", "--seed")],
+    )
+    def test_flag_resolves_like_its_override(self, command, flag):
+        key, value = _CONFIG_FLAGS[flag]
+        args = build_parser().parse_args([command, *_REQUIRED[command], flag, value])
+        assert _resolve_config(args) == load_config(overrides={key: value}) != load_config()
 
 
 class TestPresetFlag:

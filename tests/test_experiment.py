@@ -11,7 +11,7 @@ import mgm.pipeline
 from mgm.clustering import kmeans
 from mgm.config import config_from_mapping, load_config
 from mgm.data import ExpressionMatrix
-from mgm.errors import DataError
+from mgm.errors import ConfigError, DataError
 from mgm.experiment import (
     export_scatter,
     load_distance_matrix,
@@ -185,6 +185,16 @@ class TestRunExperiment:
 
 
 class TestExperimentOutputs:
+    def test_saving_distances_needs_out_dir(self, monkeypatch):
+        # rejected before any work: preprocess is never reached
+        calls = []
+        monkeypatch.setattr(mgm.experiment, "preprocess", lambda *a, **k: calls.append(a))
+        with pytest.raises(
+            ConfigError, match="^saving the distance matrix needs an output directory$"
+        ):
+            run_experiment(blob_matrix(), fast_config(), save_distance=True)
+        assert calls == []
+
     def test_directory_layout(self, tmp_path):
         out = tmp_path / "run1"
         run_experiment(blob_matrix(), fast_config(), out_dir=out, save_distance=True)
