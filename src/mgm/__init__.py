@@ -57,10 +57,8 @@ from .pipeline import (
     run_mgm,
 )
 from .scales import (
-    GapSummary,
     ScaleSamplingSpec,
     ScaleSet,
-    describe_density,
     power_samples,
     sample_scales,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from .config import DEFAULTS, PRESETS, load_config
 from .data import load_labels, load_matrix, preprocess
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
+    _writing,
     export_scatter,
     load_distance_matrix,
     metrics_payload,
@@ -29,7 +29,7 @@ from .experiment import (
 )
 from .metrics import evaluate
 from .pipeline import embed_multiscale, run_mgm
-from .scales import describe_density, sample_scales
+from .scales import sample_scales
 
 __all__ = ["main", "build_parser"]
 
@@ -100,15 +100,6 @@ def _load_preprocessed(args: argparse.Namespace, cfg):
     )
 
 
-@contextmanager
-def _writing(path):
-    """Report an OSError raised while writing under path as a config error."""
-    try:
-        yield
-    except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
-
-
 def _write_text(text: str, out: str | Path | None) -> None:
     if out:
         with _writing(out):
@@ -124,12 +115,12 @@ def _emit(payload: dict, out: str | Path | None) -> None:
 def _cmd_sample_scales(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     scale_set = sample_scales(cfg.scales)
-    gaps = describe_density(scale_set)
+    gaps = np.diff(scale_set.scales)
     payload = {
         "scales": list(scale_set.scales),
         "count": len(scale_set),
         "requested": cfg.scales.count,
-        "gaps": {"min": gaps.min_gap, "max": gaps.max_gap, "mean": gaps.mean_gap},
+        "gaps": {"min": int(gaps.min()), "max": int(gaps.max()), "mean": float(gaps.mean())},
     }
     _emit(payload, args.out)
     return 0
@@ -162,8 +153,8 @@ def _cmd_mgm(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
-        _emit(report.to_dict(), out_dir / "run_report.json")
+    save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
+    _emit(report.to_dict(), out_dir / "run_report.json")
     return 0
 
 
@@ -186,17 +177,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    matrix = _load_data(args)
-    # Every file run_experiment reads maps its OSError to a DataError, so an
-    # OSError here comes from the output directory.
-    with _writing(args.out_dir):
-        result = run_experiment(
-            matrix,
-            cfg,
-            out_dir=args.out_dir,
-            save_distance=args.save_distance_matrix,
-            with_baselines=not args.no_baselines,
-        )
+    result = run_experiment(
+        _load_data(args),
+        cfg,
+        out_dir=args.out_dir,
+        save_distance=args.save_distance_matrix,
+        with_baselines=not args.no_baselines,
+    )
     payload = {
         "checksum": result.checksum,
         "mgm_mean": result.mean_metrics(),
@@ -210,8 +197,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_scatter(args: argparse.Namespace) -> int:
     dmat, _ = load_distance_matrix(args.distances)
     labels = load_labels(args.labels, expected=dmat.size) if args.labels else None
-    with _writing(args.out):
-        export_scatter(dmat, labels, args.out)
+    export_scatter(dmat, labels, args.out)
     return 0
 
 

@@ -59,14 +59,6 @@ class ExpressionMatrix:
             raise DataError(f"{len(self.labels)} labels for {m} samples")
         object.__setattr__(self, "values", frozen(values))
 
-    @property
-    def sample_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def feature_count(self) -> int:
-        return self.values.shape[1]
-
 
 def _is_number(token: str) -> bool:
     try:

@@ -13,9 +13,11 @@ as it is scored, so a failure in a later seed preserves earlier output.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -92,8 +94,9 @@ def save_distance_matrix(
     """Write the full matrix with 17 significant digits (lossless for float64)
     plus a JSON sidecar describing how it was produced."""
     path = Path(path)
-    np.savetxt(path, d.values, delimiter=",", fmt="%.17g")
-    _write_sidecar(d, path, report)
+    with _writing(path):
+        np.savetxt(path, d.values, delimiter=",", fmt="%.17g")
+        _write_sidecar(d, path, report)
 
 
 def _write_sidecar(d: DistanceMatrix, path: Path, report: RunReport | None) -> None:
@@ -139,7 +142,8 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
 def export_scatter(
     d: DistanceMatrix, labels, path: str | Path
 ) -> np.ndarray:
-    """Write a 2-d classical-MDS view of a distance matrix as x,y,label rows.
+    """Write a 2-d classical-MDS view of a distance matrix as x,y,label CSV
+    rows, quoting a label only where CSV needs it.
 
     Degenerate directions (no positive eigenvalue) are padded with zeros, so
     the file always has two coordinate columns.
@@ -152,13 +156,22 @@ def export_scatter(
     coords = classical_mds(d.values, 2)
     if coords.shape[1] < 2:
         coords = np.hstack([coords, np.zeros((m, 2 - coords.shape[1]))])
-    path = Path(path)
-    with open(path, "w") as handle:
-        handle.write("x,y,label\n")
+    with _writing(path), open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["x", "y", "label"])
         for i in range(m):
             label = "" if labels is None else str(labels[i])
-            handle.write(f"{coords[i, 0]:.17g},{coords[i, 1]:.17g},{label}\n")
+            writer.writerow([f"{coords[i, 0]:.17g}", f"{coords[i, 1]:.17g}", label])
     return coords
+
+
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing under path as a config error."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -178,7 +191,8 @@ def run_experiment(
 
     Evaluation requires matrix.labels; without them only predicted labels are
     produced. Each seed's run report and distance-matrix sidecar carry that
-    seed. save_distance needs an out_dir to save into.
+    seed. save_distance needs an out_dir to save into. A write that fails
+    raises ConfigError naming out_dir (or the matrix file being saved).
     """
     if save_distance and out_dir is None:
         raise ConfigError("saving the distance matrix needs an output directory")
@@ -191,9 +205,10 @@ def run_experiment(
     checksum = hashlib.sha256(np.ascontiguousarray(pre.values)).hexdigest()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
         lines = [f"{k} = {v}" for k, v in config_to_mapping(cfg).items()]
-        (out_path / "config.txt").write_text("\n".join(lines) + "\n")
+        with _writing(out_path):
+            out_path.mkdir(parents=True, exist_ok=True)
+            (out_path / "config.txt").write_text("\n".join(lines) + "\n")
     truth = pre.labels
     cells, dmat, report, embedding = run_mgm(pre, cfg)
     for _ in cfg.seeds[1:]:
@@ -243,21 +258,22 @@ def run_experiment(
             rows.append(metrics_payload(outcome.evaluation, method, seed, cfg.k))
             if out_path is None:
                 continue
-            seed_dir = out_path / group / f"seed_{seed}"
-            seed_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(seed_dir / "metrics.json", rows[-1])
-            (seed_dir / "labels.csv").write_text("\n".join(str(int(v)) for v in labels) + "\n")
-            if outcome.report is not None:
-                _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
-            if saved is not None:
-                # One matrix for every seed: formatted once, then copied.
-                target = seed_dir / "distance_matrix.csv"
-                if written is None:
-                    save_distance_matrix(saved, target, outcome.report)
-                    written = target
-                else:
-                    shutil.copyfile(written, target)
-                    _write_sidecar(saved, target, outcome.report)
+            with _writing(out_path):
+                seed_dir = out_path / group / f"seed_{seed}"
+                seed_dir.mkdir(parents=True, exist_ok=True)
+                _write_json(seed_dir / "metrics.json", rows[-1])
+                (seed_dir / "labels.csv").write_text("\n".join(str(int(v)) for v in labels) + "\n")
+                if outcome.report is not None:
+                    _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
+                if saved is not None:
+                    # One matrix for every seed: formatted once, then copied.
+                    target = seed_dir / "distance_matrix.csv"
+                    if written is None:
+                        save_distance_matrix(saved, target, outcome.report)
+                        written = target
+                    else:
+                        shutil.copyfile(written, target)
+                        _write_sidecar(saved, target, outcome.report)
         scored[group] = tuple(outcomes)
         payloads[group] = rows
     outcomes, baselines = scored.pop("mgm"), scored
@@ -276,6 +292,7 @@ def run_experiment(
             "mgm": {"method": cfg.clustering_method.value, **scores.pop("mgm")},
             "baselines": scores,
         }
-        _write_json(out_path / "summary.json", summary)
+        with _writing(out_path):
+            _write_json(out_path / "summary.json", summary)
     return result
 

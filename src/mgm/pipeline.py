@@ -82,10 +82,6 @@ class CellSubspaceSet:
         return self.bases.shape[2]
 
     @property
-    def embedding_dim(self) -> int:
-        return self.bases.shape[1]
-
-    @property
     def rank_reduced_count(self) -> int:
         return int(np.count_nonzero(self.ranks < min(self.bases.shape[1:])))
 

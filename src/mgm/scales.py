@@ -17,10 +17,8 @@ from .errors import ConfigError
 __all__ = [
     "ScaleSamplingSpec",
     "ScaleSet",
-    "GapSummary",
     "power_samples",
     "sample_scales",
-    "describe_density",
 ]
 
 
@@ -70,15 +68,6 @@ class ScaleSet:
         return iter(self.scales)
 
 
-@dataclass(frozen=True)
-class GapSummary:
-    """Gap statistics between consecutive scales of a set."""
-
-    min_gap: int
-    max_gap: int
-    mean_gap: float
-
-
 def power_samples(spec: ScaleSamplingSpec) -> np.ndarray:
     """The raw (pre-rounding) sampling curve: count values from min_scale to
     max_scale, spaced by t^power for t evenly spread over [0, 1]."""
@@ -100,14 +89,3 @@ def sample_scales(spec: ScaleSamplingSpec) -> ScaleSet:
     unique = tuple(sorted(set(int(v) for v in clipped)))
     return ScaleSet(scales=unique)
 
-
-def describe_density(scales: ScaleSet) -> GapSummary:
-    """Summarize consecutive gaps of a scale set with at least two scales."""
-    if len(scales) < 2:
-        raise ConfigError("gap statistics need at least two scales")
-    gaps = tuple(int(g) for g in np.diff(scales.scales))
-    return GapSummary(
-        min_gap=min(gaps),
-        max_gap=max(gaps),
-        mean_gap=float(np.mean(gaps)),
-    )

@@ -87,6 +87,21 @@ class TestSampleScales:
         assert len(payload["scales"]) == 23
         assert payload["requested"] == 25
 
+    def test_linear_gaps(self, capsys):
+        argv = ["--scale-min", "2", "--scale-max", "10", "--scale-count", "5"]
+        assert main(["sample-scales", *argv, "--scale-power", "1.0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gaps"] == {"min": 2, "max": 2, "mean": 2.0}
+
+    def test_gaps_grow_with_power(self, capsys):
+        argv = ["--scale-min", "5", "--scale-max", "100", "--scale-count", "25"]
+        assert main(["sample-scales", *argv, "--scale-power", "2.0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        gaps = np.diff(payload["scales"])
+        assert gaps[0] <= gaps[-1]
+        assert payload["gaps"]["min"] == int(gaps.min())
+        assert payload["gaps"]["max"] == int(gaps.max())
+
     def test_invalid_spec_exits_2(self, capsys):
         code = main(
             [

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -185,6 +187,12 @@ class TestRunExperiment:
 
 
 class TestExperimentOutputs:
+    def test_out_dir_on_a_file_raises_config_error(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {taken}: ")):
+            run_experiment(blob_matrix(), fast_config(), out_dir=taken)
+
     def test_saving_distances_needs_out_dir(self, monkeypatch):
         # rejected before any work: preprocess is never reached
         calls = []
@@ -372,6 +380,12 @@ class TestDistanceMatrixFiles:
             with pytest.raises(DataError, match="empty.csv is empty"):
                 load_distance_matrix(path)
 
+    def test_save_into_missing_directory_raises_config_error(self, tmp_path):
+        dmat, report = self.make_distance()
+        path = tmp_path / "missing" / "d.csv"
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}: ")):
+            save_distance_matrix(dmat, path, report)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_distance_matrix(tmp_path / "absent.csv")
@@ -417,6 +431,24 @@ class TestExportScatter:
         coords = export_scatter(self.euclidean(np.zeros((4, 2))), None, path)
         assert np.array_equal(coords, np.zeros((4, 2)))
         assert path.read_text().splitlines()[1:] == ["0,0,"] * 4
+
+    def test_labels_are_csv_quoted(self, tmp_path):
+        rng = np.random.default_rng(3)
+        labels = ["T cell, CD4+", 'B "naive"', "NK", ""]
+        path = tmp_path / "scatter.csv"
+        export_scatter(self.euclidean(rng.standard_normal((4, 2))), labels, path)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [3] * 5
+        assert [row[2] for row in rows[1:]] == labels
+        lines = path.read_text().splitlines()
+        assert lines[3].endswith(",NK") and lines[4].endswith(",")
+
+    def test_write_into_missing_directory_raises_config_error(self, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "missing" / "s.csv"
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}: ")):
+            export_scatter(self.euclidean(rng.standard_normal((4, 2))), None, path)
 
     def test_too_few_samples(self, tmp_path):
         points = np.zeros((2, 2))

@@ -58,7 +58,7 @@ class TestBuildSubspaces:
         cells = build_subspaces(stack)
         assert len(cells) == 10
         assert cells.nominal_rank == 4
-        assert cells.embedding_dim == 8
+        assert cells.bases.shape[1] == 8
         assert cells.rank_reduced_count == 0
         assert cells.ranks.tolist() == [4] * 10
 
@@ -374,7 +374,7 @@ class TestRunMgm:
         cells, dmat, report, _ = run_mgm(x, cfg)
         assert isinstance(cells, CellSubspaceSet)
         assert len(cells) == 40
-        assert cells.embedding_dim == 8
+        assert cells.bases.shape[1] == 8
         assert dmat.values.shape == (40, 40)
         assert report.sample_count == 40
         assert report.feature_count == 15

@@ -5,7 +5,6 @@ from mgm.errors import ConfigError
 from mgm.scales import (
     ScaleSamplingSpec,
     ScaleSet,
-    describe_density,
     power_samples,
     sample_scales,
 )
@@ -179,24 +178,3 @@ class TestSampleScales:
             ScaleSet(scales=())
         with pytest.raises(ConfigError, match="every scale must be at least 2"):
             ScaleSet(scales=(1, 3))
-
-
-class TestDescribeDensity:
-    def test_gap_summary_linear(self):
-        result = sample_scales(ScaleSamplingSpec(2, 10, 5, 1.0))
-        summ = describe_density(result)
-        assert summ.min_gap == 2
-        assert summ.max_gap == 2
-        assert summ.mean_gap == pytest.approx(2.0)
-
-    def test_one_scale_has_no_gaps(self):
-        with pytest.raises(ConfigError, match="need at least two scales"):
-            describe_density(ScaleSet(scales=(4,)))
-
-    def test_gaps_grow_with_power(self):
-        result = sample_scales(ScaleSamplingSpec(5, 100, 25, 2.0))
-        gaps = np.diff(result.scales)
-        assert gaps[0] <= gaps[-1]
-        summ = describe_density(result)
-        assert summ.min_gap == int(gaps.min())
-        assert summ.max_gap == int(gaps.max())
