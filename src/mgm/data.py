@@ -2,8 +2,9 @@
 
 Files may carry a header row of feature names and a leading column of sample
 ids; both are detected from the first cells being non-numeric, and both are
-present when the first row's first cell is empty. A matrix
-stored features-by-samples loads identically with orientation flipped.
+present when the first row's first cell is empty. Detected names are skipped,
+not kept. A matrix stored features-by-samples loads identically with
+orientation flipped.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ def frozen(array: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ExpressionMatrix:
     """An M x N matrix of finite floats, held read-only (frozen), with
-    optional ids and labels."""
+    optional labels."""
 
     values: np.ndarray
-    sample_ids: tuple[str, ...] | None = None
-    feature_ids: tuple[str, ...] | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -50,13 +49,8 @@ class ExpressionMatrix:
             raise DataError(f"matrix must be 2-d and nonempty, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise DataError("matrix contains non-finite values")
-        m, n = values.shape
-        if self.sample_ids is not None and len(self.sample_ids) != m:
-            raise DataError(f"{len(self.sample_ids)} sample ids for {m} rows")
-        if self.feature_ids is not None and len(self.feature_ids) != n:
-            raise DataError(f"{len(self.feature_ids)} feature ids for {n} columns")
-        if self.labels is not None and len(self.labels) != m:
-            raise DataError(f"{len(self.labels)} labels for {m} samples")
+        if self.labels is not None and len(self.labels) != values.shape[0]:
+            raise DataError(f"{len(self.labels)} labels for {values.shape[0]} samples")
         object.__setattr__(self, "values", frozen(values))
 
 
@@ -92,14 +86,14 @@ def load_matrix(
     orientation: str = "samples-as-rows",
     labels_path: str | Path | None = None,
 ) -> ExpressionMatrix:
-    """Load a delimited matrix, detecting an optional header row and id column.
+    """Load a delimited matrix, skipping an optional header row and id column.
 
     fmt is "csv" or "tsv". orientation is "samples-as-rows" or
-    "samples-as-columns"; the latter transposes after loading, swapping the
-    roles of the detected ids. Parse failures report the 1-based (row,
-    column) position in the file, counting non-blank rows. Rows are cast as
-    they are read, so only one row of tokens is held as strings at a time.
-    A ragged row anywhere is reported before a non-numeric value.
+    "samples-as-columns"; the latter transposes after loading. Parse
+    failures report the 1-based (row, column) position in the file, counting
+    non-blank rows. Each row is cast as it is read into one array, sized by a
+    first pass over the file's lines. A ragged row anywhere is reported
+    before a non-numeric value.
     """
     path = Path(path)
     if fmt not in ("csv", "tsv"):
@@ -113,6 +107,10 @@ def load_matrix(
         # utf-8-sig drops a byte-order mark, which would otherwise be read
         # as part of the first cell.
         with open(path, newline="", encoding="utf-8-sig") as handle:
+            # csv gives at most one row per non-blank line, and fewer where a
+            # quoted cell spans lines.
+            capacity = sum(1 for line in handle if line.rstrip("\r\n"))
+            handle.seek(0)
             reader = csv.reader(handle, delimiter="," if fmt == "csv" else "\t")
             rows = (row for row in reader if row)
             first = next(rows, None)
@@ -126,7 +124,7 @@ def load_matrix(
                 or any(not _is_number(tok) for tok in first[1:])
                 or (len(first) == 1 and not _is_number(first[0]))
             )
-            header = first if has_header else None
+            header_width = len(first) if has_header else None
             if has_header:
                 first = next(rows, None)
                 if first is None:
@@ -134,64 +132,43 @@ def load_matrix(
             width = len(first)
             # As in R's read.table, a header one cell shorter than the data
             # rows sits over an id column, numeric ids included.
-            has_id_col = (
-                blank_corner
-                or not _is_number(first[0])
-                or (header is not None and len(header) == width - 1)
-            )
+            has_id_col = blank_corner or not _is_number(first[0]) or header_width == width - 1
             start = 1 if has_id_col else 0
 
-            row_ids, values = [], []
+            values = np.empty((capacity - has_header, width - start))
             parse_error = None
-            for row_no, row in enumerate(
-                itertools.chain([first], rows), start=2 if has_header else 1
-            ):
+            for i, row in enumerate(itertools.chain([first], rows)):
+                row_no = i + 1 + has_header
                 if len(row) != width:
                     raise DataError(
                         f"{path}: row {row_no} has {len(row)} cells, expected {width}"
                     )
                 if parse_error is None:
                     try:
-                        values.append(_parse_row(row[start:], row_no, start + 1, path))
+                        values[i] = _parse_row(row[start:], row_no, start + 1, path)
                     except DataError as err:
                         # Kept until every row's length has been checked.
                         parse_error = err
-                if has_id_col:
-                    row_ids.append(row[0])
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}")
     if parse_error is not None:
         raise parse_error
-    values = np.vstack(values)  # rebinding frees the per-row arrays
+    # A header may or may not carry a corner cell above the id column; any
+    # other width is wrong whether or not there is an id column.
+    if header_width is not None and header_width not in (width, width - start):
+        expected = f"{width} or {width - 1}" if width > 1 else f"{width}"
+        raise DataError(f"{path}: header has {header_width} cells, expected {expected}")
+    if i + 1 < len(values):
+        values = values[: i + 1].copy()
     values.setflags(write=False)
-
-    col_ids = None
-    if header is not None:
-        # A header may or may not carry a corner cell above the id column.
-        if len(header) == width:
-            col_ids = header[start:] if has_id_col else header
-        elif len(header) == width - start:
-            col_ids = header
-        else:
-            # Any other width is wrong whether or not there is an id column.
-            expected = f"{width} or {width - 1}" if width > 1 else f"{width}"
-            raise DataError(
-                f"{path}: header has {len(header)} cells, expected {expected}"
-            )
-        col_ids = tuple(col_ids)
-
-    row_ids = tuple(row_ids) if row_ids else None
     if orientation == "samples-as-columns":
         values = values.T
-        sample_ids, feature_ids = col_ids, row_ids
-    else:
-        sample_ids, feature_ids = row_ids, col_ids
 
     labels = None
     if labels_path is not None:
         labels = load_labels(labels_path, expected=values.shape[0])
     try:
-        return ExpressionMatrix(values, sample_ids, feature_ids, labels)
+        return ExpressionMatrix(values, labels)
     except DataError as err:
         raise type(err)(f"{path}: {err}") from err
 
@@ -236,7 +213,6 @@ def preprocess(
         if np.any(values <= -1.0):
             raise DataError("log1p requires every value to exceed -1")
         np.log1p(values, out=values)
-    feature_ids = x.feature_ids
     if top_features is not None:
         if not 1 <= top_features <= values.shape[1]:
             raise DataError(
@@ -244,14 +220,6 @@ def preprocess(
             )
         variances = values.var(axis=0)
         ranked = np.argsort(-variances, kind="stable")[:top_features]
-        keep = np.sort(ranked)
-        values = values[:, keep]
-        if feature_ids is not None:
-            feature_ids = tuple(feature_ids[i] for i in keep)
+        values = values[:, np.sort(ranked)]
     values.setflags(write=False)  # handed over, not copied
-    return ExpressionMatrix(
-        values=values,
-        sample_ids=x.sample_ids,
-        feature_ids=feature_ids,
-        labels=x.labels,
-    )
+    return ExpressionMatrix(values=values, labels=x.labels)

@@ -143,7 +143,8 @@ def export_scatter(
     d: DistanceMatrix, labels, path: str | Path
 ) -> np.ndarray:
     """Write a 2-d classical-MDS view of a distance matrix as x,y,label CSV
-    rows, quoting a label only where CSV needs it.
+    rows, quoting a label only where CSV needs it. A label holding a carriage
+    return is rejected.
 
     Degenerate directions (no positive eigenvalue) are padded with zeros, so
     the file always has two coordinate columns.
@@ -151,8 +152,14 @@ def export_scatter(
     m = d.size
     if m < 3:
         raise DataError(f"scatter export needs at least 3 samples, got {m}")
-    if labels is not None and len(labels) != m:
-        raise DataError(f"{len(labels)} labels for {m} samples")
+    if labels is not None:
+        if len(labels) != m:
+            raise DataError(f"{len(labels)} labels for {m} samples")
+        # csv.writer quotes '\n' but not a lone '\r' under this line
+        # terminator, and a reader would split the row there.
+        for i, label in enumerate(labels):
+            if "\r" in str(label):
+                raise DataError(f"label of sample {i} holds a carriage return: {label!r}")
     coords = classical_mds(d.values, 2)
     if coords.shape[1] < 2:
         coords = np.hstack([coords, np.zeros((m, 2 - coords.shape[1]))])

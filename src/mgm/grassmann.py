@@ -72,14 +72,6 @@ class Subspace:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
 
 @dataclass(frozen=True)
 class PrincipalAngles:

@@ -444,6 +444,23 @@ class TestExportScatter:
         lines = path.read_text().splitlines()
         assert lines[3].endswith(",NK") and lines[4].endswith(",")
 
+    def test_line_breaks_in_labels(self, tmp_path):
+        # A '\n' is quoted and reads back inside its field; a lone '\r' is
+        # left unquoted by csv.writer, so it is refused before any write.
+        rng = np.random.default_rng(5)
+        dmat = self.euclidean(rng.standard_normal((3, 2)))
+        path = tmp_path / "scatter.csv"
+        export_scatter(dmat, ["a\nb", "c", "d"], path)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [3] * 4
+        assert [row[2] for row in rows[1:]] == ["a\nb", "c", "d"]
+        bad = tmp_path / "bad.csv"
+        message = "label of sample 1 holds a carriage return: 'a\\rb'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            export_scatter(dmat, ["c", "a\rb", "d"], bad)
+        assert not bad.exists()
+
     def test_write_into_missing_directory_raises_config_error(self, tmp_path):
         rng = np.random.default_rng(4)
         path = tmp_path / "missing" / "s.csv"

@@ -53,8 +53,7 @@ def projector(s: Subspace) -> np.ndarray:
 class TestSubspaceTypes:
     def test_subspace_accepts_orthonormal_basis(self, rng):
         s = random_subspace(rng, 6, 3)
-        assert s.ambient_dim == 6
-        assert s.rank == 3
+        assert s.basis.shape == (6, 3)
 
     def test_subspace_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -74,7 +73,7 @@ class TestSubspaceTypes:
             s = random_subspace(rng, 7, 3)
             p = projector(s)
             back = span(p)
-            assert back.rank == 3
+            assert back.basis.shape[1] == 3
             # same span: projectors agree
             assert np.linalg.norm(projector(back) - p) < 1e-10
 
@@ -103,7 +102,7 @@ class TestOrthonormalize:
             a = rng.standard_normal((n, r))
             sub = span(a)
             gs = gram_schmidt_basis(a)
-            assert sub.rank == gs.shape[1]
+            assert sub.basis.shape[1] == gs.shape[1]
             p_sub = sub.basis @ sub.basis.T
             p_gs = gs @ gs.T
             assert np.linalg.norm(p_sub - p_gs) < 1e-8
@@ -111,7 +110,7 @@ class TestOrthonormalize:
     def test_duplicate_columns_reduce_rank(self):
         col = np.array([[1.0], [2.0], [3.0]])
         sub = span(np.hstack([col, col, 2.0 * col]))
-        assert sub.rank == 1
+        assert sub.basis.shape[1] == 1
 
     def test_dependent_column_dropped(self):
         # e1, e2, e1+e2 in R^4 span a plane
@@ -124,7 +123,7 @@ class TestOrthonormalize:
             ]
         )
         sub = span(z)
-        assert sub.rank == 2
+        assert sub.basis.shape[1] == 2
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = 1.0
         assert np.linalg.norm(projector(sub) - expected) < 1e-12
@@ -630,7 +629,7 @@ class TestChordalGramGuard:
         points[19] = Subspace(points[3].basis @ turn)
         points[20] = Subspace(points[8].basis.copy())
         base = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
-        fives = sum(p.rank == 5 for p in points)
+        fives = sum(p.basis.shape[1] == 5 for p in points)
         assert base.guarded_pairs == fives * (fives - 1) // 2 + 1
         assert max(base.values[3, 19], base.values[8, 20]) < 1e-13
         for _ in range(3):
@@ -801,10 +800,11 @@ def assert_matrix_matches(points, metric, got):
 def cells_of(points):
     """The set of the given subspaces, padded with zero columns to the
     largest rank."""
-    bases = np.zeros((len(points), points[0].ambient_dim, max(p.rank for p in points)))
+    ranks = [p.basis.shape[1] for p in points]
+    bases = np.zeros((len(points), points[0].basis.shape[0], max(ranks)))
     for k, p in enumerate(points):
-        bases[k, :, : p.rank] = p.basis
-    return CellSubspaceSet(bases=bases, ranks=[p.rank for p in points])
+        bases[k, :, : ranks[k]] = p.basis
+    return CellSubspaceSet(bases=bases, ranks=ranks)
 
 
 def points_of(cells):
@@ -910,7 +910,7 @@ class TestBatchedAngleKernel:
         # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, and
         # fail the cosine guard; ranks 2 + 4 and 3 + 3 need not.
         points = [random_subspace(rng, 6, (2, 3, 4)[k % 3]) for k in range(19)]
-        ranks = [p.rank for p in points]
+        ranks = [p.basis.shape[1] for p in points]
         shared = [
             (i, j) for i, j in zip(*np.triu_indices(19, 1)) if ranks[i] + ranks[j] > 6
         ]
@@ -939,7 +939,7 @@ class TestBatchedAngleKernel:
         turn = np.linalg.qr(rng.standard_normal((2, 2)))[0]
         points[68] = Subspace(points[0].basis @ turn)
         points[69] = Subspace(points[3].basis.copy())
-        ranks = [p.rank for p in points]
+        ranks = [p.basis.shape[1] for p in points]
         redo = sorted(
             {(i, j) for i, j in zip(*np.triu_indices(70, 1)) if ranks[i] + ranks[j] > 6}
             | {(0, 68), (3, 69)}
