@@ -31,7 +31,6 @@ from .experiment import (
 )
 from .grassmann import (
     GrassmannMetric,
-    PrincipalAngles,
     Subspace,
     distance,
     distance_from_angles,
@@ -58,7 +57,6 @@ from .pipeline import (
 )
 from .scales import (
     ScaleSamplingSpec,
-    ScaleSet,
     power_samples,
     sample_scales,
 )

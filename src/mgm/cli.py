@@ -114,11 +114,11 @@ def _emit(payload: dict, out: str | Path | None) -> None:
 
 def _cmd_sample_scales(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    scale_set = sample_scales(cfg.scales)
-    gaps = np.diff(scale_set.scales)
+    scales = sample_scales(cfg.scales)
+    gaps = np.diff(scales)
     payload = {
-        "scales": list(scale_set.scales),
-        "count": len(scale_set),
+        "scales": list(scales),
+        "count": len(scales),
         "requested": cfg.scales.count,
         "gaps": {"min": int(gaps.min()), "max": int(gaps.max()), "mean": float(gaps.mean())},
     }
@@ -137,7 +137,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
                 out_dir / f"embedding_scale_{scale}.csv", emb, delimiter=",", fmt="%.17g"
             )
         meta = {
-            "scales": list(stack.scales.scales),
+            "scales": list(stack.scales),
             "embedding_dim": stack.embedding_dim,
             "sample_count": stack.sample_count,
             "method": "laplacian" if cfg.embedding.external_pattern is None else "external",

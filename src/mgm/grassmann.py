@@ -19,7 +19,6 @@ from .errors import NumericalError
 __all__ = [
     "GrassmannMetric",
     "Subspace",
-    "PrincipalAngles",
     "orthonormalize",
     "principal_angles",
     "block_distances",
@@ -71,35 +70,6 @@ class Subspace:
         basis = basis.copy()
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-
-
-@dataclass(frozen=True)
-class PrincipalAngles:
-    """Principal angles between two subspaces, ascending, in [0, pi/2].
-
-    A 2-d array holds a batch of pairs, one per row; the checks and the
-    metrics act along the last axis.
-    """
-
-    angles: np.ndarray
-
-    def __post_init__(self) -> None:
-        angles = np.asarray(self.angles, dtype=float)
-        if angles.ndim not in (1, 2) or angles.size < 1:
-            raise ValueError("angles must be a nonempty 1-d or 2-d array")
-        if angles.min() < -1e-12 or angles.max() > _HALF_PI + 1e-12:
-            raise ValueError("principal angles must lie in [0, pi/2]")
-        if (
-            angles.shape[-1] > 1
-            and (angles[..., 1:] - angles[..., :-1]).min() < -1e-12
-        ):
-            raise ValueError("principal angles must be sorted ascending")
-        angles = np.minimum(np.maximum(angles, 0.0), _HALF_PI)
-        angles.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-
-    def __len__(self) -> int:
-        return self.angles.shape[-1]
 
 
 def orthonormalize(columns: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +127,7 @@ def _martin_diverges(theta: np.ndarray) -> np.ndarray:
     return theta.max(axis=-1) >= _HALF_PI - _RIGHT_ANGLE_GUARD
 
 
-def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
+def principal_angles(x: Subspace, y: Subspace) -> np.ndarray:
     """Principal angles between x and y, ascending; min(rank_x, rank_y) values.
 
     Angles are the arccosines of the singular values of Qx^T Qy, one small
@@ -180,17 +150,19 @@ def principal_angles(x: Subspace, y: Subspace) -> PrincipalAngles:
         sines = np.linalg.svd(qy - np.dot(qx, m), compute_uv=False)[::-1]
         theta[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
         theta.sort()
-    return PrincipalAngles(theta)
+    return theta
 
 
-def distance_from_angles(
-    angles: PrincipalAngles | np.ndarray, metric: GrassmannMetric
-) -> float | np.ndarray:
-    """Evaluate one of the five metrics on principal angles: a float for a
-    vector of angles, one value per row for a batch."""
-    if not isinstance(angles, PrincipalAngles):
-        angles = PrincipalAngles(angles)
-    theta = angles.angles
+def distance_from_angles(angles: np.ndarray, metric: GrassmannMetric) -> float | np.ndarray:
+    """Evaluate one of the five metrics on principal angles, in any order:
+    a float for a vector of angles, one value per row for a batch. Angles
+    within 1e-12 of [0, pi/2] are clipped into it; others raise."""
+    theta = np.asarray(angles, dtype=float)
+    if theta.ndim not in (1, 2) or theta.size < 1:
+        raise ValueError("angles must be a nonempty 1-d or 2-d array")
+    if theta.min() < -1e-12 or theta.max() > _HALF_PI + 1e-12:
+        raise ValueError("principal angles must lie in [0, pi/2]")
+    theta = np.minimum(np.maximum(theta, 0.0), _HALF_PI)
     if metric is GrassmannMetric.GEODESIC:
         return np.sqrt(np.sum(theta**2, axis=-1))
     if metric is GrassmannMetric.CHORDAL:
@@ -227,16 +199,14 @@ def block_distances(
     real = np.arange(r) < counts[:, None]
     singular = np.minimum(np.linalg.svd(cross, compute_uv=False), 1.0)
     redo = _needs_sines(np.where(real, singular, 0.0), counts)
-    # Each row is rotated so its padding comes first, as angles of 0: the
-    # row still ascends, and a zero angle adds nothing to any metric.
-    first = (np.arange(r) + counts[:, None]) % r
-    theta = np.arccos(np.take_along_axis(np.where(real, singular, 1.0), first, axis=-1))
+    # Padding is read as trailing angles of 0, which add nothing to any metric.
+    theta = np.arccos(np.where(real, singular, 1.0))
     if metric is GrassmannMetric.MARTIN:
         redo |= _martin_diverges(theta)
     values = np.zeros(counts.size)
     if not redo.all():
         keep = ~redo
-        values[keep] = distance_from_angles(PrincipalAngles(theta[keep]), metric)
+        values[keep] = distance_from_angles(theta[keep], metric)
     return values, redo
 
 

@@ -18,7 +18,6 @@ import scipy.sparse.linalg
 
 from .data import frozen, load_matrix
 from .errors import ConfigError, DataError, MgmError, NumericalError
-from .scales import ScaleSet
 
 __all__ = [
     "MdrBackendSpec",
@@ -88,7 +87,7 @@ class EmbeddingStack:
     owns its data (data.frozen).
     """
 
-    scales: ScaleSet
+    scales: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -360,7 +359,7 @@ def _load_external_embedding(
     return values
 
 
-def build_stack(x: np.ndarray, scales: ScaleSet, spec: MdrBackendSpec) -> EmbeddingStack:
+def build_stack(x: np.ndarray, scales: tuple[int, ...], spec: MdrBackendSpec) -> EmbeddingStack:
     """Embed x once per scale into one array, filled scale by scale and then
     frozen: one external file per scale when spec has a pattern, Laplacian
     eigenmaps on one neighbor graph built for the largest scale otherwise.

@@ -12,7 +12,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
@@ -143,21 +142,21 @@ def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
     batched SVD per _TILE_SUBSPACES samples. Only the span is kept, so
     scaling a column by a positive factor moves no distance. Samples whose
     features are rank deficient get a smaller subspace; the set reports how
-    many were reduced.
+    many were reduced. At embedding.dim <= p every sample would span all of
+    R^n and every distance would be rounding noise, so that raises.
     """
     n, p, m = stack.embedding_dim, len(stack), stack.sample_count
-    if n < p:
-        warnings.warn(
-            f"embedding.dim {n} is below the scale count {p}; "
-            "every subspace will be rank reduced",
-            stacklevel=2,
+    if n <= p:
+        raise ConfigError(
+            f"embedding.dim {n} must exceed the number of sampled scales {p}; "
+            "otherwise every subspace is the whole embedding space"
         )
     bases = np.zeros((m, n, p))
     ranks = np.empty(m, dtype=int)
     for lo in range(0, m, _TILE_SUBSPACES):
         hi = lo + _TILE_SUBSPACES
         features = stack.values[:, lo:hi].transpose(1, 2, 0)
-        bases[lo:hi, :, : min(n, p)], ranks[lo:hi] = orthonormalize(features, lo)
+        bases[lo:hi], ranks[lo:hi] = orthonormalize(features, lo)
     bases.setflags(write=False)  # handed over, not copied
     ranks.setflags(write=False)
     return CellSubspaceSet(bases=bases, ranks=ranks)
@@ -231,31 +230,33 @@ def _tiled_distances(
     rows = iter(starts)
     lock = threading.Lock()
     failed = threading.Event()
+    flagged: list[tuple[int, int]] = []
+    errors: list[BaseException] = []
 
-    def drain() -> list[tuple[int, int]]:
-        flagged: list[tuple[int, int]] = []
+    def drain() -> None:
         try:
             while True:
                 with lock:
                     lo = None if failed.is_set() else next(rows, None)
                 if lo is None:
-                    return flagged
-                flagged += _tile_row(cells, lo, metric, out)
-        except BaseException:
+                    return
+                # list.extend and list.append are atomic under the GIL
+                flagged.extend(_tile_row(cells, lo, metric, out))
+        except BaseException as err:
+            errors.append(err)
             failed.set()
-            raise
 
-    helpers = min(_cpu_count(), len(starts)) - 1
-    if helpers < 1:
-        return drain()
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        redo = drain()
-        for future in futures:
-            redo += future.result()
-    return redo
+    # Plain threads: a thread pool's futures, semaphore and queue added
+    # about 5 KB to the traced peak of every call.
+    helpers = [threading.Thread(target=drain) for _ in range(min(_cpu_count(), len(starts)) - 1)]
+    for thread in helpers:
+        thread.start()
+    drain()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return flagged
 
 
 def _chordal_sq(features: np.ndarray, ranks: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -402,7 +403,7 @@ def embed_multiscale(
                 )
             if spec.max_scale > cap:
                 spec = replace(spec, max_scale=cap)
-        scale_set = sample_scales(spec)
+        scales = sample_scales(spec)
 
     with _stage("pca", timings):
         reduced = values
@@ -410,7 +411,7 @@ def embed_multiscale(
             reduced = pca_reduce(values, cfg.pca_dim)
 
     with _stage("embed", timings):
-        stack = build_stack(reduced, scale_set, cfg.embedding)
+        stack = build_stack(reduced, scales, cfg.embedding)
     return MultiscaleEmbedding(reduced=reduced, stack=stack)
 
 
@@ -443,7 +444,7 @@ def run_mgm(
         feature_count=values.shape[1],
         pca_dim=cfg.pca_dim,
         embedding_dim=stack.embedding_dim,
-        scales=tuple(stack.scales.scales),
+        scales=stack.scales,
         scale_count=len(stack.scales),
         nominal_rank=cells.nominal_rank,
         rank_reduced_cells=cells.rank_reduced_count,

@@ -16,7 +16,6 @@ from .errors import ConfigError
 
 __all__ = [
     "ScaleSamplingSpec",
-    "ScaleSet",
     "power_samples",
     "sample_scales",
 ]
@@ -47,27 +46,6 @@ class ScaleSamplingSpec:
             raise ConfigError(f"scales.power must be positive and finite, got {self.power}")
 
 
-@dataclass(frozen=True)
-class ScaleSet:
-    """Strictly increasing integer scales."""
-
-    scales: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.scales) < 1:
-            raise ConfigError("a scale set cannot be empty")
-        if any(s < 2 for s in self.scales):
-            raise ConfigError("every scale must be at least 2")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ConfigError("scales must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.scales)
-
-    def __iter__(self):
-        return iter(self.scales)
-
-
 def power_samples(spec: ScaleSamplingSpec) -> np.ndarray:
     """The raw (pre-rounding) sampling curve: count values from min_scale to
     max_scale, spaced by t^power for t evenly spread over [0, 1]."""
@@ -75,8 +53,8 @@ def power_samples(spec: ScaleSamplingSpec) -> np.ndarray:
     return spec.min_scale + (spec.max_scale - spec.min_scale) * t**spec.power
 
 
-def sample_scales(spec: ScaleSamplingSpec) -> ScaleSet:
-    """Sample integer scales along the power curve.
+def sample_scales(spec: ScaleSamplingSpec) -> tuple[int, ...]:
+    """Sample integer scales along the power curve, strictly increasing.
 
     Raw values are rounded half away from zero, clipped into the admissible
     range, deduplicated, and sorted. Both endpoints always survive.
@@ -86,6 +64,4 @@ def sample_scales(spec: ScaleSamplingSpec) -> ScaleSet:
     # halves to even instead.
     rounded = np.floor(raw + 0.5).astype(int)
     clipped = np.clip(rounded, spec.min_scale, spec.max_scale)
-    unique = tuple(sorted(set(int(v) for v in clipped)))
-    return ScaleSet(scales=unique)
-
+    return tuple(sorted(set(int(v) for v in clipped)))

@@ -220,6 +220,32 @@ def test_embed_output_read_back_as_external_embeddings(tmp_path, monkeypatch, me
         assert (tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command,m,dim,code",
+    [("pipeline", 60, 10, 2), ("mgm", 60, 11, 0), ("mgm", 12, 7, 2), ("mgm", 12, 8, 0)],
+)
+def test_embedding_dim_must_exceed_the_sampled_scale_count(
+    tmp_path, monkeypatch, capsys, command, m, dim, code
+):
+    # setup2-small asks for 11 scales and samples 10 distinct ones; clamped
+    # to [5, M - 1] at M = 12 it samples 7.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    counts, _ = importlib.import_module("workloads").generate_counts(m, 5)
+    data = tmp_path / "counts.csv"
+    np.savetxt(data, counts, delimiter=",", fmt="%d")
+    config = tmp_path / "dim.cfg"
+    config.write_text(f"pca.dim = 10\nembedding.dim = {dim}\n")
+    argv = [command, "--preset", "setup2-small", "--config", str(config), "--data", str(data)]
+    if command == "mgm":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == code
+    if code == 2:  # here dim equals the scale count
+        assert (
+            f"config error: stage 'subspaces': embedding.dim {dim} must exceed "
+            f"the number of sampled scales {dim}"
+        ) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["embed", "mgm"])
 def test_duplicate_cells_embed(tmp_path, command):
     # 13 identical cells: at small scales their bandwidths are 0

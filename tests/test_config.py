@@ -205,7 +205,7 @@ class TestPresets:
         assert cfg.embedding.embedding_dim == 100
         assert cfg.clustering_method is ClusteringMethod.SPECTRAL
         assert cfg.seeds == (1, 3, 5, 7, 9)
-        scales = sample_scales(cfg.scales).scales
+        scales = sample_scales(cfg.scales)
         assert len(scales) == 23
         assert scales[0] == 5
         assert scales[-1] == 100
@@ -224,7 +224,13 @@ class TestPresets:
         assert cfg.embedding.embedding_dim == dim
         assert cfg.scales.max_scale == max_scale
         assert cfg.clustering_method is ClusteringMethod.KMEANS_MDS
-        assert len(sample_scales(cfg.scales).scales) == n_scales
+        assert len(sample_scales(cfg.scales)) == n_scales
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_embedding_dim_exceeds_the_scale_count(self, name):
+        # build_subspaces refuses embedding.dim <= the sampled scale count
+        cfg = load_config(preset=name)
+        assert cfg.embedding.embedding_dim > len(sample_scales(cfg.scales))
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):

@@ -16,7 +16,6 @@ from mgm.mdr import (
     pca_reduce,
 )
 from mgm.pipeline import build_subspaces, distance_matrix
-from mgm.scales import ScaleSet
 
 from conftest import make_blobs
 from oracles import laplacian_eigenmaps_dense, pca_by_covariance, pca_by_svd
@@ -354,7 +353,7 @@ class TestExternalBackend:
         spec = MdrBackendSpec(
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
-        stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
+        stack = build_stack(np.zeros((8, 2)), (5,), spec)
         assert np.allclose(stack.values[0], want, atol=1e-15)
 
     def test_header_and_id_column_load(self, tmp_path, rng):
@@ -367,7 +366,7 @@ class TestExternalBackend:
         spec = MdrBackendSpec(
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
-        stack = build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
+        stack = build_stack(np.zeros((8, 2)), (5,), spec)
         assert np.array_equal(stack.values[0], want)
 
     def test_missing_file_raises(self, tmp_path):
@@ -375,7 +374,7 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with pytest.raises(DataError, match="scale 7"):
-            build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
+            build_stack(np.zeros((8, 2)), (7,), spec)
 
     def test_unreadable_file_raises(self, tmp_path):
         (tmp_path / "emb_7.csv").mkdir()
@@ -383,7 +382,7 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with pytest.raises(DataError, match=r"scale 7: cannot read .*emb_7\.csv"):
-            build_stack(np.zeros((8, 2)), ScaleSet(scales=(7,)), spec)
+            build_stack(np.zeros((8, 2)), (7,), spec)
 
     def test_empty_file_raises_without_warning(self, tmp_path):
         (tmp_path / "emb_5.csv").write_text("")
@@ -393,7 +392,7 @@ class TestExternalBackend:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="emb_5.csv is empty"):
-                build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
+                build_stack(np.zeros((8, 2)), (5,), spec)
 
     def test_wrong_shape_raises(self, tmp_path, rng):
         path = tmp_path / "emb_5.csv"
@@ -402,13 +401,13 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         with pytest.raises(DataError, match="shape"):
-            build_stack(np.zeros((8, 2)), ScaleSet(scales=(5,)), spec)
+            build_stack(np.zeros((8, 2)), (5,), spec)
 
 
 class TestBuildStack:
     def test_shapes_and_order(self):
         x, _ = two_blob_data(m=30)
-        scales = ScaleSet(scales=(3, 5, 8))
+        scales = (3, 5, 8)
         spec = MdrBackendSpec(embedding_dim=4)
         stack = build_stack(x, scales, spec)
         assert len(stack) == 3
@@ -419,26 +418,26 @@ class TestBuildStack:
 
     def test_error_names_offending_scale(self):
         x, _ = two_blob_data(m=10)
-        scales = ScaleSet(scales=(3, 9, 12))
+        scales = (3, 9, 12)
         spec = MdrBackendSpec(embedding_dim=3)
         with pytest.raises(ConfigError, match="scale 12"):
             build_stack(x, scales, spec)
 
     def test_stack_validates_matching_shapes(self):
-        scales = ScaleSet(scales=(2, 3))
+        scales = (2, 3)
         for shape in ((3, 4, 2), (2, 4), (2, 4, 2, 1)):
             with pytest.raises(ValueError, match="for 2 scales"):
                 EmbeddingStack(scales=scales, values=np.zeros(shape))
 
     def test_stack_embeddings_are_immutable(self):
-        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=np.ones((2, 4, 2)))
+        stack = EmbeddingStack(scales=(2, 3), values=np.ones((2, 4, 2)))
         with pytest.raises(ValueError):
             stack.values[0, 0, 0] = 5.0
 
     def test_read_only_owning_array_is_kept(self):
         values = np.ones((2, 4, 3))
         values.setflags(write=False)
-        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=values)
+        stack = EmbeddingStack(scales=(2, 3), values=values)
         assert stack.values is values
 
     @pytest.mark.parametrize("kind", ["writable", "borrowed"])
@@ -447,7 +446,7 @@ class TestBuildStack:
         values = owner if kind == "writable" else owner[:, :, :]
         if kind == "borrowed":
             values.setflags(write=False)
-        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=values)
+        stack = EmbeddingStack(scales=(2, 3), values=values)
         assert stack.values is not values
         assert not stack.values.flags.writeable
         owner[1, 2, 0] = 7.0
@@ -457,11 +456,11 @@ class TestBuildStack:
         values = np.zeros((3, 4, 2))
         values[1, 3, 0] = np.inf
         with pytest.raises(NumericalError, match="scale 5 has non-finite"):
-            EmbeddingStack(scales=ScaleSet(scales=(2, 5, 9)), values=values)
+            EmbeddingStack(scales=(2, 5, 9), values=values)
 
     def test_built_stack_is_held_without_a_copy(self):
         x, _ = two_blob_data(m=60)
-        stack = build_stack(x, ScaleSet(scales=(3, 5, 8)), MdrBackendSpec(embedding_dim=4))
+        stack = build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
         values = stack.values
         assert values.shape == (3, 60, 4)
         assert values.flags.owndata and not values.flags.writeable
@@ -477,7 +476,7 @@ class TestBuildStack:
 
     def test_blob_stack_is_reproducible(self):
         x, _ = make_blobs(m=45, d=10, sep=7.0, seed=2)
-        scales = ScaleSet(scales=(4, 8, 14))
+        scales = (4, 8, 14)
         spec = MdrBackendSpec(embedding_dim=5)
         a = build_stack(x, scales, spec)
         b = build_stack(x, scales, spec)
@@ -500,7 +499,7 @@ class TestBuildStack:
         )
         x, _ = two_blob_data(m=30)
         spec = MdrBackendSpec(embedding_dim=4)
-        build_stack(x, ScaleSet(scales=(3, 5, 8)), spec)
+        build_stack(x, (3, 5, 8), spec)
         assert counts == {"dists": 1, "graphs": 1, "embeds": 3}
 
 
@@ -508,7 +507,7 @@ class TestDenseOracleParity:
     """The shared neighbor graph and the bottom-eigenpair solver against a
     from-scratch dense full-spectrum embedding per scale."""
 
-    SCALES = ScaleSet(scales=(6, 10, 15))
+    SCALES = (6, 10, 15)
 
     def test_subset_solver_spans_match_dense(self):
         # (dim + 1) * 8 = 48 <= M = 200: the subset solver runs
@@ -538,7 +537,7 @@ class TestDenseOracleParity:
     def test_full_solver_equals_dense(self, m, dim):
         # (dim + 1) * 8 > M: the full dense solver runs, bit for bit
         x, _ = make_blobs(m=m, d=8, sep=6.0, seed=m)
-        scales = ScaleSet(scales=(3, 7, m - 1))
+        scales = (3, 7, m - 1)
         spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, scales, spec)
         for scale, emb in zip(scales, stack.values):
@@ -574,7 +573,7 @@ class TestLanczosTier:
     Lanczos on the sparse graph; checked against the from-scratch dense
     full-spectrum embedding."""
 
-    SCALES = ScaleSet(scales=(6, 10, 15))
+    SCALES = (6, 10, 15)
 
     def distances(self, embeddings, metric):
         # every 12th sample keeps the per-pair distance loop short

@@ -1,12 +1,11 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from mgm.config import PipelineConfig
 from mgm.errors import ConfigError, DataError, NumericalError
-from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance
+from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance, orthonormalize
 from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack
 from mgm import pipeline
 from mgm.pipeline import (
@@ -16,7 +15,7 @@ from mgm.pipeline import (
     distance_matrix,
     run_mgm,
 )
-from mgm.scales import ScaleSamplingSpec, ScaleSet
+from mgm.scales import ScaleSamplingSpec
 
 from conftest import make_blobs
 from oracles import bases_per_sample
@@ -30,26 +29,26 @@ from test_grassmann import (
 
 def random_stack(m=12, n=8, p=4, seed=0):
     rng = np.random.default_rng(seed)
-    scales = ScaleSet(scales=tuple(range(2, 2 + p)))
+    scales = tuple(range(2, 2 + p))
     return EmbeddingStack(scales=scales, values=rng.standard_normal((p, m, n)))
 
 
 def blob_stack(m=60):
     x, labels = make_blobs(m=m, d=20, sep=6.0, seed=7)
-    scales = ScaleSet(scales=(5, 9, 14, 20))
+    scales = (5, 9, 14, 20)
     spec = MdrBackendSpec(embedding_dim=10)
     return build_stack(x, scales, spec), labels
 
 
 def identical_scales_stack():
     emb = np.random.default_rng(3).standard_normal((7, 6))
-    return EmbeddingStack(scales=ScaleSet(scales=(2, 4, 8)), values=np.array([emb, emb, emb]))
+    return EmbeddingStack(scales=(2, 4, 8), values=np.array([emb, emb, emb]))
 
 
 def dependent_scale_stack():
     rng = np.random.default_rng(4)
     e1, e2 = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
-    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), values=np.array([e1, e2, e1 + e2]))
+    return EmbeddingStack(scales=(2, 3, 4), values=np.array([e1, e2, e1 + e2]))
 
 
 class TestBuildSubspaces:
@@ -84,18 +83,17 @@ class TestBuildSubspaces:
     def test_zero_sample_raises_with_index(self):
         emb = np.ones((4, 5))
         emb[2] = 0.0
-        scales = ScaleSet(scales=(2, 3))
+        scales = (2, 3)
         stack = EmbeddingStack(scales=scales, values=np.array([emb, emb * 2.0]))
         with pytest.raises(NumericalError, match="sample 2"):
             build_subspaces(stack)
 
-    def test_warns_when_dim_below_scale_count(self):
-        stack = random_stack(m=6, n=3, p=5)
-        with pytest.warns(UserWarning, match="rank reduced"):
-            cells = build_subspaces(stack)
-        # rank 3 is the cap min(p, n), so nothing counts as reduced below it
-        assert cells.rank_reduced_count == 0
-        assert cells.ranks.tolist() == [3] * 6
+    @pytest.mark.parametrize("n", [5, 3], ids=["dim_equals_scales", "dim_below_scales"])
+    def test_dim_at_most_the_scale_count_raises(self, n):
+        # Every sample would span all of R^n, every distance rounding noise.
+        message = f"embedding.dim {n} must exceed the number of sampled scales 5"
+        with pytest.raises(ConfigError, match=message):
+            build_subspaces(random_stack(m=6, n=n, p=5))
 
     def test_a_later_write_by_the_caller_does_not_reach_the_set(self):
         bases = np.zeros((3, 4, 2))
@@ -127,7 +125,7 @@ def near_dependent_stack():
         for k in range(10)
     ]
     values = np.array(features).transpose(2, 0, 1)
-    return EmbeddingStack(scales=ScaleSet(scales=(2, 3, 4)), values=values)
+    return EmbeddingStack(scales=(2, 3, 4), values=values)
 
 
 class TestBatchedBuild:
@@ -141,19 +139,13 @@ class TestBatchedBuild:
             identical_scales_stack,  # rank 1
             dependent_scale_stack,  # rank 2 of 3
             near_dependent_stack,  # ranks 3 and 2
-            lambda: random_stack(m=6, n=3, p=5, seed=3),  # n < p, warned
             lambda: random_stack(m=21, n=100, p=23, seed=4),  # the setup1 shape
         ],
-        ids=[
-            "random", "ragged", "identical", "dependent", "near_dependent",
-            "dim_below_scales", "setup1",
-        ],
+        ids=["random", "ragged", "identical", "dependent", "near_dependent", "setup1"],
     )
     def test_bitwise_equal_to_one_svd_per_sample(self, make):
         stack = make()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cells = build_subspaces(stack)
+        cells = build_subspaces(stack)
         bases, ranks = bases_per_sample(stack.values, _RANK_TOL)
         assert cells.ranks.tolist() == ranks.tolist()
         if make is near_dependent_stack:
@@ -161,10 +153,19 @@ class TestBatchedBuild:
         assert cells.bases.shape == bases.shape
         assert cells.bases.tobytes() == bases.tobytes()
 
+    def test_orthonormalize_at_dim_below_scales(self):
+        # build_subspaces refuses n <= p; orthonormalize caps each rank at n.
+        stack = random_stack(m=6, n=3, p=5, seed=3)
+        got, ranks = orthonormalize(stack.values.transpose(1, 2, 0))
+        bases, want = bases_per_sample(stack.values, _RANK_TOL)
+        assert ranks.tolist() == want.tolist() == [3] * 6
+        assert got.tobytes() == bases[:, :, :3].copy().tobytes()
+        assert not bases[:, :, 3:].any()
+
     def test_zero_sample_past_a_chunk_boundary_is_named(self):
         emb = np.random.default_rng(5).standard_normal((12, 5))
         emb[9] = 0.0
-        stack = EmbeddingStack(scales=ScaleSet(scales=(2, 3)), values=np.array([emb, emb * 2.0]))
+        stack = EmbeddingStack(scales=(2, 3), values=np.array([emb, emb * 2.0]))
         assert pipeline._TILE_SUBSPACES < 9
         with pytest.raises(NumericalError, match=r"sample 9\b"):
             build_subspaces(stack)
@@ -214,7 +215,7 @@ class TestDistanceMatrix:
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
         e = np.eye(6)
-        scales = ScaleSet(scales=(2, 3))
+        scales = (2, 3)
         stack = EmbeddingStack(
             scales=scales,
             values=np.array([[e[0], e[2]], [e[1], e[3]]]),

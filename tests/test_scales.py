@@ -4,7 +4,6 @@ import pytest
 from mgm.errors import ConfigError
 from mgm.scales import (
     ScaleSamplingSpec,
-    ScaleSet,
     power_samples,
     sample_scales,
 )
@@ -97,12 +96,12 @@ class TestPowerSamples:
 class TestSampleScales:
     def test_linear_exact(self):
         result = sample_scales(ScaleSamplingSpec(2, 10, 5, 1.0))
-        assert result.scales == (2, 4, 6, 8, 10)
+        assert result == (2, 4, 6, 8, 10)
 
     def test_large_quadratic_set(self):
         spec = ScaleSamplingSpec(5, 100, 25, 2.0)
         result = sample_scales(spec)
-        scales = result.scales
+        scales = result
         assert len(scales) == 23
         assert scales[0] == 5
         assert scales[-1] == 100
@@ -118,12 +117,12 @@ class TestSampleScales:
         ],
     )
     def test_preset_lengths(self, spec, expected_len):
-        assert len(sample_scales(spec).scales) == expected_len
+        assert len(sample_scales(spec)) == expected_len
 
     def test_rounding_is_half_away_from_zero(self):
         # midpoint values 2.5 and 3.5 both round up, unlike banker's rounding
         result = sample_scales(ScaleSamplingSpec(2, 5, 4, 1.0))
-        assert result.scales == (2, 3, 4, 5)
+        assert result == (2, 3, 4, 5)
 
     def test_endpoints_always_present(self):
         rng = np.random.default_rng(42)
@@ -133,7 +132,7 @@ class TestSampleScales:
             spec = ScaleSamplingSpec(
                 lo, hi, int(rng.integers(2, 40)), float(rng.uniform(0.2, 4.0))
             )
-            scales = sample_scales(spec).scales
+            scales = sample_scales(spec)
             assert scales[0] == lo
             assert scales[-1] == hi
 
@@ -145,7 +144,7 @@ class TestSampleScales:
             spec = ScaleSamplingSpec(
                 lo, hi, int(rng.integers(2, 30)), float(rng.uniform(0.3, 3.0))
             )
-            scales = np.array(sample_scales(spec).scales)
+            scales = np.array(sample_scales(spec))
             assert np.all(np.diff(scales) > 0)
             assert scales.min() >= lo
             assert scales.max() <= hi
@@ -157,24 +156,14 @@ class TestSampleScales:
             lo = int(rng.integers(2, 10))
             hi = lo + int(rng.integers(1, 25))
             spec = ScaleSamplingSpec(lo, hi, count, float(rng.uniform(0.5, 3.0)))
-            assert len(sample_scales(spec).scales) <= count
+            assert len(sample_scales(spec)) <= count
 
     def test_duplicates_collapse(self):
         # narrow range with many requested points forces collisions
-        scales = sample_scales(ScaleSamplingSpec(2, 4, 20, 1.0)).scales
+        scales = sample_scales(ScaleSamplingSpec(2, 4, 20, 1.0))
         assert scales == (2, 3, 4)
         # quadratic curve start is flat enough that only the second point
         # collides with the first
-        scales = sample_scales(ScaleSamplingSpec(5, 49, 13, 2.0)).scales
+        scales = sample_scales(ScaleSamplingSpec(5, 49, 13, 2.0))
         assert scales == (5, 6, 8, 10, 13, 16, 20, 25, 30, 36, 42, 49)
         assert len(scales) == 12
-
-    def test_scaleset_validates_order(self):
-        with pytest.raises(ConfigError, match="strictly increasing"):
-            ScaleSet(scales=(3, 3, 5))
-        with pytest.raises(ConfigError, match="strictly increasing"):
-            ScaleSet(scales=(5, 3))
-        with pytest.raises(ConfigError, match="cannot be empty"):
-            ScaleSet(scales=())
-        with pytest.raises(ConfigError, match="every scale must be at least 2"):
-            ScaleSet(scales=(1, 3))
