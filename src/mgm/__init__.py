@@ -31,7 +31,6 @@ from .experiment import (
 )
 from .grassmann import (
     GrassmannMetric,
-    Subspace,
     distance,
     distance_from_angles,
     orthonormalize,

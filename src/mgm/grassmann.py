@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .errors import NumericalError
 
 __all__ = [
     "GrassmannMetric",
-    "Subspace",
     "orthonormalize",
     "principal_angles",
     "block_distances",
@@ -50,28 +48,6 @@ class GrassmannMetric(enum.Enum):
     PROCRUSTES = "procrustes"
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """An r-dimensional subspace of R^n held as an n x r orthonormal basis."""
-
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be 2-d, got shape {basis.shape}")
-        n, r = basis.shape
-        if not 1 <= r <= n:
-            raise ValueError(f"need 1 <= rank <= ambient dim, got {r} and {n}")
-        gram = np.dot(basis.T, basis)
-        err = np.linalg.norm(gram - np.eye(r))
-        if err > _ORTHO_TOL:
-            raise ValueError(f"basis columns are not orthonormal (defect {err:.3e})")
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-
-
 def orthonormalize(columns: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The spans of a stack of column matrices, from one batched SVD.
 
@@ -100,15 +76,24 @@ def orthonormalize(columns: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.
     return u, np.count_nonzero(keep, axis=1)
 
 
-def _ordered_bases(x: Subspace, y: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """The two bases, the wider first; equal widths are ordered by raw bytes
-    so every result built on them is bit-identical under argument swap."""
-    (nx, rx), (ny, ry) = x.basis.shape, y.basis.shape
-    if nx != ny:
-        raise NumericalError(f"ambient dims differ: {nx} vs {ny}")
-    if rx < ry or (rx == ry and x.basis.tobytes() > y.basis.tobytes()):
+def _ordered_bases(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two bases, checked, the wider first; equal widths are ordered by
+    raw bytes so every result built on them is bit-identical under argument
+    swap. Each must be n x r, 1 <= r <= n, with orthonormal columns, which
+    no basis holding a NaN has. A strided basis, such as a rank-reduced
+    cell's view, is copied: BLAS rounds a strided operand differently."""
+    x, y = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float)
+    for q in (x, y):
+        if q.ndim != 2 or not 1 <= q.shape[1] <= q.shape[0]:
+            raise ValueError(f"need an n x r basis with 1 <= r <= n, got shape {q.shape}")
+        err = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+        if not err <= _ORTHO_TOL:
+            raise ValueError(f"basis columns are not orthonormal (defect {err:.3e})")
+    if x.shape[0] != y.shape[0]:
+        raise NumericalError(f"ambient dims differ: {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[1] < y.shape[1] or (x.shape == y.shape and x.tobytes() > y.tobytes()):
         x, y = y, x
-    return x.basis, y.basis
+    return x, y
 
 
 def _needs_sines(cosines: np.ndarray, count: int | np.ndarray) -> np.ndarray:
@@ -127,7 +112,7 @@ def _martin_diverges(theta: np.ndarray) -> np.ndarray:
     return theta.max(axis=-1) >= _HALF_PI - _RIGHT_ANGLE_GUARD
 
 
-def principal_angles(x: Subspace, y: Subspace) -> np.ndarray:
+def principal_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Principal angles between x and y, ascending; min(rank_x, rank_y) values.
 
     Angles are the arccosines of the singular values of Qx^T Qy, one small
@@ -156,11 +141,11 @@ def principal_angles(x: Subspace, y: Subspace) -> np.ndarray:
 def distance_from_angles(angles: np.ndarray, metric: GrassmannMetric) -> float | np.ndarray:
     """Evaluate one of the five metrics on principal angles, in any order:
     a float for a vector of angles, one value per row for a batch. Angles
-    within 1e-12 of [0, pi/2] are clipped into it; others raise."""
+    within 1e-12 of [0, pi/2] are clipped into it; others, and NaN, raise."""
     theta = np.asarray(angles, dtype=float)
     if theta.ndim not in (1, 2) or theta.size < 1:
         raise ValueError("angles must be a nonempty 1-d or 2-d array")
-    if theta.min() < -1e-12 or theta.max() > _HALF_PI + 1e-12:
+    if not (theta.min() >= -1e-12 and theta.max() <= _HALF_PI + 1e-12):
         raise ValueError("principal angles must lie in [0, pi/2]")
     theta = np.minimum(np.maximum(theta, 0.0), _HALF_PI)
     if metric is GrassmannMetric.GEODESIC:
@@ -210,7 +195,7 @@ def block_distances(
     return values, redo
 
 
-def distance(x: Subspace, y: Subspace, metric: GrassmannMetric) -> float:
+def distance(x: np.ndarray, y: np.ndarray, metric: GrassmannMetric) -> float:
     """Distance between two subspaces under the chosen metric.
 
     Chordal needs no angles, and no SVD runs. With Qx the wider basis and

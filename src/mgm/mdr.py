@@ -364,6 +364,8 @@ def build_stack(x: np.ndarray, scales: tuple[int, ...], spec: MdrBackendSpec) ->
     frozen: one external file per scale when spec has a pattern, Laplacian
     eigenmaps on one neighbor graph built for the largest scale otherwise.
     Backend errors are re-raised with the offending scale in the message."""
+    if not scales:
+        raise ConfigError(f"scales {tuple(scales)} holds no scale to embed at")
     x = np.asarray(x, dtype=float)
     pattern = spec.external_pattern
     graph = None if pattern else _neighbor_graph(x, max(scales))

@@ -23,7 +23,6 @@ from .errors import ConfigError, DataError, MgmError, NumericalError
 from .grassmann import (
     _CHORDAL_SQ_GUARD,
     GrassmannMetric,
-    Subspace,
     block_distances,
     distance,
     orthonormalize,
@@ -84,9 +83,9 @@ class CellSubspaceSet:
     def rank_reduced_count(self) -> int:
         return int(np.count_nonzero(self.ranks < min(self.bases.shape[1:])))
 
-    def subspace(self, k: int) -> Subspace:
-        """Sample k's subspace on its own, for the per-pair paths."""
-        return Subspace(self.bases[k, :, : self.ranks[k]])
+    def basis(self, k: int) -> np.ndarray:
+        """Sample k's basis on its own, a read-only view, for the per-pair paths."""
+        return self.bases[k, :, : self.ranks[k]]
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -320,7 +319,7 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     # In order, so a Martin divergence names the first offending pair.
     for i, j in sorted(redo):
         try:
-            out[i, j] = out[j, i] = distance(cells.subspace(i), cells.subspace(j), metric)
+            out[i, j] = out[j, i] = distance(cells.basis(i), cells.basis(j), metric)
         except NumericalError as err:
             raise NumericalError(f"pair ({i}, {j}): {err}") from err
     # Read-only and owning its data, out is handed over without a copy.

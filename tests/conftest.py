@@ -3,17 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from mgm.grassmann import Subspace, orthonormalize
+from mgm.grassmann import orthonormalize
 
 
-def span(columns: np.ndarray) -> Subspace:
-    """The span of one n x p column matrix, through the batched
-    orthonormalize on a stack of one."""
+def span(columns: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the span of one n x p column matrix, through
+    the batched orthonormalize on a stack of one, copied out of the stack."""
     bases, ranks = orthonormalize(np.asarray(columns)[None])
-    return Subspace(bases[0, :, : ranks[0]])
+    return bases[0, :, : ranks[0]].copy()
 
 
-def random_subspace(rng: np.random.Generator, n: int, r: int) -> Subspace:
+def random_subspace(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
     return span(rng.standard_normal((n, r)))
 
 

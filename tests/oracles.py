@@ -88,10 +88,9 @@ def principal_angles_sine(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
     return np.sort(theta)
 
 
-def ordered_bases_by_bytes(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """The per-pair order of two subspaces' bases as first written: the
-    wider first, equal widths by a fresh tobytes() copy of each basis."""
-    qx, qy = x.basis, y.basis
+def ordered_bases_by_bytes(qx, qy) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair order of two bases as first written: the wider first,
+    equal widths by a fresh tobytes() copy of each basis."""
     if qx.shape[1] < qy.shape[1] or (
         qx.shape[1] == qy.shape[1] and qx.tobytes() > qy.tobytes()
     ):

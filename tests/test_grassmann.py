@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import os
@@ -16,7 +17,6 @@ from mgm.grassmann import (
     _COSINE_GUARD,
     _ordered_bases,
     GrassmannMetric,
-    Subspace,
     distance,
     distance_from_angles,
     principal_angles,
@@ -44,42 +44,78 @@ from oracles import (
 ALL_METRICS = list(GrassmannMetric)
 
 
-def projector(s: Subspace) -> np.ndarray:
-    return s.basis @ s.basis.T
+def projector(s: np.ndarray) -> np.ndarray:
+    return s @ s.T
+
+
+def per_pair_calls(x, y):
+    """principal_angles and distance under every metric, each on (x, y) and
+    on (y, x), as calls that take no argument."""
+    calls = []
+    for a, b in ((x, y), (y, x)):
+        calls.append(functools.partial(principal_angles, a, b))
+        calls += [functools.partial(distance, a, b, metric) for metric in ALL_METRICS]
+    return calls
 
 
 class TestSubspaceTypes:
-    def test_subspace_accepts_orthonormal_basis(self, rng):
-        s = random_subspace(rng, 6, 3)
-        assert s.basis.shape == (6, 3)
+    """A subspace is its n x r orthonormal basis array, checked where
+    principal_angles and distance take it."""
 
-    def test_subspace_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+    def test_subspace_accepts_orthonormal_basis(self, rng):
+        x, y = random_subspace(rng, 6, 3), random_subspace(rng, 6, 2)
+        assert type(x) is np.ndarray and x.shape == (6, 3)
+        assert principal_angles(x, y).shape == principal_angles(y, x).shape == (2,)
+        for metric in ALL_METRICS:
+            assert distance(x, y, metric) == distance(y, x, metric) > 0.0
+
+    def test_subspace_rejects_non_orthonormal(self, rng):
+        # An all-NaN basis fails the check as well: its defect is NaN, which
+        # is not <= the tolerance.
+        for bad in (np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.full((3, 2), np.nan)):
+            for call in per_pair_calls(random_subspace(rng, 3, 2), bad):
+                with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+                    call()
 
     def test_subspace_rejects_rank_above_ambient(self):
-        with pytest.raises(ValueError):
-            Subspace(np.ones((2, 3)))
+        # and any shape other than n x r with 1 <= r <= n: 1-d, 3-d, rank 0
+        for bad in (np.ones((2, 3)), np.eye(3)[0], np.ones((1, 2, 2)), np.zeros((3, 0))):
+            for call in per_pair_calls(np.eye(3)[:, :1], bad):
+                with pytest.raises(ValueError, match="need an n x r basis with 1 <= r <= n"):
+                    call()
 
-    def test_subspace_basis_is_immutable(self, rng):
-        s = random_subspace(rng, 5, 2)
-        with pytest.raises(ValueError):
-            s.basis[0, 0] = 9.0
+    def test_strided_views_give_the_bits_of_their_copies(self, rng):
+        # CellSubspaceSet.basis hands a rank-reduced cell over as a strided
+        # read-only view. BLAS rounds a strided operand differently, so the
+        # per-pair functions copy it; a contiguous basis is taken as given.
+        for _ in range(50):
+            p = int(rng.integers(3, 8))
+            ranks = rng.integers(1, p, 2)
+            bases = np.stack([random_subspace(rng, 12, p) for _ in range(2)])
+            cells = CellSubspaceSet(bases=bases, ranks=ranks)
+            x, y = cells.basis(0), cells.basis(1)
+            assert not (x.flags.c_contiguous or x.flags.writeable)
+            want = [call() for call in per_pair_calls(x.copy(), y.copy())]
+            for got, value in zip(per_pair_calls(x, y), want):
+                assert np.float64(got()).tobytes() == np.float64(value).tobytes()
+        x, y = random_subspace(rng, 6, 3), random_subspace(rng, 6, 2)
+        got = _ordered_bases(y, x)
+        assert got[0] is x and got[1] is y
 
     def test_projector_roundtrip(self, rng):
         for _ in range(20):
             s = random_subspace(rng, 7, 3)
             p = projector(s)
             back = span(p)
-            assert back.basis.shape[1] == 3
+            assert back.shape[1] == 3
             # same span: projectors agree
             assert np.linalg.norm(projector(back) - p) < 1e-10
 
     def test_principal_angles_type_validation(self, rng):
         x, y = random_subspace(rng, 6, 2), random_subspace(rng, 6, 3)
         assert type(principal_angles(x, y)) is np.ndarray
-        # distance_from_angles checks the angles it is given
-        for bad in ([-0.2], [2.0], np.full((2, 2, 2), 0.1), []):
+        # distance_from_angles checks the angles it is given, NaN included
+        for bad in ([-0.2], [2.0], [np.nan, 0.1], [[0.1, np.nan]], np.full((2, 2, 2), 0.1), []):
             with pytest.raises(ValueError):
                 distance_from_angles(np.array(bad), GrassmannMetric.GEODESIC)
         # within 1e-12 of the range, angles are clipped into it
@@ -98,15 +134,15 @@ class TestOrthonormalize:
             a = rng.standard_normal((n, r))
             sub = span(a)
             gs = gram_schmidt_basis(a)
-            assert sub.basis.shape[1] == gs.shape[1]
-            p_sub = sub.basis @ sub.basis.T
+            assert sub.shape[1] == gs.shape[1]
+            p_sub = sub @ sub.T
             p_gs = gs @ gs.T
             assert np.linalg.norm(p_sub - p_gs) < 1e-8
 
     def test_duplicate_columns_reduce_rank(self):
         col = np.array([[1.0], [2.0], [3.0]])
         sub = span(np.hstack([col, col, 2.0 * col]))
-        assert sub.basis.shape[1] == 1
+        assert sub.shape[1] == 1
 
     def test_dependent_column_dropped(self):
         # e1, e2, e1+e2 in R^4 span a plane
@@ -119,7 +155,7 @@ class TestOrthonormalize:
             ]
         )
         sub = span(z)
-        assert sub.basis.shape[1] == 2
+        assert sub.shape[1] == 2
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[1, 1] = 1.0
         assert np.linalg.norm(projector(sub) - expected) < 1e-12
@@ -143,8 +179,8 @@ class TestPrincipalAngles:
             assert theta.max() < 1e-12
 
     def test_orthogonal_subspaces_give_right_angles(self):
-        x = Subspace(np.eye(6)[:, :2])
-        y = Subspace(np.eye(6)[:, 3:5])
+        x = np.eye(6)[:, :2]
+        y = np.eye(6)[:, 3:5]
         theta = principal_angles(x, y)
         assert np.allclose(theta, math.pi / 2)
 
@@ -165,26 +201,24 @@ class TestPrincipalAngles:
     def test_known_rotation_angle(self):
         # rotate span{e1} by alpha inside the (e1, e2) plane
         for alpha in (0.0, 0.3, 1.0, math.pi / 2):
-            x = Subspace(np.eye(4)[:, :1])
+            x = np.eye(4)[:, :1]
             c, s = math.cos(alpha), math.sin(alpha)
-            y = Subspace(np.array([[c], [s], [0.0], [0.0]]))
+            y = np.array([[c], [s], [0.0], [0.0]])
             theta = principal_angles(x, y)
             assert abs(theta[0] - min(alpha, math.pi - alpha)) < 1e-12
 
     def test_plane_sharing_a_line(self):
         # both planes contain e1, second tilted by 0.7 rad in the other direction
-        x = Subspace(np.eye(5)[:, :2])
+        x = np.eye(5)[:, :2]
         c, s = math.cos(0.7), math.sin(0.7)
-        y = Subspace(
-            np.array(
-                [
-                    [1.0, 0.0],
-                    [0.0, c],
-                    [0.0, 0.0],
-                    [0.0, s],
-                    [0.0, 0.0],
-                ]
-            )
+        y = np.array(
+            [
+                [1.0, 0.0],
+                [0.0, c],
+                [0.0, 0.0],
+                [0.0, s],
+                [0.0, 0.0],
+            ]
         )
         theta = principal_angles(x, y)
         assert abs(theta[0]) < 1e-12
@@ -198,13 +232,13 @@ class TestPrincipalAngles:
             x = random_subspace(rng, n, rx)
             y = random_subspace(rng, n, ry)
             got = principal_angles(x, y)
-            want = principal_angles_deflation(x.basis, y.basis)
+            want = principal_angles_deflation(x, y)
             assert np.max(np.abs(got - want)) < 1e-7
 
     def test_tiny_angles_resolved_below_arccos_floor(self):
         # a perturbation of 1e-10 must not be rounded to an angle of zero
         eps = 1e-10
-        x = Subspace(np.eye(5)[:, :2])
+        x = np.eye(5)[:, :2]
         tilted = np.eye(5)[:, :2].copy()
         tilted[4, 0] = eps
         y = span(tilted)
@@ -216,6 +250,9 @@ class TestPrincipalAngles:
         y = random_subspace(rng, 6, 2)
         with pytest.raises(NumericalError, match="ambient dims differ: 5 vs 6"):
             principal_angles(x, y)
+        for call in per_pair_calls(x, y):  # distance too, in either order
+            with pytest.raises(NumericalError, match="ambient dims differ: [56] vs [56]"):
+                call()
 
 
 class TestMetricValues:
@@ -266,7 +303,7 @@ class TestMetricValues:
 
     def test_identical_subspaces_give_positive_zero(self):
         # Martin's sqrt(-2 * 0.0) alone would be -0.0.
-        x = Subspace(np.eye(4)[:, :2])
+        x = np.eye(4)[:, :2]
         for metric in ALL_METRICS:
             assert bits(distance(x, x, metric)) == bits(0.0), metric
         batch = distance_from_angles(np.zeros((2, 3)), GrassmannMetric.MARTIN)
@@ -373,13 +410,13 @@ def pair_with_angles(rng, n, rx, ry, angles):
     turn = np.linalg.qr(rng.standard_normal((n, n)))[0]
 
     def mixed(e):
-        return Subspace(turn @ e @ np.linalg.qr(rng.standard_normal(e.shape[1:] * 2))[0])
+        return turn @ e @ np.linalg.qr(rng.standard_normal(e.shape[1:] * 2))[0]
 
     return mixed(ex), mixed(ey)
 
 
 def assert_matches_sine_oracle(x, y):
-    want_angles = principal_angles_sine(x.basis, y.basis)
+    want_angles = principal_angles_sine(x, y)
     for metric in ALL_METRICS:
         try:
             want = distance_from_angles(want_angles, metric)
@@ -432,8 +469,8 @@ class TestCancellationGuard:
             assert_matches_sine_oracle(x, x)
             # the same span held in another basis, as for replicate cells
             turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
-            assert_matches_sine_oracle(x, Subspace(x.basis @ turn))
-            assert_matches_sine_oracle(x, span(x.basis + 1e-14))
+            assert_matches_sine_oracle(x, x @ turn)
+            assert_matches_sine_oracle(x, span(x + 1e-14))
 
     @pytest.mark.parametrize("tiny", [1e-10, 1e-6])
     def test_one_tiny_angle_among_large_ones(self, rng, tiny):
@@ -482,7 +519,7 @@ class TestCancellationGuard:
         pairs.append(pair_with_angles(rng, 9, 3, 3, [1e-9, 0.2, 0.9]))
         pairs.append(pair_with_angles(rng, 9, 2, 4, [0.3, 1.0]))
         x = random_subspace(rng, 9, 4)
-        pairs.append((x, Subspace(x.basis[:, ::-1])))
+        pairs.append((x, x[:, ::-1]))
         for x, y in pairs:
             assert np.array_equal(
                 principal_angles(x, y), principal_angles(y, x)
@@ -524,7 +561,7 @@ class TestChordalResidual:
         for _ in range(10):
             x, y = pair_with_chordal_sq(rng, 100, 23, sq)
             want = distance_from_angles(
-                principal_angles_sine(x.basis, y.basis), GrassmannMetric.CHORDAL
+                principal_angles_sine(x, y), GrassmannMetric.CHORDAL
             )
             got = distance(x, y, GrassmannMetric.CHORDAL)
             assert abs(got - want) <= 1e-12 + 1e-9 * want, (got, want)
@@ -534,8 +571,8 @@ class TestChordalResidual:
         base = [random_subspace(rng, 12, 3) for _ in range(3)]
         turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         points = base + [
-            Subspace(base[0].basis @ turn),
-            span(base[1].basis + 1e-14),
+            base[0] @ turn,
+            span(base[1] + 1e-14),
         ]
         cells = cells_of(points)
         got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
@@ -543,7 +580,7 @@ class TestChordalResidual:
         assert np.all(np.diag(got) == 0.0)
         for i, j in zip(*np.triu_indices(len(points), 1)):
             want = distance_from_angles(
-                principal_angles_sine(points[i].basis, points[j].basis),
+                principal_angles_sine(points[i], points[j]),
                 GrassmannMetric.CHORDAL,
             )
             assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (i, j)
@@ -595,7 +632,7 @@ class TestChordalGramGuard:
             for _ in range(20):
                 x = random_subspace(rng, max(2 * r, 20), r)
                 turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
-                for y in (x, Subspace(x.basis @ turn)):
+                for y in (x, x @ turn):
                     qx, qy = _ordered_bases(x, y)
                     g = np.dot(qx.T, qy)
                     negative += r - np.vdot(g, g) < 0
@@ -610,7 +647,7 @@ class TestChordalGramGuard:
         # the cells are reversed.
         points = [random_subspace(rng, 12, 1 + k % 5) for k in range(12)]
         turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        points.append(Subspace(points[2].basis @ turn))
+        points.append(points[2] @ turn)
         cells = cells_of(points)
         m = len(points)
         upper = np.triu_indices(12, 1)
@@ -639,10 +676,10 @@ class TestChordalGramGuard:
         # 5 + 5 > 9 and the two copies take the per-pair path.
         points = [random_subspace(rng, 9, 2 + k % 4) for k in range(21)]
         turn = np.linalg.qr(rng.standard_normal((5, 5)))[0]
-        points[19] = Subspace(points[3].basis @ turn)
-        points[20] = Subspace(points[8].basis.copy())
+        points[19] = points[3] @ turn
+        points[20] = points[8].copy()
         base = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
-        fives = sum(p.basis.shape[1] == 5 for p in points)
+        fives = sum(p.shape[1] == 5 for p in points)
         assert base.guarded_pairs == fives * (fives - 1) // 2 + 1
         assert max(base.values[3, 19], base.values[8, 20]) < 1e-13
         for _ in range(3):
@@ -703,7 +740,7 @@ class TestPerPairKernelsMatchTheMatmulPath:
                 y = random_subspace(rng, n, ry)
             else:  # near x: small angles, past the cancellation guard
                 noise = rng.choice([1e-14, 1e-9, 1e-5, 1e-2]) * rng.standard_normal((n, ry))
-                y = span(np.resize(x.basis.T, (ry, n)).T + noise)
+                y = span(np.resize(x.T, (ry, n)).T + noise)
             assert_bits_match_matmul(x, y)
 
     def test_self_pairs_on_one_buffer(self, rng):
@@ -721,7 +758,7 @@ class TestPerPairKernelsMatchTheMatmulPath:
         for n, r in ((12, 3), (20, 10), (100, 23)):
             x = random_subspace(rng, n, r)
             turn = np.linalg.qr(rng.standard_normal((r, r)))[0]
-            for y in (Subspace(x.basis @ turn), span(x.basis + 1e-14), Subspace(x.basis.copy())):
+            for y in (x @ turn, span(x + 1e-14), x.copy()):
                 assert_bits_match_matmul(x, y)
 
     @pytest.mark.parametrize(
@@ -734,17 +771,16 @@ class TestPerPairKernelsMatchTheMatmulPath:
     def test_bases_order_by_their_raw_bytes(self, rng):
         # Two bases of one plane that differ only in the sign of a zero:
         # their bytes differ, and +0.0 sorts first.
-        plus = np.eye(3)[:, :2]
-        minus = plus.copy()
-        minus[2, 0] = -0.0
-        x, y = Subspace(plus), Subspace(minus)
-        assert x.basis.tobytes() < y.basis.tobytes()
+        x = np.eye(3)[:, :2].copy()
+        y = x.copy()
+        y[2, 0] = -0.0
+        assert x.tobytes() < y.tobytes()
         pairs = [(x, y), (y, x), (x, x)]
         pairs += [(random_subspace(rng, 8, 3), random_subspace(rng, 8, 3)) for _ in range(20)]
         for a, b in pairs:
             got, want = _ordered_bases(a, b), ordered_bases_by_bytes(a, b)
             assert got[0] is want[0] and got[1] is want[1]
-        assert _ordered_bases(y, x)[0] is x.basis
+        assert _ordered_bases(y, x)[0] is x
         assert_bits_match_matmul(x, y)
 
     def test_chordal_matrix_on_the_benchmark_cells(self, monkeypatch):
@@ -777,22 +813,22 @@ class TestPerPairKernelsMatchTheMatmulPath:
 
 def per_pair_spy(monkeypatch):
     """Record the (i, j) of every pair distance_matrix hands to
-    grassmann.distance, i and j the samples CellSubspaceSet.subspace took
-    the two subspaces out for."""
+    grassmann.distance, i and j the samples CellSubspaceSet.basis took
+    the two bases out for."""
     index = {}
     calls = []
-    real_subspace, real_distance = CellSubspaceSet.subspace, pipeline.distance
+    real_basis, real_distance = CellSubspaceSet.basis, pipeline.distance
 
-    def subspace(cells, k):
-        sub = real_subspace(cells, k)
-        index[id(sub)] = k
-        return sub
+    def basis(cells, k):
+        view = real_basis(cells, k)
+        index[id(view)] = k
+        return view
 
     def spy(x, y, metric):
         calls.append((index[id(x)], index[id(y)]))
         return real_distance(x, y, metric)
 
-    monkeypatch.setattr(CellSubspaceSet, "subspace", subspace)
+    monkeypatch.setattr(CellSubspaceSet, "basis", basis)
     monkeypatch.setattr(pipeline, "distance", spy)
     return calls
 
@@ -803,7 +839,7 @@ def assert_matrix_matches(points, metric, got):
         x, y = points[i], points[j]
         for want in (
             distance(x, y, metric),
-            distance_from_angles(principal_angles_sine(x.basis, y.basis), metric),
+            distance_from_angles(principal_angles_sine(x, y), metric),
         ):
             assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (metric, i, j)
     assert np.array_equal(got, got.T)
@@ -813,15 +849,15 @@ def assert_matrix_matches(points, metric, got):
 def cells_of(points):
     """The set of the given subspaces, padded with zero columns to the
     largest rank."""
-    ranks = [p.basis.shape[1] for p in points]
-    bases = np.zeros((len(points), points[0].basis.shape[0], max(ranks)))
+    ranks = [p.shape[1] for p in points]
+    bases = np.zeros((len(points), points[0].shape[0], max(ranks)))
     for k, p in enumerate(points):
-        bases[k, :, : ranks[k]] = p.basis
+        bases[k, :, : ranks[k]] = p
     return CellSubspaceSet(bases=bases, ranks=ranks)
 
 
 def points_of(cells):
-    return [cells.subspace(k) for k in range(len(cells))]
+    return [cells.basis(k) for k in range(len(cells))]
 
 
 def force_workers(monkeypatch, count):
@@ -864,8 +900,8 @@ def points_either_side_of_both_guards(rng):
     for (i, j), (x, y) in placed.items():
         points[i], points[j] = x, y
     turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    points[18] = Subspace(points[4].basis @ turn)  # a replicate cell
-    points[12] = Subspace(points[5].basis.copy())  # an exact duplicate
+    points[18] = points[4] @ turn  # a replicate cell
+    points[12] = points[5].copy()  # an exact duplicate
     return points
 
 
@@ -925,7 +961,7 @@ class TestBatchedAngleKernel:
         # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, and
         # fail the cosine guard; ranks 2 + 4 and 3 + 3 need not.
         points = [random_subspace(rng, 6, (2, 3, 4)[k % 3]) for k in range(19)]
-        ranks = [p.basis.shape[1] for p in points]
+        ranks = [p.shape[1] for p in points]
         shared = [
             (i, j) for i, j in zip(*np.triu_indices(19, 1)) if ranks[i] + ranks[j] > 6
         ]
@@ -952,9 +988,9 @@ class TestBatchedAngleKernel:
         # and never reaches the tiled kernel.
         points = [random_subspace(rng, 6, (2, 3, 4)[k % 3]) for k in range(70)]
         turn = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        points[68] = Subspace(points[0].basis @ turn)
-        points[69] = Subspace(points[3].basis.copy())
-        ranks = [p.basis.shape[1] for p in points]
+        points[68] = points[0] @ turn
+        points[69] = points[3].copy()
+        ranks = [p.shape[1] for p in points]
         redo = sorted(
             {(i, j) for i, j in zip(*np.triu_indices(70, 1)) if ranks[i] + ranks[j] > 6}
             | {(0, 68), (3, 69)}
@@ -1106,7 +1142,7 @@ class TestBatchedAngleKernel:
         points = [random_subspace(rng, 12, 3) for _ in range(10 * tile)]
         for lo in range(0, len(points), tile):
             turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-            points[lo + tile - 1] = Subspace(points[lo].basis @ turn)
+            points[lo + tile - 1] = points[lo] @ turn
         cells = cells_of(points)
         for metric in ALL_METRICS:
             force_workers(monkeypatch, 1)

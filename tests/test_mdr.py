@@ -423,6 +423,19 @@ class TestBuildStack:
         with pytest.raises(ConfigError, match="scale 12"):
             build_stack(x, scales, spec)
 
+    def test_empty_scale_tuple_is_a_config_error(self, tmp_path, monkeypatch):
+        # Refused before any neighbour graph is built, and with an external
+        # pattern too, where no graph is built at all.
+        def graph(*args):
+            raise AssertionError("built a neighbour graph")
+
+        monkeypatch.setattr(mdr, "_neighbor_graph", graph)
+        x, _ = two_blob_data(m=10)
+        pattern = str(tmp_path / "emb_{scale}.csv")
+        for spec in (MdrBackendSpec(embedding_dim=3), MdrBackendSpec(3, pattern)):
+            with pytest.raises(ConfigError, match=r"^scales \(\) holds no scale to embed at$"):
+                build_stack(x, (), spec)
+
     def test_stack_validates_matching_shapes(self):
         scales = (2, 3)
         for shape in ((3, 4, 2), (2, 4), (2, 4, 2, 1)):

@@ -198,7 +198,7 @@ class TestDistanceMatrix:
             for i in range(9):
                 assert dmat.values[i, i] == 0.0
                 for j in range(i + 1, 9):
-                    want = distance(cells.subspace(i), cells.subspace(j), metric)
+                    want = distance(cells.basis(i), cells.basis(j), metric)
                     got = dmat.values[i, j]
                     if metric is GrassmannMetric.CHORDAL and want**2 < _CHORDAL_SQ_GUARD:
                         # recomputed by the per-pair call itself
