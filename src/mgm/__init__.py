@@ -37,7 +37,6 @@ from .grassmann import (
     principal_angles,
 )
 from .mdr import (
-    EmbeddingStack,
     MdrBackendSpec,
     build_stack,
     laplacian_eigenmaps,

@@ -128,18 +128,18 @@ def _cmd_sample_scales(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    stack = embed_multiscale(_load_preprocessed(args, cfg).values, cfg).stack
+    embedding = embed_multiscale(_load_preprocessed(args, cfg).values, cfg)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        for scale, emb in zip(stack.scales, stack.values):
+        for scale, emb in zip(embedding.scales, embedding.values):
             np.savetxt(
                 out_dir / f"embedding_scale_{scale}.csv", emb, delimiter=",", fmt="%.17g"
             )
         meta = {
-            "scales": list(stack.scales),
-            "embedding_dim": stack.embedding_dim,
-            "sample_count": stack.sample_count,
+            "scales": list(embedding.scales),
+            "embedding_dim": embedding.values.shape[2],
+            "sample_count": embedding.values.shape[1],
             "method": "laplacian" if cfg.embedding.external_pattern is None else "external",
             "seed": cfg.seeds[0],
         }

@@ -240,7 +240,7 @@ def run_experiment(
         dim = min(cfg.embedding.embedding_dim, *reduced.shape)
         points = {
             "baseline_pca": pca_reduce(reduced, dim),
-            "baseline_avg_embedding": embedding.stack.values.mean(axis=0),
+            "baseline_avg_embedding": embedding.values.mean(axis=0),
         }
         for group, values in points.items():
             seed_labels = kmeans_euclidean(values, cfg.k, cfg.seeds)

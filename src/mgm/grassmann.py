@@ -80,13 +80,15 @@ def _ordered_bases(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """The two bases, checked, the wider first; equal widths are ordered by
     raw bytes so every result built on them is bit-identical under argument
     swap. Each must be n x r, 1 <= r <= n, with orthonormal columns, which
-    no basis holding a NaN has. A strided basis, such as a rank-reduced
-    cell's view, is copied: BLAS rounds a strided operand differently."""
+    no basis holding a NaN or an infinity has. A strided basis, such as a
+    rank-reduced cell's view, is copied: BLAS rounds a strided operand
+    differently."""
     x, y = np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float)
     for q in (x, y):
         if q.ndim != 2 or not 1 <= q.shape[1] <= q.shape[0]:
             raise ValueError(f"need an n x r basis with 1 <= r <= n, got shape {q.shape}")
-        err = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+        # Checked first: an infinity would make q.T @ q warn on inf * 0.
+        err = np.linalg.norm(q.T @ q - np.eye(q.shape[1])) if np.isfinite(q).all() else np.inf
         if not err <= _ORTHO_TOL:
             raise ValueError(f"basis columns are not orthonormal (defect {err:.3e})")
     if x.shape[0] != y.shape[0]:

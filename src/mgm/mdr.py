@@ -16,12 +16,11 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .data import frozen, load_matrix
+from .data import load_matrix
 from .errors import ConfigError, DataError, MgmError, NumericalError
 
 __all__ = [
     "MdrBackendSpec",
-    "EmbeddingStack",
     "pca_reduce",
     "laplacian_eigenmaps",
     "build_stack",
@@ -76,41 +75,6 @@ class MdrBackendSpec:
             raise ValueError(
                 f"the external file pattern {self.external_pattern!r} lacks '{{scale}}'"
             )
-
-
-@dataclass(frozen=True)
-class EmbeddingStack:
-    """Every scale's M x n embedding in one finite (p, M, n) array, scale s's
-    in values[s].
-
-    values is held read-only, and copied unless it is already read-only and
-    owns its data (data.frozen).
-    """
-
-    scales: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or len(v) != len(self.scales):
-            raise ValueError(
-                f"need a (p, M, n) array for {len(self.scales)} scales, got shape {v.shape}"
-            )
-        for scale, emb in zip(self.scales, v):
-            if not np.isfinite(emb).all():
-                raise NumericalError(f"embedding for scale {scale} has non-finite values")
-        object.__setattr__(self, "values", frozen(v))
-
-    @property
-    def sample_count(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.values.shape[2]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _column_signs(a: np.ndarray) -> np.ndarray:
@@ -318,7 +282,8 @@ def laplacian_eigenmaps(
     Lanczos does not converge) and by dense LAPACK below that.
 
     `graph` is the `_neighbor_graph` of x for at least n_neighbors
-    neighbors; it is computed here when not given.
+    neighbors (a narrower one raises ValueError); it is computed here when
+    not given.
     """
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
@@ -327,6 +292,8 @@ def laplacian_eigenmaps(
     if dim + 1 > m:
         raise ConfigError(f"embedding.dim {dim} needs at least {dim + 1} samples")
     dists, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
+    if order.shape[1] <= n_neighbors:
+        raise ValueError(f"graph has {order.shape[1] - 1} neighbors, fewer than scale {n_neighbors}")
     rows, cols, weights = _knn_edges(dists, order, n_neighbors)
     subset = (dim + 1) * _SUBSET_SOLVER_RATIO <= m
     vecs = None
@@ -359,11 +326,11 @@ def _load_external_embedding(
     return values
 
 
-def build_stack(x: np.ndarray, scales: tuple[int, ...], spec: MdrBackendSpec) -> EmbeddingStack:
-    """Embed x once per scale into one array, filled scale by scale and then
-    frozen: one external file per scale when spec has a pattern, Laplacian
+def build_stack(x: np.ndarray, scales: tuple[int, ...], spec: MdrBackendSpec) -> np.ndarray:
+    """Embed x once per scale into one read-only (p, M, n) array that owns
+    its data: one external file per scale when spec has a pattern, Laplacian
     eigenmaps on one neighbor graph built for the largest scale otherwise.
-    Backend errors are re-raised with the offending scale in the message."""
+    Backend errors, and a non-finite embedding, raise naming the scale."""
     if not scales:
         raise ConfigError(f"scales {tuple(scales)} holds no scale to embed at")
     x = np.asarray(x, dtype=float)
@@ -380,5 +347,7 @@ def build_stack(x: np.ndarray, scales: tuple[int, ...], spec: MdrBackendSpec) ->
                 values[s] = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
         except MgmError as err:
             raise type(err)(f"scale {scale}: {err}") from err
+        if not np.isfinite(values[s]).all():
+            raise NumericalError(f"embedding for scale {scale} has non-finite values")
     values.setflags(write=False)
-    return EmbeddingStack(scales=scales, values=values)
+    return values

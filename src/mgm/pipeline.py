@@ -1,4 +1,4 @@
-"""From embedding stack to per-sample subspaces to a pairwise distance matrix.
+"""From per-scale embeddings to per-sample subspaces to a pairwise distance matrix.
 
 Each sample contributes one row per scale; stacking those rows as columns
 gives an n x p feature matrix per sample whose span is a point on a
@@ -27,7 +27,7 @@ from .grassmann import (
     distance,
     orthonormalize,
 )
-from .mdr import EmbeddingStack, build_stack, pca_reduce
+from .mdr import build_stack, pca_reduce
 from .scales import sample_scales
 
 if TYPE_CHECKING:
@@ -135,16 +135,20 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
-    """Orthonormalize every sample's n x p feature matrix, its embedding row
-    per scale as columns in scale order, into one basis array, with one
-    batched SVD per _TILE_SUBSPACES samples. Only the span is kept, so
-    scaling a column by a positive factor moves no distance. Samples whose
-    features are rank deficient get a smaller subspace; the set reports how
-    many were reduced. At embedding.dim <= p every sample would span all of
-    R^n and every distance would be rounding noise, so that raises.
+def build_subspaces(embeddings: np.ndarray) -> CellSubspaceSet:
+    """Orthonormalize every sample's n x p feature matrix, its row of each
+    scale's embedding (embeddings[s], M x n) as columns in scale order, into
+    one basis array, with one batched SVD per _TILE_SUBSPACES samples. Only
+    the span is kept, so scaling a column by a positive factor moves no
+    distance. Samples whose features are rank deficient get a smaller
+    subspace; the set reports how many were reduced. At embedding.dim <= p
+    every sample would span all of R^n and every distance would be rounding
+    noise, so that raises.
     """
-    n, p, m = stack.embedding_dim, len(stack), stack.sample_count
+    embeddings = np.asarray(embeddings, dtype=float)
+    if embeddings.ndim != 3:
+        raise ValueError(f"need a (p, M, n) array of embeddings, got shape {embeddings.shape}")
+    p, m, n = embeddings.shape
     if n <= p:
         raise ConfigError(
             f"embedding.dim {n} must exceed the number of sampled scales {p}; "
@@ -154,7 +158,7 @@ def build_subspaces(stack: EmbeddingStack) -> CellSubspaceSet:
     ranks = np.empty(m, dtype=int)
     for lo in range(0, m, _TILE_SUBSPACES):
         hi = lo + _TILE_SUBSPACES
-        features = stack.values[:, lo:hi].transpose(1, 2, 0)
+        features = embeddings[:, lo:hi].transpose(1, 2, 0)
         bases[lo:hi], ranks[lo:hi] = orthonormalize(features, lo)
     bases.setflags(write=False)  # handed over, not copied
     ranks.setflags(write=False)
@@ -361,11 +365,12 @@ def _stage(name: str, timings: dict[str, float]):
 
 @dataclass(frozen=True)
 class MultiscaleEmbedding:
-    """The matrix the embedding backend saw (PCA-reduced when pca.dim is
-    set) and its per-scale embeddings."""
+    """The sampled scales, the matrix the embedding backend saw (PCA-reduced
+    when pca.dim is set) and its per-scale embeddings, build_stack's array."""
 
+    scales: tuple[int, ...]
     reduced: np.ndarray
-    stack: EmbeddingStack
+    values: np.ndarray
 
 
 def embed_multiscale(
@@ -410,8 +415,8 @@ def embed_multiscale(
             reduced = pca_reduce(values, cfg.pca_dim)
 
     with _stage("embed", timings):
-        stack = build_stack(reduced, scales, cfg.embedding)
-    return MultiscaleEmbedding(reduced=reduced, stack=stack)
+        embeddings = build_stack(reduced, scales, cfg.embedding)
+    return MultiscaleEmbedding(scales=scales, reduced=reduced, values=embeddings)
 
 
 def run_mgm(
@@ -430,10 +435,9 @@ def run_mgm(
         raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
     timings: dict[str, float] = {}
     embedding = embed_multiscale(values, cfg, timings)
-    stack = embedding.stack
 
     with _stage("subspaces", timings):
-        cells = build_subspaces(stack)
+        cells = build_subspaces(embedding.values)
 
     with _stage("distances", timings):
         dmat = distance_matrix(cells, cfg.metric)
@@ -442,9 +446,9 @@ def run_mgm(
         sample_count=values.shape[0],
         feature_count=values.shape[1],
         pca_dim=cfg.pca_dim,
-        embedding_dim=stack.embedding_dim,
-        scales=stack.scales,
-        scale_count=len(stack.scales),
+        embedding_dim=embedding.values.shape[2],
+        scales=embedding.scales,
+        scale_count=len(embedding.scales),
         nominal_rank=cells.nominal_rank,
         rank_reduced_cells=cells.rank_reduced_count,
         guarded_pairs=dmat.guarded_pairs,

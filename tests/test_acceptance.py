@@ -15,7 +15,7 @@ from mgm.config import config_from_mapping, load_config
 from mgm.data import ExpressionMatrix, load_labels, load_matrix
 from mgm.experiment import run_experiment
 from mgm.grassmann import GrassmannMetric, distance, principal_angles
-from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack, pca_reduce
+from mgm.mdr import MdrBackendSpec, build_stack, pca_reduce
 from mgm.metrics import accuracy, ari, avg_purity, evaluate, nmi, purity
 from mgm.pipeline import build_subspaces, distance_matrix
 from mgm.scales import ScaleSamplingSpec, sample_scales
@@ -122,19 +122,17 @@ def test_pipeline_invariances():
     base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL).values
 
     order = [2, 0, 3, 1]
-    reordered = EmbeddingStack(scales=stack.scales, values=stack.values[order])
+    reordered = stack[order]
     got = distance_matrix(build_subspaces(reordered), GrassmannMetric.CHORDAL).values
     assert np.max(np.abs(got - base)) <= 1e-9
 
     factors = np.array([3.7, 0.02, 1.0, 40.0])
-    rescaled = EmbeddingStack(
-        scales=stack.scales, values=stack.values * factors[:, None, None]
-    )
+    rescaled = stack * factors[:, None, None]
     got = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL).values
     assert np.max(np.abs(got - base)) <= 1e-9
 
     perm = np.random.default_rng(17).permutation(60)
-    permuted = EmbeddingStack(scales=stack.scales, values=stack.values[:, perm])
+    permuted = stack[:, perm]
     got = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL).values
     assert np.max(np.abs(got - base[np.ix_(perm, perm)])) == 0.0
 
@@ -213,10 +211,9 @@ def test_degradation_beats_single_scales():
     scale_set = sample_scales(cfg.scales)
     stack = build_stack(reduced, scale_set, cfg.embedding)
     noise = np.random.default_rng(123)
-    values = stack.values.copy()
+    corrupted = stack.copy()
     for idx in (1, 3):
-        values[idx] = noise.standard_normal(values[idx].shape)
-    corrupted = EmbeddingStack(scales=stack.scales, values=values)
+        corrupted[idx] = noise.standard_normal(corrupted[idx].shape)
 
     dmat = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
     seeds = (1, 3, 5, 7, 9)
@@ -226,7 +223,7 @@ def test_degradation_beats_single_scales():
     ]
     single_scores = [
         ari(labels, truth)
-        for emb in corrupted.values
+        for emb in corrupted
         for labels in kmeans_euclidean(emb, 3, seeds)
     ]
     assert np.mean(mgm_scores) >= np.mean(single_scores)

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mgm.grassmann import (
     principal_angles,
 )
 from mgm import pipeline
-from mgm.mdr import EmbeddingStack
 from mgm.pipeline import (
     CellSubspaceSet,
     _tiled_distances,
@@ -74,6 +74,16 @@ class TestSubspaceTypes:
         # is not <= the tolerance.
         for bad in (np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.full((3, 2), np.nan)):
             for call in per_pair_calls(random_subspace(rng, 3, 2), bad):
+                with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+                    call()
+
+    def test_subspace_rejects_an_infinite_basis_without_a_warning(self, rng):
+        # inf * 0 in q.T @ q would warn, an error under the RuntimeWarning
+        # filter, before the check could raise.
+        bad = np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]])
+        for call in per_pair_calls(random_subspace(rng, 3, 2), bad):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="basis columns are not orthonormal"):
                     call()
 
@@ -880,8 +890,7 @@ def rank_reduced_and_replicate_cells(rng):
     emb[0][19] = emb[0][4] + emb[1][4]
     for e in emb[1:]:
         e[19] = e[4]
-    stack = EmbeddingStack(scales=(2, 3, 4, 5), values=np.array(emb))
-    return build_subspaces(stack)
+    return build_subspaces(np.array(emb))
 
 
 def points_either_side_of_both_guards(rng):

@@ -9,7 +9,6 @@ from mgm import mdr
 from mgm.errors import ConfigError, DataError, NumericalError
 from mgm.grassmann import GrassmannMetric
 from mgm.mdr import (
-    EmbeddingStack,
     MdrBackendSpec,
     build_stack,
     laplacian_eigenmaps,
@@ -331,6 +330,17 @@ class TestNeighborGraph:
         assert order.shape == dists.shape == (m, k + 1)
         assert peak < m * m * 8
 
+    def test_a_graph_narrower_than_the_scale_is_refused(self):
+        # A graph serves every scale up to the one it was built for, and a
+        # larger scale is named with the graph's width, not left to fail
+        # inside the edge arrays.
+        x = np.random.default_rng(4).standard_normal((200, 6))
+        graph = mdr._neighbor_graph(x, 5)
+        at_width = laplacian_eigenmaps(x, 5, 4, graph=graph)
+        assert np.array_equal(at_width, laplacian_eigenmaps(x, 5, 4))
+        with pytest.raises(ValueError, match="^graph has 5 neighbors, fewer than scale 10$"):
+            laplacian_eigenmaps(x, 10, 4, graph=graph)
+
 
 class TestBackendSpec:
     def test_dim_must_be_at_least_two(self):
@@ -354,7 +364,7 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         stack = build_stack(np.zeros((8, 2)), (5,), spec)
-        assert np.allclose(stack.values[0], want, atol=1e-15)
+        assert np.allclose(stack[0], want, atol=1e-15)
 
     def test_header_and_id_column_load(self, tmp_path, rng):
         # The layout of pandas' DataFrame.to_csv with named rows and columns.
@@ -367,7 +377,7 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         stack = build_stack(np.zeros((8, 2)), (5,), spec)
-        assert np.array_equal(stack.values[0], want)
+        assert np.array_equal(stack[0], want)
 
     def test_missing_file_raises(self, tmp_path):
         spec = MdrBackendSpec(
@@ -410,10 +420,8 @@ class TestBuildStack:
         scales = (3, 5, 8)
         spec = MdrBackendSpec(embedding_dim=4)
         stack = build_stack(x, scales, spec)
-        assert len(stack) == 3
-        assert stack.sample_count == 30
-        assert stack.embedding_dim == 4
-        for scale, emb in zip(scales, stack.values):
+        assert stack.shape == (3, 30, 4)
+        for scale, emb in zip(scales, stack):
             assert np.array_equal(emb, laplacian_eigenmaps(x, scale, 4))
 
     def test_error_names_offending_scale(self):
@@ -437,55 +445,34 @@ class TestBuildStack:
                 build_stack(x, (), spec)
 
     def test_stack_validates_matching_shapes(self):
-        scales = (2, 3)
-        for shape in ((3, 4, 2), (2, 4), (2, 4, 2, 1)):
-            with pytest.raises(ValueError, match="for 2 scales"):
-                EmbeddingStack(scales=scales, values=np.zeros(shape))
+        # build_subspaces takes build_stack's (p, M, n) array and no other rank
+        for shape in ((2, 4), (2, 4, 5, 1)):
+            with pytest.raises(ValueError, match=r"need a \(p, M, n\) array"):
+                build_subspaces(np.ones(shape))
 
-    def test_stack_embeddings_are_immutable(self):
-        stack = EmbeddingStack(scales=(2, 3), values=np.ones((2, 4, 2)))
-        with pytest.raises(ValueError):
-            stack.values[0, 0, 0] = 5.0
+    def test_non_finite_value_names_its_scale(self, monkeypatch):
+        real = mdr.laplacian_eigenmaps
 
-    def test_read_only_owning_array_is_kept(self):
-        values = np.ones((2, 4, 3))
-        values.setflags(write=False)
-        stack = EmbeddingStack(scales=(2, 3), values=values)
-        assert stack.values is values
+        def infinite_at_scale_5(x, scale, dim, graph=None):
+            emb = real(x, scale, dim, graph=graph)
+            if scale == 5:
+                emb[3, 0] = np.inf
+            return emb
 
-    @pytest.mark.parametrize("kind", ["writable", "borrowed"])
-    def test_other_arrays_are_copied(self, kind):
-        owner = np.ones((2, 4, 3))
-        values = owner if kind == "writable" else owner[:, :, :]
-        if kind == "borrowed":
-            values.setflags(write=False)
-        stack = EmbeddingStack(scales=(2, 3), values=values)
-        assert stack.values is not values
-        assert not stack.values.flags.writeable
-        owner[1, 2, 0] = 7.0
-        assert np.all(stack.values == 1.0)
-
-    def test_non_finite_value_names_its_scale(self):
-        values = np.zeros((3, 4, 2))
-        values[1, 3, 0] = np.inf
-        with pytest.raises(NumericalError, match="scale 5 has non-finite"):
-            EmbeddingStack(scales=(2, 5, 9), values=values)
+        monkeypatch.setattr(mdr, "laplacian_eigenmaps", infinite_at_scale_5)
+        x, _ = two_blob_data(m=30)
+        with pytest.raises(NumericalError, match="^embedding for scale 5 has non-finite values$"):
+            build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
 
     def test_built_stack_is_held_without_a_copy(self):
         x, _ = two_blob_data(m=60)
-        stack = build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
-        values = stack.values
+        values = build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
         assert values.shape == (3, 60, 4)
         assert values.flags.owndata and not values.flags.writeable
-        tracemalloc.start()
-        try:
-            again = EmbeddingStack(scales=stack.scales, values=values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert again.values is values
-        # The finiteness check holds one scale's boolean mask, 1/8 of a scale.
-        assert peak < values[0].nbytes
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = 5.0
+        # build_subspaces reads it in place, as np.asarray hands it back
+        assert np.asarray(values, dtype=float) is values
 
     def test_blob_stack_is_reproducible(self):
         x, _ = make_blobs(m=45, d=10, sep=7.0, seed=2)
@@ -493,7 +480,7 @@ class TestBuildStack:
         spec = MdrBackendSpec(embedding_dim=5)
         a = build_stack(x, scales, spec)
         b = build_stack(x, scales, spec)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_neighbor_graph_built_once(self, monkeypatch):
         counts = {"dists": 0, "graphs": 0, "embeds": 0}
@@ -527,7 +514,7 @@ class TestDenseOracleParity:
         x = noisy_curve()
         spec = MdrBackendSpec(embedding_dim=5)
         stack = build_stack(x, self.SCALES, spec)
-        for scale, emb in zip(self.SCALES, stack.values):
+        for scale, emb in zip(self.SCALES, stack):
             want = laplacian_eigenmaps_dense(x, scale, 5)
             assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
             assert np.array_equal(laplacian_eigenmaps(x, scale, 5), emb)
@@ -536,12 +523,12 @@ class TestDenseOracleParity:
     def test_subset_solver_distances_match_dense(self, metric):
         x = noisy_curve()
         spec = MdrBackendSpec(embedding_dim=5)
-        shared = build_stack(x, self.SCALES, spec).values
+        shared = build_stack(x, self.SCALES, spec)
         dense = [laplacian_eigenmaps_dense(x, s, 5) for s in self.SCALES]
 
         def distances(embeddings):
             # every 4th sample keeps the per-pair distance loop short
-            stack = EmbeddingStack(self.SCALES, np.asarray(embeddings)[:, ::4])
+            stack = np.asarray(embeddings)[:, ::4]
             return distance_matrix(build_subspaces(stack), metric).values
 
         assert np.max(np.abs(distances(shared) - distances(dense))) < 1e-10
@@ -553,7 +540,7 @@ class TestDenseOracleParity:
         scales = (3, 7, m - 1)
         spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, scales, spec)
-        for scale, emb in zip(scales, stack.values):
+        for scale, emb in zip(scales, stack):
             want = laplacian_eigenmaps_dense(x, scale, dim)
             assert np.array_equal(emb, want)
             assert np.array_equal(laplacian_eigenmaps(x, scale, dim), want)
@@ -590,7 +577,7 @@ class TestLanczosTier:
 
     def distances(self, embeddings, metric):
         # every 12th sample keeps the per-pair distance loop short
-        stack = EmbeddingStack(self.SCALES, np.asarray(embeddings)[:, ::12])
+        stack = np.asarray(embeddings)[:, ::12]
         return distance_matrix(build_subspaces(stack), metric).values
 
     @pytest.mark.parametrize("data, dim", [("curve", 5), ("curve", 20), ("blobs", 5)])
@@ -601,7 +588,7 @@ class TestLanczosTier:
         x = noisy_curve(m=m) if data == "curve" else make_blobs(m=m, sep=60.0)[0]
         spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, self.SCALES, spec)
-        for scale, emb in zip(self.SCALES, stack.values):
+        for scale, emb in zip(self.SCALES, stack):
             want = laplacian_eigenmaps_dense(x, scale, dim)
             assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
             assert np.array_equal(laplacian_eigenmaps(x, scale, dim), emb)
@@ -618,7 +605,7 @@ class TestLanczosTier:
         stack = build_stack(x, self.SCALES, spec)
         dense = [laplacian_eigenmaps_dense(x, s, dim) for s in self.SCALES]
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
-            got = self.distances(stack.values, metric)
+            got = self.distances(stack, metric)
             want = self.distances(dense, metric)
             assert np.max(np.abs(got - want)) < tol
 

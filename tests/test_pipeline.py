@@ -6,7 +6,8 @@ import pytest
 from mgm.config import PipelineConfig
 from mgm.errors import ConfigError, DataError, NumericalError
 from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance, orthonormalize
-from mgm.mdr import EmbeddingStack, MdrBackendSpec, build_stack
+from mgm.mdr import MdrBackendSpec, build_stack
+import mgm
 from mgm import pipeline
 from mgm.pipeline import (
     CellSubspaceSet,
@@ -28,9 +29,7 @@ from test_grassmann import (
 
 
 def random_stack(m=12, n=8, p=4, seed=0):
-    rng = np.random.default_rng(seed)
-    scales = tuple(range(2, 2 + p))
-    return EmbeddingStack(scales=scales, values=rng.standard_normal((p, m, n)))
+    return np.random.default_rng(seed).standard_normal((p, m, n))
 
 
 def blob_stack(m=60):
@@ -42,13 +41,13 @@ def blob_stack(m=60):
 
 def identical_scales_stack():
     emb = np.random.default_rng(3).standard_normal((7, 6))
-    return EmbeddingStack(scales=(2, 4, 8), values=np.array([emb, emb, emb]))
+    return np.array([emb, emb, emb])
 
 
 def dependent_scale_stack():
     rng = np.random.default_rng(4)
     e1, e2 = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
-    return EmbeddingStack(scales=(2, 3, 4), values=np.array([e1, e2, e1 + e2]))
+    return np.array([e1, e2, e1 + e2])
 
 
 class TestBuildSubspaces:
@@ -72,9 +71,7 @@ class TestBuildSubspaces:
 
     def test_column_norms_do_not_move_the_span(self):
         stack = random_stack(m=8, n=7, p=3, seed=5)
-        scaled = EmbeddingStack(
-            scales=stack.scales, values=stack.values * np.array([250.0, 1.0, 1e-3])[:, None, None]
-        )
+        scaled = stack * np.array([250.0, 1.0, 1e-3])[:, None, None]
         a = build_subspaces(stack)
         b = build_subspaces(scaled)
         for qa, qb in zip(a.bases, b.bases):
@@ -83,10 +80,8 @@ class TestBuildSubspaces:
     def test_zero_sample_raises_with_index(self):
         emb = np.ones((4, 5))
         emb[2] = 0.0
-        scales = (2, 3)
-        stack = EmbeddingStack(scales=scales, values=np.array([emb, emb * 2.0]))
         with pytest.raises(NumericalError, match="sample 2"):
-            build_subspaces(stack)
+            build_subspaces(np.array([emb, emb * 2.0]))
 
     @pytest.mark.parametrize("n", [5, 3], ids=["dim_equals_scales", "dim_below_scales"])
     def test_dim_at_most_the_scale_count_raises(self, n):
@@ -124,8 +119,7 @@ def near_dependent_stack():
         @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
         for k in range(10)
     ]
-    values = np.array(features).transpose(2, 0, 1)
-    return EmbeddingStack(scales=(2, 3, 4), values=values)
+    return np.array(features).transpose(2, 0, 1)
 
 
 class TestBatchedBuild:
@@ -146,7 +140,7 @@ class TestBatchedBuild:
     def test_bitwise_equal_to_one_svd_per_sample(self, make):
         stack = make()
         cells = build_subspaces(stack)
-        bases, ranks = bases_per_sample(stack.values, _RANK_TOL)
+        bases, ranks = bases_per_sample(stack, _RANK_TOL)
         assert cells.ranks.tolist() == ranks.tolist()
         if make is near_dependent_stack:
             assert ranks.tolist() == [2, 3] * 5
@@ -156,8 +150,8 @@ class TestBatchedBuild:
     def test_orthonormalize_at_dim_below_scales(self):
         # build_subspaces refuses n <= p; orthonormalize caps each rank at n.
         stack = random_stack(m=6, n=3, p=5, seed=3)
-        got, ranks = orthonormalize(stack.values.transpose(1, 2, 0))
-        bases, want = bases_per_sample(stack.values, _RANK_TOL)
+        got, ranks = orthonormalize(stack.transpose(1, 2, 0))
+        bases, want = bases_per_sample(stack, _RANK_TOL)
         assert ranks.tolist() == want.tolist() == [3] * 6
         assert got.tobytes() == bases[:, :, :3].copy().tobytes()
         assert not bases[:, :, 3:].any()
@@ -165,10 +159,9 @@ class TestBatchedBuild:
     def test_zero_sample_past_a_chunk_boundary_is_named(self):
         emb = np.random.default_rng(5).standard_normal((12, 5))
         emb[9] = 0.0
-        stack = EmbeddingStack(scales=(2, 3), values=np.array([emb, emb * 2.0]))
         assert pipeline._TILE_SUBSPACES < 9
         with pytest.raises(NumericalError, match=r"sample 9\b"):
-            build_subspaces(stack)
+            build_subspaces(np.array([emb, emb * 2.0]))
 
     def test_set_rejects_bad_ranks(self):
         bases = np.zeros((4, 5, 3))
@@ -186,11 +179,10 @@ class TestDistanceMatrix:
     def test_matches_pairwise_calls(self):
         # Samples 7 and 8 repeat 1 and 4 up to a factor per scale: the same
         # spans, two replicate pairs below the chordal guard.
-        stack = random_stack(m=9, n=8, p=3, seed=6)
-        values = stack.values.copy()
+        values = random_stack(m=9, n=8, p=3, seed=6)
         values[:, 7] = values[:, 1] * np.array([[2.0], [0.5], [3.0]])
         values[:, 8] = values[:, 4]
-        cells = build_subspaces(EmbeddingStack(scales=stack.scales, values=values))
+        cells = build_subspaces(values)
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
             dmat = distance_matrix(cells, metric)
             assert dmat.values.shape == (9, 9)
@@ -215,12 +207,7 @@ class TestDistanceMatrix:
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
         e = np.eye(6)
-        scales = (2, 3)
-        stack = EmbeddingStack(
-            scales=scales,
-            values=np.array([[e[0], e[2]], [e[1], e[3]]]),
-        )
-        cells = build_subspaces(stack)
+        cells = build_subspaces(np.array([[e[0], e[2]], [e[1], e[3]]]))
         with pytest.raises(NumericalError, match=r"pair \(0, 1\)"):
             distance_matrix(cells, GrassmannMetric.MARTIN)
 
@@ -334,26 +321,22 @@ class TestStackInvariances:
         stack, _ = blob_stack()
         cells = build_subspaces(stack)
         base = distance_matrix(cells, GrassmannMetric.CHORDAL)
-        shuffled = EmbeddingStack(scales=stack.scales, values=stack.values[[2, 0, 3, 1]])
-        other = distance_matrix(build_subspaces(shuffled), GrassmannMetric.CHORDAL)
+        other = distance_matrix(build_subspaces(stack[[2, 0, 3, 1]]), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values - other.values)) < 1e-9
 
     def test_per_scale_rescaling_does_not_matter(self):
         stack, _ = blob_stack()
         base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
         factors = np.array([3.7, 0.02, 1.0, 40.0])
-        rescaled = EmbeddingStack(
-            scales=stack.scales, values=stack.values * factors[:, None, None]
-        )
+        rescaled = stack * factors[:, None, None]
         other = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values - other.values)) < 1e-9
 
     def test_sample_permutation_conjugates_the_matrix(self):
         stack, _ = blob_stack()
-        perm = np.random.default_rng(17).permutation(stack.sample_count)
-        permuted = EmbeddingStack(scales=stack.scales, values=stack.values[:, perm])
+        perm = np.random.default_rng(17).permutation(stack.shape[1])
         base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
-        other = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL)
+        other = distance_matrix(build_subspaces(stack[:, perm]), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base.values[np.ix_(perm, perm)] - other.values)) < 1e-12
 
 
@@ -436,6 +419,18 @@ class TestRunMgm:
         )
         with pytest.raises(DataError, match="stage 'embed'"):
             run_mgm(x, cfg)
+
+    @pytest.mark.parametrize("metric", [GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC])
+    def test_exported_stages_chained_by_hand_give_run_mgms_matrix(self, metric):
+        x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
+        cfg = self.make_config(pca_dim=10, metric=metric)
+        scales = mgm.sample_scales(cfg.scales)
+        embeddings = mgm.build_stack(mgm.pca_reduce(x, cfg.pca_dim), scales, cfg.embedding)
+        dmat = mgm.distance_matrix(mgm.build_subspaces(embeddings), metric)
+        _, want, report, embedding = run_mgm(x, cfg)
+        assert report.scales == embedding.scales == scales
+        assert embedding.values.tobytes() == embeddings.tobytes()
+        assert dmat.values.tobytes() == want.values.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         x, _ = make_blobs(m=30, d=12, sep=6.0, seed=5)
