@@ -464,13 +464,20 @@ class TestBuildStack:
         with pytest.raises(NumericalError, match="^embedding for scale 5 has non-finite values$"):
             build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
 
+    def test_stack_embeddings_are_immutable(self):
+        x, _ = two_blob_data(m=20)
+        values = build_stack(x, (2, 3), MdrBackendSpec(embedding_dim=2))
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            values[1] += 1.0
+
     def test_built_stack_is_held_without_a_copy(self):
         x, _ = two_blob_data(m=60)
         values = build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
         assert values.shape == (3, 60, 4)
         assert values.flags.owndata and not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0, 0, 0] = 5.0
         # build_subspaces reads it in place, as np.asarray hands it back
         assert np.asarray(values, dtype=float) is values
 
