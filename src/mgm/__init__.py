@@ -44,7 +44,6 @@ from .mdr import (
 )
 from .metrics import EvaluationReport, accuracy, ari, avg_purity, evaluate, nmi, purity
 from .pipeline import (
-    CellSubspaceSet,
     DistanceMatrix,
     MultiscaleEmbedding,
     RunReport,

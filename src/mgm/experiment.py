@@ -217,12 +217,12 @@ def run_experiment(
             out_path.mkdir(parents=True, exist_ok=True)
             (out_path / "config.txt").write_text("\n".join(lines) + "\n")
     truth = pre.labels
-    cells, dmat, report, embedding = run_mgm(pre, cfg)
+    bases, dmat, report, embedding = run_mgm(pre, cfg)
     for _ in cfg.seeds[1:]:
         # The matrix does not depend on the seed, but the pipeline
         # workload of perfbench/ counts one build per seed
         # (test_traced_child_reports_every_layer); ROADMAP item 1.
-        dmat = distance_matrix(cells, cfg.metric)
+        dmat = distance_matrix(bases, cfg.metric)
 
     # Every group's labels first, one array per seed, with the run report
     # and the distance matrix each of its seed directories gets (None for

@@ -282,8 +282,8 @@ def laplacian_eigenmaps(
     Lanczos does not converge) and by dense LAPACK below that.
 
     `graph` is the `_neighbor_graph` of x for at least n_neighbors
-    neighbors (a narrower one raises ValueError); it is computed here when
-    not given.
+    neighbors (one of another row count or a narrower one raises
+    ValueError); it is computed here when not given.
     """
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
@@ -292,6 +292,8 @@ def laplacian_eigenmaps(
     if dim + 1 > m:
         raise ConfigError(f"embedding.dim {dim} needs at least {dim + 1} samples")
     dists, order = _neighbor_graph(x, n_neighbors) if graph is None else graph
+    if order.shape[0] != m:
+        raise ValueError(f"graph has {order.shape[0]} rows, x has {m}")
     if order.shape[1] <= n_neighbors:
         raise ValueError(f"graph has {order.shape[1] - 1} neighbors, fewer than scale {n_neighbors}")
     rows, cols, weights = _knn_edges(dists, order, n_neighbors)

@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .data import ExpressionMatrix
 
 __all__ = [
-    "CellSubspaceSet",
     "DistanceMatrix",
     "MultiscaleEmbedding",
     "RunReport",
@@ -54,41 +53,6 @@ __all__ = [
 _TILE_SUBSPACES = 8
 # Rows per block where an M x M array is filled or checked.
 _BLOCK_ROWS = 64
-
-
-@dataclass(frozen=True)
-class CellSubspaceSet:
-    """One subspace per sample, all in R^n: bases[k] holds sample k's
-    orthonormal basis in its first ranks[k] of p columns, zeros after. p is
-    the nominal rank (the scale count). Both arrays are held read-only, each
-    copied unless it is already read-only and owns its data (data.frozen)."""
-
-    bases: np.ndarray
-    ranks: np.ndarray
-
-    def __post_init__(self) -> None:
-        bases, ranks = np.asarray(self.bases, dtype=float), np.asarray(self.ranks)
-        if bases.ndim != 3 or min(bases.shape) < 1 or ranks.shape != bases.shape[:1]:
-            raise ValueError(f"need (M, n, p) bases and M ranks, got {bases.shape}, {ranks.shape}")
-        if not 1 <= ranks.min() <= ranks.max() <= min(bases.shape[1:]):
-            raise ValueError(f"ranks must lie in [1, min(n, p)], got {ranks.min()}..{ranks.max()}")
-        object.__setattr__(self, "bases", frozen(bases))
-        object.__setattr__(self, "ranks", frozen(ranks))
-
-    @property
-    def nominal_rank(self) -> int:
-        return self.bases.shape[2]
-
-    @property
-    def rank_reduced_count(self) -> int:
-        return int(np.count_nonzero(self.ranks < min(self.bases.shape[1:])))
-
-    def basis(self, k: int) -> np.ndarray:
-        """Sample k's basis on its own, a read-only view, for the per-pair paths."""
-        return self.bases[k, :, : self.ranks[k]]
-
-    def __len__(self) -> int:
-        return len(self.bases)
 
 
 @dataclass(frozen=True)
@@ -135,15 +99,15 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
-def build_subspaces(embeddings: np.ndarray) -> CellSubspaceSet:
+def build_subspaces(embeddings: np.ndarray) -> np.ndarray:
     """Orthonormalize every sample's n x p feature matrix, its row of each
-    scale's embedding (embeddings[s], M x n) as columns in scale order, into
-    one basis array, with one batched SVD per _TILE_SUBSPACES samples. Only
-    the span is kept, so scaling a column by a positive factor moves no
-    distance. Samples whose features are rank deficient get a smaller
-    subspace; the set reports how many were reduced. At embedding.dim <= p
-    every sample would span all of R^n and every distance would be rounding
-    noise, so that raises.
+    scale's embedding (embeddings[s], M x n) as columns in scale order, with
+    one batched SVD per _TILE_SUBSPACES samples, into a read-only (M, n, p)
+    array owning its data: sample k's basis in the first r_k columns of [k],
+    exactly 0.0 after (_subspace_ranks). Only the span is kept, so scaling a
+    column by a positive factor moves no distance; rank-deficient features
+    give a smaller subspace. At embedding.dim <= p every sample would span
+    all of R^n and every distance would be rounding noise, so that raises.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 3:
@@ -155,14 +119,26 @@ def build_subspaces(embeddings: np.ndarray) -> CellSubspaceSet:
             "otherwise every subspace is the whole embedding space"
         )
     bases = np.zeros((m, n, p))
-    ranks = np.empty(m, dtype=int)
     for lo in range(0, m, _TILE_SUBSPACES):
         hi = lo + _TILE_SUBSPACES
-        features = embeddings[:, lo:hi].transpose(1, 2, 0)
-        bases[lo:hi], ranks[lo:hi] = orthonormalize(features, lo)
-    bases.setflags(write=False)  # handed over, not copied
-    ranks.setflags(write=False)
-    return CellSubspaceSet(bases=bases, ranks=ranks)
+        bases[lo:hi] = orthonormalize(embeddings[:, lo:hi].transpose(1, 2, 0), lo)[0]
+    bases.setflags(write=False)
+    return bases
+
+
+def _subspace_ranks(bases: np.ndarray) -> np.ndarray:
+    """Each sample's count of basis columns that are not all zero. ValueError
+    unless bases is nonempty 3-d and those columns come first, at least one."""
+    if bases.ndim != 3 or min(bases.shape) < 1:
+        raise ValueError(f"need a nonempty (M, n, p) basis array, got shape {bases.shape}")
+    nonzero = bases.any(axis=1)
+    ranks = np.count_nonzero(nonzero, axis=1)
+    if ranks.min() < 1:
+        raise ValueError(f"sample {int(np.argmin(ranks))} has no nonzero basis column")
+    late = (nonzero[:, 1:] > nonzero[:, :-1]).any(axis=1)  # nonzero after a zero
+    if late.any():
+        raise ValueError(f"sample {int(np.argmax(late))} has a zero column before a nonzero one")
+    return ranks
 
 
 def _cpu_count() -> int:
@@ -175,7 +151,7 @@ def _cpu_count() -> int:
 
 
 def _tile_row(
-    cells: CellSubspaceSet, lo: int, metric: GrassmannMetric, out: np.ndarray
+    bases: np.ndarray, ranks: np.ndarray, lo: int, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
     """Fill out[i, j] and out[j, i] under an angle metric for every i of the
     tile starting at `lo` and every j > i, and return the pairs to compute
@@ -183,12 +159,11 @@ def _tile_row(
     ranks sum past n. Such a pair shares a direction, a cosine of 1 that
     fails the cancellation guard, so it skips the batch.
 
-    Tiles are slices of cells.bases. One broadcast matmul of the p x n and
+    Tiles are slices of bases. One broadcast matmul of the p x n and
     n x p blocks gives every cross block Qi^T Qj of a tile pair. Each
     product is far below the size at which OpenBLAS starts its own threads,
     so a row never wakes the BLAS pool.
     """
-    bases, ranks = cells.bases, cells.ranks
     m, n, r = bases.shape
     left = bases[lo : lo + _TILE_SUBSPACES]
     left_t = left.transpose(0, 2, 1)[:, None]
@@ -217,7 +192,7 @@ def _tile_row(
 
 
 def _tiled_distances(
-    cells: CellSubspaceSet, metric: GrassmannMetric, out: np.ndarray
+    bases: np.ndarray, ranks: np.ndarray, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
     """Fill `out` off the diagonal under an angle metric, row of tiles by
     row of tiles (_tile_row), and return the pairs the rows flag.
@@ -229,7 +204,7 @@ def _tiled_distances(
     pair is computed by the same code on the same inputs whichever thread
     takes its row, so `out` does not depend on the core count.
     """
-    starts = range(0, len(cells), _TILE_SUBSPACES)
+    starts = range(0, len(bases), _TILE_SUBSPACES)
     rows = iter(starts)
     lock = threading.Lock()
     failed = threading.Event()
@@ -244,7 +219,7 @@ def _tiled_distances(
                 if lo is None:
                     return
                 # list.extend and list.append are atomic under the GIL
-                flagged.extend(_tile_row(cells, lo, metric, out))
+                flagged.extend(_tile_row(bases, ranks, lo, metric, out))
         except BaseException as err:
             errors.append(err)
             failed.set()
@@ -272,18 +247,20 @@ def _chordal_sq(features: np.ndarray, ranks: np.ndarray, lo: int, hi: int) -> np
     return np.subtract(ranks[lo:hi, None], sq, out=sq, where=ranks[lo:hi, None] < ranks[lo:])
 
 
-def _chordal_distances(cells: CellSubspaceSet, out: np.ndarray) -> list[tuple[int, int]]:
+def _chordal_distances(
+    bases: np.ndarray, ranks: np.ndarray, out: np.ndarray
+) -> list[tuple[int, int]]:
     """Fill `out` with chordal distances by row blocks, on the calling
     thread, and return the pairs i < j left at 0, those whose ranks sum
     past n or below _CHORDAL_SQ_GUARD (as the diagonal is). The features F
     pack each projector QQ^T, a tile at a time: its diagonal, then its
     strict upper triangle times sqrt(2), so <Fi, Fj> = <Pi, Pj>_F."""
-    (m, n, _), ranks = cells.bases.shape, cells.ranks.astype(float)
+    (m, n, _), ranks = bases.shape, ranks.astype(float)
     rows, cols = np.hstack([np.diag_indices(n), np.triu_indices(n, 1)])
     scale = np.where(rows == cols, 1.0, math.sqrt(2.0))
     features = np.empty((m, len(rows)))
     for lo in range(0, m, _TILE_SUBSPACES):
-        q = cells.bases[lo : lo + _TILE_SUBSPACES]
+        q = bases[lo : lo + _TILE_SUBSPACES]
         features[lo : lo + len(q)] = np.einsum("tia,tja->tij", q, q)[:, rows, cols] * scale
     redo: list[tuple[int, int]] = []
     for lo in range(0, m, _BLOCK_ROWS):
@@ -301,9 +278,9 @@ def _chordal_distances(cells: CellSubspaceSet, out: np.ndarray) -> list[tuple[in
     return redo
 
 
-def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> DistanceMatrix:
-    """All pairwise subspace distances. Each pair is computed once, and its
-    value written into both triangles where it is computed.
+def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> DistanceMatrix:
+    """All pairwise distances of the subspaces of an (M, n, p) basis array.
+    Each pair is computed once, and written into both triangles where it is computed.
 
     Chordal takes its squared distances from Grams of packed projector
     features (_chordal_distances), the angle metrics from the cross blocks
@@ -314,16 +291,19 @@ def distance_matrix(cells: CellSubspaceSet, metric: GrassmannMetric) -> Distance
     values do not depend on the core count or on the BLAS thread count.
     The one M x M array filled here is handed over read-only, not copied.
     """
-    m = len(cells)
+    bases = np.ascontiguousarray(bases, dtype=float)
+    ranks = _subspace_ranks(bases)
+    m = len(bases)
     out = np.zeros((m, m))
     if metric is GrassmannMetric.CHORDAL:
-        redo = _chordal_distances(cells, out)
+        redo = _chordal_distances(bases, ranks, out)
     else:
-        redo = _tiled_distances(cells, metric, out)
+        redo = _tiled_distances(bases, ranks, metric, out)
     # In order, so a Martin divergence names the first offending pair.
     for i, j in sorted(redo):
+        x, y = bases[i, :, : ranks[i]], bases[j, :, : ranks[j]]
         try:
-            out[i, j] = out[j, i] = distance(cells.basis(i), cells.basis(j), metric)
+            out[i, j] = out[j, i] = distance(x, y, metric)
         except NumericalError as err:
             raise NumericalError(f"pair ({i}, {j}): {err}") from err
     # Read-only and owning its data, out is handed over without a copy.
@@ -421,7 +401,7 @@ def embed_multiscale(
 
 def run_mgm(
     x: "ExpressionMatrix | np.ndarray", cfg: "PipelineConfig"
-) -> tuple[CellSubspaceSet, DistanceMatrix, RunReport, MultiscaleEmbedding]:
+) -> tuple[np.ndarray, DistanceMatrix, RunReport, MultiscaleEmbedding]:
     """Run the pipeline stages on an already-preprocessed matrix.
 
     Stages: sample scales, optional PCA, per-scale embedding (see
@@ -437,10 +417,10 @@ def run_mgm(
     embedding = embed_multiscale(values, cfg, timings)
 
     with _stage("subspaces", timings):
-        cells = build_subspaces(embedding.values)
+        bases = build_subspaces(embedding.values)
 
     with _stage("distances", timings):
-        dmat = distance_matrix(cells, cfg.metric)
+        dmat = distance_matrix(bases, cfg.metric)
 
     report = RunReport(
         sample_count=values.shape[0],
@@ -449,11 +429,11 @@ def run_mgm(
         embedding_dim=embedding.values.shape[2],
         scales=embedding.scales,
         scale_count=len(embedding.scales),
-        nominal_rank=cells.nominal_rank,
-        rank_reduced_cells=cells.rank_reduced_count,
+        nominal_rank=bases.shape[2],
+        rank_reduced_cells=int(np.count_nonzero(_subspace_ranks(bases) < bases.shape[2])),
         guarded_pairs=dmat.guarded_pairs,
         metric=cfg.metric.value,
         seed=cfg.seeds[0],
         stage_seconds=timings,
     )
-    return cells, dmat, report, embedding
+    return bases, dmat, report, embedding

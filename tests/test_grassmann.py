@@ -24,7 +24,7 @@ from mgm.grassmann import (
 )
 from mgm import pipeline
 from mgm.pipeline import (
-    CellSubspaceSet,
+    _subspace_ranks,
     _tiled_distances,
     build_subspaces,
     distance_matrix,
@@ -95,15 +95,16 @@ class TestSubspaceTypes:
                     call()
 
     def test_strided_views_give_the_bits_of_their_copies(self, rng):
-        # CellSubspaceSet.basis hands a rank-reduced cell over as a strided
-        # read-only view. BLAS rounds a strided operand differently, so the
-        # per-pair functions copy it; a contiguous basis is taken as given.
+        # distance_matrix hands a rank-reduced cell over as a strided view,
+        # bases[k, :, :r] of the read-only basis array. BLAS rounds a
+        # strided operand differently, so the per-pair functions copy it; a
+        # contiguous basis is taken as given.
         for _ in range(50):
             p = int(rng.integers(3, 8))
             ranks = rng.integers(1, p, 2)
             bases = np.stack([random_subspace(rng, 12, p) for _ in range(2)])
-            cells = CellSubspaceSet(bases=bases, ranks=ranks)
-            x, y = cells.basis(0), cells.basis(1)
+            bases.setflags(write=False)
+            x, y = bases[0, :, : ranks[0]], bases[1, :, : ranks[1]]
             assert not (x.flags.c_contiguous or x.flags.writeable)
             want = [call() for call in per_pair_calls(x.copy(), y.copy())]
             for got, value in zip(per_pair_calls(x, y), want):
@@ -658,18 +659,18 @@ class TestChordalGramGuard:
         points = [random_subspace(rng, 12, 1 + k % 5) for k in range(12)]
         turn = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         points.append(points[2] @ turn)
-        cells = cells_of(points)
+        ranks = np.array([q.shape[1] for q in points])
         m = len(points)
         upper = np.triu_indices(12, 1)
         features = np.array(
             [np.r_[np.diag(q), math.sqrt(2.0) * q[upper]] for q in map(projector, points)]
         )
-        full = pipeline._chordal_sq(features, cells.ranks, 0, m)
+        full = pipeline._chordal_sq(features, ranks, 0, m)
         assert full.tobytes() == full.T.tobytes()
         for lo in range(0, m, 5):
-            block = pipeline._chordal_sq(features, cells.ranks, lo, lo + 5)
+            block = pipeline._chordal_sq(features, ranks, lo, lo + 5)
             assert block.tobytes() == full[lo : lo + 5, lo:].tobytes()
-        back = pipeline._chordal_sq(features[::-1].copy(), cells.ranks[::-1], 0, m)
+        back = pipeline._chordal_sq(features[::-1].copy(), ranks[::-1], 0, m)
         assert back.tobytes() == full[::-1, ::-1].tobytes()
         i, j = np.triu_indices(m, 1)
         below = full[i, j] < _CHORDAL_SQ_GUARD
@@ -823,22 +824,20 @@ class TestPerPairKernelsMatchTheMatmulPath:
 
 def per_pair_spy(monkeypatch):
     """Record the (i, j) of every pair distance_matrix hands to
-    grassmann.distance, i and j the samples CellSubspaceSet.basis took
-    the two bases out for."""
-    index = {}
+    grassmann.distance, i and j the samples of its two bases[k, :, :r]
+    views, read from each view's offset into bases."""
     calls = []
-    real_basis, real_distance = CellSubspaceSet.basis, pipeline.distance
+    real_distance = pipeline.distance
 
-    def basis(cells, k):
-        view = real_basis(cells, k)
-        index[id(view)] = k
-        return view
+    def sample(view):
+        offset = view.ctypes.data - view.base.ctypes.data
+        assert offset % view.base.strides[0] == 0
+        return offset // view.base.strides[0]
 
     def spy(x, y, metric):
-        calls.append((index[id(x)], index[id(y)]))
+        calls.append((sample(x), sample(y)))
         return real_distance(x, y, metric)
 
-    monkeypatch.setattr(CellSubspaceSet, "basis", basis)
     monkeypatch.setattr(pipeline, "distance", spy)
     return calls
 
@@ -857,17 +856,18 @@ def assert_matrix_matches(points, metric, got):
 
 
 def cells_of(points):
-    """The set of the given subspaces, padded with zero columns to the
-    largest rank."""
+    """The (M, n, p) basis array of the given subspaces, each padded with
+    zero columns to the largest rank, as build_subspaces lays them out."""
     ranks = [p.shape[1] for p in points]
     bases = np.zeros((len(points), points[0].shape[0], max(ranks)))
     for k, p in enumerate(points):
         bases[k, :, : ranks[k]] = p
-    return CellSubspaceSet(bases=bases, ranks=ranks)
+    return bases
 
 
-def points_of(cells):
-    return [cells.basis(k) for k in range(len(cells))]
+def points_of(bases):
+    """Each sample's basis on its own, bases[k, :, :r_k]."""
+    return [bases[k, :, :r] for k, r in enumerate(_subspace_ranks(bases))]
 
 
 def force_workers(monkeypatch, count):
@@ -926,12 +926,13 @@ def angle_kernel_peak(rng, m):
     """Peak bytes traced while _tiled_distances fills an m x m matrix of
     rank-6 subspaces of R^40. One untraced fill comes first, so the imports
     and caches of a first threaded call are not counted."""
-    cells = cells_of([random_subspace(rng, 40, 6) for _ in range(m)])
+    bases = cells_of([random_subspace(rng, 40, 6) for _ in range(m)])
+    ranks = _subspace_ranks(bases)
     out = np.zeros((m, m))
-    _tiled_distances(cells, GrassmannMetric.GEODESIC, out)
+    _tiled_distances(bases, ranks, GrassmannMetric.GEODESIC, out)
     tracemalloc.start()
     try:
-        _tiled_distances(cells, GrassmannMetric.GEODESIC, out)
+        _tiled_distances(bases, ranks, GrassmannMetric.GEODESIC, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -944,8 +945,8 @@ class TestBatchedAngleKernel:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_rank_reduced_and_replicate_cells(self, rng, metric, monkeypatch):
         cells = rank_reduced_and_replicate_cells(rng)
-        assert cells.ranks.tolist().count(3) == 3
-        assert cells.ranks.tolist().count(1) == 2
+        ranks = _subspace_ranks(cells).tolist()
+        assert ranks.count(3) == 3 and ranks.count(1) == 2
         calls = per_pair_spy(monkeypatch)
         dmat = distance_matrix(cells, metric)
         assert_matrix_matches(points_of(cells), metric, dmat.values)
@@ -1103,9 +1104,9 @@ class TestBatchedAngleKernel:
                         raise boom
                 return real_block(cross, counts, metric)
 
-            def row(cells, lo, metric, out):
+            def row(bases, ranks, lo, metric, out):
                 started.append((lo, failed.is_set()))
-                return real_row(cells, lo, metric, out)
+                return real_row(bases, ranks, lo, metric, out)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pipeline, "block_distances", block)

@@ -341,6 +341,15 @@ class TestNeighborGraph:
         with pytest.raises(ValueError, match="^graph has 5 neighbors, fewer than scale 10$"):
             laplacian_eigenmaps(x, 10, 4, graph=graph)
 
+    def test_a_graph_of_other_samples_is_refused(self):
+        # A graph is only the graph of the x it was built on: one of more or
+        # fewer rows is named, not embedded.
+        x = np.random.default_rng(4).standard_normal((200, 6))
+        for rows, samples in ((100, 200), (200, 100)):
+            graph = mdr._neighbor_graph(x[:rows], 5)
+            with pytest.raises(ValueError, match=f"^graph has {rows} rows, x has {samples}$"):
+                laplacian_eigenmaps(x[:samples], 5, 4, graph=graph)
+
 
 class TestBackendSpec:
     def test_dim_must_be_at_least_two(self):

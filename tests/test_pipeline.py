@@ -10,8 +10,8 @@ from mgm.mdr import MdrBackendSpec, build_stack
 import mgm
 from mgm import pipeline
 from mgm.pipeline import (
-    CellSubspaceSet,
     DistanceMatrix,
+    _subspace_ranks,
     build_subspaces,
     distance_matrix,
     run_mgm,
@@ -23,6 +23,7 @@ from oracles import bases_per_sample
 from test_grassmann import (
     cells_of,
     force_workers,
+    points_of,
     points_either_side_of_both_guards,
     rank_reduced_and_replicate_cells,
 )
@@ -53,28 +54,25 @@ def dependent_scale_stack():
 class TestBuildSubspaces:
     def test_full_rank_stack(self):
         stack = random_stack(m=10, n=8, p=4)
-        cells = build_subspaces(stack)
-        assert len(cells) == 10
-        assert cells.nominal_rank == 4
-        assert cells.bases.shape[1] == 8
-        assert cells.rank_reduced_count == 0
-        assert cells.ranks.tolist() == [4] * 10
+        bases = build_subspaces(stack)
+        assert bases.shape == (10, 8, 4)
+        assert _subspace_ranks(bases).tolist() == [4] * 10
 
     def test_identical_embeddings_collapse_to_lines(self):
-        cells = build_subspaces(identical_scales_stack())
-        assert cells.rank_reduced_count == 7
-        assert cells.ranks.tolist() == [1] * 7
+        bases = build_subspaces(identical_scales_stack())
+        assert _subspace_ranks(bases).tolist() == [1] * 7
+        assert not bases[:, :, 1:].any()
 
     def test_dependent_scale_detected(self):
-        cells = build_subspaces(dependent_scale_stack())
-        assert cells.ranks.tolist() == [2] * 5
+        bases = build_subspaces(dependent_scale_stack())
+        assert _subspace_ranks(bases).tolist() == [2] * 5
 
     def test_column_norms_do_not_move_the_span(self):
         stack = random_stack(m=8, n=7, p=3, seed=5)
         scaled = stack * np.array([250.0, 1.0, 1e-3])[:, None, None]
         a = build_subspaces(stack)
         b = build_subspaces(scaled)
-        for qa, qb in zip(a.bases, b.bases):
+        for qa, qb in zip(a, b):
             assert np.linalg.norm(qa @ qa.T - qb @ qb.T) < 1e-9
 
     def test_zero_sample_raises_with_index(self):
@@ -90,23 +88,24 @@ class TestBuildSubspaces:
         with pytest.raises(ConfigError, match=message):
             build_subspaces(random_stack(m=6, n=n, p=5))
 
-    def test_a_later_write_by_the_caller_does_not_reach_the_set(self):
-        bases = np.zeros((3, 4, 2))
-        bases[:, 0, 0] = bases[:, 1, 1] = 1.0
-        ranks = np.full(3, 2)
-        cells = CellSubspaceSet(bases=bases, ranks=ranks)
-        bases[0, 0, 0] = 5.0
-        ranks[1] = 1
-        assert cells.bases[0, 0, 0] == 1.0
-        assert cells.ranks.tolist() == [2, 2, 2]
-        assert not (cells.bases.flags.writeable or cells.ranks.flags.writeable)
+    def test_a_later_write_by_the_caller_does_not_reach_the_bases(self):
+        # The bases are filled into an array of their own, which refuses
+        # writes: a write to the embeddings afterwards changes nothing.
+        stack = random_stack()
+        bases = build_subspaces(stack)
+        want = bases.tobytes()
+        stack[:, 0] = 5.0
+        assert bases.tobytes() == want
+        with pytest.raises(ValueError, match="read-only"):
+            bases[0, 0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            bases[1] += 1.0
+        assert bases.tobytes() == want
 
     def test_built_arrays_are_held_without_a_copy(self):
-        cells = build_subspaces(random_stack())
-        for held in (cells.bases, cells.ranks):
-            assert held.flags.owndata and not held.flags.writeable
-        again = CellSubspaceSet(bases=cells.bases, ranks=cells.ranks)
-        assert again.bases is cells.bases and again.ranks is cells.ranks
+        bases = build_subspaces(random_stack())
+        assert bases.flags.owndata and bases.flags.c_contiguous and not bases.flags.writeable
+        assert np.asarray(bases, dtype=float) is bases
 
 
 def near_dependent_stack():
@@ -139,13 +138,13 @@ class TestBatchedBuild:
     )
     def test_bitwise_equal_to_one_svd_per_sample(self, make):
         stack = make()
-        cells = build_subspaces(stack)
+        got = build_subspaces(stack)
         bases, ranks = bases_per_sample(stack, _RANK_TOL)
-        assert cells.ranks.tolist() == ranks.tolist()
+        assert _subspace_ranks(got).tolist() == ranks.tolist()
         if make is near_dependent_stack:
             assert ranks.tolist() == [2, 3] * 5
-        assert cells.bases.shape == bases.shape
-        assert cells.bases.tobytes() == bases.tobytes()
+        assert got.shape == bases.shape
+        assert got.tobytes() == bases.tobytes()
 
     def test_orthonormalize_at_dim_below_scales(self):
         # build_subspaces refuses n <= p; orthonormalize caps each rank at n.
@@ -163,16 +162,27 @@ class TestBatchedBuild:
         with pytest.raises(NumericalError, match=r"sample 9\b"):
             build_subspaces(np.array([emb, emb * 2.0]))
 
-    def test_set_rejects_bad_ranks(self):
+    def test_subspace_ranks_rejects_bad_bases(self):
+        # A rank is the count of nonzero columns, which must come first;
+        # distance_matrix reads the ranks the same way.
         bases = np.zeros((4, 5, 3))
         bases[:, 0, 0] = 1.0
-        assert CellSubspaceSet(bases=bases, ranks=[1, 1, 1, 1]).rank_reduced_count == 4
-        for ranks in ([1, 1, 1], [1, 0, 1, 1], [1, 1, 4, 1]):
-            with pytest.raises(ValueError, match="ranks"):
-                CellSubspaceSet(bases=bases, ranks=ranks)
-        # min(n, p) caps the rank when n < p
-        with pytest.raises(ValueError, match="ranks"):
-            CellSubspaceSet(bases=np.zeros((2, 3, 5)), ranks=[1, 4])
+        bases[3, 1, 1] = 1.0
+        assert _subspace_ranks(bases).tolist() == [1, 1, 1, 2]
+        no_column = bases.copy()
+        no_column[1] = 0.0
+        late = bases.copy()
+        late[2, 0, 0], late[2, 2, 1] = 0.0, 1.0
+        for bad, message in (
+            (bases[0], r"^need a nonempty \(M, n, p\) basis array, got shape \(5, 3\)$"),
+            (bases[:0], r"^need a nonempty \(M, n, p\) basis array, got shape \(0, 5, 3\)$"),
+            (no_column, "^sample 1 has no nonzero basis column$"),
+            (late, "^sample 2 has a zero column before a nonzero one$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                _subspace_ranks(bad)
+            with pytest.raises(ValueError, match=message):
+                distance_matrix(bad, GrassmannMetric.GEODESIC)
 
 
 class TestDistanceMatrix:
@@ -183,6 +193,7 @@ class TestDistanceMatrix:
         values[:, 7] = values[:, 1] * np.array([[2.0], [0.5], [3.0]])
         values[:, 8] = values[:, 4]
         cells = build_subspaces(values)
+        points = points_of(cells)
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
             dmat = distance_matrix(cells, metric)
             assert dmat.values.shape == (9, 9)
@@ -190,7 +201,7 @@ class TestDistanceMatrix:
             for i in range(9):
                 assert dmat.values[i, i] == 0.0
                 for j in range(i + 1, 9):
-                    want = distance(cells.basis(i), cells.basis(j), metric)
+                    want = distance(points[i], points[j], metric)
                     got = dmat.values[i, j]
                     if metric is GrassmannMetric.CHORDAL and want**2 < _CHORDAL_SQ_GUARD:
                         # recomputed by the per-pair call itself
@@ -203,6 +214,23 @@ class TestDistanceMatrix:
             assert dmat.guarded_pairs == 2
             if metric is GrassmannMetric.CHORDAL:
                 assert below == [(1, 7), (4, 8)]
+
+    def test_ranks_are_read_from_the_bases(self):
+        # Every column of four orthonormal 6 x 3 bases is nonzero, so each
+        # sample is rank 3 and each entry is grassmann.distance on its two
+        # whole bases; a zero first column is refused, not read as rank 2.
+        bases = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 6, 3)))[0]
+        assert _subspace_ranks(bases).tolist() == [3] * 4
+        for metric in (GrassmannMetric.GEODESIC, GrassmannMetric.CHORDAL):
+            got = distance_matrix(bases, metric).values
+            for i, j in zip(*np.triu_indices(4, 1)):
+                want = distance(bases[i], bases[j], metric)
+                assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (metric, i, j)
+        bases[2, :, 0] = 0.0
+        message = "^sample 2 has a zero column before a nonzero one$"
+        for metric in (GrassmannMetric.GEODESIC, GrassmannMetric.CHORDAL):
+            with pytest.raises(ValueError, match=message):
+                distance_matrix(bases, metric)
 
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
@@ -298,10 +326,9 @@ class TestDistanceMatrix:
             features = 8 * m * n * (n + 1) // 2 if metric is GrassmannMetric.CHORDAL else 0
             columns = np.random.default_rng(8).standard_normal((m, n, rank))
             bases = np.linalg.qr(columns)[0]
-            cells = CellSubspaceSet(bases=bases, ranks=np.full(m, rank))
             tracemalloc.start()
             try:
-                dmat = distance_matrix(cells, metric)
+                dmat = distance_matrix(bases, metric)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -355,10 +382,8 @@ class TestRunMgm:
     def test_shapes_and_report(self):
         x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
         cfg = self.make_config(pca_dim=10)
-        cells, dmat, report, _ = run_mgm(x, cfg)
-        assert isinstance(cells, CellSubspaceSet)
-        assert len(cells) == 40
-        assert cells.bases.shape[1] == 8
+        bases, dmat, report, _ = run_mgm(x, cfg)
+        assert bases.shape == (40, 8, 4) and not bases.flags.writeable
         assert dmat.values.shape == (40, 40)
         assert report.sample_count == 40
         assert report.feature_count == 15
@@ -366,6 +391,7 @@ class TestRunMgm:
         assert report.scales == (3, 6, 9, 12)
         assert report.scale_count == 4
         assert report.nominal_rank == 4
+        assert report.rank_reduced_cells == 0
         assert report.metric == "chordal"
         assert report.seed == 1
         assert set(report.stage_seconds) == {
