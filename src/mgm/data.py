@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +81,11 @@ def _parse_row(tokens: list[str], row_no: int, first_col: int, path: Path) -> np
     return np.array(values)
 
 
+def _csv_rows(handle, delimiter: str):
+    """The non-empty rows csv reads from handle."""
+    return (row for row in csv.reader(handle, delimiter=delimiter) if row)
+
+
 def load_matrix(
     path: str | Path,
     fmt: str = "csv",
@@ -91,9 +97,11 @@ def load_matrix(
     fmt is "csv" or "tsv". orientation is "samples-as-rows" or
     "samples-as-columns"; the latter transposes after loading. Parse
     failures report the 1-based (row, column) position in the file, counting
-    non-blank rows. Each row is cast as it is read into one array, sized by a
-    first pass over the file's lines. A ragged row anywhere is reported
-    before a non-numeric value.
+    non-blank rows. A first pass over the file's lines sizes the array. A
+    file with no quote and the same number of cells on every data line is
+    parsed by np.loadtxt; any other file, and any file np.loadtxt rejects,
+    is cast row by row as csv reads it into one array. A ragged row anywhere
+    is reported before a non-numeric value.
     """
     path = Path(path)
     if fmt not in ("csv", "tsv"):
@@ -103,16 +111,26 @@ def load_matrix(
             f"unknown orientation {orientation!r}; expected "
             "'samples-as-rows' or 'samples-as-columns'"
         )
+    delimiter = "," if fmt == "csv" else "\t"
     try:
         # utf-8-sig drops a byte-order mark, which would otherwise be read
         # as part of the first cell.
         with open(path, newline="", encoding="utf-8-sig") as handle:
             # csv gives at most one row per non-blank line, and fewer where a
-            # quoted cell spans lines.
-            capacity = sum(1 for line in handle if line.rstrip("\r\n"))
+            # quoted cell spans lines. Without a quote, the first row is on
+            # line `first_line` and each later row is one line whose cells
+            # number one more than its delimiters.
+            capacity, first_line, quoted, later_delimiters = 0, 0, False, set()
+            for number, line in enumerate(handle, 1):
+                if line.rstrip("\r\n"):
+                    if capacity:
+                        later_delimiters.add(line.count(delimiter))
+                    else:
+                        first_line = number
+                    capacity += 1
+                    quoted = quoted or '"' in line
             handle.seek(0)
-            reader = csv.reader(handle, delimiter="," if fmt == "csv" else "\t")
-            rows = (row for row in reader if row)
+            rows = _csv_rows(handle, delimiter)
             first = next(rows, None)
             if first is None:
                 raise DataError(f"{path} is empty")
@@ -135,20 +153,48 @@ def load_matrix(
             has_id_col = blank_corner or not _is_number(first[0]) or header_width == width - 1
             start = 1 if has_id_col else 0
 
-            values = np.empty((capacity - has_header, width - start))
-            parse_error = None
-            for i, row in enumerate(itertools.chain([first], rows)):
-                row_no = i + 1 + has_header
-                if len(row) != width:
-                    raise DataError(
-                        f"{path}: row {row_no} has {len(row)} cells, expected {width}"
-                    )
-                if parse_error is None:
-                    try:
-                        values[i] = _parse_row(row[start:], row_no, start + 1, path)
-                    except DataError as err:
-                        # Kept until every row's length has been checked.
-                        parse_error = err
+            values = parse_error = None
+            # usecols alone would load a row with an extra cell, so every
+            # data line's delimiters are counted first.
+            if not quoted and later_delimiters <= {width - 1}:
+                handle.seek(0)
+                try:
+                    with warnings.catch_warnings():
+                        # max_rows sizes the array once. numpy warns that
+                        # blank lines do not count towards it, as wanted.
+                        warnings.filterwarnings("ignore", "Input line", UserWarning)
+                        values = np.loadtxt(
+                            handle,
+                            delimiter=delimiter,
+                            comments=None,
+                            usecols=range(start, width),
+                            skiprows=first_line if has_header else 0,
+                            max_rows=capacity - has_header,
+                            ndmin=2,
+                        )
+                except ValueError:
+                    # A bad cell, or one that only float() reads (1_000,
+                    # full-width digits): the row loop below names the
+                    # first bad cell, or reads them all.
+                    pass
+            if values is None:
+                handle.seek(0)
+                values = np.empty((capacity - has_header, width - start))
+                rows = itertools.islice(_csv_rows(handle, delimiter), has_header, None)
+                for i, row in enumerate(rows):
+                    row_no = i + 1 + has_header
+                    if len(row) != width:
+                        raise DataError(
+                            f"{path}: row {row_no} has {len(row)} cells, expected {width}"
+                        )
+                    if parse_error is None:
+                        try:
+                            values[i] = _parse_row(row[start:], row_no, start + 1, path)
+                        except DataError as err:
+                            # Kept until every row's length has been checked.
+                            parse_error = err
+                if i + 1 < len(values):
+                    values = values[: i + 1].copy()
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError(f"cannot read {path}: {err}")
     if parse_error is not None:
@@ -158,8 +204,6 @@ def load_matrix(
     if header_width is not None and header_width not in (width, width - start):
         expected = f"{width} or {width - 1}" if width > 1 else f"{width}"
         raise DataError(f"{path}: header has {header_width} cells, expected {expected}")
-    if i + 1 < len(values):
-        values = values[: i + 1].copy()
     values.setflags(write=False)
     if orientation == "samples-as-columns":
         values = values.T

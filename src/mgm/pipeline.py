@@ -22,6 +22,7 @@ from .data import frozen
 from .errors import ConfigError, DataError, MgmError, NumericalError
 from .grassmann import (
     _CHORDAL_SQ_GUARD,
+    _ORTHO_TOL,
     GrassmannMetric,
     block_distances,
     distance,
@@ -139,6 +140,24 @@ def _subspace_ranks(bases: np.ndarray) -> np.ndarray:
     if late.any():
         raise ValueError(f"sample {int(np.argmax(late))} has a zero column before a nonzero one")
     return ranks
+
+
+def _check_orthonormal(bases: np.ndarray, ranks: np.ndarray) -> None:
+    """ValueError naming the first sample whose first r_k columns are not
+    orthonormal within _ORTHO_TOL, the Frobenius defect grassmann.distance
+    allows, from one batched Gram of every basis: the columns past r_k are
+    zero, so they add nothing to the defect. More nonzero columns than n
+    cannot be orthonormal."""
+    p = bases.shape[2]
+    # A NaN or an infinity gives a NaN defect, which fails, not a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.matmul(bases.transpose(0, 2, 1), bases)
+        gram[:, range(p), range(p)] -= np.arange(p) < ranks[:, None]
+        defect = np.linalg.norm(gram, axis=(1, 2))
+    bad = ~(defect <= _ORTHO_TOL)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"sample {k}: basis columns are not orthonormal (defect {defect[k]:.3e})")
 
 
 def _cpu_count() -> int:
@@ -281,6 +300,8 @@ def _chordal_distances(
 def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> DistanceMatrix:
     """All pairwise distances of the subspaces of an (M, n, p) basis array.
     Each pair is computed once, and written into both triangles where it is computed.
+    A sample whose basis is not orthonormal is refused by name first
+    (_check_orthonormal).
 
     Chordal takes its squared distances from Grams of packed projector
     features (_chordal_distances), the angle metrics from the cross blocks
@@ -293,6 +314,7 @@ def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> DistanceMatri
     """
     bases = np.ascontiguousarray(bases, dtype=float)
     ranks = _subspace_ranks(bases)
+    _check_orthonormal(bases, ranks)
     m = len(bases)
     out = np.zeros((m, m))
     if metric is GrassmannMetric.CHORDAL:

@@ -144,6 +144,18 @@ def accuracy_by_enumeration(pred, truth) -> float:
     return best / len(pred)
 
 
+def accuracy_by_csgraph(table: np.ndarray) -> float:
+    """Accuracy of a contingency table from scipy's sparse maximum-weight
+    full bipartite matching. It reads a zero cell as a missing edge, so 1 is
+    added to every cell: that adds min(rows, cols) to every full matching
+    and keeps the optimum."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    rows, cols = min_weight_full_bipartite_matching(csr_array(table + 1.0), maximize=True)
+    return float(table[rows, cols].sum() / table.sum())
+
+
 def ari_by_pair_counting(pred, truth) -> float:
     """ARI from literal enumeration of all sample pairs."""
     pred = np.asarray(pred)

@@ -730,8 +730,8 @@ class TestPresetFlag:
 
 
 def test_cli_import_leaves_out_scipy_optimize(tmp_path):
-    # Commands that do not score load neither scipy.optimize nor the
-    # csgraph matching; scoring loads csgraph only.
+    # No command loads scipy.optimize or the csgraph matching: scoring
+    # matches clusters to classes in numpy.
     pred = tmp_path / "pred.txt"
     truth = tmp_path / "truth.txt"
     pred.write_text("0\n0\n1\n1\n1\n")
@@ -749,4 +749,4 @@ def test_cli_import_leaves_out_scipy_optimize(tmp_path):
     ).stdout.splitlines()
     assert out[0] == "False False"
     assert json.loads("\n".join(out[1:-1]))["acc"] == 0.8
-    assert out[-1] == "0 False True"
+    assert out[-1] == "0 False False"

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,85 @@ class TestStreamingLoader:
         x = load_matrix(path)
         assert x.values.flags.owndata
         assert np.array_equal(x.values, [[1, 2], [3, 4]])
+
+
+def load_both_ways(monkeypatch, path, **kwargs):
+    """load_matrix's result, or its error message, first as it chooses its
+    parser, then with np.loadtxt raising so the csv row loop reads the
+    file; and whether np.loadtxt returned the first result."""
+    real, returned = np.loadtxt, []
+
+    def spy(*args, **kw):
+        returned.append(real(*args, **kw))
+        return returned[-1]
+
+    def refuse(*args, **kw):
+        raise ValueError("row loop forced")
+
+    results = []
+    for loadtxt in (spy, refuse):
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        try:
+            results.append(load_matrix(path, **kwargs).values)
+        except DataError as err:
+            results.append(str(err))
+    monkeypatch.setattr(np, "loadtxt", real)
+    return results[0], results[1], bool(returned)
+
+
+class TestLoaderPaths:
+    """np.loadtxt reads a file with no quote and the same number of cells
+    on every data line; the csv row loop reads every other file, and every
+    file np.loadtxt rejects. Each case loads to the same bits, or fails with
+    the same message, either way."""
+
+    @pytest.mark.parametrize(
+        "text, fmt, fast, want",
+        [
+            # An extra cell in one row under an id column: usecols alone
+            # would load the first two values of that row.
+            ("cell,g0,g1\nc0,1,2\nc1,3,4,5\n", "csv", False, "row 3 has 4 cells, expected 3"),
+            ('g0,g1\n"1.5",2\n3,4\n', "csv", False, [[1.5, 2], [3, 4]]),
+            ("\n1,2\n\n\n3,4\n\n", "csv", True, [[1, 2], [3, 4]]),
+            ("1,2\n\n3,4\n   \n5,6\n", "csv", False, "row 3 has 1 cells, expected 2"),
+            ("1\n\n3\n   \n5\n", "csv", False, "non-numeric value '   ' at (3, 1)"),
+            ("\ufeffg0,g1\r\n1,2\r\n\r\n3,4\r\n", "csv", True, [[1, 2], [3, 4]]),
+            ("cell,g#0,g1\nc#0,1,2\n#c1,3,4\n", "csv", True, [[1, 2], [3, 4]]),
+            ("\tg0\tg1\nc0\t1\t2\nc1\t3\t4\n", "tsv", True, [[1, 2], [3, 4]]),
+            ("g0,g1\n0,1,2\n1,3,4\n", "csv", True, [[1, 2], [3, 4]]),
+            ("1_000,2\n\uff13,4\n", "csv", False, [[1000, 2], [3, 4]]),
+            ("cell,g0,g1\nc0,1,x\nc1,3,4\n", "csv", False, "non-numeric value 'x' at (2, 3)"),
+            ("cell,g0,g1\nc0,1,\nc1,3,4\n", "csv", False, "non-numeric value '' at (2, 3)"),
+        ],
+    )
+    def test_both_paths_agree(self, tmp_path, monkeypatch, text, fmt, fast, want):
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode())
+        first, loop, used_loadtxt = load_both_ways(monkeypatch, path, fmt=fmt)
+        assert used_loadtxt is fast
+        if isinstance(want, str):
+            assert first == loop == f"{path}: {want}"
+        else:
+            assert first.tobytes() == loop.tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_blank_lines_raise_no_warning(self, tmp_path):
+        # np.loadtxt warns when a blank line does not count towards max_rows.
+        path = write(tmp_path / "m.csv", "g0,g1\n\n1,2\n\n3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_matrix(path).values.tolist() == [[1, 2], [3, 4]]
+
+    def test_loadtxt_matches_float_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        formats = ["%.17g", "%.6f", "%+.6e", "%g", "%.3E"]
+        numbers = rng.standard_normal((400, 100)) * 10.0 ** rng.integers(-12, 13, size=(400, 100))
+        tokens = [[formats[j % len(formats)] % v for j, v in enumerate(row)] for row in numbers]
+        path = tmp_path / "m.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in tokens))
+        first, loop, used_loadtxt = load_both_ways(monkeypatch, path)
+        want = np.array([[float(tok) for tok in row] for row in tokens])
+        assert used_loadtxt
+        assert first.tobytes() == loop.tobytes() == want.tobytes()
 
 
 # One 3x4 matrix written in each layout: header row none, text names or

@@ -6,7 +6,7 @@ import pytest
 from mgm.errors import DataError
 from mgm.metrics import accuracy, ari, avg_purity, evaluate, nmi, purity
 
-from oracles import accuracy_by_enumeration, ari_by_pair_counting
+from oracles import accuracy_by_csgraph, accuracy_by_enumeration, ari_by_pair_counting
 
 
 def random_labels(rng, m, k):
@@ -31,6 +31,19 @@ class TestAccuracy:
             pred = random_labels(rng, m, int(rng.integers(1, 7)))
             truth = random_labels(rng, m, int(rng.integers(1, 5)))
             assert accuracy(pred, truth) == accuracy_by_enumeration(pred, truth)
+
+    @pytest.mark.parametrize("shape", ["square", "rectangular"])
+    def test_matches_csgraph_matching(self, rng, shape):
+        # Tables up to 50 x 50 whose cells take a few small values, so ties
+        # abound, and whose sparse ones are mostly zero.
+        for _ in range(40):
+            rows, cols = (int(k) for k in rng.integers(1, 51, size=2))
+            if shape == "square":
+                cols = rows
+            table = rng.integers(0, int(rng.integers(2, 5)), size=(rows, cols))
+            table *= rng.random((rows, cols)) < rng.choice([0.1, 0.5, 1.0])
+            table[0, 0] += 1  # at least one sample
+            assert accuracy.of_table(table) == accuracy_by_csgraph(table)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_single_row_and_single_column_tables(self, n):

@@ -232,6 +232,27 @@ class TestDistanceMatrix:
             with pytest.raises(ValueError, match=message):
                 distance_matrix(bases, metric)
 
+    def test_non_orthonormal_bases_are_refused_by_name(self):
+        # Six 3-dim subspaces of R^8 scaled by 1.01, a defect of 3.5e-2. No
+        # chordal pair of them is guarded, so without the check on entry
+        # chordal raised nothing and moved distances by up to 0.028.
+        bases = build_subspaces(random_stack(m=6, n=8, p=3, seed=2))
+        assert distance_matrix(bases, GrassmannMetric.CHORDAL).guarded_pairs == 0
+        one_off = bases.copy()
+        one_off[4] *= 1.01
+        nan = bases.copy()
+        nan[1, 0, 0] = np.nan
+        for bad, sample in ((bases * 1.01, 0), (one_off, 4), (nan, 1)):
+            for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
+                with pytest.raises(ValueError, match=rf"^sample {sample}: basis columns are not orthonormal"):
+                    distance_matrix(bad, metric)
+        # Five nonzero columns in R^3 cannot be orthonormal.
+        wide = np.random.default_rng(0).standard_normal((2, 3, 5))
+        assert _subspace_ranks(wide).tolist() == [5, 5]
+        for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
+            with pytest.raises(ValueError, match=r"^sample 0: basis columns are not orthonormal"):
+                distance_matrix(wide, metric)
+
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
         e = np.eye(6)
