@@ -17,9 +17,10 @@ import numpy as np
 
 from .clustering import cluster_distances
 from .config import DEFAULTS, PRESETS, load_config
-from .data import load_labels, load_matrix, preprocess
+from .data import load_labels, load_matrix
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
+    _preprocess,
     _writing,
     export_scatter,
     load_distance_matrix,
@@ -91,15 +92,6 @@ def _load_data(args: argparse.Namespace):
     )
 
 
-def _load_preprocessed(args: argparse.Namespace, cfg):
-    return preprocess(
-        _load_data(args),
-        normalize=cfg.normalize,
-        log_transform=cfg.log_transform,
-        top_features=cfg.top_features,
-    )
-
-
 def _write_text(text: str, out: str | Path | None) -> None:
     if out:
         with _writing(out):
@@ -128,7 +120,7 @@ def _cmd_sample_scales(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    embedding = embed_multiscale(_load_preprocessed(args, cfg).values, cfg)
+    embedding = embed_multiscale(_preprocess(_load_data(args), cfg).values, cfg)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,7 +141,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_mgm(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _, dmat, report, _ = run_mgm(_load_preprocessed(args, cfg), cfg)
+    _, dmat, report, _ = run_mgm(_preprocess(_load_data(args), cfg), cfg)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)

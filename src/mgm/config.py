@@ -259,8 +259,8 @@ def load_config(
     if path is not None:
         path = Path(path)
         try:
-            text = path.read_text()
-        except OSError as err:
+            text = path.read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}")
         mapping.update(parse_config_text(text))
     if overrides:

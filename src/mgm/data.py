@@ -63,24 +63,6 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _parse_row(tokens: list[str], row_no: int, first_col: int, path: Path) -> np.ndarray:
-    """Cast one row's tokens to floats exactly as float() does, naming the
-    1-based (row, column) of the first token it rejects."""
-    try:
-        return np.array(tokens, dtype=float)
-    except ValueError:
-        pass
-    values = []
-    for j, token in enumerate(tokens):
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {token!r} at ({row_no}, {j + first_col})"
-            )
-    return np.array(values)
-
-
 def _csv_rows(handle, delimiter: str):
     """The non-empty rows csv reads from handle."""
     return (row for row in csv.reader(handle, delimiter=delimiter) if row)
@@ -189,10 +171,14 @@ def load_matrix(
                         )
                     if parse_error is None:
                         try:
-                            values[i] = _parse_row(row[start:], row_no, start + 1, path)
-                        except DataError as err:
+                            # numpy casts each token with float().
+                            values[i] = row[start:]
+                        except ValueError:
                             # Kept until every row's length has been checked.
-                            parse_error = err
+                            j = next(j for j in range(start, width) if not _is_number(row[j]))
+                            parse_error = DataError(
+                                f"{path}: non-numeric value {row[j]!r} at ({row_no}, {j + 1})"
+                            )
                 if i + 1 < len(values):
                     values = values[: i + 1].copy()
     except (OSError, UnicodeDecodeError, csv.Error) as err:

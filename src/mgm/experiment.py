@@ -123,7 +123,7 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
         try:
-            meta = json.loads(meta_path.read_text())
+            meta = json.loads(meta_path.read_text(encoding="utf-8-sig"))
             if not isinstance(meta, dict) or not isinstance(meta.get("metric"), str):
                 raise ValueError("expected a JSON object with a string 'metric'")
             metric = parse_choice(GrassmannMetric, meta["metric"], "metric")
@@ -185,6 +185,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _preprocess(matrix: ExpressionMatrix, cfg: PipelineConfig) -> ExpressionMatrix:
+    """preprocess with the steps cfg selects."""
+    return preprocess(
+        matrix,
+        normalize=cfg.normalize,
+        log_transform=cfg.log_transform,
+        top_features=cfg.top_features,
+    )
+
+
 def run_experiment(
     matrix: ExpressionMatrix,
     cfg: PipelineConfig,
@@ -203,12 +213,7 @@ def run_experiment(
     """
     if save_distance and out_dir is None:
         raise ConfigError("saving the distance matrix needs an output directory")
-    pre = preprocess(
-        matrix,
-        normalize=cfg.normalize,
-        log_transform=cfg.log_transform,
-        top_features=cfg.top_features,
-    )
+    pre = _preprocess(matrix, cfg)
     checksum = hashlib.sha256(np.ascontiguousarray(pre.values)).hexdigest()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

@@ -405,7 +405,7 @@ class TestClusterCommand:
     "sidecar",
     [
         "{not json", "[1]", "{}", '{"metric": 2}', '{"metric": "bogus"}',
-        '{"metric": "chordal", "sample_count": 5}',
+        '{"metric": "chordal", "sample_count": 5}', '{"metric": "\xff"}',
     ],
 )
 def test_bad_sidecar_exits_3(tmp_path, capsys, command, sidecar):
@@ -413,15 +413,22 @@ def test_bad_sidecar_exits_3(tmp_path, capsys, command, sidecar):
     values = np.linalg.norm(points[:, None] - points[None, :], axis=2)
     dpath = tmp_path / "d.csv"
     np.savetxt(dpath, values, delimiter=",", fmt="%.17g")
-    (tmp_path / "d.csv.meta.json").write_text(sidecar)
+    # latin-1 writes "\xff" as the byte 0xff, which is not UTF-8.
+    (tmp_path / "d.csv.meta.json").write_text(sidecar, encoding="latin-1")
     extra = ["--k", "2"] if command == "cluster" else ["--out", str(tmp_path / "s.csv")]
     code = main([command, "--distances", str(dpath), *extra])
     assert code == 3
     assert "data error" in capsys.readouterr().err
 
 
+# Distance CSVs that load as matrices, and what each is refused for.
+_BAD_DISTANCES = {
+    "nan-distances": ("0,1,nan\n1,0,1\nnan,1,0\n", "non-finite values"),
+    "non-square-distances": ("0,1,2\n1,0,3\n", "must be square"),
+    "negative-distances": ("0,-1,2\n-1,0,3\n2,3,0\n", "negative entries"),
+}
 _BAD_FILES = {
-    "nan-distances": "d.csv",
+    **{case: "d.csv" for case in _BAD_DISTANCES},
     "directory-distances": "d.csv",
     "wide-tsv": "wide.tsv",
     "header-only": "header.csv",
@@ -434,8 +441,10 @@ _BAD_FILES = {
 def test_bad_input_file_exits_3_naming_it(workspace, capsys, case):
     tmp_path, data, labels, config, _ = workspace
     bad = tmp_path / _BAD_FILES[case]
-    if case == "nan-distances":
-        bad.write_text("0,1,nan\n1,0,1\nnan,1,0\n")
+    reason = ""
+    if case in _BAD_DISTANCES:
+        text, reason = _BAD_DISTANCES[case]
+        bad.write_text(text)
         argv = ["cluster", "--distances", str(bad), "--k", "2"]
     elif case == "directory-distances":
         bad.mkdir()
@@ -459,7 +468,7 @@ def test_bad_input_file_exits_3_naming_it(workspace, capsys, case):
         argv = ["pipeline", "--config", str(config), "--data", str(data), "--labels", str(labels)]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(bad) in err
+    assert err.startswith("data error: ") and str(bad) in err and reason in err
 
 
 @pytest.mark.parametrize(
@@ -712,6 +721,14 @@ class TestConfigFlags:
         key, value = _CONFIG_FLAGS[flag]
         args = build_parser().parse_args([command, *_REQUIRED[command], flag, value])
         assert _resolve_config(args) == load_config(overrides={key: value}) != load_config()
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "f.cfg"
+    config.write_bytes(b"\xff\n")
+    assert main(["sample-scales", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {config}: ")
 
 
 class TestPresetFlag:

@@ -61,6 +61,10 @@ class TestKmeans:
             # never better than the true optimum
             assert inertia >= best - 1e-9
 
+    def test_non_2d_points_are_refused(self):
+        with pytest.raises(ValueError, match=r"nonempty 2-d array, got \(6,\)"):
+            kmeans(np.arange(6.0), 2, (0,))
+
     def test_separated_blobs_recovered(self, rng):
         for seed in range(5):
             x, truth = make_blobs(m=60, d=5, sep=10.0, seed=seed)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mgm.clustering import ClusteringMethod
@@ -257,6 +259,19 @@ class TestLoadConfig:
             load_config(path=path)
         path.write_text("metric = chordal\n= 3\n")
         with pytest.raises(ConfigError, match="line 2: empty key"):
+            load_config(path=path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "clustering.k = 5\nmetric = geodesic\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_config(path=marked) == load_config(path=plain) != load_config()
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"metric = chordal\n\xff\n")
+        with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: "):
             load_config(path=path)
 
     def test_missing_file(self, tmp_path):

@@ -342,6 +342,16 @@ class TestDistanceMatrixFiles:
         loaded, _ = load_distance_matrix(path)
         assert np.array_equal(loaded.values, dmat.values)
 
+    def test_sidecar_byte_order_mark_is_dropped(self, tmp_path):
+        dmat, _ = self.make_distance()
+        path = tmp_path / "d.csv"
+        np.savetxt(path, dmat.values, delimiter=",", fmt="%.17g")
+        sidecar = path.with_name("d.csv.meta.json")
+        sidecar.write_bytes(b"\xef\xbb\xbf" + json.dumps({"metric": "geodesic"}).encode())
+        loaded, meta = load_distance_matrix(path)
+        assert meta == {"metric": "geodesic"}
+        assert loaded.metric is GrassmannMetric.GEODESIC
+
     def test_load_header_and_id_column(self, tmp_path):
         dmat, _ = self.make_distance()
         ids = [f"cell{i}" for i in range(dmat.size)]

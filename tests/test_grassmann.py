@@ -20,6 +20,7 @@ from mgm.grassmann import (
     GrassmannMetric,
     distance,
     distance_from_angles,
+    orthonormalize,
     principal_angles,
 )
 from mgm import pipeline
@@ -129,6 +130,9 @@ class TestSubspaceTypes:
         for bad in ([-0.2], [2.0], [np.nan, 0.1], [[0.1, np.nan]], np.full((2, 2, 2), 0.1), []):
             with pytest.raises(ValueError):
                 distance_from_angles(np.array(bad), GrassmannMetric.GEODESIC)
+        # the metric must be a member, not its name
+        with pytest.raises(ValueError, match="unhandled metric 'geodesic'"):
+            distance_from_angles(np.array([0.1]), "geodesic")
         # within 1e-12 of the range, angles are clipped into it
         assert distance_from_angles(np.array([-1e-13]), GrassmannMetric.GEODESIC) == 0.0
         at_right = distance_from_angles(np.array([math.pi / 2 + 1e-13]), GrassmannMetric.CHORDAL)
@@ -174,6 +178,17 @@ class TestOrthonormalize:
     def test_all_zero_columns_raise(self):
         with pytest.raises(NumericalError, match="columns are numerically zero"):
             span(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (np.ones((4, 2)), r"expected a nonempty 3-d array, got shape \(4, 2\)"),
+            (np.full((1, 4, 2), np.inf), "input contains non-finite values"),
+        ],
+    )
+    def test_bad_input_is_refused(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            orthonormalize(columns)
 
     def test_scaling_does_not_change_span(self, rng):
         a = rng.standard_normal((6, 3))

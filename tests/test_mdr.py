@@ -91,6 +91,10 @@ class TestPcaReduce:
                 )
                 assert delta < 1e-8
 
+    def test_non_2d_input_is_refused(self):
+        with pytest.raises(ValueError, match=r"expected a 2-d array, got shape \(6,\)"):
+            pca_reduce(np.arange(6.0), 1)
+
     def test_line_collapses_to_one_component(self):
         t = np.linspace(-2.0, 2.0, 11)
         x = np.column_stack([3.0 * t, -4.0 * t])

@@ -265,6 +265,18 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             DistanceMatrix(values=bad, metric=GrassmannMetric.CHORDAL)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((2, 3)), r"must be square, got shape \(2, 3\)"),
+            (np.array([[0.0, np.nan], [np.nan, 0.0]]), "has non-finite values"),
+            (np.array([[0.0, -1.0], [-1.0, 0.0]]), "has negative entries"),
+        ],
+    )
+    def test_validation_rejects_bad_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+
     def test_symmetry_is_checked_across_row_blocks(self):
         # 150 rows are three row blocks, the last one partial.
         rng = np.random.default_rng(3)
@@ -399,6 +411,10 @@ class TestRunMgm:
         )
         defaults.update(overrides)
         return PipelineConfig(**defaults)
+
+    def test_non_2d_input_is_refused(self):
+        with pytest.raises(ValueError, match=r"expected a 2-d matrix, got shape \(40,\)"):
+            run_mgm(np.ones(40), self.make_config())
 
     def test_shapes_and_report(self):
         x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
