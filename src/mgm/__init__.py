@@ -15,7 +15,7 @@ from .clustering import (
     spectral_cluster,
 )
 from .config import PRESETS, PipelineConfig, load_config
-from .data import ExpressionMatrix, load_labels, load_matrix, preprocess
+from .data import load_labels, load_matrix, preprocess
 from .errors import (
     ConfigError,
     DataError,
@@ -44,7 +44,6 @@ from .mdr import (
 )
 from .metrics import EvaluationReport, accuracy, ari, avg_purity, evaluate, nmi, purity
 from .pipeline import (
-    DistanceMatrix,
     MultiscaleEmbedding,
     RunReport,
     build_subspaces,

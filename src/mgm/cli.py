@@ -21,6 +21,7 @@ from .data import load_labels, load_matrix
 from .errors import ConfigError, DataError, MgmError
 from .experiment import (
     _preprocess,
+    _write_csv,
     _writing,
     export_scatter,
     load_distance_matrix,
@@ -84,12 +85,12 @@ def _resolve_config(args: argparse.Namespace):
 
 
 def _load_data(args: argparse.Namespace):
-    return load_matrix(
-        args.data,
-        fmt=args.format,
-        orientation=args.orientation,
-        labels_path=args.labels,
-    )
+    """The --data matrix and the --labels read for its rows, or None. A
+    caller that only preprocesses the matrix holds no name for it, so it is
+    freed once preprocessed."""
+    values = load_matrix(args.data, fmt=args.format, orientation=args.orientation)
+    labels = load_labels(args.labels, expected=len(values)) if args.labels else None
+    return values, labels
 
 
 def _write_text(text: str, out: str | Path | None) -> None:
@@ -120,14 +121,12 @@ def _cmd_sample_scales(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    embedding = embed_multiscale(_preprocess(_load_data(args), cfg).values, cfg)
+    embedding = embed_multiscale(_preprocess(_load_data(args)[0], cfg), cfg)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         for scale, emb in zip(embedding.scales, embedding.values):
-            np.savetxt(
-                out_dir / f"embedding_scale_{scale}.csv", emb, delimiter=",", fmt="%.17g"
-            )
+            _write_csv(out_dir / f"embedding_scale_{scale}.csv", emb)
         meta = {
             "scales": list(embedding.scales),
             "embedding_dim": embedding.values.shape[2],
@@ -141,18 +140,18 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_mgm(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _, dmat, report, _ = run_mgm(_preprocess(_load_data(args), cfg), cfg)
+    _, dmat, report, _ = run_mgm(_preprocess(_load_data(args)[0], cfg), cfg)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    save_distance_matrix(dmat, out_dir / "distance_matrix.csv", report)
+    save_distance_matrix(dmat, cfg.metric, out_dir / "distance_matrix.csv", report)
     _emit(report.to_dict(), out_dir / "run_report.json")
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    dmat, _ = load_distance_matrix(args.distances)
+    dmat, _, _ = load_distance_matrix(args.distances)
     (labels,) = cluster_distances(dmat, cfg.clustering_method, cfg.k, cfg.seeds)
     _write_text("\n".join(str(int(v)) for v in labels) + "\n", args.out)
     return 0
@@ -169,9 +168,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    values, labels = _load_data(args)
     result = run_experiment(
-        _load_data(args),
+        values,
         cfg,
+        labels=labels,
         out_dir=args.out_dir,
         save_distance=args.save_distance_matrix,
         with_baselines=not args.no_baselines,
@@ -187,8 +188,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
-    dmat, _ = load_distance_matrix(args.distances)
-    labels = load_labels(args.labels, expected=dmat.size) if args.labels else None
+    dmat, _, _ = load_distance_matrix(args.distances)
+    labels = load_labels(args.labels, expected=len(dmat)) if args.labels else None
     export_scatter(dmat, labels, args.out)
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .mdr import _fix_column_signs, _normalized_laplacian
-from .pipeline import DistanceMatrix
+from .pipeline import _check_distances
 
 __all__ = [
     "ClusteringMethod",
@@ -162,7 +162,7 @@ def kmeans_euclidean(points: np.ndarray, k: int, seeds: Sequence[int]) -> tuple[
     return tuple(labels for labels, _ in kmeans(points, k, seeds))
 
 
-def spectral_cluster(d: DistanceMatrix, k: int) -> np.ndarray:
+def spectral_cluster(d: np.ndarray, k: int) -> np.ndarray:
     """Spectral embedding of a distance matrix for k clusters.
 
     The affinity is exp(-d^2 / (2 sigma^2)) with sigma the median
@@ -170,14 +170,14 @@ def spectral_cluster(d: DistanceMatrix, k: int) -> np.ndarray:
     the symmetric normalized Laplacian, unit-normalized (Ng, Jordan & Weiss
     2001); k-means on them gives the clusters.
     """
-    m = d.size
-    off_diag = d.values[~np.eye(m, dtype=bool)]
+    m = len(d)
+    off_diag = d[~np.eye(m, dtype=bool)]
     sigma = float(np.median(off_diag))
     if sigma <= 0.0:
         raise NumericalError(
             "median pairwise distance is zero; the affinity scale is undefined"
         )
-    affinity = np.exp(-(d.values**2) / (2.0 * sigma**2))
+    affinity = np.exp(-(d**2) / (2.0 * sigma**2))
     lap, _ = _normalized_laplacian(affinity)
     _, vecs = np.linalg.eigh(lap)
     emb = vecs[:, :k].copy()
@@ -206,7 +206,7 @@ def classical_mds(d_values: np.ndarray, dim: int) -> np.ndarray:
 
 
 def cluster_distances(
-    d: DistanceMatrix,
+    d: np.ndarray,
     method: ClusteringMethod,
     k: int,
     seeds: Sequence[int],
@@ -217,9 +217,11 @@ def cluster_distances(
     spectral embedding, or classical MDS coordinates in min(k, M - 1)
     dimensions; one kmeans call clusters it for every seed.
     A matrix whose centered squared distances have no positive eigenvalue
-    cannot be embedded by MDS and is rejected.
+    cannot be embedded by MDS and is rejected. ValueError unless d holds
+    symmetric nonnegative distances with a zero diagonal.
     """
-    m = d.size
+    d = _check_distances(d)
+    m = len(d)
     if not 1 <= k <= m:
         raise ConfigError(f"clustering.k must lie in [1, {m}], got {k}")
     if k == 1:
@@ -227,7 +229,7 @@ def cluster_distances(
     if method is ClusteringMethod.SPECTRAL:
         points = spectral_cluster(d, k)
     else:
-        points = classical_mds(d.values, min(k, m - 1))
+        points = classical_mds(d, min(k, m - 1))
         if points.shape[1] == 0:
             raise NumericalError(
                 "no positive eigenvalue in the centered squared distances; "

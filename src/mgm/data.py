@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,39 +19,21 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "ExpressionMatrix",
     "load_matrix",
     "load_labels",
     "preprocess",
 ]
 
 
-def frozen(array: np.ndarray) -> np.ndarray:
-    """array itself if it is read-only and owns its data, otherwise a
-    read-only copy, so a later write by the caller cannot reach it."""
-    if array.flags.writeable or not array.flags.owndata:
-        array = array.copy()
-        array.setflags(write=False)
-    return array
-
-
-@dataclass(frozen=True)
-class ExpressionMatrix:
-    """An M x N matrix of finite floats, held read-only (frozen), with
-    optional labels."""
-
-    values: np.ndarray
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise DataError(f"matrix must be 2-d and nonempty, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise DataError("matrix contains non-finite values")
-        if self.labels is not None and len(self.labels) != values.shape[0]:
-            raise DataError(f"{len(self.labels)} labels for {values.shape[0]} samples")
-        object.__setattr__(self, "values", frozen(values))
+def _checked(values, where: str = "") -> np.ndarray:
+    """values as a float array, or DataError, its message led by `where`,
+    unless it is 2-d, nonempty and finite."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        raise DataError(f"{where}matrix must be 2-d and nonempty, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{where}matrix contains non-finite values")
+    return values
 
 
 def _is_number(token: str) -> bool:
@@ -72,9 +53,9 @@ def load_matrix(
     path: str | Path,
     fmt: str = "csv",
     orientation: str = "samples-as-rows",
-    labels_path: str | Path | None = None,
-) -> ExpressionMatrix:
-    """Load a delimited matrix, skipping an optional header row and id column.
+) -> np.ndarray:
+    """Load a delimited matrix, skipping an optional header row and id column,
+    as a read-only (M, N) array that owns its data: nonempty and finite.
 
     fmt is "csv" or "tsv". orientation is "samples-as-rows" or
     "samples-as-columns"; the latter transposes after loading. Parse
@@ -190,17 +171,11 @@ def load_matrix(
     if header_width is not None and header_width not in (width, width - start):
         expected = f"{width} or {width - 1}" if width > 1 else f"{width}"
         raise DataError(f"{path}: header has {header_width} cells, expected {expected}")
-    values.setflags(write=False)
     if orientation == "samples-as-columns":
-        values = values.T
-
-    labels = None
-    if labels_path is not None:
-        labels = load_labels(labels_path, expected=values.shape[0])
-    try:
-        return ExpressionMatrix(values, labels)
-    except DataError as err:
-        raise type(err)(f"{path}: {err}") from err
+        values = values.T.copy()
+    _checked(values, f"{path}: ")
+    values.setflags(write=False)
+    return values
 
 
 def load_labels(path: str | Path, expected: int | None = None) -> tuple[str, ...]:
@@ -219,19 +194,22 @@ def load_labels(path: str | Path, expected: int | None = None) -> tuple[str, ...
 
 
 def preprocess(
-    x: ExpressionMatrix,
+    values: np.ndarray,
     normalize: bool = True,
     log_transform: bool = True,
     top_features: int | None = None,
-) -> ExpressionMatrix:
-    """Median-total normalization, log1p, and optional variance filtering.
+) -> np.ndarray:
+    """Median-total normalization, log1p, and optional variance filtering of
+    a 2-d, nonempty, finite matrix, into a read-only array that owns its
+    data. The result is checked as the input is.
 
     Normalization rescales each row to the median row total; all-zero rows
     stay zero. Negative entries make totals meaningless, so they are
     rejected. top_features keeps that many highest-variance columns, in
-    their original order. Each step works on the one copy the result keeps.
+    their original order. Each step works on the one copy the result keeps,
+    in C order whatever the input's.
     """
-    values = np.array(x.values, dtype=float)
+    values = np.array(_checked(values), order="C")
     if normalize:
         if np.any(values < 0):
             raise DataError("normalization requires nonnegative values; got negatives")
@@ -250,6 +228,7 @@ def preprocess(
             )
         variances = values.var(axis=0)
         ranked = np.argsort(-variances, kind="stable")[:top_features]
-        values = values[:, np.sort(ranked)]
-    values.setflags(write=False)  # handed over, not copied
-    return ExpressionMatrix(values=values, labels=x.labels)
+        values = np.take(values, np.sort(ranked), axis=1)
+    _checked(values)  # a row total that overflowed
+    values.setflags(write=False)
+    return values

@@ -25,12 +25,12 @@ import numpy as np
 
 from .clustering import classical_mds, cluster_distances, kmeans_euclidean
 from .config import PipelineConfig, config_to_mapping, parse_choice
-from .data import ExpressionMatrix, load_matrix, preprocess
+from .data import load_matrix, preprocess
 from .errors import ConfigError, DataError
 from .grassmann import GrassmannMetric
 from .mdr import pca_reduce
 from .metrics import EvaluationReport, evaluate
-from .pipeline import DistanceMatrix, RunReport, distance_matrix, run_mgm
+from .pipeline import RunReport, _check_distances, distance_matrix, run_mgm
 
 __all__ = [
     "SeedOutcome",
@@ -88,19 +88,40 @@ def metrics_payload(
     return payload
 
 
+# Values per block of _write_csv, about 60 KB of floats and text. On the
+# M = 120 pipeline benchmark input (1 BLAS thread), 64-row blocks of the
+# distance matrix raised peak RSS by 0.2 MB; blocks this size do not.
+_CSV_BLOCK_VALUES = 1024
+
+
+def _write_csv(path: Path, values: np.ndarray) -> None:
+    """Write a 2-d array as CSV with 17 significant digits (lossless for
+    float64), the bytes np.savetxt(fmt="%.17g", delimiter=",") writes: one
+    row format applied with % to a block of rows at a time, faster than
+    np.savetxt's row loop and holding no string of the whole file."""
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    rows = max(1, _CSV_BLOCK_VALUES // values.shape[1])
+    with open(path, "w") as handle:
+        for lo in range(0, len(values), rows):
+            block = values[lo : lo + rows]
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def save_distance_matrix(
-    d: DistanceMatrix, path: str | Path, report: RunReport | None = None
+    d: np.ndarray, metric: GrassmannMetric, path: str | Path, report: RunReport | None = None
 ) -> None:
-    """Write the full matrix with 17 significant digits (lossless for float64)
-    plus a JSON sidecar describing how it was produced."""
+    """Write the full matrix (_write_csv) plus a JSON sidecar naming its
+    metric and describing how it was produced."""
     path = Path(path)
     with _writing(path):
-        np.savetxt(path, d.values, delimiter=",", fmt="%.17g")
-        _write_sidecar(d, path, report)
+        _write_csv(path, d)
+        _write_sidecar(metric, len(d), path, report)
 
 
-def _write_sidecar(d: DistanceMatrix, path: Path, report: RunReport | None) -> None:
-    meta = {"metric": d.metric.value, "sample_count": d.size}
+def _write_sidecar(
+    metric: GrassmannMetric, size: int, path: Path, report: RunReport | None
+) -> None:
+    meta = {"metric": metric.value, "sample_count": size}
     if report is not None:
         meta.update(
             {
@@ -113,12 +134,13 @@ def _write_sidecar(d: DistanceMatrix, path: Path, report: RunReport | None) -> N
     _write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
 
 
-def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]:
+def load_distance_matrix(path: str | Path) -> tuple[np.ndarray, GrassmannMetric, dict | None]:
     """Read a matrix written by save_distance_matrix, or any CSV load_matrix
-    reads; the sidecar is optional and supplies the metric (chordal assumed
-    without one). A sidecar sample_count must match the matrix."""
+    reads, as a read-only array with its metric and sidecar. The sidecar is
+    optional and supplies the metric (chordal assumed without one). A
+    sidecar sample_count must match the matrix."""
     path = Path(path)
-    values = load_matrix(path).values
+    values = load_matrix(path)
     meta, metric = None, GrassmannMetric.CHORDAL
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():
@@ -130,26 +152,26 @@ def load_distance_matrix(path: str | Path) -> tuple[DistanceMatrix, dict | None]
         except (OSError, ValueError) as err:
             raise DataError(f"bad sidecar {meta_path}: {err}")
     try:
-        dmat = DistanceMatrix(values=values, metric=metric)
+        _check_distances(values)
     except ValueError as err:
         raise DataError(f"{path} is not a valid distance matrix: {err}")
     count = None if meta is None else meta.get("sample_count")
-    if count is not None and count != dmat.size:
-        raise DataError(f"sidecar {meta_path} gives {count!r} samples, {path} has {dmat.size}")
-    return dmat, meta
+    if count is not None and count != len(values):
+        raise DataError(f"sidecar {meta_path} gives {count!r} samples, {path} has {len(values)}")
+    return values, metric, meta
 
 
-def export_scatter(
-    d: DistanceMatrix, labels, path: str | Path
-) -> np.ndarray:
+def export_scatter(d: np.ndarray, labels, path: str | Path) -> np.ndarray:
     """Write a 2-d classical-MDS view of a distance matrix as x,y,label CSV
     rows, quoting a label only where CSV needs it. A label holding a carriage
-    return is rejected.
+    return is rejected, and a matrix that is not symmetric nonnegative
+    distances with a zero diagonal raises ValueError.
 
     Degenerate directions (no positive eigenvalue) are padded with zeros, so
     the file always has two coordinate columns.
     """
-    m = d.size
+    d = _check_distances(d)
+    m = len(d)
     if m < 3:
         raise DataError(f"scatter export needs at least 3 samples, got {m}")
     if labels is not None:
@@ -160,7 +182,7 @@ def export_scatter(
         for i, label in enumerate(labels):
             if "\r" in str(label):
                 raise DataError(f"label of sample {i} holds a carriage return: {label!r}")
-    coords = classical_mds(d.values, 2)
+    coords = classical_mds(d, 2)
     if coords.shape[1] < 2:
         coords = np.hstack([coords, np.zeros((m, 2 - coords.shape[1]))])
     with _writing(path), open(path, "w", newline="") as handle:
@@ -185,10 +207,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _preprocess(matrix: ExpressionMatrix, cfg: PipelineConfig) -> ExpressionMatrix:
+def _preprocess(values: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """preprocess with the steps cfg selects."""
     return preprocess(
-        matrix,
+        values,
         normalize=cfg.normalize,
         log_transform=cfg.log_transform,
         top_features=cfg.top_features,
@@ -196,8 +218,9 @@ def _preprocess(matrix: ExpressionMatrix, cfg: PipelineConfig) -> ExpressionMatr
 
 
 def run_experiment(
-    matrix: ExpressionMatrix,
+    values: np.ndarray,
     cfg: PipelineConfig,
+    labels=None,
     out_dir: str | Path | None = None,
     save_distance: bool = False,
     with_baselines: bool = True,
@@ -206,28 +229,30 @@ def run_experiment(
     every configured seed of the method and the baselines, then score and
     write each seed.
 
-    Evaluation requires matrix.labels; without them only predicted labels are
-    produced. Each seed's run report and distance-matrix sidecar carry that
-    seed. save_distance needs an out_dir to save into. A write that fails
-    raises ConfigError naming out_dir (or the matrix file being saved).
+    Evaluation requires labels, one ground-truth label per row of values;
+    without them only predicted labels are produced. Each seed's run report
+    and distance-matrix sidecar carry that seed. save_distance needs an
+    out_dir to save into. A write that fails raises ConfigError naming
+    out_dir (or the matrix file being saved).
     """
     if save_distance and out_dir is None:
         raise ConfigError("saving the distance matrix needs an output directory")
-    pre = _preprocess(matrix, cfg)
-    checksum = hashlib.sha256(np.ascontiguousarray(pre.values)).hexdigest()
+    pre = _preprocess(values, cfg)
+    if labels is not None and len(labels) != len(pre):
+        raise DataError(f"{len(labels)} labels for {len(pre)} samples")
+    checksum = hashlib.sha256(pre).hexdigest()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         lines = [f"{k} = {v}" for k, v in config_to_mapping(cfg).items()]
         with _writing(out_path):
             out_path.mkdir(parents=True, exist_ok=True)
             (out_path / "config.txt").write_text("\n".join(lines) + "\n")
-    truth = pre.labels
     bases, dmat, report, embedding = run_mgm(pre, cfg)
     for _ in cfg.seeds[1:]:
         # The matrix does not depend on the seed, but the pipeline
         # workload of perfbench/ counts one build per seed
         # (test_traced_child_reports_every_layer); ROADMAP item 1.
-        dmat = distance_matrix(bases, cfg.metric)
+        dmat, _ = distance_matrix(bases, cfg.metric)
 
     # Every group's labels first, one array per seed, with the run report
     # and the distance matrix each of its seed directories gets (None for
@@ -247,8 +272,8 @@ def run_experiment(
             "baseline_pca": pca_reduce(reduced, dim),
             "baseline_avg_embedding": embedding.values.mean(axis=0),
         }
-        for group, values in points.items():
-            seed_labels = kmeans_euclidean(values, cfg.k, cfg.seeds)
+        for group, coords in points.items():
+            seed_labels = kmeans_euclidean(coords, cfg.k, cfg.seeds)
             groups[group] = (f"{group}+kmeans", seed_labels, None, None)
 
     # Each seed's metrics payload is built once, for its metrics.json, the
@@ -258,12 +283,12 @@ def run_experiment(
     written: Path | None = None
     for group, (method, seed_labels, group_report, saved) in groups.items():
         outcomes, rows = [], []
-        for seed, labels in zip(cfg.seeds, seed_labels):
+        for seed, pred in zip(cfg.seeds, seed_labels):
             outcome = SeedOutcome(
                 seed=seed,
-                labels=labels,
+                labels=pred,
                 method=method,
-                evaluation=evaluate(labels, truth) if truth is not None else None,
+                evaluation=evaluate(pred, labels) if labels is not None else None,
                 report=None if group_report is None else replace(group_report, seed=seed),
             )
             outcomes.append(outcome)
@@ -274,18 +299,18 @@ def run_experiment(
                 seed_dir = out_path / group / f"seed_{seed}"
                 seed_dir.mkdir(parents=True, exist_ok=True)
                 _write_json(seed_dir / "metrics.json", rows[-1])
-                (seed_dir / "labels.csv").write_text("\n".join(str(int(v)) for v in labels) + "\n")
+                (seed_dir / "labels.csv").write_text("\n".join(str(int(v)) for v in pred) + "\n")
                 if outcome.report is not None:
                     _write_json(seed_dir / "run_report.json", outcome.report.to_dict())
                 if saved is not None:
                     # One matrix for every seed: formatted once, then copied.
                     target = seed_dir / "distance_matrix.csv"
                     if written is None:
-                        save_distance_matrix(saved, target, outcome.report)
+                        save_distance_matrix(saved, cfg.metric, target, outcome.report)
                         written = target
                     else:
                         shutil.copyfile(written, target)
-                        _write_sidecar(saved, target, outcome.report)
+                        _write_sidecar(cfg.metric, len(saved), target, outcome.report)
         scored[group] = tuple(outcomes)
         payloads[group] = rows
     outcomes, baselines = scored.pop("mgm"), scored

@@ -325,7 +325,7 @@ def _load_external_embedding(
     pattern: str, scale: int, sample_count: int, dim: int
 ) -> np.ndarray:
     path = Path(pattern.replace("{scale}", str(scale)))
-    values = load_matrix(path).values
+    values = load_matrix(path)
     if values.shape != (sample_count, dim):
         raise DataError(f"{path} has shape {values.shape}, expected ({sample_count}, {dim})")
     return values

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import frozen
 from .errors import ConfigError, DataError, MgmError, NumericalError
 from .grassmann import (
     _CHORDAL_SQ_GUARD,
@@ -33,10 +32,8 @@ from .scales import sample_scales
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
-    from .data import ExpressionMatrix
 
 __all__ = [
-    "DistanceMatrix",
     "MultiscaleEmbedding",
     "RunReport",
     "build_subspaces",
@@ -56,48 +53,32 @@ _TILE_SUBSPACES = 8
 _BLOCK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric nonnegative pairwise distances with a zero diagonal.
-
-    guarded_pairs counts the pairs distance_matrix computed one by one
-    because the batched kernel could not be trusted on them. It is 0 for a
-    matrix read from a file.
-
-    values is held read-only, with no M x M copy if it is already read-only
-    and owns its data (data.frozen). The checks hold no M x M temporary.
-    """
-
-    values: np.ndarray
-    metric: GrassmannMetric
-    guarded_pairs: int = 0
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"distance matrix must be square, got shape {v.shape}")
-        # min and max carry any NaN, so the two are finite only if all are.
-        low, high = (v.min(), v.max()) if v.size else (0.0, 0.0)
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("distance matrix has non-finite values")
-        if low < 0:
-            raise ValueError("distance matrix has negative entries")
-        # One row block's difference alive at a time.
-        asym = math.hypot(
-            *(
-                np.linalg.norm(v[lo : lo + _BLOCK_ROWS] - v[:, lo : lo + _BLOCK_ROWS].T)
-                for lo in range(0, len(v), _BLOCK_ROWS)
-            )
+def _check_distances(values) -> np.ndarray:
+    """values as a float array, or ValueError unless it holds symmetric
+    nonnegative pairwise distances with a zero diagonal: square, finite,
+    symmetric within 1e-10 and exactly 0 on the diagonal. The checks hold no
+    M x M temporary."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValueError(f"distance matrix must be square, got shape {v.shape}")
+    # min and max carry any NaN, so the two are finite only if all are.
+    low, high = (v.min(), v.max()) if v.size else (0.0, 0.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("distance matrix has non-finite values")
+    if low < 0:
+        raise ValueError("distance matrix has negative entries")
+    # One row block's difference alive at a time.
+    asym = math.hypot(
+        *(
+            np.linalg.norm(v[lo : lo + _BLOCK_ROWS] - v[:, lo : lo + _BLOCK_ROWS].T)
+            for lo in range(0, len(v), _BLOCK_ROWS)
         )
-        if asym > 1e-10:
-            raise ValueError("distance matrix is not symmetric")
-        if np.any(np.diag(v) != 0.0):
-            raise ValueError("distance matrix diagonal must be exactly zero")
-        object.__setattr__(self, "values", frozen(v))
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
+    )
+    if asym > 1e-10:
+        raise ValueError("distance matrix is not symmetric")
+    if np.any(np.diag(v) != 0.0):
+        raise ValueError("distance matrix diagonal must be exactly zero")
+    return v
 
 
 def build_subspaces(embeddings: np.ndarray) -> np.ndarray:
@@ -297,9 +278,11 @@ def _chordal_distances(
     return redo
 
 
-def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> DistanceMatrix:
-    """All pairwise distances of the subspaces of an (M, n, p) basis array.
-    Each pair is computed once, and written into both triangles where it is computed.
+def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> tuple[np.ndarray, int]:
+    """All pairwise distances of the subspaces of an (M, n, p) basis array,
+    as a read-only (M, M) array that owns its data, with the count of
+    guarded pairs. Each pair is computed once, and written into both
+    triangles where it is computed.
     A sample whose basis is not orthonormal is refused by name first
     (_check_orthonormal).
 
@@ -308,9 +291,8 @@ def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> DistanceMatri
     of the tiled kernel (_tiled_distances). Only the pairs whose ranks sum
     past the ambient dimension, that fail the cancellation guard, or whose
     Martin distance diverges go through grassmann.distance, with just the
-    two subspaces each needs; the matrix counts them as guarded_pairs. The
-    values do not depend on the core count or on the BLAS thread count.
-    The one M x M array filled here is handed over read-only, not copied.
+    two subspaces each needs, and are counted as guarded pairs. The values
+    do not depend on the core count or on the BLAS thread count.
     """
     bases = np.ascontiguousarray(bases, dtype=float)
     ranks = _subspace_ranks(bases)
@@ -328,9 +310,8 @@ def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> DistanceMatri
             out[i, j] = out[j, i] = distance(x, y, metric)
         except NumericalError as err:
             raise NumericalError(f"pair ({i}, {j}): {err}") from err
-    # Read-only and owning its data, out is handed over without a copy.
     out.setflags(write=False)
-    return DistanceMatrix(values=out, metric=metric, guarded_pairs=len(redo))
+    return out, len(redo)
 
 
 @dataclass(frozen=True)
@@ -422,8 +403,8 @@ def embed_multiscale(
 
 
 def run_mgm(
-    x: "ExpressionMatrix | np.ndarray", cfg: "PipelineConfig"
-) -> tuple[np.ndarray, DistanceMatrix, RunReport, MultiscaleEmbedding]:
+    values: np.ndarray, cfg: "PipelineConfig"
+) -> tuple[np.ndarray, np.ndarray, RunReport, MultiscaleEmbedding]:
     """Run the pipeline stages on an already-preprocessed matrix.
 
     Stages: sample scales, optional PCA, per-scale embedding (see
@@ -432,7 +413,7 @@ def run_mgm(
     The first failing stage aborts with the stage name prepended to the
     error.
     """
-    values = np.asarray(getattr(x, "values", x), dtype=float)
+    values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {values.shape}")
     timings: dict[str, float] = {}
@@ -442,7 +423,7 @@ def run_mgm(
         bases = build_subspaces(embedding.values)
 
     with _stage("distances", timings):
-        dmat = distance_matrix(bases, cfg.metric)
+        dmat, guarded_pairs = distance_matrix(bases, cfg.metric)
 
     report = RunReport(
         sample_count=values.shape[0],
@@ -453,7 +434,7 @@ def run_mgm(
         scale_count=len(embedding.scales),
         nominal_rank=bases.shape[2],
         rank_reduced_cells=int(np.count_nonzero(_subspace_ranks(bases) < bases.shape[2])),
-        guarded_pairs=dmat.guarded_pairs,
+        guarded_pairs=guarded_pairs,
         metric=cfg.metric.value,
         seed=cfg.seeds[0],
         stage_seconds=timings,

@@ -12,7 +12,7 @@ import pytest
 
 from mgm.clustering import ClusteringMethod, cluster_distances, kmeans_euclidean
 from mgm.config import config_from_mapping, load_config
-from mgm.data import ExpressionMatrix, load_labels, load_matrix
+from mgm.data import load_labels, load_matrix
 from mgm.experiment import run_experiment
 from mgm.grassmann import GrassmannMetric, distance, principal_angles
 from mgm.mdr import MdrBackendSpec, build_stack, pca_reduce
@@ -119,21 +119,21 @@ def sixty_cell_stack():
 @criterion("pipeline-invariances")
 def test_pipeline_invariances():
     stack = sixty_cell_stack()
-    base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL).values
+    base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)[0]
 
     order = [2, 0, 3, 1]
     reordered = stack[order]
-    got = distance_matrix(build_subspaces(reordered), GrassmannMetric.CHORDAL).values
+    got = distance_matrix(build_subspaces(reordered), GrassmannMetric.CHORDAL)[0]
     assert np.max(np.abs(got - base)) <= 1e-9
 
     factors = np.array([3.7, 0.02, 1.0, 40.0])
     rescaled = stack * factors[:, None, None]
-    got = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL).values
+    got = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)[0]
     assert np.max(np.abs(got - base)) <= 1e-9
 
     perm = np.random.default_rng(17).permutation(60)
     permuted = stack[:, perm]
-    got = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL).values
+    got = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL)[0]
     assert np.max(np.abs(got - base[np.ix_(perm, perm)])) == 0.0
 
 
@@ -193,8 +193,8 @@ def e2e_config():
 def test_end_to_end_synthetic_clustering():
     start = time.perf_counter()
     x, truth = make_blobs(m=150, d=50, sep=6.0, seed=5)
-    matrix = ExpressionMatrix(values=x, labels=tuple(str(t) for t in truth))
-    result = run_experiment(matrix, e2e_config(), with_baselines=False)
+    labels = tuple(str(t) for t in truth)
+    result = run_experiment(x, e2e_config(), labels=labels, with_baselines=False)
     means = result.mean_metrics()
     assert means["ari"] >= 0.95
     assert means["acc"] >= 0.95
@@ -215,7 +215,7 @@ def test_degradation_beats_single_scales():
     for idx in (1, 3):
         corrupted[idx] = noise.standard_normal(corrupted[idx].shape)
 
-    dmat = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
+    dmat, _ = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
     seeds = (1, 3, 5, 7, 9)
     mgm_scores = [
         ari(labels, truth)
@@ -255,7 +255,8 @@ def test_gse57249_external_backend_parity():
     ]
     if not all(p.is_file() for p in needed):
         pytest.skip("GSE57249 matrix, labels, or per-scale embeddings not present")
-    matrix = load_matrix(matrix_path, labels_path=labels_path)
-    result = run_experiment(matrix, cfg, with_baselines=False)
+    values = load_matrix(matrix_path)
+    labels = load_labels(labels_path, expected=len(values))
+    result = run_experiment(values, cfg, labels=labels, with_baselines=False)
     acc = result.mean_metrics()["acc"]
     assert abs(acc - 0.9796) <= 0.05

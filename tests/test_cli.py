@@ -263,8 +263,8 @@ def test_duplicate_cells_embed(tmp_path, command):
             assert emb.shape == (40, 15)
             assert np.all(np.isfinite(emb))
     else:
-        dmat, _ = load_distance_matrix(out_dir / "distance_matrix.csv")
-        assert np.all(np.isfinite(dmat.values))
+        dmat, _, _ = load_distance_matrix(out_dir / "distance_matrix.csv")
+        assert np.all(np.isfinite(dmat))
 
 
 @pytest.mark.parametrize("command", ["embed", "mgm", "pipeline"])
@@ -300,8 +300,8 @@ class TestMgmCommand:
             ]
         )
         assert code == 0
-        dmat, meta = load_distance_matrix(out_dir / "distance_matrix.csv")
-        assert dmat.values.shape == (36, 36)
+        dmat, _, meta = load_distance_matrix(out_dir / "distance_matrix.csv")
+        assert dmat.shape == (36, 36)
         assert meta["metric"] == "chordal"
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["scales"] == [3, 5, 6, 8]
@@ -324,7 +324,7 @@ class TestMgmCommand:
             ]
         )
         assert code == 0
-        _, meta = load_distance_matrix(out_dir / "distance_matrix.csv")
+        _, _, meta = load_distance_matrix(out_dir / "distance_matrix.csv")
         assert meta["metric"] == "geodesic"
 
 
@@ -426,6 +426,8 @@ _BAD_DISTANCES = {
     "nan-distances": ("0,1,nan\n1,0,1\nnan,1,0\n", "non-finite values"),
     "non-square-distances": ("0,1,2\n1,0,3\n", "must be square"),
     "negative-distances": ("0,-1,2\n-1,0,3\n2,3,0\n", "negative entries"),
+    "asymmetric-distances": ("0,1,2\n1,0,3\n9,3,0\n", "not symmetric"),
+    "nonzero-diagonal-distances": ("0,1,2\n1,0,3\n2,3,1\n", "diagonal must be exactly zero"),
 }
 _BAD_FILES = {
     **{case: "d.csv" for case in _BAD_DISTANCES},

@@ -15,22 +15,19 @@ from mgm.clustering import (
     spectral_cluster,
 )
 from mgm.config import load_config
-from mgm.data import ExpressionMatrix
 from mgm.errors import ConfigError, NumericalError
 from mgm.experiment import run_experiment
-from mgm.grassmann import GrassmannMetric
-from mgm.pipeline import DistanceMatrix
 
 from conftest import make_blobs
 from oracles import kmeans_1d_optimal, kmeans_per_restart
 
 
-def euclidean_distance_matrix(points: np.ndarray) -> DistanceMatrix:
+def euclidean_distance_matrix(points: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     values = np.sqrt(np.sum(diff**2, axis=2))
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+    return values
 
 
 def kmeans_one(points, k: int, seed: int) -> tuple[np.ndarray, float]:
@@ -262,9 +259,6 @@ class TestBatchedKmeans:
         # pipeline-counts-m120 benchmark inputs.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         counts, labels = importlib.import_module("workloads").generate_counts(120, data_seed)
-        matrix = ExpressionMatrix(
-            values=counts.astype(float), labels=tuple(str(v) for v in labels)
-        )
         real = clustering.kmeans
         calls = []
 
@@ -274,7 +268,7 @@ class TestBatchedKmeans:
 
         monkeypatch.setattr(clustering, "kmeans", spy)
         cfg = load_config(preset="setup2-small", overrides={"clustering.k": "3"})
-        run_experiment(matrix, cfg)
+        run_experiment(counts.astype(float), cfg, labels=tuple(str(v) for v in labels))
         assert [(p.shape[1], k, s) for p, k, s in calls] == [
             (3, 3, cfg.seeds),
             (20, 3, cfg.seeds),
@@ -284,12 +278,12 @@ class TestBatchedKmeans:
             assert_matches_per_restart(points, k, seeds)
 
 
-def spectral(d: DistanceMatrix, k: int, seed: int) -> np.ndarray:
+def spectral(d: np.ndarray, k: int, seed: int) -> np.ndarray:
     (labels,) = cluster_distances(d, ClusteringMethod.SPECTRAL, k, (seed,))
     return labels
 
 
-def kmeans_mds(d: DistanceMatrix, k: int, seed: int) -> np.ndarray:
+def kmeans_mds(d: np.ndarray, k: int, seed: int) -> np.ndarray:
     (labels,) = cluster_distances(d, ClusteringMethod.KMEANS_MDS, k, (seed,))
     return labels
 
@@ -325,7 +319,7 @@ class TestSpectralCluster:
         assert np.all(labels == 0)
 
     def test_all_identical_points_rejected(self):
-        d = DistanceMatrix(values=np.zeros((6, 6)), metric=GrassmannMetric.CHORDAL)
+        d = np.zeros((6, 6))
         with pytest.raises(NumericalError, match="median pairwise distance is zero"):
             spectral_cluster(d, 2)
         with pytest.raises(NumericalError, match="median pairwise distance is zero"):
@@ -341,20 +335,20 @@ class TestClassicalMds:
     def test_reconstructs_euclidean_distances(self, rng):
         points = rng.standard_normal((15, 4))
         d = euclidean_distance_matrix(points)
-        coords = classical_mds(d.values, 4)
+        coords = classical_mds(d, 4)
         assert coords.shape == (15, 4)
         rebuilt = euclidean_distance_matrix(coords)
-        assert np.max(np.abs(rebuilt.values - d.values)) < 1e-8
+        assert np.max(np.abs(rebuilt - d)) < 1e-8
 
     def test_centered_output(self, rng):
         points = rng.standard_normal((12, 3)) + 5.0
-        coords = classical_mds(euclidean_distance_matrix(points).values, 3)
+        coords = classical_mds(euclidean_distance_matrix(points), 3)
         assert np.max(np.abs(coords.mean(axis=0))) < 1e-9
 
     def test_collinear_points_use_one_real_dimension(self):
         t = np.linspace(0, 1, 9)
         points = np.column_stack([t, 2 * t, -t])
-        coords = classical_mds(euclidean_distance_matrix(points).values, 5)
+        coords = classical_mds(euclidean_distance_matrix(points), 5)
         norms = np.linalg.norm(coords, axis=0)
         # everything beyond the first coordinate is eigensolver noise
         assert norms[0] > 1.0
@@ -362,12 +356,12 @@ class TestClassicalMds:
 
     def test_dim_caps_output(self, rng):
         points = rng.standard_normal((10, 6))
-        coords = classical_mds(euclidean_distance_matrix(points).values, 2)
+        coords = classical_mds(euclidean_distance_matrix(points), 2)
         assert coords.shape == (10, 2)
 
     def test_deterministic_signs(self, rng):
         points = rng.standard_normal((10, 3))
-        d = euclidean_distance_matrix(points).values
+        d = euclidean_distance_matrix(points)
         assert np.array_equal(classical_mds(d, 3), classical_mds(d, 3))
 
 
@@ -378,7 +372,7 @@ class TestKmeansOnDistances:
         assert same_partition(kmeans_mds(d, 3, seed=0), truth)
 
     def test_zero_matrix_has_no_embedding(self):
-        d = DistanceMatrix(values=np.zeros((5, 5)), metric=GrassmannMetric.CHORDAL)
+        d = np.zeros((5, 5))
         with pytest.raises(NumericalError, match="no positive eigenvalue"):
             kmeans_mds(d, 2, seed=0)
 
@@ -415,7 +409,7 @@ class TestDispatch:
         seeds = (4, 0, 4, 9)
         points = {
             ClusteringMethod.SPECTRAL: spectral_cluster(d, 3),
-            ClusteringMethod.KMEANS_MDS: classical_mds(d.values, 3),
+            ClusteringMethod.KMEANS_MDS: classical_mds(d, 3),
         }
         for method, emb in points.items():
             labels = cluster_distances(d, method, 3, seeds)

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -6,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mgm.data import ExpressionMatrix, load_labels, load_matrix, preprocess
+from mgm.config import PipelineConfig
+from mgm.data import load_labels, load_matrix, preprocess
 from mgm.errors import DataError
+from mgm.experiment import run_experiment
 
 
 def write(path, text):
@@ -19,8 +20,8 @@ class TestLoadMatrix:
     def test_bare_numeric_csv(self, tmp_path):
         path = write(tmp_path / "m.csv", "1,2,3\n4,5,6\n")
         x = load_matrix(path)
-        assert x.values.shape == (2, 3)
-        assert np.array_equal(x.values, [[1, 2, 3], [4, 5, 6]])
+        assert x.shape == (2, 3)
+        assert np.array_equal(x, [[1, 2, 3], [4, 5, 6]])
 
     def test_header_and_id_column(self, tmp_path):
         path = write(
@@ -28,8 +29,8 @@ class TestLoadMatrix:
             "id,geneA,geneB\ncell1,1,2\ncell2,3,4\n",
         )
         x = load_matrix(path)
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[1, 2], [3, 4]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[1, 2], [3, 4]])
 
     def test_header_without_corner_cell(self, tmp_path):
         path = write(
@@ -37,26 +38,26 @@ class TestLoadMatrix:
             "geneA,geneB\ncell1,1,2\ncell2,3,4\n",
         )
         x = load_matrix(path)
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[1, 2], [3, 4]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[1, 2], [3, 4]])
 
     def test_header_without_ids(self, tmp_path):
         path = write(tmp_path / "m.csv", "geneA,geneB\n1,2\n3,4\n")
         x = load_matrix(path)
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[1, 2], [3, 4]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[1, 2], [3, 4]])
 
     def test_ids_without_header(self, tmp_path):
         path = write(tmp_path / "m.csv", "cell1,1,2\ncell2,3,4\n")
         x = load_matrix(path)
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[1, 2], [3, 4]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[1, 2], [3, 4]])
 
     def test_tsv(self, tmp_path):
         path = write(tmp_path / "m.tsv", "id\tg1\tg2\nc1\t1\t2\nc2\t3\t4\n")
         x = load_matrix(path, fmt="tsv")
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[1, 2], [3, 4]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[1, 2], [3, 4]])
 
     def test_samples_as_columns(self, tmp_path):
         # genes in rows, cells in columns; loading flips it
@@ -65,8 +66,8 @@ class TestLoadMatrix:
             "gene,cell1,cell2,cell3\ng1,1,2,3\ng2,4,5,6\n",
         )
         x = load_matrix(path, orientation="samples-as-columns")
-        assert x.values.shape == (3, 2)
-        assert np.array_equal(x.values, [[1, 4], [2, 5], [3, 6]])
+        assert x.shape == (3, 2)
+        assert np.array_equal(x, [[1, 4], [2, 5], [3, 6]])
 
     def test_parse_error_positions_are_one_based(self, tmp_path):
         path = write(tmp_path / "m.csv", "id,g1,g2\nc1,1,2\nc2,3,oops\n")
@@ -113,8 +114,8 @@ class TestLoadMatrix:
     def test_labels_loaded_alongside(self, tmp_path):
         mpath = write(tmp_path / "m.csv", "1,2\n3,4\n5,6\n")
         lpath = write(tmp_path / "labels.txt", "a\n\nb\na\n")
-        x = load_matrix(mpath, labels_path=lpath)
-        assert x.labels == ("a", "b", "a")
+        x = load_matrix(mpath)
+        assert load_labels(lpath, expected=len(x)) == ("a", "b", "a")
 
     def test_non_finite_rejected(self, tmp_path):
         path = write(tmp_path / "m.csv", "1,2\nnan,4\n")
@@ -136,8 +137,8 @@ class TestStreamingLoader:
         path = tmp_path / "m.csv"
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())
         x = load_matrix(path)
-        assert x.values.shape == (3, 3)
-        assert np.array_equal(x.values, np.arange(1.0, 10.0).reshape(3, 3))
+        assert x.shape == (3, 3)
+        assert np.array_equal(x, np.arange(1.0, 10.0).reshape(3, 3))
 
     def test_values_match_float_per_token(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -162,8 +163,8 @@ class TestStreamingLoader:
         path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
         x = load_matrix(path)
         want = np.array([[float(tok) for tok in row] for row in tokens])
-        assert x.values.shape == (30, 8)
-        assert np.array_equal(x.values, want)
+        assert x.shape == (30, 8)
+        assert np.array_equal(x, want)
 
     def test_bad_token_in_last_cell(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -203,8 +204,8 @@ class TestStreamingLoader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert x.values.shape == (2000, 300)
-        assert peak < 3 * x.values.nbytes
+        assert x.shape == (2000, 300)
+        assert peak < 3 * x.nbytes
 
     @pytest.mark.parametrize(
         "orientation, bound", [("samples-as-rows", 1.25), ("samples-as-columns", 2.1)]
@@ -223,15 +224,15 @@ class TestStreamingLoader:
         finally:
             tracemalloc.stop()
         want = counts if orientation == "samples-as-rows" else counts.T
-        assert x.values.shape == want.shape
-        assert np.array_equal(x.values, want)
-        assert peak <= bound * x.values.nbytes
+        assert x.shape == want.shape
+        assert np.array_equal(x, want)
+        assert peak <= bound * x.nbytes
 
     def test_quoted_line_break_leaves_fewer_rows_than_lines(self, tmp_path):
         path = write(tmp_path / "m.csv", '"gene\nA",geneB\n1,2\n\n3,4\n')
         x = load_matrix(path)
-        assert x.values.flags.owndata
-        assert np.array_equal(x.values, [[1, 2], [3, 4]])
+        assert x.flags.owndata
+        assert np.array_equal(x, [[1, 2], [3, 4]])
 
 
 def load_both_ways(monkeypatch, path, **kwargs):
@@ -251,7 +252,7 @@ def load_both_ways(monkeypatch, path, **kwargs):
     for loadtxt in (spy, refuse):
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         try:
-            results.append(load_matrix(path, **kwargs).values)
+            results.append(load_matrix(path, **kwargs))
         except DataError as err:
             results.append(str(err))
     monkeypatch.setattr(np, "loadtxt", real)
@@ -298,7 +299,7 @@ class TestLoaderPaths:
         path = write(tmp_path / "m.csv", "g0,g1\n\n1,2\n\n3,4\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert load_matrix(path).values.tolist() == [[1, 2], [3, 4]]
+            assert load_matrix(path).tolist() == [[1, 2], [3, 4]]
 
     def test_loadtxt_matches_float_bit_for_bit(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)
@@ -347,8 +348,8 @@ class TestLayouts:
     def test_round_trip(self, tmp_path, layout):
         path = write(tmp_path / "m.csv", _layout_text(*layout))
         x = load_matrix(path)
-        assert x.values.shape == _VALUES.shape
-        assert np.array_equal(x.values, _VALUES)
+        assert x.shape == _VALUES.shape
+        assert np.array_equal(x, _VALUES)
 
     @pytest.mark.parametrize(
         "layout", [lay for lay in _LAYOUTS if lay not in _READABLE], ids=str
@@ -364,28 +365,28 @@ class TestLayouts:
             want = np.vstack([np.arange(4.0), _VALUES])
         else:
             want = np.column_stack([np.arange(3.0), _VALUES])
-        assert np.array_equal(x.values, want)
+        assert np.array_equal(x, want)
 
     def test_pandas_default_layout(self, tmp_path):
         path = write(tmp_path / "m.csv", ",0,1,2\n0,5,6,7\n1,8,9,10\n")
         x = load_matrix(path)
-        assert x.values.shape == (2, 3)
-        assert np.array_equal(x.values, [[5, 6, 7], [8, 9, 10]])
+        assert x.shape == (2, 3)
+        assert np.array_equal(x, [[5, 6, 7], [8, 9, 10]])
 
     def test_blank_first_cell_makes_the_first_row_a_header(self, tmp_path):
         # The one layout whose reading changed: without a header this file
         # used to load three samples, the first with id ''.
         path = write(tmp_path / "m.csv", ",1,2\n3,4,5\n6,7,8\n")
         x = load_matrix(path)
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[4, 5], [7, 8]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[4, 5], [7, 8]])
 
     def test_header_one_cell_short_sits_over_numeric_ids(self, tmp_path):
         # R's read.table rule: the short header leaves the first column as ids
         path = write(tmp_path / "m.csv", "g0,g1\n0,5,6\n1,8,9\n")
         x = load_matrix(path)
-        assert x.values.shape == (2, 2)
-        assert np.array_equal(x.values, [[5, 6], [8, 9]])
+        assert x.shape == (2, 2)
+        assert np.array_equal(x, [[5, 6], [8, 9]])
 
     @pytest.mark.parametrize("ids", ["0,1", "c0,c1"])
     def test_other_header_widths_name_each_expected_width_once(self, tmp_path, ids):
@@ -417,27 +418,27 @@ class TestLoadLabels:
 class TestPreprocess:
     def test_normalization_fixture(self):
         # row totals 10 and 30, median 20: rows scale by 2 and 2/3
-        x = ExpressionMatrix(values=np.array([[4.0, 6.0], [12.0, 18.0]]))
+        x = np.array([[4.0, 6.0], [12.0, 18.0]])
         out = preprocess(x, normalize=True, log_transform=False)
-        assert np.allclose(out.values, [[8.0, 12.0], [8.0, 12.0]])
+        assert np.allclose(out, [[8.0, 12.0], [8.0, 12.0]])
 
     def test_zero_rows_stay_zero(self):
-        x = ExpressionMatrix(values=np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]]))
+        x = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
         out = preprocess(x, normalize=True, log_transform=False)
-        assert np.array_equal(out.values[0], [0.0, 0.0])
+        assert np.array_equal(out[0], [0.0, 0.0])
 
     def test_negative_values_rejected(self):
-        x = ExpressionMatrix(values=np.array([[1.0, -2.0]]))
+        x = np.array([[1.0, -2.0]])
         with pytest.raises(DataError, match="requires nonnegative values"):
             preprocess(x, normalize=True, log_transform=False)
 
     def test_log_transform(self):
-        x = ExpressionMatrix(values=np.array([[0.0, np.e - 1.0]]))
+        x = np.array([[0.0, np.e - 1.0]])
         out = preprocess(x, normalize=False, log_transform=True)
-        assert np.allclose(out.values, [[0.0, 1.0]])
+        assert np.allclose(out, [[0.0, 1.0]])
 
     def test_log_transform_guards_domain(self):
-        x = ExpressionMatrix(values=np.array([[-2.0, 1.0]]))
+        x = np.array([[-2.0, 1.0]])
         with pytest.raises(DataError, match="log1p"):
             preprocess(x, normalize=False, log_transform=True)
 
@@ -451,82 +452,90 @@ class TestPreprocess:
                 rng.normal(0, 3.0, size=20),
             ]
         )
-        x = ExpressionMatrix(values=values)
+        x = values
         out = preprocess(x, normalize=False, log_transform=False, top_features=2)
-        assert out.values.shape == (20, 2)
-        assert np.array_equal(out.values, values[:, [1, 3]])
+        assert out.shape == (20, 2)
+        assert np.array_equal(out, values[:, [1, 3]])
 
     def test_top_features_bounds(self):
-        x = ExpressionMatrix(values=np.ones((3, 4)))
+        x = np.ones((3, 4))
         with pytest.raises(DataError):
             preprocess(x, normalize=False, log_transform=False, top_features=0)
         with pytest.raises(DataError):
             preprocess(x, normalize=False, log_transform=False, top_features=5)
 
-    def test_labels_carried_through(self):
-        x = ExpressionMatrix(values=np.array([[1.0, 2.0], [3.0, 4.0]]), labels=("a", "b"))
-        out = preprocess(x)
-        assert out.labels == ("a", "b")
-
     def test_variance_ties_break_by_column_position(self):
         # Three columns of variance 1/4 each: the first two are kept.
         values = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 6.0]])
-        x = ExpressionMatrix(values=values)
+        x = values
         out = preprocess(x, normalize=False, log_transform=False, top_features=2)
-        assert np.array_equal(out.values, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_works_in_place_on_the_copy_it_hands_over(self):
         # Beside that copy: a boolean mask, 1/8 of a matrix, at a time. A
         # fancy-indexed row scaling and a new log1p array were two more.
         counts = np.random.default_rng(9).poisson(2.0, size=(1000, 500)).astype(float)
         counts[3] = 0.0
-        x = ExpressionMatrix(values=counts)
+        x = counts
         tracemalloc.start()
         try:
             out = preprocess(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.values.flags.owndata and not out.values.flags.writeable
-        assert peak <= 1.25 * x.values.nbytes
+        assert out.flags.owndata and not out.flags.writeable
+        assert peak <= 1.25 * x.nbytes
         totals = counts.sum(axis=1)
         want = counts.copy()
         want[totals > 0] *= np.median(totals) / totals[totals > 0, None]
-        assert out.values.tobytes() == np.log1p(want).tobytes()
+        assert out.tobytes() == np.log1p(want).tobytes()
 
 
 class TestExpressionMatrix:
-    def test_values_read_only(self):
-        x = ExpressionMatrix(values=np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            x.values[0, 0] = 5.0
+    """The expression matrix as the stages hand it on: the read-only array
+    that load_matrix and preprocess return, checked where it enters."""
 
-    def test_read_only_owning_array_is_kept(self):
-        values = np.ones((2, 3))
-        values.setflags(write=False)
-        assert ExpressionMatrix(values=values).values is values
-
-    @pytest.mark.parametrize("kind", ["writable", "borrowed"])
-    def test_other_arrays_are_copied(self, kind):
-        owner = np.ones((2, 3))
-        values = owner if kind == "writable" else owner[:, :]
-        if kind == "borrowed":
-            values.setflags(write=False)
-        x = ExpressionMatrix(values=values)
-        assert x.values is not values
-        owner[1, 2] = 7.0
-        assert np.all(x.values == 1.0)
+    def test_values_read_only(self, tmp_path):
+        x = load_matrix(write(tmp_path / "m.csv", "1,2\n3,4\n"))
+        for values in (x, preprocess(x), preprocess(np.ones((2, 2)))):
+            with pytest.raises(ValueError):
+                values[0, 0] = 5.0
 
     @pytest.mark.parametrize("orientation", ["samples-as-rows", "samples-as-columns"])
     def test_loaded_values_own_their_data(self, tmp_path, orientation):
         path = write(tmp_path / "m.csv", "1,2,3\n4,5,6\n")
         x = load_matrix(path, orientation=orientation)
-        assert x.values.flags.owndata and not x.values.flags.writeable
+        assert x.flags.owndata and not x.flags.writeable and x.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.ones(3), r"must be 2-d and nonempty, got shape \(3,\)"),
+            (np.ones((0, 2)), r"must be 2-d and nonempty, got shape \(0, 2\)"),
+            (np.ones((2, 0)), r"must be 2-d and nonempty, got shape \(2, 0\)"),
+            (np.array([[1.0, np.nan]]), "matrix contains non-finite values"),
+            (np.array([[1.0, np.inf]]), "matrix contains non-finite values"),
+        ],
+    )
+    def test_preprocess_checks_its_input(self, values, message):
+        with pytest.raises(DataError, match=message):
+            preprocess(values, normalize=False, log_transform=False)
+
+    def test_preprocess_checks_its_result(self):
+        # Row totals that overflow to inf scale a row by inf / inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError, match="matrix contains non-finite values"):
+                preprocess(np.full((3, 2), 1e308), log_transform=False)
+
+    def test_preprocess_hands_over_c_order(self):
+        # A Fortran-ordered input gives its C-ordered copy's bytes; numpy
+        # sums a row along a strided axis in another order.
+        counts = np.random.default_rng(4).poisson(3.0, size=(40, 300)).astype(float)
+        for top_features in (None, 30):
+            out = preprocess(np.asfortranarray(counts), top_features=top_features)
+            assert out.flags.c_contiguous and out.flags.owndata
+            assert out.tobytes() == preprocess(counts, top_features=top_features).tobytes()
 
     def test_label_length_checked(self):
         with pytest.raises(DataError, match="1 labels for 2 samples"):
-            ExpressionMatrix(values=np.ones((2, 2)), labels=("a",))
-
-    def test_holds_only_values_and_labels(self):
-        # Header and id cells are skipped on load, not kept.
-        assert [f.name for f in dataclasses.fields(ExpressionMatrix)] == ["values", "labels"]
+            run_experiment(np.ones((2, 2)), PipelineConfig(), labels=("a",))

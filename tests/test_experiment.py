@@ -12,7 +12,6 @@ import mgm.experiment
 import mgm.pipeline
 from mgm.clustering import kmeans
 from mgm.config import config_from_mapping, load_config
-from mgm.data import ExpressionMatrix
 from mgm.errors import ConfigError, DataError
 from mgm.experiment import (
     export_scatter,
@@ -22,15 +21,22 @@ from mgm.experiment import (
     save_distance_matrix,
 )
 from mgm.grassmann import GrassmannMetric
-from mgm.pipeline import DistanceMatrix, run_mgm
+from mgm.pipeline import run_mgm
 
 from conftest import make_blobs
 
 
-def blob_matrix(m=36, with_labels=True, seed=2):
+def blob_matrix(m=36, seed=2):
+    """Blob points and their labels."""
     x, truth = make_blobs(m=m, d=12, sep=8.0, seed=seed)
-    labels = tuple(str(t) for t in truth) if with_labels else None
-    return ExpressionMatrix(values=x, labels=labels)
+    return x, tuple(str(t) for t in truth)
+
+
+def run_blobs(cfg, with_labels=True, **kwargs):
+    """run_experiment on blob_matrix(), with its labels unless with_labels
+    is False."""
+    values, labels = blob_matrix()
+    return run_experiment(values, cfg, labels=labels if with_labels else None, **kwargs)
 
 
 def fast_config(**extra):
@@ -51,7 +57,7 @@ def fast_config(**extra):
 
 class TestRunExperiment:
     def test_outcomes_and_means(self):
-        result = run_experiment(blob_matrix(), fast_config())
+        result = run_blobs(fast_config())
         assert len(result.outcomes) == 2
         assert [o.seed for o in result.outcomes] == [1, 2]
         means = result.mean_metrics()
@@ -75,7 +81,7 @@ class TestRunExperiment:
 
             monkeypatch.setattr(mgm.clustering, name, counted)
         cfg = fast_config(**{"clustering.method": method, "seeds": "1,2,3,4,5"})
-        result = run_experiment(blob_matrix(), cfg, with_baselines=False)
+        result = run_blobs(cfg, with_baselines=False)
         assert {name: len(r) for name, r in calls.items()} == {
             name: int(name == embed) for name in calls
         }
@@ -95,30 +101,26 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mgm.clustering, "kmeans", counted)
         cfg = fast_config(**{"clustering.method": "kmeans-mds", "seeds": "1,2,3,4,5"})
-        result = run_experiment(blob_matrix(), cfg)
+        result = run_blobs(cfg)
         assert calls == [(1, 2, 3, 4, 5)] * 3
         assert set(result.baselines) == {"baseline_pca", "baseline_avg_embedding"}
 
     def test_deterministic(self):
-        a = run_experiment(blob_matrix(), fast_config())
-        b = run_experiment(blob_matrix(), fast_config())
+        a = run_blobs(fast_config())
+        b = run_blobs(fast_config())
         for oa, ob in zip(a.outcomes, b.outcomes):
             assert np.array_equal(oa.labels, ob.labels)
         assert a.checksum == b.checksum
 
     def test_checksum_tracks_preprocessing(self):
-        matrix = blob_matrix()
-        plain = run_experiment(matrix, fast_config(), with_baselines=False)
-        want = hashlib.sha256(
-            np.ascontiguousarray(matrix.values).tobytes()
-        ).hexdigest()
+        values, labels = blob_matrix()
+        plain = run_experiment(values, fast_config(), labels=labels, with_baselines=False)
+        want = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
         assert plain.checksum == want
-        shifted = ExpressionMatrix(
-            values=matrix.values - matrix.values.min() + 1.0, labels=matrix.labels
-        )
         logged = run_experiment(
-            shifted,
+            values - values.min() + 1.0,
             fast_config(**{"preprocess.log1p": "true"}),
+            labels=labels,
             with_baselines=False,
         )
         assert logged.checksum != plain.checksum
@@ -137,24 +139,22 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mgm.experiment, "preprocess", kept_preprocess)
         monkeypatch.setattr(mgm.experiment.hashlib, "sha256", recorded_sha256)
-        run_experiment(blob_matrix(), fast_config(), with_baselines=False)
+        run_blobs(fast_config(), with_baselines=False)
         assert len(preprocessed) == 1 and len(hashed) == 1
         # Hashing the array itself, not its tobytes() copy, keeps an M x N
         # matrix's worth of memory out of the run.
         assert isinstance(hashed[0], np.ndarray)
-        assert np.shares_memory(hashed[0], preprocessed[0].values)
+        assert np.shares_memory(hashed[0], preprocessed[0])
 
     def test_no_labels_no_evaluation(self):
-        result = run_experiment(
-            blob_matrix(with_labels=False), fast_config(), with_baselines=False
-        )
+        result = run_blobs(fast_config(), with_labels=False, with_baselines=False)
         assert result.mean_metrics() is None
         for outcome in result.outcomes:
             assert outcome.evaluation is None
             assert len(outcome.labels) == 36
 
     def test_baselines_present_and_scored(self):
-        result = run_experiment(blob_matrix(), fast_config())
+        result = run_blobs(fast_config())
         assert set(result.baselines) == {"baseline_pca", "baseline_avg_embedding"}
         for runs in result.baselines.values():
             assert [o.seed for o in runs] == [1, 2]
@@ -163,7 +163,7 @@ class TestRunExperiment:
         assert base_means["baseline_pca"]["ari"] > 0.9
 
     def test_baselines_can_be_skipped(self):
-        result = run_experiment(blob_matrix(), fast_config(), with_baselines=False)
+        result = run_blobs(fast_config(), with_baselines=False)
         assert result.baselines == {}
 
     def test_seed_independent_work_runs_once(self, monkeypatch):
@@ -180,7 +180,7 @@ class TestRunExperiment:
 
         counted(mgm.experiment, "run_mgm")
         counted(mgm.pipeline, "build_stack")
-        result = run_experiment(blob_matrix(), fast_config())
+        result = run_blobs(fast_config())
         assert [o.seed for o in result.outcomes] == [1, 2]
         assert set(result.baselines) == {"baseline_pca", "baseline_avg_embedding"}
         assert calls == {"run_mgm": 1, "build_stack": 1}
@@ -191,7 +191,7 @@ class TestExperimentOutputs:
         taken = tmp_path / "taken"
         taken.write_text("")
         with pytest.raises(ConfigError, match=re.escape(f"cannot write {taken}: ")):
-            run_experiment(blob_matrix(), fast_config(), out_dir=taken)
+            run_blobs(fast_config(), out_dir=taken)
 
     def test_saving_distances_needs_out_dir(self, monkeypatch):
         # rejected before any work: preprocess is never reached
@@ -200,12 +200,12 @@ class TestExperimentOutputs:
         with pytest.raises(
             ConfigError, match="^saving the distance matrix needs an output directory$"
         ):
-            run_experiment(blob_matrix(), fast_config(), save_distance=True)
+            run_blobs(fast_config(), save_distance=True)
         assert calls == []
 
     def test_directory_layout(self, tmp_path):
         out = tmp_path / "run1"
-        run_experiment(blob_matrix(), fast_config(), out_dir=out, save_distance=True)
+        run_blobs(fast_config(), out_dir=out, save_distance=True)
         assert (out / "config.txt").is_file()
         assert (out / "summary.json").is_file()
         for group in ("mgm", "baseline_pca", "baseline_avg_embedding"):
@@ -222,7 +222,7 @@ class TestExperimentOutputs:
                 assert not (seed_dir / "run_report.json").exists()
                 assert not list(seed_dir.glob("distance_matrix.csv*"))
         unsaved = tmp_path / "run_unsaved"
-        run_experiment(blob_matrix(), fast_config(), out_dir=unsaved, with_baselines=False)
+        run_blobs(fast_config(), out_dir=unsaved, with_baselines=False)
         for seed in (1, 2):
             seed_dir = unsaved / "mgm" / f"seed_{seed}"
             assert (seed_dir / "run_report.json").is_file()
@@ -233,14 +233,13 @@ class TestExperimentOutputs:
         real = mgm.experiment.save_distance_matrix
         saved = []
 
-        def spy(d, path, report=None):
+        def spy(d, metric, path, report=None):
             saved.append(path)
-            return real(d, path, report)
+            return real(d, metric, path, report)
 
         monkeypatch.setattr(mgm.experiment, "save_distance_matrix", spy)
         out = tmp_path / "shared"
-        run_experiment(
-            blob_matrix(), fast_config(seeds="1,2,3"), out_dir=out, save_distance=True,
+        run_blobs(fast_config(seeds="1,2,3"), out_dir=out, save_distance=True,
             with_baselines=False,
         )
         assert saved == [out / "mgm" / "seed_1" / "distance_matrix.csv"]
@@ -259,13 +258,13 @@ class TestExperimentOutputs:
     def test_config_file_roundtrips(self, tmp_path):
         out = tmp_path / "run2"
         cfg = fast_config()
-        run_experiment(blob_matrix(), cfg, out_dir=out, with_baselines=False)
+        run_blobs(cfg, out_dir=out, with_baselines=False)
         reloaded = load_config(path=out / "config.txt")
         assert reloaded == cfg
 
     def test_summary_schema(self, tmp_path):
         out = tmp_path / "run3"
-        result = run_experiment(blob_matrix(), fast_config(), out_dir=out)
+        result = run_blobs(fast_config(), out_dir=out)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checksum"] == result.checksum
         assert summary["seeds"] == [1, 2]
@@ -283,16 +282,14 @@ class TestExperimentOutputs:
 
     def test_labels_file_contents(self, tmp_path):
         out = tmp_path / "run4"
-        result = run_experiment(
-            blob_matrix(), fast_config(), out_dir=out, with_baselines=False
+        result = run_blobs(fast_config(), out_dir=out, with_baselines=False
         )
         lines = (out / "mgm" / "seed_1" / "labels.csv").read_text().splitlines()
         assert [int(v) for v in lines] == list(result.outcomes[0].labels)
 
     def test_metrics_json_contents(self, tmp_path):
         out = tmp_path / "run5"
-        result = run_experiment(
-            blob_matrix(), fast_config(), out_dir=out, with_baselines=False
+        result = run_blobs(fast_config(), out_dir=out, with_baselines=False
         )
         payload = json.loads((out / "mgm" / "seed_2" / "metrics.json").read_text())
         assert payload["seed"] == 2
@@ -303,18 +300,17 @@ class TestExperimentOutputs:
 
 class TestDistanceMatrixFiles:
     def make_distance(self):
-        matrix = blob_matrix(m=20)
-        cfg = fast_config(seeds="1")
-        _, dmat, report, _ = run_mgm(matrix, cfg)
+        values, _ = blob_matrix(m=20)
+        _, dmat, report, _ = run_mgm(values, fast_config(seeds="1"))
         return dmat, report
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         dmat, report = self.make_distance()
         path = tmp_path / "d.csv"
-        save_distance_matrix(dmat, path, report)
-        loaded, meta = load_distance_matrix(path)
-        assert np.array_equal(loaded.values, dmat.values)
-        assert loaded.metric is dmat.metric
+        save_distance_matrix(dmat, GrassmannMetric.CHORDAL, path, report)
+        loaded, metric, meta = load_distance_matrix(path)
+        assert loaded.tobytes() == dmat.tobytes() and not loaded.flags.writeable
+        assert metric is GrassmannMetric.CHORDAL
         assert meta["metric"] == "chordal"
         assert meta["sample_count"] == 20
         assert meta["scales"] == [3, 5, 6, 8]
@@ -323,15 +319,15 @@ class TestDistanceMatrixFiles:
     def test_load_without_sidecar_assumes_chordal(self, tmp_path):
         dmat, _ = self.make_distance()
         path = tmp_path / "bare.csv"
-        np.savetxt(path, dmat.values, delimiter=",", fmt="%.17g")
-        loaded, meta = load_distance_matrix(path)
+        np.savetxt(path, dmat, delimiter=",", fmt="%.17g")
+        _, metric, meta = load_distance_matrix(path)
         assert meta is None
-        assert loaded.metric is GrassmannMetric.CHORDAL
+        assert metric is GrassmannMetric.CHORDAL
 
     def test_sidecar_sample_count_must_match(self, tmp_path):
         dmat, report = self.make_distance()
         path = tmp_path / "d.csv"
-        save_distance_matrix(dmat, path, report)
+        save_distance_matrix(dmat, GrassmannMetric.CHORDAL, path, report)
         sidecar = path.with_name("d.csv.meta.json")
         meta = json.loads(sidecar.read_text())
         sidecar.write_text(json.dumps({**meta, "sample_count": 30}))
@@ -339,42 +335,42 @@ class TestDistanceMatrixFiles:
             load_distance_matrix(path)
         del meta["sample_count"]
         sidecar.write_text(json.dumps(meta))
-        loaded, _ = load_distance_matrix(path)
-        assert np.array_equal(loaded.values, dmat.values)
+        loaded, _, _ = load_distance_matrix(path)
+        assert np.array_equal(loaded, dmat)
 
     def test_sidecar_byte_order_mark_is_dropped(self, tmp_path):
         dmat, _ = self.make_distance()
         path = tmp_path / "d.csv"
-        np.savetxt(path, dmat.values, delimiter=",", fmt="%.17g")
+        np.savetxt(path, dmat, delimiter=",", fmt="%.17g")
         sidecar = path.with_name("d.csv.meta.json")
         sidecar.write_bytes(b"\xef\xbb\xbf" + json.dumps({"metric": "geodesic"}).encode())
-        loaded, meta = load_distance_matrix(path)
+        _, metric, meta = load_distance_matrix(path)
         assert meta == {"metric": "geodesic"}
-        assert loaded.metric is GrassmannMetric.GEODESIC
+        assert metric is GrassmannMetric.GEODESIC
 
     def test_load_header_and_id_column(self, tmp_path):
         dmat, _ = self.make_distance()
-        ids = [f"cell{i}" for i in range(dmat.size)]
+        ids = [f"cell{i}" for i in range(len(dmat))]
         rows = ["id," + ",".join(ids)] + [
-            f"{name}," + ",".join(f"{v:.17g}" for v in row) for name, row in zip(ids, dmat.values)
+            f"{name}," + ",".join(f"{v:.17g}" for v in row) for name, row in zip(ids, dmat)
         ]
         path = tmp_path / "named.csv"
         path.write_text("\n".join(rows) + "\n")
-        loaded, meta = load_distance_matrix(path)
+        loaded, _, meta = load_distance_matrix(path)
         assert meta is None
-        assert np.array_equal(loaded.values, dmat.values)
+        assert np.array_equal(loaded, dmat)
 
     def test_load_pandas_default_layout(self, tmp_path):
         # DataFrame.to_csv: a blank corner cell, integer column names and an
         # integer index.
         dmat, _ = self.make_distance()
-        rows = ["," + ",".join(str(j) for j in range(dmat.size))] + [
-            f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(dmat.values)
+        rows = ["," + ",".join(str(j) for j in range(len(dmat)))] + [
+            f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(dmat)
         ]
         path = tmp_path / "pandas.csv"
         path.write_text("\n".join(rows) + "\n")
-        loaded, _ = load_distance_matrix(path)
-        assert np.array_equal(loaded.values, dmat.values)
+        loaded, _, _ = load_distance_matrix(path)
+        assert np.array_equal(loaded, dmat)
 
     def test_load_rejects_invalid_matrix(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -394,7 +390,7 @@ class TestDistanceMatrixFiles:
         dmat, report = self.make_distance()
         path = tmp_path / "missing" / "d.csv"
         with pytest.raises(ConfigError, match=re.escape(f"cannot write {path}: ")):
-            save_distance_matrix(dmat, path, report)
+            save_distance_matrix(dmat, GrassmannMetric.CHORDAL, path, report)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -407,7 +403,7 @@ class TestExportScatter:
         values = np.sqrt(np.sum(diff**2, axis=2))
         values = (values + values.T) / 2.0
         np.fill_diagonal(values, 0.0)
-        return DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+        return values
 
     def test_file_format(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ import pytest
 
 from mgm.errors import NumericalError
 from mgm.config import load_config
-from mgm.data import ExpressionMatrix, preprocess
+from mgm.data import preprocess
 from mgm.grassmann import (
     _CHORDAL_SQ_GUARD,
     _COSINE_GUARD,
@@ -601,7 +601,7 @@ class TestChordalResidual:
             span(base[1] + 1e-14),
         ]
         cells = cells_of(points)
-        got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
+        got, _ = distance_matrix(cells, GrassmannMetric.CHORDAL)
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
         for i, j in zip(*np.triu_indices(len(points), 1)):
@@ -704,15 +704,16 @@ class TestChordalGramGuard:
         turn = np.linalg.qr(rng.standard_normal((5, 5)))[0]
         points[19] = points[3] @ turn
         points[20] = points[8].copy()
-        base = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
+        base, base_guarded = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
         fives = sum(p.shape[1] == 5 for p in points)
-        assert base.guarded_pairs == fives * (fives - 1) // 2 + 1
-        assert max(base.values[3, 19], base.values[8, 20]) < 1e-13
+        assert base_guarded == fives * (fives - 1) // 2 + 1
+        assert max(base[3, 19], base[8, 20]) < 1e-13
         for _ in range(3):
             perm = rng.permutation(len(points))
-            got = distance_matrix(cells_of([points[k] for k in perm]), GrassmannMetric.CHORDAL)
-            assert got.values.tobytes() == base.values[np.ix_(perm, perm)].tobytes()
-            assert got.guarded_pairs == base.guarded_pairs
+            permuted = cells_of([points[k] for k in perm])
+            got, guarded = distance_matrix(permuted, GrassmannMetric.CHORDAL)
+            assert got.tobytes() == base[np.ix_(perm, perm)].tobytes()
+            assert guarded == base_guarded
 
 
 ANGLE_METRICS = [m for m in GrassmannMetric if m is not GrassmannMetric.CHORDAL]
@@ -817,7 +818,7 @@ class TestPerPairKernelsMatchTheMatmulPath:
         counts, _ = importlib.import_module("workloads").generate_counts(120, 5)
         cfg = load_config(preset="setup2-small", overrides={"clustering.k": "3"})
         pre = preprocess(
-            ExpressionMatrix(values=counts.astype(float)),
+            counts.astype(float),
             normalize=cfg.normalize,
             log_transform=cfg.log_transform,
             top_features=cfg.top_features,
@@ -827,7 +828,7 @@ class TestPerPairKernelsMatchTheMatmulPath:
         want = np.zeros((len(points), len(points)))
         for i, j in zip(*np.triu_indices(len(points), 1)):
             want[i, j] = chordal_by_matmul(points[i], points[j])
-        got = distance_matrix(cells, GrassmannMetric.CHORDAL).values
+        got, _ = distance_matrix(cells, GrassmannMetric.CHORDAL)
         assert np.array_equal(got, got.T) and np.all(np.diag(got) == 0.0)
         below = 0
         for i, j in zip(*np.triu_indices(len(points), 1)):
@@ -963,23 +964,23 @@ class TestBatchedAngleKernel:
         ranks = _subspace_ranks(cells).tolist()
         assert ranks.count(3) == 3 and ranks.count(1) == 2
         calls = per_pair_spy(monkeypatch)
-        dmat = distance_matrix(cells, metric)
-        assert_matrix_matches(points_of(cells), metric, dmat.values)
+        dmat, guarded_pairs = distance_matrix(cells, metric)
+        assert_matrix_matches(points_of(cells), metric, dmat)
         assert calls == [(3, 20), (4, 19)]
-        assert dmat.guarded_pairs == 2
+        assert guarded_pairs == 2
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_either_side_of_both_guards(self, rng, metric, monkeypatch):
         points = points_either_side_of_both_guards(rng)
         calls = per_pair_spy(monkeypatch)
-        dmat = distance_matrix(cells_of(points), metric)
-        assert_matrix_matches(points, metric, dmat.values)
+        dmat, guarded_pairs = distance_matrix(cells_of(points), metric)
+        assert_matrix_matches(points, metric, dmat)
         # chordal has no cosine guard: (2, 17) is far above d^2 = 1e-4
         want = [(0, 9), (2, 17), (4, 18), (5, 12)]
         if metric is GrassmannMetric.CHORDAL:
             want.remove((2, 17))
         assert calls == want
-        assert dmat.guarded_pairs == len(want)
+        assert guarded_pairs == len(want)
 
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
     def test_pairs_whose_ranks_sum_past_n_skip_the_batch(self, rng, metric, monkeypatch):
@@ -999,10 +1000,10 @@ class TestBatchedAngleKernel:
 
         monkeypatch.setattr(pipeline, "block_distances", block)
         calls = per_pair_spy(monkeypatch)
-        dmat = distance_matrix(cells_of(points), metric)
-        assert_matrix_matches(points, metric, dmat.values)
+        dmat, guarded_pairs = distance_matrix(cells_of(points), metric)
+        assert_matrix_matches(points, metric, dmat)
         assert calls == shared
-        assert dmat.guarded_pairs == len(shared) == 51
+        assert guarded_pairs == len(shared) == 51
         largest = np.concatenate(batched)
         assert largest.size == 19 * 18 // 2 - len(shared)
         assert largest.max() < 1.0 - _COSINE_GUARD
@@ -1036,10 +1037,10 @@ class TestBatchedAngleKernel:
         monkeypatch.setattr(pipeline, "_tile_row", tiled)
         force_workers(monkeypatch, 3)
         calls = per_pair_spy(monkeypatch)
-        dmat = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
-        assert_matrix_matches(points, GrassmannMetric.CHORDAL, dmat.values)
+        dmat, guarded_pairs = distance_matrix(cells_of(points), GrassmannMetric.CHORDAL)
+        assert_matrix_matches(points, GrassmannMetric.CHORDAL, dmat)
         assert calls == redo
-        assert dmat.guarded_pairs == len(redo)
+        assert guarded_pairs == len(redo)
         assert seen == [threads, threads]
         assert threading.active_count() == threads
 
@@ -1047,10 +1048,10 @@ class TestBatchedAngleKernel:
     @pytest.mark.parametrize("m", [1, 2, 8, 9])
     def test_small_and_ragged_sizes(self, rng, metric, m):
         points = [random_subspace(rng, 7, 1 + k % 3) for k in range(m)]
-        dmat = distance_matrix(cells_of(points), metric)
-        assert dmat.values.shape == (m, m)
-        assert_matrix_matches(points, metric, dmat.values)
-        assert dmat.guarded_pairs == 0
+        dmat, guarded_pairs = distance_matrix(cells_of(points), metric)
+        assert dmat.shape == (m, m)
+        assert_matrix_matches(points, metric, dmat)
+        assert guarded_pairs == 0
 
     def test_near_right_angles(self, rng):
         points = points_near_right_angles(rng)
@@ -1060,8 +1061,8 @@ class TestBatchedAngleKernel:
                 with pytest.raises(NumericalError, match=r"pair \(2, 17\)"):
                     distance_matrix(cells, metric)
             else:
-                dmat = distance_matrix(cells, metric)
-                assert_matrix_matches(points, metric, dmat.values)
+                dmat, _ = distance_matrix(cells, metric)
+                assert_matrix_matches(points, metric, dmat)
 
     @pytest.mark.parametrize(
         "cells",
@@ -1079,8 +1080,8 @@ class TestBatchedAngleKernel:
                 force_workers(monkeypatch, workers)
                 with pytest.MonkeyPatch.context() as patch:
                     calls = per_pair_spy(patch)
-                    dmat = distance_matrix(cells, metric)
-                runs.append((dmat.values.tobytes(), dmat.guarded_pairs, calls))
+                    dmat, guarded_pairs = distance_matrix(cells, metric)
+                runs.append((dmat.tobytes(), guarded_pairs, calls))
             assert runs[1] == runs[0] and runs[2] == runs[0], metric
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -1171,15 +1172,15 @@ class TestBatchedAngleKernel:
         cells = cells_of(points)
         for metric in ALL_METRICS:
             force_workers(monkeypatch, 1)
-            want = distance_matrix(cells, metric)
+            want, want_guarded = distance_matrix(cells, metric)
             force_workers(monkeypatch, 6)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
                 for _ in range(5):
-                    got = distance_matrix(cells, metric)
-                    assert got.values.tobytes() == want.values.tobytes(), metric
-                    assert got.guarded_pairs == want.guarded_pairs == 10, metric
+                    got, guarded = distance_matrix(cells, metric)
+                    assert got.tobytes() == want.tobytes(), metric
+                    assert guarded == want_guarded == 10, metric
             finally:
                 sys.setswitchinterval(interval)
 

@@ -549,7 +549,7 @@ class TestDenseOracleParity:
         def distances(embeddings):
             # every 4th sample keeps the per-pair distance loop short
             stack = np.asarray(embeddings)[:, ::4]
-            return distance_matrix(build_subspaces(stack), metric).values
+            return distance_matrix(build_subspaces(stack), metric)[0]
 
         assert np.max(np.abs(distances(shared) - distances(dense))) < 1e-10
 
@@ -598,7 +598,7 @@ class TestLanczosTier:
     def distances(self, embeddings, metric):
         # every 12th sample keeps the per-pair distance loop short
         stack = np.asarray(embeddings)[:, ::12]
-        return distance_matrix(build_subspaces(stack), metric).values
+        return distance_matrix(build_subspaces(stack), metric)[0]
 
     @pytest.mark.parametrize("data, dim", [("curve", 5), ("curve", 20), ("blobs", 5)])
     def test_spans_match_dense(self, data, dim):

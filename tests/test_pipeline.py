@@ -1,16 +1,18 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mgm.clustering import ClusteringMethod, cluster_distances
 from mgm.config import PipelineConfig
 from mgm.errors import ConfigError, DataError, NumericalError
 from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance, orthonormalize
+from mgm.experiment import export_scatter
 from mgm.mdr import MdrBackendSpec, build_stack
 import mgm
 from mgm import pipeline
 from mgm.pipeline import (
-    DistanceMatrix,
     _subspace_ranks,
     build_subspaces,
     distance_matrix,
@@ -31,6 +33,15 @@ from test_grassmann import (
 
 def random_stack(m=12, n=8, p=4, seed=0):
     return np.random.default_rng(seed).standard_normal((p, m, n))
+
+
+def refused_on_entry(values, message):
+    """cluster_distances and export_scatter each raise ValueError matching
+    message on values, before any other work."""
+    with pytest.raises(ValueError, match=message):
+        cluster_distances(values, ClusteringMethod.SPECTRAL, 1, (0,))
+    with pytest.raises(ValueError, match=message):
+        export_scatter(values, None, os.devnull)
 
 
 def blob_stack(m=60):
@@ -195,14 +206,14 @@ class TestDistanceMatrix:
         cells = build_subspaces(values)
         points = points_of(cells)
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
-            dmat = distance_matrix(cells, metric)
-            assert dmat.values.shape == (9, 9)
+            dmat, guarded_pairs = distance_matrix(cells, metric)
+            assert dmat.shape == (9, 9)
             below = []
             for i in range(9):
-                assert dmat.values[i, i] == 0.0
+                assert dmat[i, i] == 0.0
                 for j in range(i + 1, 9):
                     want = distance(points[i], points[j], metric)
-                    got = dmat.values[i, j]
+                    got = dmat[i, j]
                     if metric is GrassmannMetric.CHORDAL and want**2 < _CHORDAL_SQ_GUARD:
                         # recomputed by the per-pair call itself
                         below.append((i, j))
@@ -210,8 +221,8 @@ class TestDistanceMatrix:
                     else:
                         # from the batched kernel: equal up to rounding
                         assert abs(got - want) <= 1e-12 + 1e-9 * want
-                    assert dmat.values[j, i] == got
-            assert dmat.guarded_pairs == 2
+                    assert dmat[j, i] == got
+            assert guarded_pairs == 2
             if metric is GrassmannMetric.CHORDAL:
                 assert below == [(1, 7), (4, 8)]
 
@@ -222,7 +233,7 @@ class TestDistanceMatrix:
         bases = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 6, 3)))[0]
         assert _subspace_ranks(bases).tolist() == [3] * 4
         for metric in (GrassmannMetric.GEODESIC, GrassmannMetric.CHORDAL):
-            got = distance_matrix(bases, metric).values
+            got, _ = distance_matrix(bases, metric)
             for i, j in zip(*np.triu_indices(4, 1)):
                 want = distance(bases[i], bases[j], metric)
                 assert abs(got[i, j] - want) <= 1e-12 + 1e-9 * want, (metric, i, j)
@@ -237,7 +248,7 @@ class TestDistanceMatrix:
         # chordal pair of them is guarded, so without the check on entry
         # chordal raised nothing and moved distances by up to 0.028.
         bases = build_subspaces(random_stack(m=6, n=8, p=3, seed=2))
-        assert distance_matrix(bases, GrassmannMetric.CHORDAL).guarded_pairs == 0
+        assert distance_matrix(bases, GrassmannMetric.CHORDAL)[1] == 0
         one_off = bases.copy()
         one_off[4] *= 1.01
         nan = bases.copy()
@@ -261,9 +272,7 @@ class TestDistanceMatrix:
             distance_matrix(cells, GrassmannMetric.MARTIN)
 
     def test_validation_rejects_asymmetric(self):
-        bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError):
-            DistanceMatrix(values=bad, metric=GrassmannMetric.CHORDAL)
+        refused_on_entry(np.array([[0.0, 1.0], [0.5, 0.0]]), "^distance matrix is not symmetric$")
 
     @pytest.mark.parametrize(
         "values, message",
@@ -274,8 +283,7 @@ class TestDistanceMatrix:
         ],
     )
     def test_validation_rejects_bad_values(self, values, message):
-        with pytest.raises(ValueError, match=message):
-            DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+        refused_on_entry(values, message)
 
     def test_symmetry_is_checked_across_row_blocks(self):
         # 150 rows are three row blocks, the last one partial.
@@ -285,10 +293,9 @@ class TestDistanceMatrix:
             values = upper + upper.T
             values[i, j] += step
             if ok:
-                DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+                cluster_distances(values, ClusteringMethod.SPECTRAL, 1, (0,))
             else:
-                with pytest.raises(ValueError, match="distance matrix is not symmetric"):
-                    DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
+                refused_on_entry(values, "distance matrix is not symmetric")
 
     @pytest.mark.parametrize(
         "cells",
@@ -305,51 +312,29 @@ class TestDistanceMatrix:
         for metric in GrassmannMetric:
             for workers in (1, 2, 3):
                 force_workers(monkeypatch, workers)
-                values = distance_matrix(cells, metric).values
+                values, _ = distance_matrix(cells, metric)
                 assert values.tobytes() == values.T.copy().tobytes(), (metric, workers)
                 assert not np.signbit(values).any(), (metric, workers)
 
     def test_validation_holds_two_row_blocks(self):
-        # A read-only matrix that owns its data is checked by row blocks and
-        # kept, not copied.
+        # cluster_distances checks the matrix it is given by row blocks, with
+        # no M x M temporary; at k = 1 it does nothing else.
         m = 1000
         upper = np.triu(np.random.default_rng(5).random((m, m)), 1)
         values = upper + upper.T
-        values.setflags(write=False)
         tracemalloc.start()
         try:
-            dmat = DistanceMatrix(values=values, metric=GrassmannMetric.GEODESIC)
+            (labels,) = cluster_distances(values, ClusteringMethod.SPECTRAL, 1, (0,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dmat.values is values
+        assert not labels.any()
         assert peak < 2 * 8 * m * pipeline._BLOCK_ROWS
 
-    def test_keeps_a_read_only_array_that_owns_its_data(self):
-        values = np.array([[0.0, 1.0], [1.0, 0.0]])
-        values.setflags(write=False)
-        dmat = DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
-        assert dmat.values is values
-
-    def test_copies_a_writable_or_borrowed_array(self):
-        def symmetric():
-            return np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-
-        writable = symmetric()
-        base = symmetric()
-        borrowed = base[:]
-        borrowed.setflags(write=False)
-        for values, owner in ((writable, writable), (borrowed, base)):
-            dmat = DistanceMatrix(values=values, metric=GrassmannMetric.CHORDAL)
-            assert dmat.values is not values
-            assert not dmat.values.flags.writeable
-            owner[0, 1] = owner[1, 0] = 7.0
-            assert dmat.values.tobytes() == symmetric().tobytes()
-
     def test_distance_matrix_holds_one_matrix(self, monkeypatch):
-        # Traced from the call on: the output and at most two row blocks
-        # beside it, where handing DistanceMatrix a copy made it two
-        # matrices. Geodesic at rank 1 keeps the distance kernel's share
+        # Traced from the call on: the output, handed over read-only without
+        # a copy, and at most two row blocks beside it. Geodesic at rank 1
+        # keeps the distance kernel's share
         # small; chordal also holds its projector features, n(n+1)/2 per
         # cell, and fills the matrix by row blocks, with no M x M or
         # M(M-1)/2 temporary.
@@ -361,17 +346,16 @@ class TestDistanceMatrix:
             bases = np.linalg.qr(columns)[0]
             tracemalloc.start()
             try:
-                dmat = distance_matrix(bases, metric)
+                dmat, _ = distance_matrix(bases, metric)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert dmat.size == m
+            assert dmat.shape == (m, m) and dmat.flags.owndata and not dmat.flags.writeable
             assert peak < 8 * m * (m + 2 * pipeline._BLOCK_ROWS) + features, metric
 
     def test_validation_rejects_nonzero_diagonal(self):
         bad = np.array([[0.1, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            DistanceMatrix(values=bad, metric=GrassmannMetric.CHORDAL)
+        refused_on_entry(bad, "^distance matrix diagonal must be exactly zero$")
 
 
 class TestStackInvariances:
@@ -380,24 +364,24 @@ class TestStackInvariances:
     def test_scale_order_does_not_matter(self):
         stack, _ = blob_stack()
         cells = build_subspaces(stack)
-        base = distance_matrix(cells, GrassmannMetric.CHORDAL)
-        other = distance_matrix(build_subspaces(stack[[2, 0, 3, 1]]), GrassmannMetric.CHORDAL)
-        assert np.max(np.abs(base.values - other.values)) < 1e-9
+        base, _ = distance_matrix(cells, GrassmannMetric.CHORDAL)
+        other, _ = distance_matrix(build_subspaces(stack[[2, 0, 3, 1]]), GrassmannMetric.CHORDAL)
+        assert np.max(np.abs(base - other)) < 1e-9
 
     def test_per_scale_rescaling_does_not_matter(self):
         stack, _ = blob_stack()
-        base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
+        base, _ = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
         factors = np.array([3.7, 0.02, 1.0, 40.0])
         rescaled = stack * factors[:, None, None]
-        other = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)
-        assert np.max(np.abs(base.values - other.values)) < 1e-9
+        other, _ = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)
+        assert np.max(np.abs(base - other)) < 1e-9
 
     def test_sample_permutation_conjugates_the_matrix(self):
         stack, _ = blob_stack()
         perm = np.random.default_rng(17).permutation(stack.shape[1])
-        base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
-        other = distance_matrix(build_subspaces(stack[:, perm]), GrassmannMetric.CHORDAL)
-        assert np.max(np.abs(base.values[np.ix_(perm, perm)] - other.values)) < 1e-12
+        base, _ = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
+        other, _ = distance_matrix(build_subspaces(stack[:, perm]), GrassmannMetric.CHORDAL)
+        assert np.max(np.abs(base[np.ix_(perm, perm)] - other)) < 1e-12
 
 
 class TestRunMgm:
@@ -421,7 +405,7 @@ class TestRunMgm:
         cfg = self.make_config(pca_dim=10)
         bases, dmat, report, _ = run_mgm(x, cfg)
         assert bases.shape == (40, 8, 4) and not bases.flags.writeable
-        assert dmat.values.shape == (40, 40)
+        assert dmat.shape == (40, 40) and not dmat.flags.writeable
         assert report.sample_count == 40
         assert report.feature_count == 15
         assert report.pca_dim == 10
@@ -455,8 +439,8 @@ class TestRunMgm:
         monkeypatch.setattr(pipeline, "distance", spy)
         for metric in (GrassmannMetric.GEODESIC, GrassmannMetric.CHORDAL):
             calls.clear()
-            _, dmat, report, _ = run_mgm(x, self.make_config(metric=metric))
-            assert report.guarded_pairs == dmat.guarded_pairs == len(calls) >= 2
+            _, _, report, _ = run_mgm(x, self.make_config(metric=metric))
+            assert report.guarded_pairs == len(calls) >= 2
             assert report.to_dict()["guarded_pairs"] == len(calls)
 
     def test_max_scale_clamped_to_sample_count(self):
@@ -489,15 +473,15 @@ class TestRunMgm:
         cfg = self.make_config(pca_dim=10, metric=metric)
         scales = mgm.sample_scales(cfg.scales)
         embeddings = mgm.build_stack(mgm.pca_reduce(x, cfg.pca_dim), scales, cfg.embedding)
-        dmat = mgm.distance_matrix(mgm.build_subspaces(embeddings), metric)
+        dmat, _ = mgm.distance_matrix(mgm.build_subspaces(embeddings), metric)
         _, want, report, embedding = run_mgm(x, cfg)
         assert report.scales == embedding.scales == scales
         assert embedding.values.tobytes() == embeddings.tobytes()
-        assert dmat.values.tobytes() == want.values.tobytes()
+        assert dmat.tobytes() == want.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         x, _ = make_blobs(m=30, d=12, sep=6.0, seed=5)
         cfg = self.make_config()
         _, d1, _, _ = run_mgm(x, cfg)
         _, d2, _, _ = run_mgm(x, cfg)
-        assert np.array_equal(d1.values, d2.values)
+        assert np.array_equal(d1, d2)
