@@ -249,9 +249,9 @@ def run_experiment(
             (out_path / "config.txt").write_text("\n".join(lines) + "\n")
     bases, dmat, report, embedding = run_mgm(pre, cfg)
     for _ in cfg.seeds[1:]:
-        # The matrix does not depend on the seed, but the pipeline
-        # workload of perfbench/ counts one build per seed
-        # (test_traced_child_reports_every_layer); ROADMAP item 1.
+        # The matrix does not depend on the seed, but the pin at
+        # perfbench/test_perfbench.py:154 counts one build per seed;
+        # ROADMAP item 1a deletes this loop with it.
         dmat, _ = distance_matrix(bases, cfg.metric)
 
     # Every group's labels first, one array per seed, with the run report

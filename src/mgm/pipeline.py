@@ -154,37 +154,29 @@ def _tile_row(
     bases: np.ndarray, ranks: np.ndarray, lo: int, metric: GrassmannMetric, out: np.ndarray
 ) -> list[tuple[int, int]]:
     """Fill out[i, j] and out[j, i] under an angle metric for every i of the
-    tile starting at `lo` and every j > i, and return the pairs to compute
-    one by one: those that grassmann.block_distances flags, and those whose
-    ranks sum past n. Such a pair shares a direction, a cosine of 1 that
-    fails the cancellation guard, so it skips the batch.
+    tile starting at `lo` and every j > i, and return the pairs that
+    grassmann.block_distances flags, to compute one by one. A pair whose
+    ranks sum past n shares a direction, whose cosine of 1 fails the
+    cancellation guard, so it is flagged with the rest.
 
     Tiles are slices of bases. One broadcast matmul of the p x n and
     n x p blocks gives every cross block Qi^T Qj of a tile pair. Each
     product is far below the size at which OpenBLAS starts its own threads,
     so a row never wakes the BLAS pool.
     """
-    m, n, r = bases.shape
+    m, _, r = bases.shape
     left = bases[lo : lo + _TILE_SUBSPACES]
     left_t = left.transpose(0, 2, 1)[:, None]
     flagged: list[tuple[int, int]] = []
     for hi in range(lo, m, _TILE_SUBSPACES):
         right = bases[hi : hi + _TILE_SUBSPACES]
+        cross = np.matmul(left_t, right[None]).reshape(-1, r, r)
         if hi == lo:
             ti, tj = np.triu_indices(len(left), 1)
+            cross = cross[ti * len(right) + tj]
         else:
             ti, tj = np.indices((len(left), len(right))).reshape(2, -1)
         i, j = lo + ti, hi + tj
-        batch = ranks[i] + ranks[j] <= n
-        flagged.extend(zip(i[~batch].tolist(), j[~batch].tolist()))
-        if not batch.any():
-            continue
-        # The cross blocks in (ti, tj) order, copied only when some are left out.
-        cross = np.matmul(left_t, right[None]).reshape(-1, r, r)
-        pick = (ti * len(right) + tj)[batch]
-        if pick.size < len(cross):
-            cross = cross[pick]
-        i, j = i[batch], j[batch]
         values, redo = block_distances(cross, np.minimum(ranks[i], ranks[j]), metric)
         out[i, j] = out[j, i] = values
         flagged.extend(zip(i[redo].tolist(), j[redo].tolist()))
@@ -288,11 +280,12 @@ def distance_matrix(bases: np.ndarray, metric: GrassmannMetric) -> tuple[np.ndar
 
     Chordal takes its squared distances from Grams of packed projector
     features (_chordal_distances), the angle metrics from the cross blocks
-    of the tiled kernel (_tiled_distances). Only the pairs whose ranks sum
-    past the ambient dimension, that fail the cancellation guard, or whose
-    Martin distance diverges go through grassmann.distance, with just the
-    two subspaces each needs, and are counted as guarded pairs. The values
-    do not depend on the core count or on the BLAS thread count.
+    of the tiled kernel (_tiled_distances). Only the pairs that fail the
+    cancellation guard, whose Martin distance diverges or, under chordal,
+    whose ranks sum past the ambient dimension go through
+    grassmann.distance, with just the two subspaces each needs, and are
+    counted as guarded pairs. The values do not depend on the core count or
+    on the BLAS thread count.
     """
     bases = np.ascontiguousarray(bases, dtype=float)
     ranks = _subspace_ranks(bases)

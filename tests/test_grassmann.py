@@ -983,30 +983,53 @@ class TestBatchedAngleKernel:
         assert guarded_pairs == len(want)
 
     @pytest.mark.parametrize("metric", ANGLE_METRICS)
-    def test_pairs_whose_ranks_sum_past_n_skip_the_batch(self, rng, metric, monkeypatch):
-        # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, and
-        # fail the cosine guard; ranks 2 + 4 and 3 + 3 need not.
+    def test_pairs_whose_ranks_sum_past_n_fail_the_cosine_guard(self, rng, metric, monkeypatch):
+        # In R^6 subspaces of ranks 3 + 4 and 4 + 4 share a direction, a
+        # cosine of 1; ranks 2 + 4 and 3 + 3 need not. Every pair reaches
+        # the batch, and the guard alone sends the shared ones per pair.
         points = [random_subspace(rng, 6, (2, 3, 4)[k % 3]) for k in range(19)]
         ranks = [p.shape[1] for p in points]
         shared = [
             (i, j) for i, j in zip(*np.triu_indices(19, 1)) if ranks[i] + ranks[j] > 6
         ]
-        batched = []
+        # One worker takes the rows of tiles in order, and each tile pair's
+        # pairs come in row-major order, upper triangle only on the diagonal.
+        order = [
+            (i, j)
+            for lo in range(0, 19, 8)
+            for hi in range(lo, 19, 8)
+            for i in range(lo, min(lo + 8, 19))
+            for j in range(max(hi, i + 1), min(hi + 8, 19))
+        ]
+        crosses, flags = [], []
         real_block = pipeline.block_distances
 
         def block(cross, counts, metric):
-            batched.append(np.linalg.svd(cross, compute_uv=False)[:, 0])
-            return real_block(cross, counts, metric)
+            values, redo = real_block(cross, counts, metric)
+            crosses.append(cross)
+            flags.append(redo)
+            return values, redo
 
         monkeypatch.setattr(pipeline, "block_distances", block)
+        force_workers(monkeypatch, 1)
         calls = per_pair_spy(monkeypatch)
-        dmat, guarded_pairs = distance_matrix(cells_of(points), metric)
+        bases = cells_of(points)
+        dmat, guarded_pairs = distance_matrix(bases, metric)
         assert_matrix_matches(points, metric, dmat)
+        cross = np.concatenate(crosses)
+        assert len(cross) == len(order) == 19 * 18 // 2
+        for (i, j), block_ij in zip(order, cross):
+            want = points[i].T @ points[j]
+            assert np.allclose(block_ij[: ranks[i], : ranks[j]], want, rtol=0, atol=1e-12)
+        largest = np.linalg.svd(cross, compute_uv=False)[:, 0]
+        above = [pair for pair, c in zip(order, largest) if c > 1.0 - _COSINE_GUARD]
+        assert sorted(above) == shared
+        assert [pair for pair, f in zip(order, np.concatenate(flags)) if f] == above
         assert calls == shared
         assert guarded_pairs == len(shared) == 51
-        largest = np.concatenate(batched)
-        assert largest.size == 19 * 18 // 2 - len(shared)
-        assert largest.max() < 1.0 - _COSINE_GUARD
+        for i, j in shared:
+            x, y = bases[i, :, : ranks[i]], bases[j, :, : ranks[j]]
+            assert dmat[i, j] == dmat[j, i] == distance(x, y, metric)
 
     def test_chordal_takes_rank_sum_and_guarded_pairs_one_by_one(self, rng, monkeypatch):
         # The ranks of the test above, with two replicate cells, 70 rows:

@@ -1,14 +1,18 @@
+import importlib
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mgm.clustering import ClusteringMethod, cluster_distances
-from mgm.config import PipelineConfig
+from mgm.config import PipelineConfig, load_config
 from mgm.errors import ConfigError, DataError, NumericalError
 from mgm.grassmann import _CHORDAL_SQ_GUARD, _RANK_TOL, GrassmannMetric, distance, orthonormalize
-from mgm.experiment import export_scatter
+from mgm.experiment import _preprocess, export_scatter
 from mgm.mdr import MdrBackendSpec, build_stack
 import mgm
 from mgm import pipeline
@@ -16,6 +20,7 @@ from mgm.pipeline import (
     _subspace_ranks,
     build_subspaces,
     distance_matrix,
+    embed_multiscale,
     run_mgm,
 )
 from mgm.scales import ScaleSamplingSpec
@@ -485,3 +490,63 @@ class TestRunMgm:
         _, d1, _, _ = run_mgm(x, cfg)
         _, d2, _, _ = run_mgm(x, cfg)
         assert np.array_equal(d1, d2)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize(
+    "preset,m,nested,want",
+    [
+        ("setup2-small", 120, False, {"chordal": 3, "geodesic": 11}),
+        ("setup1", 200, True, {"geodesic": 4}),
+    ],
+)
+def test_guarded_pairs_on_the_benchmark_inputs(monkeypatch, preset, m, nested, want):
+    # The README's counts on the seed-5 inputs of pipeline-counts-m120 and
+    # mgm-geodesic-nested-m200: a routing change that moves a pair onto or
+    # off the per-pair path moves them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    counts, _ = importlib.import_module("workloads").generate_counts(m, 5, nested=nested)
+    cfg = load_config(preset=preset)
+    bases = build_subspaces(embed_multiscale(_preprocess(counts, cfg), cfg).values)
+    got = {metric: distance_matrix(bases, GrassmannMetric(metric))[1] for metric in want}
+    assert got == want
+
+
+_THREADS_CHILD = """
+import sys
+import numpy as np
+from workloads import generate_counts
+from mgm.clustering import cluster_distances
+from mgm.config import load_config
+from mgm.experiment import _preprocess
+from mgm.pipeline import run_mgm
+counts, _ = generate_counts(300, 5)
+cfg = load_config(preset="setup2-small", overrides={"clustering.k": "3"})
+dmat = run_mgm(_preprocess(counts, cfg), cfg)[1]
+labels = cluster_distances(dmat, cfg.clustering_method, cfg.k, cfg.seeds)
+np.savez(sys.argv[1], dmat=dmat, labels=np.stack(labels))
+"""
+
+
+def test_blas_thread_count_moves_no_label(tmp_path):
+    # One process at 1 BLAS thread and one at 2, on an M = 300 setup2-small
+    # input: the bits may move from PCA on, but every preset seed's labels
+    # must not, and the distances agree within 1e-10.
+    src = Path(mgm.__file__).resolve().parents[1]
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]),
+        )
+        out = tmp_path / f"threads-{threads}.npz"
+        runs[out] = subprocess.Popen([sys.executable, "-c", _THREADS_CHILD, str(out)], env=env)
+    assert [child.wait(timeout=300) for child in runs.values()] == [0, 0]
+    one, two = (np.load(out) for out in runs)
+    assert one["labels"].shape == (5, 300)
+    assert np.array_equal(one["labels"], two["labels"])
+    assert np.max(np.abs(one["dmat"] - two["dmat"])) <= 1e-10
