@@ -125,12 +125,12 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        for scale, emb in zip(embedding.scales, embedding.values):
-            _write_csv(out_dir / f"embedding_scale_{scale}.csv", emb)
+        for s, scale in enumerate(embedding.scales):
+            _write_csv(out_dir / f"embedding_scale_{scale}.csv", embedding.values[:, :, s])
         meta = {
             "scales": list(embedding.scales),
-            "embedding_dim": embedding.values.shape[2],
-            "sample_count": embedding.values.shape[1],
+            "embedding_dim": embedding.values.shape[1],
+            "sample_count": embedding.values.shape[0],
             "method": "laplacian" if cfg.embedding.external_pattern is None else "external",
             "seed": cfg.seeds[0],
         }
@@ -140,7 +140,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_mgm(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _, dmat, report, _ = run_mgm(_preprocess(_load_data(args)[0], cfg), cfg)
+    _, dmat, report, _, _ = run_mgm(_preprocess(_load_data(args)[0], cfg), cfg)
     out_dir = Path(args.out_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,9 +168,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    values, labels = _load_data(args)
+    # A temporary: run_experiment frees the raw matrix once preprocessed.
+    loaded = list(_load_data(args))
+    labels = loaded.pop()
     result = run_experiment(
-        values,
+        loaded.pop(),
         cfg,
         labels=labels,
         out_dir=args.out_dir,

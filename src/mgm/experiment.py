@@ -3,9 +3,9 @@
 One experiment preprocesses a matrix and runs the pipeline once: the
 embeddings, subspaces, distance matrix and its cluster embedding (spectral
 or classical MDS) do not depend on the seed. Two baselines reuse the run's
-PCA-reduced matrix and embeddings to put the numbers in context: k-means on
-a single PCA embedding, and k-means on the average of the per-scale
-embeddings. Labels for every group, the method and both baselines, are
+PCA-reduced matrix and its mean of the per-scale embeddings to put the
+numbers in context: k-means on a single PCA embedding, and k-means on that
+mean. Labels for every group, the method and both baselines, are
 computed first, with one k-means call per group for all seeds. One loop
 then scores each seed (when ground truth is available) and writes its files
 as it is scored, so a failure in a later seed preserves earlier output.
@@ -238,6 +238,7 @@ def run_experiment(
     if save_distance and out_dir is None:
         raise ConfigError("saving the distance matrix needs an output directory")
     pre = _preprocess(values, cfg)
+    del values  # the raw matrix is freed here when the caller holds no name for it
     if labels is not None and len(labels) != len(pre):
         raise DataError(f"{len(labels)} labels for {len(pre)} samples")
     checksum = hashlib.sha256(pre).hexdigest()
@@ -247,7 +248,7 @@ def run_experiment(
         with _writing(out_path):
             out_path.mkdir(parents=True, exist_ok=True)
             (out_path / "config.txt").write_text("\n".join(lines) + "\n")
-    bases, dmat, report, embedding = run_mgm(pre, cfg)
+    bases, dmat, report, reduced, average = run_mgm(pre, cfg)
     for _ in cfg.seeds[1:]:
         # The matrix does not depend on the seed, but the pin at
         # perfbench/test_perfbench.py:154 counts one build per seed;
@@ -266,12 +267,8 @@ def run_experiment(
         )
     }
     if with_baselines:
-        reduced = embedding.reduced
         dim = min(cfg.embedding.embedding_dim, *reduced.shape)
-        points = {
-            "baseline_pca": pca_reduce(reduced, dim),
-            "baseline_avg_embedding": embedding.values.mean(axis=0),
-        }
+        points = {"baseline_pca": pca_reduce(reduced, dim), "baseline_avg_embedding": average}
         for group, coords in points.items():
             seed_labels = kmeans_euclidean(coords, cfg.k, cfg.seeds)
             groups[group] = (f"{group}+kmeans", seed_labels, None, None)

@@ -332,27 +332,28 @@ def _load_external_embedding(
 
 
 def build_stack(x: np.ndarray, scales: tuple[int, ...], spec: MdrBackendSpec) -> np.ndarray:
-    """Embed x once per scale into one read-only (p, M, n) array that owns
-    its data: one external file per scale when spec has a pattern, Laplacian
-    eigenmaps on one neighbor graph built for the largest scale otherwise.
-    Backend errors, and a non-finite embedding, raise naming the scale."""
+    """Embed x once per scale into one read-only (M, n, p) array that owns
+    its data, scale s's embedding in [:, :, s]: one external file per scale
+    when spec has a pattern, Laplacian eigenmaps on one neighbor graph built
+    for the largest scale otherwise. Backend errors, and a non-finite
+    embedding, raise naming the scale."""
     if not scales:
         raise ConfigError(f"scales {tuple(scales)} holds no scale to embed at")
     x = np.asarray(x, dtype=float)
     pattern = spec.external_pattern
     graph = None if pattern else _neighbor_graph(x, max(scales))
-    values = np.empty((len(scales), x.shape[0], spec.embedding_dim))
+    values = np.empty((x.shape[0], spec.embedding_dim, len(scales)))
     for s, scale in enumerate(scales):
         try:
             if pattern:
-                values[s] = _load_external_embedding(
+                values[:, :, s] = _load_external_embedding(
                     pattern, scale, x.shape[0], spec.embedding_dim
                 )
             else:
-                values[s] = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
+                values[:, :, s] = laplacian_eigenmaps(x, scale, spec.embedding_dim, graph=graph)
         except MgmError as err:
             raise type(err)(f"scale {scale}: {err}") from err
-        if not np.isfinite(values[s]).all():
+        if not np.isfinite(values[:, :, s]).all():
             raise NumericalError(f"embedding for scale {scale} has non-finite values")
     values.setflags(write=False)
     return values

@@ -82,30 +82,33 @@ def _check_distances(values) -> np.ndarray:
 
 
 def build_subspaces(embeddings: np.ndarray) -> np.ndarray:
-    """Orthonormalize every sample's n x p feature matrix, its row of each
-    scale's embedding (embeddings[s], M x n) as columns in scale order, with
-    one batched SVD per _TILE_SUBSPACES samples, into a read-only (M, n, p)
-    array owning its data: sample k's basis in the first r_k columns of [k],
-    exactly 0.0 after (_subspace_ranks). Only the span is kept, so scaling a
-    column by a positive factor moves no distance; rank-deficient features
-    give a smaller subspace. At embedding.dim <= p every sample would span
-    all of R^n and every distance would be rounding noise, so that raises.
+    """Orthonormalize every sample's n x p feature matrix, embeddings[k] of
+    build_stack's (M, n, p) layout, with one batched SVD per _TILE_SUBSPACES
+    samples, into a read-only (M, n, p) array owning its data: sample k's
+    basis in the first r_k columns of [k], exactly 0.0 after
+    (_subspace_ranks). A writable, C-contiguous float64 array owning its
+    data is overwritten tile by tile and returned; any other input, such as
+    build_stack's read-only array, is copied first. Only the span is kept,
+    so scaling a column by a positive factor moves no distance;
+    rank-deficient features give a smaller subspace. At embedding.dim <= p
+    every sample would span all of R^n and every distance would be rounding
+    noise, so that raises.
     """
-    embeddings = np.asarray(embeddings, dtype=float)
-    if embeddings.ndim != 3:
-        raise ValueError(f"need a (p, M, n) array of embeddings, got shape {embeddings.shape}")
-    p, m, n = embeddings.shape
+    x = np.asarray(embeddings, dtype=float)
+    if x.ndim != 3:
+        raise ValueError(f"need an (M, n, p) array of embeddings, got shape {x.shape}")
+    m, n, p = x.shape
     if n <= p:
         raise ConfigError(
             f"embedding.dim {n} must exceed the number of sampled scales {p}; "
             "otherwise every subspace is the whole embedding space"
         )
-    bases = np.zeros((m, n, p))
+    if not (x.flags.writeable and x.flags.c_contiguous and x.flags.owndata):
+        x = x.copy()
     for lo in range(0, m, _TILE_SUBSPACES):
-        hi = lo + _TILE_SUBSPACES
-        bases[lo:hi] = orthonormalize(embeddings[:, lo:hi].transpose(1, 2, 0), lo)[0]
-    bases.setflags(write=False)
-    return bases
+        x[lo : lo + _TILE_SUBSPACES] = orthonormalize(x[lo : lo + _TILE_SUBSPACES], lo)[0]
+    x.setflags(write=False)
+    return x
 
 
 def _subspace_ranks(bases: np.ndarray) -> np.ndarray:
@@ -323,9 +326,31 @@ class RunReport:
     metric: str
     seed: int
     stage_seconds: dict[str, float]
+    peak_rss_mb: float | None
 
     def to_dict(self) -> dict:
         return {**asdict(self), "scales": list(self.scales)}
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set so far, VmHWM of /proc/self/status
+    in MB (2^20 bytes), or None where that file does not exist."""
+    try:
+        with open("/proc/self/status") as status:
+            hwm = next(line for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+    return int(hwm.split()[1]) / 1024
+
+
+def _scale_mean(stack: np.ndarray) -> np.ndarray:
+    """The M x n mean over scales of an (M, n, p) stack, summed in scale
+    order: the bits of .mean(axis=0) of the same stack laid out (p, M, n)."""
+    mean = stack[:, :, 0].copy()
+    for s in range(1, stack.shape[2]):
+        mean += stack[:, :, s]
+    mean /= stack.shape[2]
+    return mean
 
 
 @contextmanager
@@ -342,7 +367,7 @@ def _stage(name: str, timings: dict[str, float]):
 @dataclass(frozen=True)
 class MultiscaleEmbedding:
     """The sampled scales, the matrix the embedding backend saw (PCA-reduced
-    when pca.dim is set) and its per-scale embeddings, build_stack's array."""
+    when pca.dim is set) and build_stack's (M, n, p) array of embeddings."""
 
     scales: tuple[int, ...]
     reduced: np.ndarray
@@ -397,8 +422,11 @@ def embed_multiscale(
 
 def run_mgm(
     values: np.ndarray, cfg: "PipelineConfig"
-) -> tuple[np.ndarray, np.ndarray, RunReport, MultiscaleEmbedding]:
-    """Run the pipeline stages on an already-preprocessed matrix.
+) -> tuple[np.ndarray, np.ndarray, RunReport, np.ndarray, np.ndarray]:
+    """Run the pipeline stages on an already-preprocessed matrix. Returns
+    the bases, the distance matrix, the run report, the matrix the embedding
+    backend saw and the mean of the per-scale embeddings (_scale_mean),
+    taken before build_subspaces turns the stack into the bases in place.
 
     Stages: sample scales, optional PCA, per-scale embedding (see
     embed_multiscale), subspace construction, pairwise distances. None of
@@ -413,6 +441,9 @@ def run_mgm(
     embedding = embed_multiscale(values, cfg, timings)
 
     with _stage("subspaces", timings):
+        average = _scale_mean(embedding.values)
+        # build_stack's array owns its data, so it may be made writable.
+        embedding.values.setflags(write=True)
         bases = build_subspaces(embedding.values)
 
     with _stage("distances", timings):
@@ -422,7 +453,7 @@ def run_mgm(
         sample_count=values.shape[0],
         feature_count=values.shape[1],
         pca_dim=cfg.pca_dim,
-        embedding_dim=embedding.values.shape[2],
+        embedding_dim=bases.shape[1],
         scales=embedding.scales,
         scale_count=len(embedding.scales),
         nominal_rank=bases.shape[2],
@@ -431,5 +462,6 @@ def run_mgm(
         metric=cfg.metric.value,
         seed=cfg.seeds[0],
         stage_seconds=timings,
+        peak_rss_mb=_peak_rss_mb(),
     )
-    return bases, dmat, report, embedding
+    return bases, dmat, report, embedding.reduced, average

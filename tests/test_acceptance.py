@@ -122,17 +122,17 @@ def test_pipeline_invariances():
     base = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)[0]
 
     order = [2, 0, 3, 1]
-    reordered = stack[order]
+    reordered = stack[:, :, order]
     got = distance_matrix(build_subspaces(reordered), GrassmannMetric.CHORDAL)[0]
     assert np.max(np.abs(got - base)) <= 1e-9
 
     factors = np.array([3.7, 0.02, 1.0, 40.0])
-    rescaled = stack * factors[:, None, None]
+    rescaled = stack * factors
     got = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)[0]
     assert np.max(np.abs(got - base)) <= 1e-9
 
     perm = np.random.default_rng(17).permutation(60)
-    permuted = stack[:, perm]
+    permuted = stack[perm]
     got = distance_matrix(build_subspaces(permuted), GrassmannMetric.CHORDAL)[0]
     assert np.max(np.abs(got - base[np.ix_(perm, perm)])) == 0.0
 
@@ -213,18 +213,19 @@ def test_degradation_beats_single_scales():
     noise = np.random.default_rng(123)
     corrupted = stack.copy()
     for idx in (1, 3):
-        corrupted[idx] = noise.standard_normal(corrupted[idx].shape)
+        corrupted[:, :, idx] = noise.standard_normal(corrupted[:, :, idx].shape)
 
-    dmat, _ = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
     seeds = (1, 3, 5, 7, 9)
+    single_scores = [
+        ari(labels, truth)
+        for emb in np.moveaxis(corrupted, 2, 0)
+        for labels in kmeans_euclidean(np.ascontiguousarray(emb), 3, seeds)
+    ]
+    # build_subspaces turns the writable stack into the bases in place
+    dmat, _ = distance_matrix(build_subspaces(corrupted), GrassmannMetric.CHORDAL)
     mgm_scores = [
         ari(labels, truth)
         for labels in cluster_distances(dmat, ClusteringMethod.SPECTRAL, 3, seeds)
-    ]
-    single_scores = [
-        ari(labels, truth)
-        for emb in corrupted
-        for labels in kmeans_euclidean(emb, 3, seeds)
     ]
     assert np.mean(mgm_scores) >= np.mean(single_scores)
 

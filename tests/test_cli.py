@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,34 @@ class TestPipelineCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["baselines_mean"] == {}
         assert payload["out_dir"] is None
+
+    @pytest.mark.xfail(
+        sys.version_info < (3, 11),
+        reason="before Python 3.11 the calling frame holds a call's arguments until it returns",
+        strict=True,
+    )
+    def test_raw_matrix_is_freed_before_run_mgm(self, workspace, monkeypatch):
+        # mgm pipeline hands the loaded matrix to run_experiment as a
+        # temporary, and run_experiment drops it once preprocessed, so the
+        # raw M x N matrix is not held beside the rest of the run.
+        _, data, labels, config, _ = workspace
+        refs, alive = [], []
+        real_load, real_run = mgm.cli.load_matrix, mgm.experiment.run_mgm
+
+        def load(*args, **kwargs):
+            values = real_load(*args, **kwargs)
+            refs.append(weakref.ref(values))
+            return values
+
+        def run(*args):
+            alive.append(refs[0]() is not None)
+            return real_run(*args)
+
+        monkeypatch.setattr(mgm.cli, "load_matrix", load)
+        monkeypatch.setattr(mgm.experiment, "run_mgm", run)
+        argv = ["pipeline", "--config", str(config), "--data", str(data), "--labels", str(labels)]
+        assert main(argv) == 0
+        assert alive == [False]
 
     def test_seed_and_seeds_conflict(self, workspace):
         _, data, labels, config, _ = workspace

@@ -301,7 +301,7 @@ class TestExperimentOutputs:
 class TestDistanceMatrixFiles:
     def make_distance(self):
         values, _ = blob_matrix(m=20)
-        _, dmat, report, _ = run_mgm(values, fast_config(seeds="1"))
+        _, dmat, report, _, _ = run_mgm(values, fast_config(seeds="1"))
         return dmat, report
 
     def test_roundtrip_is_bit_exact(self, tmp_path):

@@ -906,7 +906,7 @@ def rank_reduced_and_replicate_cells(rng):
     emb[0][19] = emb[0][4] + emb[1][4]
     for e in emb[1:]:
         e[19] = e[4]
-    return build_subspaces(np.array(emb))
+    return build_subspaces(np.stack(emb, axis=2))
 
 
 def points_either_side_of_both_guards(rng):

@@ -377,7 +377,7 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         stack = build_stack(np.zeros((8, 2)), (5,), spec)
-        assert np.allclose(stack[0], want, atol=1e-15)
+        assert np.allclose(stack[:, :, 0], want, atol=1e-15)
 
     def test_header_and_id_column_load(self, tmp_path, rng):
         # The layout of pandas' DataFrame.to_csv with named rows and columns.
@@ -390,7 +390,7 @@ class TestExternalBackend:
             embedding_dim=3, external_pattern=str(tmp_path / "emb_{scale}.csv")
         )
         stack = build_stack(np.zeros((8, 2)), (5,), spec)
-        assert np.array_equal(stack[0], want)
+        assert np.array_equal(stack[:, :, 0], want)
 
     def test_missing_file_raises(self, tmp_path):
         spec = MdrBackendSpec(
@@ -433,8 +433,8 @@ class TestBuildStack:
         scales = (3, 5, 8)
         spec = MdrBackendSpec(embedding_dim=4)
         stack = build_stack(x, scales, spec)
-        assert stack.shape == (3, 30, 4)
-        for scale, emb in zip(scales, stack):
+        assert stack.shape == (30, 4, 3)
+        for scale, emb in zip(scales, np.moveaxis(stack, 2, 0)):
             assert np.array_equal(emb, laplacian_eigenmaps(x, scale, 4))
 
     def test_error_names_offending_scale(self):
@@ -458,9 +458,9 @@ class TestBuildStack:
                 build_stack(x, (), spec)
 
     def test_stack_validates_matching_shapes(self):
-        # build_subspaces takes build_stack's (p, M, n) array and no other rank
+        # build_subspaces takes build_stack's (M, n, p) array and no other rank
         for shape in ((2, 4), (2, 4, 5, 1)):
-            with pytest.raises(ValueError, match=r"need a \(p, M, n\) array"):
+            with pytest.raises(ValueError, match=r"need an \(M, n, p\) array"):
                 build_subspaces(np.ones(shape))
 
     def test_non_finite_value_names_its_scale(self, monkeypatch):
@@ -489,10 +489,14 @@ class TestBuildStack:
     def test_built_stack_is_held_without_a_copy(self):
         x, _ = two_blob_data(m=60)
         values = build_stack(x, (3, 5, 8), MdrBackendSpec(embedding_dim=4))
-        assert values.shape == (3, 60, 4)
+        assert values.shape == (60, 4, 3) and values.flags.c_contiguous
         assert values.flags.owndata and not values.flags.writeable
-        # build_subspaces reads it in place, as np.asarray hands it back
+        # np.asarray hands it back uncopied; build_subspaces then copies it
+        # once, since it is read-only, and leaves it as it was
         assert np.asarray(values, dtype=float) is values
+        before = values.tobytes()
+        assert not np.shares_memory(build_subspaces(values), values)
+        assert values.tobytes() == before and not values.flags.writeable
 
     def test_blob_stack_is_reproducible(self):
         x, _ = make_blobs(m=45, d=10, sep=7.0, seed=2)
@@ -534,7 +538,7 @@ class TestDenseOracleParity:
         x = noisy_curve()
         spec = MdrBackendSpec(embedding_dim=5)
         stack = build_stack(x, self.SCALES, spec)
-        for scale, emb in zip(self.SCALES, stack):
+        for scale, emb in zip(self.SCALES, np.moveaxis(stack, 2, 0)):
             want = laplacian_eigenmaps_dense(x, scale, 5)
             assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
             assert np.array_equal(laplacian_eigenmaps(x, scale, 5), emb)
@@ -544,12 +548,11 @@ class TestDenseOracleParity:
         x = noisy_curve()
         spec = MdrBackendSpec(embedding_dim=5)
         shared = build_stack(x, self.SCALES, spec)
-        dense = [laplacian_eigenmaps_dense(x, s, 5) for s in self.SCALES]
+        dense = np.stack([laplacian_eigenmaps_dense(x, s, 5) for s in self.SCALES], axis=2)
 
-        def distances(embeddings):
+        def distances(stack):
             # every 4th sample keeps the per-pair distance loop short
-            stack = np.asarray(embeddings)[:, ::4]
-            return distance_matrix(build_subspaces(stack), metric)[0]
+            return distance_matrix(build_subspaces(stack[::4]), metric)[0]
 
         assert np.max(np.abs(distances(shared) - distances(dense))) < 1e-10
 
@@ -560,7 +563,7 @@ class TestDenseOracleParity:
         scales = (3, 7, m - 1)
         spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, scales, spec)
-        for scale, emb in zip(scales, stack):
+        for scale, emb in zip(scales, np.moveaxis(stack, 2, 0)):
             want = laplacian_eigenmaps_dense(x, scale, dim)
             assert np.array_equal(emb, want)
             assert np.array_equal(laplacian_eigenmaps(x, scale, dim), want)
@@ -595,10 +598,9 @@ class TestLanczosTier:
 
     SCALES = (6, 10, 15)
 
-    def distances(self, embeddings, metric):
+    def distances(self, stack, metric):
         # every 12th sample keeps the per-pair distance loop short
-        stack = np.asarray(embeddings)[:, ::12]
-        return distance_matrix(build_subspaces(stack), metric)[0]
+        return distance_matrix(build_subspaces(stack[::12]), metric)[0]
 
     @pytest.mark.parametrize("data, dim", [("curve", 5), ("curve", 20), ("blobs", 5)])
     def test_spans_match_dense(self, data, dim):
@@ -608,7 +610,7 @@ class TestLanczosTier:
         x = noisy_curve(m=m) if data == "curve" else make_blobs(m=m, sep=60.0)[0]
         spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, self.SCALES, spec)
-        for scale, emb in zip(self.SCALES, stack):
+        for scale, emb in zip(self.SCALES, np.moveaxis(stack, 2, 0)):
             want = laplacian_eigenmaps_dense(x, scale, dim)
             assert np.max(np.abs(projector(emb) - projector(want))) < 1e-10
             assert np.array_equal(laplacian_eigenmaps(x, scale, dim), emb)
@@ -623,7 +625,7 @@ class TestLanczosTier:
         x = noisy_curve(m=600)
         spec = MdrBackendSpec(embedding_dim=dim)
         stack = build_stack(x, self.SCALES, spec)
-        dense = [laplacian_eigenmaps_dense(x, s, dim) for s in self.SCALES]
+        dense = np.stack([laplacian_eigenmaps_dense(x, s, dim) for s in self.SCALES], axis=2)
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
             got = self.distances(stack, metric)
             want = self.distances(dense, metric)

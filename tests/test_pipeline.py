@@ -37,7 +37,8 @@ from test_grassmann import (
 
 
 def random_stack(m=12, n=8, p=4, seed=0):
-    return np.random.default_rng(seed).standard_normal((p, m, n))
+    """A writable (M, n, p) stack, drawn scale by scale."""
+    return np.random.default_rng(seed).standard_normal((p, m, n)).transpose(1, 2, 0).copy()
 
 
 def refused_on_entry(values, message):
@@ -58,13 +59,13 @@ def blob_stack(m=60):
 
 def identical_scales_stack():
     emb = np.random.default_rng(3).standard_normal((7, 6))
-    return np.array([emb, emb, emb])
+    return np.stack([emb, emb, emb], axis=2)
 
 
 def dependent_scale_stack():
     rng = np.random.default_rng(4)
     e1, e2 = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
-    return np.array([e1, e2, e1 + e2])
+    return np.stack([e1, e2, e1 + e2], axis=2)
 
 
 class TestBuildSubspaces:
@@ -85,7 +86,7 @@ class TestBuildSubspaces:
 
     def test_column_norms_do_not_move_the_span(self):
         stack = random_stack(m=8, n=7, p=3, seed=5)
-        scaled = stack * np.array([250.0, 1.0, 1e-3])[:, None, None]
+        scaled = stack * np.array([250.0, 1.0, 1e-3])
         a = build_subspaces(stack)
         b = build_subspaces(scaled)
         for qa, qb in zip(a, b):
@@ -95,7 +96,7 @@ class TestBuildSubspaces:
         emb = np.ones((4, 5))
         emb[2] = 0.0
         with pytest.raises(NumericalError, match="sample 2"):
-            build_subspaces(np.array([emb, emb * 2.0]))
+            build_subspaces(np.stack([emb, emb * 2.0], axis=2))
 
     @pytest.mark.parametrize("n", [5, 3], ids=["dim_equals_scales", "dim_below_scales"])
     def test_dim_at_most_the_scale_count_raises(self, n):
@@ -104,19 +105,40 @@ class TestBuildSubspaces:
         with pytest.raises(ConfigError, match=message):
             build_subspaces(random_stack(m=6, n=n, p=5))
 
-    def test_a_later_write_by_the_caller_does_not_reach_the_bases(self):
-        # The bases are filled into an array of their own, which refuses
-        # writes: a write to the embeddings afterwards changes nothing.
-        stack = random_stack()
-        bases = build_subspaces(stack)
-        want = bases.tobytes()
-        stack[:, 0] = 5.0
-        assert bases.tobytes() == want
-        with pytest.raises(ValueError, match="read-only"):
-            bases[0, 0, 0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            bases[1] += 1.0
-        assert bases.tobytes() == want
+    def test_a_read_only_stack_is_copied_and_equals_the_in_place_result(self):
+        # build_stack's array is read-only: it is copied and left as it was.
+        # A writable, C-contiguous array owning its data becomes the bases,
+        # with the same bits, and refuses writes from then on.
+        stack = random_stack(m=13)
+        stack.setflags(write=False)
+        before = stack.tobytes()
+        copied = build_subspaces(stack)
+        assert copied is not stack and not np.shares_memory(copied, stack)
+        assert stack.tobytes() == before and not stack.flags.writeable
+        writable = stack.copy()
+        in_place = build_subspaces(writable)
+        assert in_place is writable
+        assert in_place.tobytes() == copied.tobytes()
+        for bases in (copied, in_place):
+            assert bases.flags.owndata and not bases.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bases[0, 0, 0] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                bases[1] += 1.0
+        assert in_place.tobytes() == copied.tobytes()
+
+    def test_views_and_strided_stacks_are_copied(self):
+        # Writable, but a view of another array or not C-contiguous: the
+        # caller's data is never written.
+        want = build_subspaces(random_stack(m=10))
+        stack = random_stack(m=10)
+        for given in (stack[:], np.asfortranarray(stack)):
+            assert given.flags.writeable
+            before = given.tobytes()
+            got = build_subspaces(given)
+            assert not np.shares_memory(got, given)
+            assert given.tobytes() == before
+            assert got.tobytes() == want.tobytes()
 
     def test_built_arrays_are_held_without_a_copy(self):
         bases = build_subspaces(random_stack())
@@ -134,7 +156,7 @@ def near_dependent_stack():
         @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
         for k in range(10)
     ]
-    return np.array(features).transpose(2, 0, 1)
+    return np.array(features)
 
 
 class TestBatchedBuild:
@@ -154,8 +176,8 @@ class TestBatchedBuild:
     )
     def test_bitwise_equal_to_one_svd_per_sample(self, make):
         stack = make()
-        got = build_subspaces(stack)
         bases, ranks = bases_per_sample(stack, _RANK_TOL)
+        got = build_subspaces(stack)
         assert _subspace_ranks(got).tolist() == ranks.tolist()
         if make is near_dependent_stack:
             assert ranks.tolist() == [2, 3] * 5
@@ -165,7 +187,7 @@ class TestBatchedBuild:
     def test_orthonormalize_at_dim_below_scales(self):
         # build_subspaces refuses n <= p; orthonormalize caps each rank at n.
         stack = random_stack(m=6, n=3, p=5, seed=3)
-        got, ranks = orthonormalize(stack.transpose(1, 2, 0))
+        got, ranks = orthonormalize(stack)
         bases, want = bases_per_sample(stack, _RANK_TOL)
         assert ranks.tolist() == want.tolist() == [3] * 6
         assert got.tobytes() == bases[:, :, :3].copy().tobytes()
@@ -176,7 +198,7 @@ class TestBatchedBuild:
         emb[9] = 0.0
         assert pipeline._TILE_SUBSPACES < 9
         with pytest.raises(NumericalError, match=r"sample 9\b"):
-            build_subspaces(np.array([emb, emb * 2.0]))
+            build_subspaces(np.stack([emb, emb * 2.0], axis=2))
 
     def test_subspace_ranks_rejects_bad_bases(self):
         # A rank is the count of nonzero columns, which must come first;
@@ -206,8 +228,8 @@ class TestDistanceMatrix:
         # Samples 7 and 8 repeat 1 and 4 up to a factor per scale: the same
         # spans, two replicate pairs below the chordal guard.
         values = random_stack(m=9, n=8, p=3, seed=6)
-        values[:, 7] = values[:, 1] * np.array([[2.0], [0.5], [3.0]])
-        values[:, 8] = values[:, 4]
+        values[7] = values[1] * np.array([2.0, 0.5, 3.0])
+        values[8] = values[4]
         cells = build_subspaces(values)
         points = points_of(cells)
         for metric in (GrassmannMetric.CHORDAL, GrassmannMetric.GEODESIC):
@@ -272,7 +294,7 @@ class TestDistanceMatrix:
     def test_martin_divergence_names_pair(self):
         # sample 0 spans {e0, e1}, sample 1 spans {e2, e3}: a right angle
         e = np.eye(6)
-        cells = build_subspaces(np.array([[e[0], e[2]], [e[1], e[3]]]))
+        cells = build_subspaces(np.stack([[e[0], e[2]], [e[1], e[3]]], axis=2))
         with pytest.raises(NumericalError, match=r"pair \(0, 1\)"):
             distance_matrix(cells, GrassmannMetric.MARTIN)
 
@@ -370,22 +392,23 @@ class TestStackInvariances:
         stack, _ = blob_stack()
         cells = build_subspaces(stack)
         base, _ = distance_matrix(cells, GrassmannMetric.CHORDAL)
-        other, _ = distance_matrix(build_subspaces(stack[[2, 0, 3, 1]]), GrassmannMetric.CHORDAL)
+        reordered = build_subspaces(stack[:, :, [2, 0, 3, 1]])
+        other, _ = distance_matrix(reordered, GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base - other)) < 1e-9
 
     def test_per_scale_rescaling_does_not_matter(self):
         stack, _ = blob_stack()
         base, _ = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
         factors = np.array([3.7, 0.02, 1.0, 40.0])
-        rescaled = stack * factors[:, None, None]
+        rescaled = stack * factors
         other, _ = distance_matrix(build_subspaces(rescaled), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base - other)) < 1e-9
 
     def test_sample_permutation_conjugates_the_matrix(self):
         stack, _ = blob_stack()
-        perm = np.random.default_rng(17).permutation(stack.shape[1])
+        perm = np.random.default_rng(17).permutation(stack.shape[0])
         base, _ = distance_matrix(build_subspaces(stack), GrassmannMetric.CHORDAL)
-        other, _ = distance_matrix(build_subspaces(stack[:, perm]), GrassmannMetric.CHORDAL)
+        other, _ = distance_matrix(build_subspaces(stack[perm]), GrassmannMetric.CHORDAL)
         assert np.max(np.abs(base[np.ix_(perm, perm)] - other)) < 1e-12
 
 
@@ -408,7 +431,7 @@ class TestRunMgm:
     def test_shapes_and_report(self):
         x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
         cfg = self.make_config(pca_dim=10)
-        bases, dmat, report, _ = run_mgm(x, cfg)
+        bases, dmat, report, _, _ = run_mgm(x, cfg)
         assert bases.shape == (40, 8, 4) and not bases.flags.writeable
         assert dmat.shape == (40, 40) and not dmat.flags.writeable
         assert report.sample_count == 40
@@ -444,14 +467,14 @@ class TestRunMgm:
         monkeypatch.setattr(pipeline, "distance", spy)
         for metric in (GrassmannMetric.GEODESIC, GrassmannMetric.CHORDAL):
             calls.clear()
-            _, _, report, _ = run_mgm(x, self.make_config(metric=metric))
+            _, _, report, _, _ = run_mgm(x, self.make_config(metric=metric))
             assert report.guarded_pairs == len(calls) >= 2
             assert report.to_dict()["guarded_pairs"] == len(calls)
 
     def test_max_scale_clamped_to_sample_count(self):
         x, _ = make_blobs(m=20, d=10, sep=6.0, seed=4)
         cfg = self.make_config(scales=ScaleSamplingSpec(3, 50, 5, 1.0))
-        _, _, report, _ = run_mgm(x, cfg)
+        _, _, report, _, _ = run_mgm(x, cfg)
         assert report.scales[-1] == 19
 
     def test_min_scale_too_large_fails_in_scales_stage(self):
@@ -477,19 +500,68 @@ class TestRunMgm:
         x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
         cfg = self.make_config(pca_dim=10, metric=metric)
         scales = mgm.sample_scales(cfg.scales)
-        embeddings = mgm.build_stack(mgm.pca_reduce(x, cfg.pca_dim), scales, cfg.embedding)
+        reduced = mgm.pca_reduce(x, cfg.pca_dim)
+        embeddings = mgm.build_stack(reduced, scales, cfg.embedding)
+        before = embeddings.tobytes()
         dmat, _ = mgm.distance_matrix(mgm.build_subspaces(embeddings), metric)
-        _, want, report, embedding = run_mgm(x, cfg)
-        assert report.scales == embedding.scales == scales
-        assert embedding.values.tobytes() == embeddings.tobytes()
+        assert embeddings.tobytes() == before and not embeddings.flags.writeable
+        _, want, report, got_reduced, average = run_mgm(x, cfg)
+        assert report.scales == scales
+        assert got_reduced.tobytes() == reduced.tobytes()
+        # The scale mean has the bits of .mean(axis=0) of the (p, M, n) layout.
+        old_layout = np.ascontiguousarray(embeddings.transpose(2, 0, 1))
+        assert average.tobytes() == old_layout.mean(axis=0).tobytes()
         assert dmat.tobytes() == want.tobytes()
+
+    def test_the_bases_are_the_array_build_stack_returned(self, monkeypatch):
+        # run_mgm orthonormalizes the stack it built in place: no second
+        # M x n x p array is allocated, and its mean is taken first.
+        stacks, real = [], pipeline.build_stack
+
+        def capture(*args):
+            stacks.append(real(*args))
+            copies.append(stacks[-1].copy())
+            return stacks[-1]
+
+        copies = []
+        monkeypatch.setattr(pipeline, "build_stack", capture)
+        x, _ = make_blobs(m=40, d=15, sep=6.0, seed=3)
+        bases, _, _, _, average = run_mgm(x, self.make_config())
+        assert len(stacks) == 1 and bases is stacks[0]
+        assert np.shares_memory(bases, stacks[0]) and not bases.flags.writeable
+        assert average.tobytes() == pipeline._scale_mean(copies[0]).tobytes()
+        assert bases.tobytes() == build_subspaces(copies[0]).tobytes()
+
+    def test_report_carries_the_peak_resident_set(self, monkeypatch):
+        x, _ = make_blobs(m=30, d=12, sep=6.0, seed=5)
+        report = run_mgm(x, self.make_config())[2]
+        if os.path.exists("/proc/self/status"):
+            assert 1.0 < report.peak_rss_mb == report.to_dict()["peak_rss_mb"]
+        real_open = open
+
+        def no_status(path, *args, **kwargs):
+            if path == "/proc/self/status":
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", no_status)
+        assert pipeline._peak_rss_mb() is None
 
     def test_deterministic_for_fixed_seed(self):
         x, _ = make_blobs(m=30, d=12, sep=6.0, seed=5)
         cfg = self.make_config()
-        _, d1, _, _ = run_mgm(x, cfg)
-        _, d2, _, _ = run_mgm(x, cfg)
+        _, d1, _, _, _ = run_mgm(x, cfg)
+        _, d2, _, _, _ = run_mgm(x, cfg)
         assert np.array_equal(d1, d2)
+
+
+@pytest.mark.parametrize("p", [9, 11, 23])
+def test_scale_mean_has_the_bits_of_the_old_layouts_mean(p):
+    # The baseline_avg_embedding input: a sequential sum over the last axis
+    # of the (M, n, p) stack, then / p, as .mean(axis=0) of a (p, M, n) one.
+    old = np.random.default_rng(p).standard_normal((p, 50, 20)) * np.logspace(0, 3, 20)
+    stack = np.ascontiguousarray(old.transpose(1, 2, 0))
+    assert pipeline._scale_mean(stack).tobytes() == old.mean(axis=0).tobytes()
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
